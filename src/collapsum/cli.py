@@ -122,15 +122,16 @@ def _pick_kernel(args) -> Kernel:
 def _blur_plane(samples: Matrix, args) -> FilterResult:
     edge = EdgeMode(args.edge)
     name = args.filter_name
+    if name not in ("gauss", "rect"):
+        return convolve(_pick_kernel(args), samples, edge)
     if name == "gauss":
-        return blur(samples, BlurRequest(radius=args.radius,
-                                         method=Method(args.method), edge=edge))
-    if name == "rect":
-        if args.a is None or args.b is None:
-            raise ValueError("--filter rect requires --a and --b")
-        return blur(samples, BlurRequest(rect=(args.a, args.b),
-                                         method=Method(args.method), edge=edge))
-    return convolve(_pick_kernel(args), samples, edge)
+        window = {"radius": args.radius}
+    elif args.a is None or args.b is None:
+        raise ValueError("--filter rect requires --a and --b")
+    else:
+        window = {"rect": (args.a, args.b)}
+    return blur(samples, BlurRequest(**window, method=Method(args.method),
+                                     edge=edge))
 
 
 def _cmd_blur(args) -> int:

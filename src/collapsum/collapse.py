@@ -118,7 +118,8 @@ def generalized_collapse(a: Matrix, gamma: GammaSpec) -> Matrix:
 
     Output entry (p, q) is the weight window laid over the input block
     whose top-left corner is (p, q); dimensions shrink to
-    (m - b1 + 1) x (n - b2 + 1).
+    (m - b1 + 1) x (n - b2 + 1).  Convolution runs through this loop
+    with the window flipped.
     """
     w = gamma.weights
     if w.mode is not a.mode:
@@ -130,20 +131,21 @@ def generalized_collapse(a: Matrix, gamma: GammaSpec) -> Matrix:
             f"{b1}x{b2} window does not fit a {m}x{n} matrix"
         )
     wd, d = w.data, a.data
+    out_m, out_n = m - b1 + 1, n - b2 + 1
+    zero = 0.0 if a.mode is ScalarMode.FLOAT else 0
     out = []
-    for p in range(m - b1 + 1):
-        for q in range(n - b2 + 1):
-            acc = 0
+    for p in range(out_m):
+        row0 = p * n
+        for q in range(out_n):
+            acc = zero
             k = 0
             for i in range(b1):
-                base = (p + i) * n + q
+                base = row0 + i * n + q
                 for j in range(b2):
                     acc += wd[k] * d[base + j]
                     k += 1
             out.append(acc)
-    if a.mode is ScalarMode.FLOAT:
-        out = [float(x) for x in out]
-    return Matrix(m - b1 + 1, n - b2 + 1, tuple(out), a.mode)
+    return Matrix(out_m, out_n, tuple(out), a.mode)
 
 
 def generalized_collapse_power(a: Matrix, gamma: GammaSpec, s: int) -> Matrix:

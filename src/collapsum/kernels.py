@@ -4,11 +4,15 @@ Exact kernels carry integer weights plus a divisor so that pipelines can
 defer the normalizing division; convolution therefore returns a
 :class:`FilterResult` pair (numerator matrix, divisor).  Division happens
 once, at the caller's chosen boundary, which keeps integer pipelines
-bit-exact.
+bit-exact; rounding the quotient is :func:`matrix.round_half_away`.
 
-Convolution uses flipped kernel indexing (output (p, q) sums
-weight(i, j) * input(p - i, q - j) over window offsets), which matters
-only for asymmetric kernels.
+Every binomial window is :func:`gaussian_kernel_rect`; the radius-r
+kernel is its (2r+1)-square case.  Convolution uses flipped kernel
+indexing (output (p, q) sums weight(i, j) * input(p - i, q - j) over
+window offsets), which matters only for asymmetric kernels; it runs as
+the generalized collapse of the flipped window, the package's one
+correlation loop.  :func:`separable_convolve` splits an h x w binomial
+window into a row and a column pass.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .matrix import DimensionError, Matrix, ScalarMode
+from .collapse import GammaSpec, generalized_collapse
+from .matrix import DimensionError, Matrix, ScalarMode, round_half_away
 from .structured import binomial, coefficient_matrix
 
 FLOAT_KERNEL_TOL = 1e-12
@@ -77,20 +82,7 @@ class FilterResult:
         Exact numerators round via integer arithmetic, so the result is
         reproducible bit-for-bit.
         """
-        num = self.numerator
-        out = []
-        if num.mode is ScalarMode.EXACT:
-            d = self.divisor
-            for x in num.data:
-                q = (2 * abs(x) + d) // (2 * d)
-                out.append(q if x >= 0 else -q)
-        else:
-            for x in num.data:
-                v = x / self.divisor
-                out.append(
-                    math.floor(v + 0.5) if v >= 0 else math.ceil(v - 0.5)
-                )
-        return Matrix(num.rows, num.cols, tuple(out), ScalarMode.EXACT)
+        return round_half_away(self.numerator, self.divisor)
 
 
 @dataclass(frozen=True)
@@ -181,17 +173,15 @@ def box_kernel(r: int) -> Kernel:
 
 
 def gaussian_kernel(r: int) -> Kernel:
-    """Binomial approximation to the Gaussian, radius r.
+    """Binomial approximation to the Gaussian, radius r: the
+    (2r+1)-square :func:`gaussian_kernel_rect`.
 
     Weight (i, j), indexed from the center, is
     binomial(2r, i+r) * binomial(2r, j+r); the divisor is 4^(2r).
     """
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    size = 2 * r + 1
-    row = [binomial(2 * r, t) for t in range(size)]
-    data = tuple(ri * rj for ri in row for rj in row)
-    return Kernel(Matrix(size, size, data), 4 ** (2 * r), (r + 1, r + 1), radius=r)
+    return gaussian_kernel_rect(2 * r + 1, 2 * r + 1)
 
 
 def gaussian_kernel_rect(a: int, b: int) -> Kernel:
@@ -312,33 +302,12 @@ def convolve_crop(kernel: Kernel, a: Matrix) -> FilterResult:
     if kernel.weights.mode is ScalarMode.FLOAT or a.mode is ScalarMode.FLOAT:
         kernel = kernel.as_float()
         a = a.to_float()
-    kh, kw = kernel.height, kernel.width
-    m, n = a.rows, a.cols
-    if m < kh or n < kw:
-        raise DimensionError(
-            f"{kh}x{kw} kernel does not fit a {m}x{n} matrix"
-        )
     # Flipping the window once turns the convolution into a plain
     # correlation scan.
-    w = kernel.weights.data
-    wf = tuple(reversed(w))
-    d = a.data
-    out_m, out_n = m - kh + 1, n - kw + 1
-    zero = 0.0 if a.mode is ScalarMode.FLOAT else 0
-    out = []
-    for p in range(out_m):
-        row0 = p * n
-        for q in range(out_n):
-            acc = zero
-            k = 0
-            for u in range(kh):
-                base = row0 + u * n + q
-                for v in range(kw):
-                    acc += wf[k] * d[base + v]
-                    k += 1
-            out.append(acc)
+    w = kernel.weights
+    flipped = Matrix(w.rows, w.cols, w.data[::-1], w.mode)
     return FilterResult(
-        Matrix(out_m, out_n, tuple(out), a.mode), kernel.divisor
+        generalized_collapse(a, GammaSpec(flipped)), kernel.divisor
     )
 
 
@@ -355,30 +324,15 @@ def convolve(kernel: Kernel, a: Matrix, mode: EdgeMode) -> FilterResult:
     return convolve_crop(kernel, extend_asym(a, top, bottom, left, right, mode))
 
 
-def _binomial_line_kernel(r: int, horizontal: bool) -> Kernel:
-    coeffs = [binomial(2 * r, t) for t in range(2 * r + 1)]
-    if horizontal:
-        w = Matrix(1, 2 * r + 1, tuple(coeffs))
-        anchor = (1, r + 1)
-    else:
-        w = Matrix(2 * r + 1, 1, tuple(coeffs))
-        anchor = (r + 1, 1)
-    return Kernel(w, 4**r, anchor)
-
-
-def separable_convolve(r: int, a: Matrix, mode: EdgeMode) -> FilterResult:
-    """Binomial Gaussian blur as a horizontal then a vertical 1-D pass.
+def separable_convolve(h: int, w: int, a: Matrix, mode: EdgeMode) -> FilterResult:
+    """Binomial h x w blur as a horizontal then a vertical 1-D pass.
 
     Extension happens once, on the full window margin, so the result
     matches the direct 2-D convolution entry for entry.
     """
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    row_k = _binomial_line_kernel(r, horizontal=True)
-    col_k = _binomial_line_kernel(r, horizontal=False)
-    if a.mode is ScalarMode.FLOAT:
-        row_k, col_k = row_k.as_float(), col_k.as_float()
-    work = a if mode is EdgeMode.CROP else extend(a, r, mode)
-    first = convolve_crop(row_k, work)
+    row_k, col_k = gaussian_kernel_rect(1, w), gaussian_kernel_rect(h, 1)
+    if mode is not EdgeMode.CROP:
+        a = extend_asym(a, *gaussian_kernel_rect(h, w).margins(), mode)
+    first = convolve_crop(row_k, a)
     second = convolve_crop(col_k, first.numerator)
     return FilterResult(second.numerator, first.divisor * second.divisor)

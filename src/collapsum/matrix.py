@@ -17,6 +17,7 @@ Entries are addressed 1-based: ``at(1, 1)`` is the top-left corner.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -194,6 +195,28 @@ def scale(c, a: Matrix) -> Matrix:
     else:
         c = float(c)
     return Matrix(a.rows, a.cols, tuple(c * x for x in a.data), a.mode)
+
+
+def round_half_away(a: Matrix, divisor: int = 1) -> Matrix:
+    """Exact matrix of ``a / divisor``, each entry rounded half away from zero.
+
+    Exact entries round by integer arithmetic, so the result is
+    reproducible bit for bit; with divisor 1 they are returned as is.
+    """
+    if a.mode is ScalarMode.EXACT:
+        if divisor == 1:
+            return a
+        d2 = 2 * divisor
+        data = [
+            (2 * x + divisor) // d2 if x >= 0 else -((divisor - 2 * x) // d2)
+            for x in a.data
+        ]
+    else:
+        data = [
+            math.floor(v + 0.5) if v >= 0 else math.ceil(v - 0.5)
+            for v in (x / divisor for x in a.data)
+        ]
+    return Matrix(a.rows, a.cols, tuple(data), ScalarMode.EXACT)
 
 
 def multiply(a: Matrix, b: Matrix) -> Matrix:

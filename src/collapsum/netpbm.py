@@ -1,7 +1,8 @@
 """netpbm image I/O (P2/P5 grayscale, P3/P6 color) and color-plane work.
 
 Parsing is whitespace-tolerant for the ASCII formats, honors ``#``
-comments in headers, and reports every failure as a
+comments in headers, reads every number as ASCII decimal digits, and
+reports every failure as a
 :class:`NetpbmError` carrying the byte offset where parsing stopped.
 Binary samples are 1 byte up to maxval 255 and big-endian 2 bytes above.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrix import DimensionError, Matrix, ScalarMode
+from .matrix import DimensionError, Matrix, ScalarMode, round_half_away
 
 MAX_MAXVAL = 65535
 
@@ -110,11 +111,14 @@ class _Scanner:
         start_before = self.pos
         tok = self.token(what)
         try:
-            return int(tok)
-        except ValueError:
-            raise NetpbmError(
-                f"invalid {what} {tok!r}", max(start_before, self.pos - len(tok))
-            ) from None
+            # Digits only: int() alone also takes "+5", "-0" and "1_0".
+            if tok.isdigit():
+                return int(tok)
+        except ValueError:  # more digits than int() converts
+            pass
+        raise NetpbmError(
+            f"invalid {what} {tok!r}", max(start_before, self.pos - len(tok))
+        )
 
 
 def _read_header(scanner: _Scanner) -> tuple[int, int, int]:
@@ -134,7 +138,7 @@ def _read_ascii_samples(scanner: _Scanner, count: int, maxval: int) -> list[int]
         scanner.skip_separators()
         at = scanner.pos
         value = scanner.int_token("sample")
-        if value < 0 or value > maxval:
+        if value > maxval:
             raise NetpbmError(f"sample {value} exceeds maxval {maxval}", at)
         out.append(value)
     return out
@@ -242,14 +246,11 @@ def split_color(img: ColorImage) -> tuple[Matrix, Matrix, Matrix]:
 
 
 def _quantize(m: Matrix, maxval: int) -> Matrix:
-    data = []
-    for x in m.data:
-        if isinstance(x, float):
-            v = int(x + 0.5) if x >= 0 else -int(-x + 0.5)
-        else:
-            v = x
-        data.append(min(max(v, 0), maxval))
-    return Matrix(m.rows, m.cols, tuple(data), ScalarMode.EXACT)
+    q = round_half_away(m)
+    if 0 <= min(q.data) and max(q.data) <= maxval:
+        return q
+    data = tuple(min(max(v, 0), maxval) for v in q.data)
+    return Matrix(q.rows, q.cols, data, ScalarMode.EXACT)
 
 
 def plane_from_matrix(m: Matrix, maxval: int) -> ImagePlane:

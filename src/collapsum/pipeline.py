@@ -1,17 +1,21 @@
 """Blur execution strategies, their equivalence check, and a benchmark.
 
-The same binomial Gaussian blur runs three ways: direct 2-D convolution,
-two separable 1-D passes, or repeated pair-sum collapses of the
-edge-extended image divided by 4^(2r) at the end.  In exact mode the
-three must agree bit for bit on their (numerator, divisor) pairs; the
-report and benchmark objects record whether they do.
+Every blur is an h x w binomial window; a radius r is the (2r+1)-square
+window.  :func:`blur` extends the image once by the window margins,
+checks once that the window fits, and then runs one of three methods on
+that input: direct 2-D convolution, a row and a column 1-D pass, or
+pair-sum collapses divided by 2^(h+w-2) at the end.  The collapse method
+runs the square part of the window as full collapses, so a radius-r blur
+is the collapse applied 2r times and divided by 4^(2r).  In exact mode
+the three must agree bit for bit on their (numerator, divisor) pairs;
+the report and benchmark objects record whether they do.
 """
 
 from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from enum import Enum
 
 from .collapse import collapse_down_power, collapse_power, collapse_right_power
@@ -19,12 +23,14 @@ from .kernels import (
     EdgeMode,
     FilterResult,
     convolve,
-    extend,
     extend_asym,
-    gaussian_kernel,
     gaussian_kernel_rect,
     separable_convolve,
 )
+
+# Not called here; kept because perfbench/tracing.py wraps these two names
+# in this module.
+from .kernels import extend, gaussian_kernel  # noqa: F401
 from .matrix import DimensionError, Matrix, ScalarMode, scale
 
 FLOAT_TOLERANCE = 1e-9
@@ -40,22 +46,26 @@ class Method(Enum):
 class BlurRequest:
     """Parameters of one blur run.
 
-    Exactly one of ``radius`` (square window) or ``rect`` (a x b window)
-    must be set.  ``mode`` selects exact-integer or float arithmetic.
+    Exactly one of ``radius`` or ``rect`` (an h x w window) must be
+    given; a radius r is stored as ``rect`` = (2r+1, 2r+1), so the two
+    forms of one window make equal requests.  ``mode`` selects
+    exact-integer or float arithmetic.
     """
 
-    radius: int | None = None
+    radius: InitVar[int | None] = None
     rect: tuple[int, int] | None = None
     method: Method = Method.COLLAPSE
     edge: EdgeMode = EdgeMode.REPLICATE
     mode: ScalarMode = ScalarMode.EXACT
 
-    def __post_init__(self):
-        if (self.radius is None) == (self.rect is None):
+    def __post_init__(self, radius):
+        if (radius is None) == (self.rect is None):
             raise ValueError("set exactly one of radius and rect")
-        if self.radius is not None and self.radius < 0:
-            raise ValueError("radius must be nonnegative")
-        if self.rect is not None and (self.rect[0] < 1 or self.rect[1] < 1):
+        if radius is not None:
+            if radius < 0:
+                raise ValueError("radius must be nonnegative")
+            object.__setattr__(self, "rect", (2 * radius + 1,) * 2)
+        if self.rect[0] < 1 or self.rect[1] < 1:
             raise ValueError("rectangle sides must be positive")
 
 
@@ -67,67 +77,31 @@ def _coerce_mode(a: Matrix, mode: ScalarMode) -> Matrix:
     raise ValueError("cannot run an exact pipeline on a float matrix")
 
 
-def _collapse_blur(a: Matrix, r: int, edge: EdgeMode) -> FilterResult:
-    work = a if edge is EdgeMode.CROP else extend(a, r, edge)
-    if min(work.rows, work.cols) <= 2 * r:
-        raise DimensionError(
-            f"image too small to collapse {2 * r} times under cropping"
-        )
-    num = collapse_power(work, 2 * r)
-    if a.mode is ScalarMode.FLOAT:
-        return FilterResult(scale(4.0 ** (-2 * r), num), 1)
-    return FilterResult(num, 4 ** (2 * r))
-
-
-def _rect_collapse_blur(a: Matrix, ab: tuple[int, int], edge: EdgeMode) -> FilterResult:
-    h, w = ab
-    kernel = gaussian_kernel_rect(h, w)
-    if edge is EdgeMode.CROP:
-        work = a
-    else:
-        top, bottom, left, right = kernel.margins()
-        work = extend_asym(a, top, bottom, left, right, edge)
-    if work.rows < h or work.cols < w:
-        raise DimensionError(
-            f"image too small for a {h}x{w} window under cropping"
-        )
-    num = collapse_right_power(collapse_down_power(work, h - 1), w - 1)
-    if a.mode is ScalarMode.FLOAT:
-        return FilterResult(scale(2.0 ** (-(h + w - 2)), num), 1)
-    return FilterResult(num, 2 ** (h + w - 2))
-
-
-def _rect_separable(a: Matrix, ab: tuple[int, int], edge: EdgeMode) -> FilterResult:
-    h, w = ab
-    row_k = gaussian_kernel_rect(1, w)
-    col_k = gaussian_kernel_rect(h, 1)
-    if edge is EdgeMode.CROP:
-        work = a
-    else:
-        top, bottom, left, right = gaussian_kernel_rect(h, w).margins()
-        work = extend_asym(a, top, bottom, left, right, edge)
-    if a.mode is ScalarMode.FLOAT:
-        row_k, col_k = row_k.as_float(), col_k.as_float()
-    first = convolve(row_k, work, EdgeMode.CROP)
-    second = convolve(col_k, first.numerator, EdgeMode.CROP)
-    return FilterResult(second.numerator, first.divisor * second.divisor)
-
-
 def blur(a: Matrix, req: BlurRequest) -> FilterResult:
     """Run one blur request; see :class:`BlurRequest`."""
     a = _coerce_mode(a, req.mode)
-    if req.radius is not None:
-        r = req.radius
-        if req.method is Method.DIRECT:
-            return convolve(gaussian_kernel(r), a, req.edge)
-        if req.method is Method.SEPARABLE:
-            return separable_convolve(r, a, req.edge)
-        return _collapse_blur(a, r, req.edge)
+    h, w = req.rect
+    kernel = gaussian_kernel_rect(h, w)
+    work = a
+    if req.edge is not EdgeMode.CROP:
+        work = extend_asym(a, *kernel.margins(), req.edge)
+    if work.rows < h or work.cols < w:
+        raise DimensionError(
+            f"{a.rows}x{a.cols} image too small for a {h}x{w} window "
+            "under cropping"
+        )
     if req.method is Method.DIRECT:
-        return convolve(gaussian_kernel_rect(*req.rect), a, req.edge)
+        return convolve(kernel, work, EdgeMode.CROP)
     if req.method is Method.SEPARABLE:
-        return _rect_separable(a, req.rect, req.edge)
-    return _rect_collapse_blur(a, req.rect, req.edge)
+        return separable_convolve(h, w, work, EdgeMode.CROP)
+    # Full collapses over the square part of the window keep a radius-r
+    # blur the paper's C^(2r); the longer side's extra passes follow.
+    s = min(h, w) - 1
+    num = collapse_power(work, s)
+    num = collapse_right_power(collapse_down_power(num, h - 1 - s), w - 1 - s)
+    if a.mode is ScalarMode.FLOAT:
+        return FilterResult(scale(1 / kernel.divisor, num), 1)
+    return FilterResult(num, kernel.divisor)
 
 
 def rect_blur(a: Matrix, h: int, w: int, edge: EdgeMode) -> FilterResult:

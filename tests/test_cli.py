@@ -92,9 +92,11 @@ class TestBlurCommand:
         assert "error" in capsys.readouterr().err
 
     def test_malformed_image(self, tmp_path, capsys):
-        src = write_pgm(tmp_path / "bad.pgm", b"P2\n2 2\n255\n1 2 3\n")
-        assert main(["blur", src, str(tmp_path / "out.pgm")]) == 2
-        assert "error" in capsys.readouterr().err
+        # A short raster, and a signed sample that int() alone would take.
+        for body in (b"P2\n2 2\n255\n1 2 3\n", b"P2\n2 2\n255\n1 +2 3 4\n"):
+            src = write_pgm(tmp_path / "bad.pgm", body)
+            assert main(["blur", src, str(tmp_path / "out.pgm")]) == 2
+            assert "error" in capsys.readouterr().err
 
     def test_crop_radius_too_large(self, tmp_path, capsys):
         src = write_pgm(tmp_path / "in.pgm", b"P2\n3 3\n255\n" + b"1 " * 9)

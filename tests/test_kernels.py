@@ -307,7 +307,7 @@ class TestSeparable:
     def test_radius_zero_crop(self):
         rng = random.Random(149)
         a = random_matrix(rng, 3, 3)
-        out = separable_convolve(0, a, EdgeMode.CROP)
+        out = separable_convolve(1, 1, a, EdgeMode.CROP)
         assert out.numerator == a
         assert out.divisor == 1
 
@@ -315,7 +315,7 @@ class TestSeparable:
         rng = random.Random(151)
         a = random_matrix(rng, 5, 5)
         direct = convolve(gaussian_kernel(1), a, EdgeMode.CROP)
-        sep = separable_convolve(1, a, EdgeMode.CROP)
+        sep = separable_convolve(3, 3, a, EdgeMode.CROP)
         assert sep.numerator == direct.numerator
         assert sep.divisor == direct.divisor
 
@@ -323,7 +323,7 @@ class TestSeparable:
         rng = random.Random(157)
         a = random_matrix(rng, 8, 8).to_float()
         direct = convolve(gaussian_kernel(2), a, EdgeMode.REPLICATE)
-        sep = separable_convolve(2, a, EdgeMode.REPLICATE)
+        sep = separable_convolve(5, 5, a, EdgeMode.REPLICATE)
         assert approx_equal(sep.to_matrix(), direct.to_matrix(), 1e-12)
 
     def test_exact_agreement_under_extension(self):
@@ -331,5 +331,5 @@ class TestSeparable:
         a = random_matrix(rng, 6, 9)
         for mode in (EdgeMode.REPLICATE, EdgeMode.MIRROR, EdgeMode.ZERO):
             direct = convolve(gaussian_kernel(2), a, mode)
-            sep = separable_convolve(2, a, mode)
+            sep = separable_convolve(5, 5, a, mode)
             assert sep == direct

@@ -98,6 +98,26 @@ class TestParse:
         with pytest.raises(NetpbmError):
             read_netpbm(b"P2\ntwo 2\n255\n1 2")
 
+    @pytest.mark.parametrize("token", [b"+5", b"1_0", b"-0"])
+    @pytest.mark.parametrize(
+        "template",
+        [
+            b"P2\n%s 1\n9\n1",
+            b"P2\n1 %s\n9\n1",
+            b"P2\n1 1\n%s\n1",
+            b"P2\n1 1\n9\n%s",
+            b"P3\n%s 1\n9\n1 2 3",
+            b"P3\n1 1\n%s\n1 2 3",
+            b"P3\n1 1\n9\n1 %s 3",
+        ],
+        ids=["P2-width", "P2-height", "P2-maxval", "P2-sample",
+             "P3-width", "P3-maxval", "P3-sample"],
+    )
+    def test_numbers_are_ascii_digits_only(self, template, token):
+        with pytest.raises(NetpbmError, match="invalid") as err:
+            read_netpbm(template % token)
+        assert err.value.offset == template.index(b"%")
+
     def test_maxval_out_of_range(self):
         with pytest.raises(NetpbmError):
             read_netpbm(b"P2\n1 1\n0\n0")

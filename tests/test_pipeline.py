@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -112,10 +113,15 @@ class TestBlur:
         with pytest.raises(ValueError):
             blur(a, BlurRequest(radius=1, mode=ScalarMode.EXACT))
 
-    def test_crop_too_small(self):
+    @pytest.mark.parametrize("method", Method, ids=lambda m: m.value)
+    @pytest.mark.parametrize(
+        "window", [{"radius": 2}, {"rect": (5, 5)}], ids=["radius", "rect"]
+    )
+    def test_crop_too_small(self, window, method):
         a = Matrix.filled(3, 3, 1)
-        with pytest.raises(DimensionError):
-            blur(a, BlurRequest(radius=2, edge=EdgeMode.CROP))
+        message = "^3x3 image too small for a 5x5 window under cropping$"
+        with pytest.raises(DimensionError, match=message):
+            blur(a, BlurRequest(**window, method=method, edge=EdgeMode.CROP))
 
 
 class TestRectBlur:
@@ -126,13 +132,19 @@ class TestRectBlur:
         assert out.numerator == a
         assert out.divisor == 1
 
-    def test_square_window_matches_radius_blur(self):
+    @pytest.mark.parametrize("mode", ScalarMode, ids=lambda m: m.value)
+    @pytest.mark.parametrize("method", Method, ids=lambda m: m.value)
+    def test_square_window_matches_radius_blur(self, method, mode):
         rng = random.Random(193)
         a = random_matrix(rng, 8, 8)
-        for edge in ALL_EDGES:
-            assert rect_blur(a, 3, 3, edge) == blur(
-                a, BlurRequest(radius=1, method=Method.COLLAPSE, edge=edge)
-            )
+        for r in range(4):
+            k = 2 * r + 1
+            for edge in ALL_EDGES:
+                square = BlurRequest(rect=(k, k), method=method, edge=edge,
+                                     mode=mode)
+                radius = BlurRequest(radius=r, method=method, edge=edge,
+                                     mode=mode)
+                assert blur(a, square) == blur(a, radius)
 
     def test_2x3_crop_agrees_with_direct_convolution(self):
         rng = random.Random(197)
@@ -213,6 +225,24 @@ class TestEntryOps:
 
     def test_extension_enlarges_the_working_image(self):
         assert entry_ops(Method.DIRECT, 4, 4, 1, EdgeMode.REPLICATE) == 16 * 9
+
+    def test_collapse_count_matches_the_additions_run(self, monkeypatch):
+        # The package re-exports the function ``collapse`` under the
+        # submodule's name, so fetch the module itself.
+        collapse = importlib.import_module("collapsum.collapse")
+        produced = []
+        for name in ("collapse_down", "collapse_right"):
+            def counted(a, original=getattr(collapse, name)):
+                out = original(a)
+                produced.append(out.rows * out.cols)
+                return out
+            monkeypatch.setattr(collapse, name, counted)
+        a = random_matrix(random.Random(227), 9, 12)
+        for r in range(4):
+            for edge in ALL_EDGES:
+                produced.clear()
+                blur(a, BlurRequest(radius=r, method=Method.COLLAPSE, edge=edge))
+                assert sum(produced) == entry_ops(Method.COLLAPSE, 9, 12, r, edge)
 
     def test_ratio_grows_with_radius(self):
         ratios = []
