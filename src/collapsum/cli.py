@@ -121,17 +121,11 @@ def _pick_kernel(args) -> Kernel:
 
 def _blur_plane(samples: Matrix, args) -> FilterResult:
     edge = EdgeMode(args.edge)
-    name = args.filter_name
-    if name not in ("gauss", "rect"):
-        return convolve(_pick_kernel(args), samples, edge)
-    if name == "gauss":
-        window = {"radius": args.radius}
-    elif args.a is None or args.b is None:
-        raise ValueError("--filter rect requires --a and --b")
-    else:
-        window = {"rect": (args.a, args.b)}
-    return blur(samples, BlurRequest(**window, method=Method(args.method),
-                                     edge=edge))
+    kernel = _pick_kernel(args)
+    if args.filter_name not in ("gauss", "rect"):
+        return convolve(kernel, samples, edge)
+    return blur(samples, BlurRequest(rect=(kernel.height, kernel.width),
+                                     method=Method(args.method), edge=edge))
 
 
 def _cmd_blur(args) -> int:

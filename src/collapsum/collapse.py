@@ -5,37 +5,47 @@ horizontally adjacent ones, and ``collapse`` composes both (each 2x2
 block of the input contributes its total to one output entry).  The
 generalized form slides an arbitrary weight window instead of the
 all-ones 2x2 window, and the n-dimensional form collapses a flat array
-along any axis.
+along any axis.  One pair-sum loop serves all three directional
+collapses: down, right and along an axis each add a slab of the flat
+data to itself shifted by one step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
+from operator import add
 
 from .matrix import DimensionError, Matrix, ScalarMode, multiply
 
 MAX_AXES = 8
 
 
+def _pair_sum(data: tuple, outer: int, k: int, inner: int) -> tuple:
+    """Read ``data`` as ``outer`` slabs of ``k`` steps of ``inner`` entries
+    and add each step to the next one; every slab loses one step."""
+    size = k * inner
+    slabs = (data[i : i + size] for i in range(0, outer * size, size))
+    return tuple(
+        chain.from_iterable(map(add, s, islice(s, inner, None)) for s in slabs)
+    )
+
+
 def collapse_down(a: Matrix) -> Matrix:
     """Sum vertically adjacent pairs; (m-1) x n result."""
     if a.rows < 2:
         raise DimensionError("collapse_down needs at least 2 rows")
-    n, d = a.cols, a.data
-    data = tuple(d[k] + d[k + n] for k in range((a.rows - 1) * n))
-    return Matrix(a.rows - 1, n, data, a.mode)
+    data = _pair_sum(a.data, 1, a.rows, a.cols)
+    return Matrix(a.rows - 1, a.cols, data, a.mode)
 
 
 def collapse_right(a: Matrix) -> Matrix:
     """Sum horizontally adjacent pairs; m x (n-1) result."""
     if a.cols < 2:
         raise DimensionError("collapse_right needs at least 2 columns")
-    m, n, d = a.rows, a.cols, a.data
-    data = tuple(
-        d[i * n + j] + d[i * n + j + 1] for i in range(m) for j in range(n - 1)
-    )
-    return Matrix(m, n - 1, data, a.mode)
+    data = _pair_sum(a.data, a.rows, a.cols, 1)
+    return Matrix(a.rows, a.cols - 1, data, a.mode)
 
 
 def collapse(a: Matrix) -> Matrix:
@@ -48,37 +58,29 @@ def collapse(a: Matrix) -> Matrix:
     return collapse_right(collapse_down(a))
 
 
-def collapse_power(a: Matrix, s: int) -> Matrix:
-    """s-fold collapse; s = 0 returns the input unchanged."""
+def _repeat(step, a: Matrix, s: int, room: int, what: str) -> Matrix:
+    # Apply ``step`` s times; each application uses up one of ``room``.
     if s < 0:
         raise ValueError("collapse power must be nonnegative")
-    if s >= min(a.rows, a.cols):
-        raise DimensionError(
-            f"cannot collapse a {a.rows}x{a.cols} matrix {s} times"
-        )
+    if s >= room:
+        raise DimensionError(f"cannot collapse {what} {s} times")
     for _ in range(s):
-        a = collapse_right(collapse_down(a))
+        a = step(a)
     return a
+
+
+def collapse_power(a: Matrix, s: int) -> Matrix:
+    """s-fold collapse; s = 0 returns the input unchanged."""
+    room = min(a.rows, a.cols)
+    return _repeat(collapse, a, s, room, f"a {a.rows}x{a.cols} matrix")
 
 
 def collapse_down_power(a: Matrix, s: int) -> Matrix:
-    if s < 0:
-        raise ValueError("collapse power must be nonnegative")
-    if s >= a.rows:
-        raise DimensionError(f"cannot collapse {a.rows} rows down {s} times")
-    for _ in range(s):
-        a = collapse_down(a)
-    return a
+    return _repeat(collapse_down, a, s, a.rows, f"{a.rows} rows down")
 
 
 def collapse_right_power(a: Matrix, s: int) -> Matrix:
-    if s < 0:
-        raise ValueError("collapse power must be nonnegative")
-    if s >= a.cols:
-        raise DimensionError(f"cannot collapse {a.cols} columns right {s} times")
-    for _ in range(s):
-        a = collapse_right(a)
-    return a
+    return _repeat(collapse_right, a, s, a.cols, f"{a.cols} columns right")
 
 
 @dataclass(frozen=True)
@@ -187,19 +189,13 @@ def collapse_axis(arr: NdArray, axis: int) -> NdArray:
     """Sum adjacent pairs along one axis; that extent shrinks by 1."""
     if not 0 <= axis < len(arr.shape):
         raise IndexError(f"axis {axis} out of range for shape {arr.shape}")
-    k = arr.shape[axis]
+    shape = arr.shape
+    k = shape[axis]
     if k < 2:
         raise DimensionError(f"axis {axis} has extent {k}, need at least 2")
-    inner = math.prod(arr.shape[axis + 1 :])
-    outer = math.prod(arr.shape[:axis])
-    d = arr.data
-    out = []
-    for o in range(outer):
-        for t in range(k - 1):
-            base = (o * k + t) * inner
-            out.extend(d[base + r] + d[base + inner + r] for r in range(inner))
-    shape = arr.shape[:axis] + (k - 1,) + arr.shape[axis + 1 :]
-    return NdArray(shape, tuple(out))
+    before, after = shape[:axis], shape[axis + 1 :]
+    data = _pair_sum(arr.data, math.prod(before), k, math.prod(after))
+    return NdArray(before + (k - 1,) + after, data)
 
 
 def collapse_all(arr: NdArray) -> NdArray:

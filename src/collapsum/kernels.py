@@ -239,13 +239,16 @@ def interpolation_kernel(r: int, s: int) -> Kernel:
     return Kernel(weights, divisor, (r + 1, r + 1), radius=r)
 
 
-def _reflect(i: int, n: int) -> int:
-    # Mirror about the edge entry without repeating it ("abcb" style).
-    if i < 1:
-        return 2 - i
-    if i > n:
-        return 2 * n - i
-    return i
+def _sources(n: int, before: int, after: int, mode: EdgeMode) -> list[int]:
+    # 0-based source index of each extended position along an axis of
+    # extent n; index n stands for the zero pad.  Mirror reflects about
+    # the edge entry without repeating it ("abcb" style).
+    span = range(-before, n + after)
+    if mode is EdgeMode.ZERO:
+        return [i if 0 <= i < n else n for i in span]
+    if mode is EdgeMode.REPLICATE:
+        return [min(max(i, 0), n - 1) for i in span]
+    return [abs(i) if i < n else 2 * n - 2 - i for i in span]
 
 
 def extend_asym(
@@ -267,22 +270,13 @@ def extend_asym(
     if top == bottom == left == right == 0:
         return a
     zero = 0.0 if a.mode is ScalarMode.FLOAT else 0
+    rows, cols = _sources(m, top, bottom, mode), _sources(n, left, right, mode)
+    pad = (zero,) * (n + 1)
     out = []
-    for i in range(1 - top, m + bottom + 1):
-        for j in range(1 - left, n + right + 1):
-            if 1 <= i <= m and 1 <= j <= n:
-                out.append(d[(i - 1) * n + (j - 1)])
-            elif mode is EdgeMode.ZERO:
-                out.append(zero)
-            elif mode is EdgeMode.REPLICATE:
-                si = min(max(i, 1), m)
-                sj = min(max(j, 1), n)
-                out.append(d[(si - 1) * n + (sj - 1)])
-            else:
-                si = _reflect(i, m)
-                sj = _reflect(j, n)
-                out.append(d[(si - 1) * n + (sj - 1)])
-    return Matrix(m + top + bottom, n + left + right, tuple(out), a.mode)
+    for i in rows:
+        row = d[i * n : i * n + n] + (zero,) if i < m else pad
+        out += [row[j] for j in cols]
+    return Matrix(len(rows), len(cols), tuple(out), a.mode)
 
 
 def extend(a: Matrix, r: int, mode: EdgeMode) -> Matrix:

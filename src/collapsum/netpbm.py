@@ -157,18 +157,18 @@ def _read_binary_samples(scanner: _Scanner, count: int, maxval: int) -> list[int
             f"truncated raster: need {needed} bytes, have {len(data) - scanner.pos}",
             len(data),
         )
-    out = []
     pos = scanner.pos
-    for _ in range(count):
-        if width_bytes == 1:
-            value = data[pos]
-        else:
-            value = (data[pos] << 8) | data[pos + 1]
-        if value > maxval:
-            raise NetpbmError(f"sample {value} exceeds maxval {maxval}", pos)
-        out.append(value)
-        pos += width_bytes
-    scanner.pos = pos
+    raster = data[pos : pos + needed]
+    if width_bytes == 1:
+        out = list(raster)
+    else:
+        out = [hi << 8 | lo for hi, lo in zip(raster[::2], raster[1::2])]
+    if max(out) > maxval:
+        k = next(k for k, value in enumerate(out) if value > maxval)
+        raise NetpbmError(
+            f"sample {out[k]} exceeds maxval {maxval}", pos + k * width_bytes
+        )
+    scanner.pos = pos + needed
     return out
 
 

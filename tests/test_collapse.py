@@ -1,6 +1,10 @@
+import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from collapsum.collapse import (
     GammaSpec,
@@ -18,6 +22,7 @@ from collapsum.collapse import (
 )
 from collapsum.matrix import (
     DimensionError,
+    ExactOverflowError,
     Matrix,
     ScalarMode,
     add,
@@ -75,6 +80,26 @@ class TestDirectional:
         rng = random.Random(17)
         a = random_matrix(rng, 4, 5)
         assert collapse_right(a) == collapse_down(a.transpose()).transpose()
+
+    @pytest.mark.parametrize("op", [collapse_down, collapse_right],
+                             ids=["down", "right"])
+    @pytest.mark.parametrize(
+        "x, y, overflows",
+        [
+            (2**126, 2**126, True),
+            (2**126, 2**126 - 1, False),
+            (-(2**126), -(2**126) - 1, True),
+            (-(2**126), -(2**126), False),
+        ],
+        ids=["max+1", "max", "min-1", "min"],
+    )
+    def test_sum_at_the_int128_edge(self, op, x, y, overflows):
+        a = Matrix(2, 1, (x, y)) if op is collapse_down else Matrix(1, 2, (x, y))
+        if overflows:
+            with pytest.raises(ExactOverflowError):
+                op(a)
+        else:
+            assert op(a).data == (x + y,)
 
 
 class TestCollapse:
@@ -137,15 +162,22 @@ class TestPowers:
         a = random_matrix(rng, 5, 3)
         assert collapse_down_power(a, 4) == multiply(r_falling(5, 4), a)
 
-    def test_power_bounds(self):
+    @pytest.mark.parametrize(
+        "power, s, message",
+        [
+            (collapse_power, 3, "cannot collapse a 3x5 matrix 3 times"),
+            (collapse_down_power, 3, "cannot collapse 3 rows down 3 times"),
+            (collapse_right_power, 5, "cannot collapse 5 columns right 5 times"),
+        ],
+        ids=["collapse", "down", "right"],
+    )
+    def test_power_bounds(self, power, s, message):
         a = Matrix.filled(3, 5, 1)
-        with pytest.raises(DimensionError):
-            collapse_power(a, 3)
-        with pytest.raises(DimensionError):
-            collapse_down_power(a, 3)
-        with pytest.raises(DimensionError):
-            collapse_right_power(a, 5)
-        collapse_power(a, 2)  # s = min - 1 is the last valid power
+        with pytest.raises(DimensionError, match=f"^{message}$"):
+            power(a, s)
+        with pytest.raises(ValueError, match="^collapse power must be nonnegative$"):
+            power(a, -1)
+        power(a, s - 1)  # one less is the last valid power
 
     def test_output_dimensions_across_lattice(self):
         rng = random.Random(47)
@@ -301,3 +333,34 @@ class TestNdArray:
     def test_too_many_axes(self):
         with pytest.raises(DimensionError):
             NdArray.filled((2,) * 9, 1)
+
+    @given(
+        st.lists(st.integers(1, 5), min_size=1, max_size=4).flatmap(
+            lambda shape: st.tuples(
+                st.just(tuple(shape)),
+                st.lists(
+                    st.integers(-(2**70), 2**70),
+                    min_size=math.prod(shape),
+                    max_size=math.prod(shape),
+                ),
+            )
+        )
+    )
+    def test_axis_matches_per_index_pair_sum(self, case):
+        shape, data = case
+        arr = NdArray(shape, tuple(data))
+        strides = [math.prod(shape[d + 1 :]) for d in range(len(shape))]
+        for axis, k in enumerate(shape):
+            if k < 2:
+                continue
+            out_shape = shape[:axis] + (k - 1,) + shape[axis + 1 :]
+            expected = []
+            for idx in itertools.product(*map(range, out_shape)):
+                at = sum(i * stride for i, stride in zip(idx, strides))
+                expected.append(data[at] + data[at + strides[axis]])
+            out = collapse_axis(arr, axis)
+            assert out.shape == out_shape
+            assert out.data == tuple(expected)
+            if len(shape) == 2:
+                directional = (collapse_down, collapse_right)[axis]
+                assert out.data == directional(Matrix(*shape, arr.data)).data

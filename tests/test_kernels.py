@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -10,6 +11,7 @@ from collapsum.kernels import (
     convolve,
     convolve_crop,
     extend,
+    extend_asym,
     gaussian_kernel,
     gaussian_kernel_rect,
     gaussian_kernel_sampled,
@@ -229,6 +231,35 @@ class TestExtend:
         a = Matrix.from_rows([[1, 2], [3, 4]])
         with pytest.raises(DimensionError):
             extend(a, 2, EdgeMode.MIRROR)
+
+    @pytest.mark.parametrize(
+        "mode", [EdgeMode.ZERO, EdgeMode.REPLICATE, EdgeMode.MIRROR]
+    )
+    def test_asymmetric_margins_match_line_by_line_extension(self, mode):
+        def line(values, before, after, zero):
+            if mode is EdgeMode.ZERO:
+                return [zero] * before + values + [zero] * after
+            if mode is EdgeMode.REPLICATE:
+                return [values[0]] * before + values + [values[-1]] * after
+            return values[before:0:-1] + values + values[-2 : -2 - after : -1]
+
+        rng = random.Random(97)
+        for m, n in itertools.product(range(1, 4), range(1, 5)):
+            exact = random_matrix(rng, m, n, -9, 9)
+            for a in (exact, exact.to_float()):
+                zero = 0.0 if a.mode is ScalarMode.FLOAT else 0
+                for t, b, l, r in itertools.product(range(3), repeat=4):
+                    too_wide = max(t, b) >= m or max(l, r) >= n
+                    if mode is EdgeMode.MIRROR and too_wide:
+                        with pytest.raises(DimensionError):
+                            extend_asym(a, t, b, l, r, mode)
+                        continue
+                    wide = [line(row, l, r, zero) for row in a.to_rows()]
+                    cols = [line(list(c), t, b, zero) for c in zip(*wide)]
+                    out = extend_asym(a, t, b, l, r, mode)
+                    assert out.mode is a.mode
+                    assert out.to_rows() == [list(x) for x in zip(*cols)]
+                    assert all(type(v) is type(zero) for v in out.data)
 
 
 class TestConvolveCrop:

@@ -75,9 +75,23 @@ class TestParse:
         assert "exceeds maxval" in str(err.value)
         assert err.value.offset == 9
 
-    def test_sample_exceeds_maxval_binary(self):
-        with pytest.raises(NetpbmError):
-            read_netpbm(b"P5\n1 1\n9\n" + bytes([10]))
+    @pytest.mark.parametrize(
+        "data, message, offset",
+        [
+            (b"P5\n1 1\n9\n" + bytes([10]), "sample 10 exceeds maxval 9", 9),
+            (
+                b"P5\n2 1\n999\n" + bytes([0x03, 0xE7, 0x03, 0xE8]),
+                "sample 1000 exceeds maxval 999",
+                13,
+            ),
+        ],
+        ids=["1-byte", "2-byte"],
+    )
+    def test_sample_exceeds_maxval_binary(self, data, message, offset):
+        with pytest.raises(NetpbmError) as err:
+            read_netpbm(data)
+        assert str(err.value) == f"{message} (byte {offset})"
+        assert err.value.offset == offset
 
     def test_malformed_magic(self):
         with pytest.raises(NetpbmError):
