@@ -7,15 +7,18 @@ generalized form slides an arbitrary weight window instead of the
 all-ones 2x2 window, and the n-dimensional form collapses a flat array
 along any axis.  One pair-sum loop serves all three directional
 collapses: down, right and along an axis each add a slab of the flat
-data to itself shifted by one step.
+data to itself shifted by one step.  The generalized collapse is the
+same idea per window tap: it adds the flat input, shifted to that tap
+and scaled by its weight, into one accumulator, then keeps the columns
+of each row where the whole window fits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
-from operator import add
+from itertools import chain, islice, repeat
+from operator import add, mul
 
 from .matrix import DimensionError, Matrix, ScalarMode, multiply
 
@@ -122,6 +125,14 @@ def generalized_collapse(a: Matrix, gamma: GammaSpec) -> Matrix:
     whose top-left corner is (p, q); dimensions shrink to
     (m - b1 + 1) x (n - b2 + 1).  Convolution runs through this loop
     with the window flipped.
+
+    The sum runs as shift-and-add over the flat input: window tap (i, j)
+    adds its weight times the input from flat offset i*n + j onward to
+    an accumulator spanning every output position, in row-major tap
+    order, so each entry sums the same products in the same order as a
+    per-entry loop.  The accumulator is laid out with the input's row
+    stride n, so each row also holds b2 - 1 positions where the window
+    wraps onto the next input row; those are computed and dropped.
     """
     w = gamma.weights
     if w.mode is not a.mode:
@@ -132,22 +143,17 @@ def generalized_collapse(a: Matrix, gamma: GammaSpec) -> Matrix:
         raise DimensionError(
             f"{b1}x{b2} window does not fit a {m}x{n} matrix"
         )
-    wd, d = w.data, a.data
+    d = a.data
     out_m, out_n = m - b1 + 1, n - b2 + 1
+    span = (out_m - 1) * n + out_n
     zero = 0.0 if a.mode is ScalarMode.FLOAT else 0
-    out = []
-    for p in range(out_m):
-        row0 = p * n
-        for q in range(out_n):
-            acc = zero
-            k = 0
-            for i in range(b1):
-                base = row0 + i * n + q
-                for j in range(b2):
-                    acc += wd[k] * d[base + j]
-                    k += 1
-            out.append(acc)
-    return Matrix(out_m, out_n, tuple(out), a.mode)
+    acc = repeat(zero, span)
+    for k, wk in enumerate(w.data):
+        off = k // b2 * n + k % b2
+        taps = map(mul, repeat(wk, span), islice(d, off, off + span))
+        acc = list(map(add, acc, taps))
+    rows = (acc[p : p + out_n] for p in range(0, out_m * n, n))
+    return Matrix(out_m, out_n, tuple(chain.from_iterable(rows)), a.mode)
 
 
 def generalized_collapse_power(a: Matrix, gamma: GammaSpec, s: int) -> Matrix:

@@ -22,7 +22,14 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .collapse import GammaSpec, generalized_collapse
-from .matrix import DimensionError, Matrix, ScalarMode, round_half_away
+from .matrix import (
+    INT128_MAX,
+    DimensionError,
+    ExactOverflowError,
+    Matrix,
+    ScalarMode,
+    round_half_away,
+)
 from .structured import binomial, coefficient_matrix
 
 FLOAT_KERNEL_TOL = 1e-12
@@ -189,10 +196,21 @@ def gaussian_kernel_rect(a: int, b: int) -> Kernel:
 
     Weight (i, j), indexed from the top-left corner, is
     binomial(a-1, i-1) * binomial(b-1, j-1).  Even sides have no central
-    entry, so the anchor sits at (ceil(a/2), ceil(b/2)).
+    entry, so the anchor sits at (ceil(a/2), ceil(b/2)).  A window whose
+    largest weight leaves the signed 128-bit range is refused before any
+    weight is built.
     """
     if a < 1 or b < 1:
         raise ValueError("kernel sides must be positive")
+    # C(k, k//2) >= 2^k / (k+1), so sides summing past 400 always
+    # overflow; only smaller windows need their largest weight computed.
+    if a + b > 400 or (
+        math.comb(a - 1, (a - 1) // 2) * math.comb(b - 1, (b - 1) // 2)
+        > INT128_MAX
+    ):
+        raise ExactOverflowError(
+            f"{a}x{b} binomial window exceeds the signed 128-bit range"
+        )
     col = [binomial(a - 1, i) for i in range(a)]
     row = [binomial(b - 1, j) for j in range(b)]
     data = tuple(ci * rj for ci in col for rj in row)

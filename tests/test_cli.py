@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from collapsum.cli import main
@@ -97,6 +99,20 @@ class TestBlurCommand:
             src = write_pgm(tmp_path / "bad.pgm", body)
             assert main(["blur", src, str(tmp_path / "out.pgm")]) == 2
             assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["blur", "kernel"])
+    def test_huge_radius_fails_fast(self, command, tmp_path, capsys):
+        argv = [command, "--radius", "1000000"]
+        if command == "blur":
+            src = write_pgm(tmp_path / "in.pgm", b"P2\n4 4\n255\n" + b"1 " * 16)
+            argv += [src, str(tmp_path / "out.pgm")]
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            "error: 2000001x2000001 binomial window exceeds the signed "
+            "128-bit range\n"
+        )
 
     def test_crop_radius_too_large(self, tmp_path, capsys):
         src = write_pgm(tmp_path / "in.pgm", b"P2\n3 3\n255\n" + b"1 " * 9)

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collapsum.collapse import (
@@ -20,7 +20,10 @@ from collapsum.collapse import (
     generalized_collapse,
     generalized_collapse_power,
 )
+from collapsum.kernels import Kernel, convolve_crop
 from collapsum.matrix import (
+    INT128_MAX,
+    INT128_MIN,
     DimensionError,
     ExactOverflowError,
     Matrix,
@@ -39,6 +42,36 @@ def random_matrix(rng, rows, cols, lo=-50, hi=50):
         tuple(rng.randint(lo, hi) for _ in range(rows * cols)),
         ScalarMode.EXACT,
     )
+
+
+def per_entry_correlation(a, w):
+    """Reference window loop: output (p, q) starts from a typed zero and
+    adds w(i, j) * a(p+i, q+j) in row-major tap order."""
+    b1, b2, n = w.rows, w.cols, a.cols
+    zero = 0.0 if a.mode is ScalarMode.FLOAT else 0
+    out = []
+    for p in range(a.rows - b1 + 1):
+        for q in range(n - b2 + 1):
+            acc = zero
+            k = 0
+            for i in range(b1):
+                for j in range(b2):
+                    acc += w.data[k] * a.data[(p + i) * n + q + j]
+                    k += 1
+            out.append(acc)
+    return tuple(out)
+
+
+def assert_entries(run, expected, mode):
+    # repr shows the value types and the sign of zero; exact results that
+    # leave int128 must raise instead.
+    if mode is ScalarMode.EXACT and not (
+        INT128_MIN <= min(expected) and max(expected) <= INT128_MAX
+    ):
+        with pytest.raises(ExactOverflowError):
+            run()
+    else:
+        assert repr(run().data) == repr(expected)
 
 
 def basis(rows, cols, p, q):
@@ -227,10 +260,53 @@ class TestGeneralized:
         assert generalized_collapse(a, gamma).to_rows() == [[2], [4]]
 
     def test_window_too_large(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(
+            DimensionError, match=r"^2x2 window does not fit a 1x1 matrix$"
+        ):
             generalized_collapse(
                 Matrix.from_rows([[1]]), GammaSpec(Matrix.filled(2, 2, 1))
             )
+
+    def test_mode_mismatch_rejected(self):
+        with pytest.raises(
+            ValueError, match="^weight window and matrix must share a scalar mode$"
+        ):
+            generalized_collapse(
+                Matrix.from_rows([[1.0]]), GammaSpec(Matrix.filled(1, 1, 1))
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_per_entry_loop(self, data):
+        b1, b2 = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        m = data.draw(st.integers(b1, b1 + 4))
+        n = data.draw(st.integers(b2, b2 + 4))
+        mode = data.draw(st.sampled_from(ScalarMode))
+
+        def entries(size, values):
+            return tuple(data.draw(st.lists(values, min_size=size, max_size=size)))
+
+        if mode is ScalarMode.EXACT:
+            weight = st.integers(-(2**27), 2**27)
+            entry = st.integers(-(2**100), 2**100)
+        else:
+            weight = entry = st.just(-0.0) | st.floats(-1e6, 1e6)
+        w = Matrix(b1, b2, entries(b1 * b2, weight), mode)
+        a = Matrix(m, n, entries(m * n, entry), mode)
+        expected = per_entry_correlation(a, w)
+        assert_entries(lambda: generalized_collapse(a, GammaSpec(w)), expected, mode)
+        # A Kernel needs a positive divisor, so the flip check draws its
+        # own positive weights; float mode divides them out first.
+        kw = entries(b1 * b2, st.integers(1, 2**27))
+        kernel = Kernel(Matrix(b1, b2, kw), sum(kw), (1, 1))
+        if mode is ScalarMode.FLOAT:
+            kernel = kernel.as_float()
+        flipped = Matrix(b1, b2, kernel.weights.data[::-1], mode)
+        assert_entries(
+            lambda: convolve_crop(kernel, a).numerator,
+            per_entry_correlation(a, flipped),
+            mode,
+        )
 
     def test_power_zero(self):
         a = Matrix.from_rows([[1, 2], [3, 4]])

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 import random
@@ -19,7 +20,9 @@ from collapsum.kernels import (
     separable_convolve,
 )
 from collapsum.matrix import (
+    INT128_MAX,
     DimensionError,
+    ExactOverflowError,
     Matrix,
     ScalarMode,
     approx_equal,
@@ -127,6 +130,42 @@ class TestRectKernel:
 
     def test_even_anchor(self):
         assert gaussian_kernel_rect(2, 4).anchor == (1, 2)
+
+    def test_refused_exactly_when_a_weight_leaves_int128(self, monkeypatch):
+        # Largest materialized weight of each side, before the builder
+        # is replaced by one that only reports it was reached.
+        peak = {s: max(binomial(s - 1, i) for i in range(s)) for s in range(1, 141)}
+
+        class Built(Exception):
+            pass
+
+        def building(n, r):
+            raise Built
+
+        monkeypatch.setattr(importlib.import_module("collapsum.kernels"),
+                            "binomial", building)
+        refused = set()
+        for a, b in itertools.product(peak, repeat=2):
+            try:
+                gaussian_kernel_rect(a, b)
+            except ExactOverflowError as exc:
+                assert str(exc) == (
+                    f"{a}x{b} binomial window exceeds the signed 128-bit range"
+                )
+                refused.add((a, b))
+            except Built:
+                pass
+        assert refused == {
+            (a, b)
+            for a, b in itertools.product(peak, repeat=2)
+            if peak[a] * peak[b] > INT128_MAX
+        }
+
+    def test_largest_gaussian_radius_builds(self):
+        k = gaussian_kernel(33)
+        assert max(k.weights.data) == math.comb(66, 33) ** 2
+        with pytest.raises(ExactOverflowError, match="^69x69 binomial window"):
+            gaussian_kernel(34)
 
 
 class TestSampledKernel:

@@ -2,6 +2,8 @@ import importlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collapsum.kernels import EdgeMode, convolve, gaussian_kernel_rect
 from collapsum.matrix import DimensionError, Matrix, ScalarMode
@@ -165,6 +167,29 @@ class TestRectBlur:
                 ]
                 assert results[0] == results[1] == results[2]
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_methods_agree_on_random_rects(self, data):
+        h, w = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        edge = data.draw(st.sampled_from(EdgeMode))
+        if edge is EdgeMode.CROP:
+            rows = data.draw(st.integers(h, h + 6))
+            cols = data.draw(st.integers(w, w + 6))
+        else:
+            # Mirror reflects without repeating the edge, so its larger
+            # margin (h // 2 rows, w // 2 columns) must stay inside.
+            low = edge is EdgeMode.MIRROR
+            rows = data.draw(st.integers(h // 2 + 1 if low else 1, 10))
+            cols = data.draw(st.integers(w // 2 + 1 if low else 1, 10))
+        pixels = data.draw(st.lists(st.integers(-(2**60), 2**60),
+                                    min_size=rows * cols, max_size=rows * cols))
+        a = Matrix(rows, cols, tuple(pixels), ScalarMode.EXACT)
+        results = [
+            blur(a, BlurRequest(rect=(h, w), method=m, edge=edge)) for m in Method
+        ]
+        assert results[0] == results[1] == results[2]
+        assert results[0].divisor == 2 ** (h + w - 2)
+
 
 class TestEquivalenceReport:
     def test_exact_mode_deviation_zero(self):
@@ -243,6 +268,25 @@ class TestEntryOps:
                 produced.clear()
                 blur(a, BlurRequest(radius=r, method=Method.COLLAPSE, edge=edge))
                 assert sum(produced) == entry_ops(Method.COLLAPSE, 9, 12, r, edge)
+
+    @pytest.mark.parametrize("method", [Method.DIRECT, Method.SEPARABLE])
+    def test_correlation_count_matches_the_macs_run(self, method, monkeypatch):
+        kernels = importlib.import_module("collapsum.kernels")
+        macs = []
+
+        def counted(a, gamma, original=kernels.generalized_collapse):
+            out = original(a, gamma)
+            w = gamma.weights
+            macs.append(out.rows * out.cols * w.rows * w.cols)
+            return out
+
+        monkeypatch.setattr(kernels, "generalized_collapse", counted)
+        a = random_matrix(random.Random(229), 9, 12)
+        for r in range(4):
+            for edge in ALL_EDGES:
+                macs.clear()
+                blur(a, BlurRequest(radius=r, method=method, edge=edge))
+                assert sum(macs) == entry_ops(method, 9, 12, r, edge)
 
     def test_ratio_grows_with_radius(self):
         ratios = []
