@@ -1,15 +1,21 @@
 """netpbm image I/O (P2/P5 grayscale, P3/P6 color) and color-plane work.
 
-Parsing is whitespace-tolerant for the ASCII formats, honors ``#``
-comments in headers, reads every number as ASCII decimal digits, and
-reports every failure as a
+The magic number starts at byte 0. After it, separators (space, tab, CR,
+LF, VT, FF) and ``#`` comments, which run to the end of their line, may
+sit between any two tokens, in the header and in an ASCII raster alike.
+Every number is ASCII decimal digits, and a binary raster follows
+exactly one separator byte after maxval. Every failure is a
 :class:`NetpbmError` carrying the byte offset where parsing stopped.
 Binary samples are 1 byte up to maxval 255 and big-endian 2 bytes above.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
+from typing import Iterator
 
 from .matrix import DimensionError, Matrix, ScalarMode, round_half_away
 
@@ -76,88 +82,69 @@ class ColorImage:
         return self.red.maxval
 
 
-class _Scanner:
-    """Cursor over the raw bytes with comment-aware token reading."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def skip_separators(self):
-        d, n = self.data, len(self.data)
-        while self.pos < n:
-            c = self.data[self.pos : self.pos + 1]
-            if c in (b"#",):
-                while self.pos < n and d[self.pos] not in b"\n":
-                    self.pos += 1
-            elif c and c in _WHITESPACE:
-                self.pos += 1
-            else:
-                return
-
-    def token(self, what: str) -> bytes:
-        self.skip_separators()
-        if self.pos >= len(self.data):
-            raise NetpbmError(f"unexpected end of input reading {what}", self.pos)
-        start = self.pos
-        d, n = self.data, len(self.data)
-        while self.pos < n and d[self.pos : self.pos + 1] not in _WHITESPACE:
-            if d[self.pos] in b"#":
-                break
-            self.pos += 1
-        return self.data[start : self.pos]
-
-    def int_token(self, what: str) -> int:
-        start_before = self.pos
-        tok = self.token(what)
-        try:
-            # Digits only: int() alone also takes "+5", "-0" and "1_0".
-            if tok.isdigit():
-                return int(tok)
-        except ValueError:  # more digits than int() converts
-            pass
-        raise NetpbmError(
-            f"invalid {what} {tok!r}", max(start_before, self.pos - len(tok))
-        )
+# One tokenizer for the whole grammar: a comment runs from "#" up to, not
+# including, the next newline, and a token (group 1) is a maximal run of
+# bytes that are neither a separator nor "#". Separators are skipped by
+# the search itself, so no match ever backtracks.
+_TOKEN = re.compile(rb"#[^\n]*|([^%s#]+)" % re.escape(_WHITESPACE))
 
 
-def _read_header(scanner: _Scanner) -> tuple[int, int, int]:
-    width = scanner.int_token("width")
-    height = scanner.int_token("height")
-    maxval = scanner.int_token("maxval")
+def _token(tokens: Iterator[re.Match], what: str, size: int) -> re.Match:
+    """The next token; ``size`` is the input length, where input runs out."""
+    m = next(tokens, None)
+    if m is None:
+        raise NetpbmError(f"unexpected end of input reading {what}", size)
+    return m
+
+
+def _int(tokens: Iterator[re.Match], what: str, size: int) -> tuple[int, re.Match]:
+    """The next token as a number, with its match."""
+    m = _token(tokens, what, size)
+    try:
+        # Digits only: int() alone also takes "+5", "-0" and "1_0".
+        if m[1].isdigit():
+            return int(m[1]), m
+    except ValueError:  # more digits than int() converts
+        pass
+    raise NetpbmError(f"invalid {what} {m[1]!r}", m.start())
+
+
+def _read_header(tokens: Iterator[re.Match], size: int) -> tuple[int, int, int, int]:
+    """Width, height, maxval and the offset just past the maxval token."""
+    (width, _), (height, _), (maxval, last) = (
+        _int(tokens, what, size) for what in ("width", "height", "maxval")
+    )
     if width < 1 or height < 1:
-        raise NetpbmError(f"bad dimensions {width}x{height}", scanner.pos)
+        raise NetpbmError(f"bad dimensions {width}x{height}", last.end())
     if not 1 <= maxval <= MAX_MAXVAL:
-        raise NetpbmError(f"maxval {maxval} out of range", scanner.pos)
-    return width, height, maxval
+        raise NetpbmError(f"maxval {maxval} out of range", last.end())
+    return width, height, maxval, last.end()
 
 
-def _read_ascii_samples(scanner: _Scanner, count: int, maxval: int) -> list[int]:
+def _read_ascii_samples(
+    tokens: Iterator[re.Match], count: int, maxval: int, size: int
+) -> list[int]:
     out = []
     for _ in range(count):
-        scanner.skip_separators()
-        at = scanner.pos
-        value = scanner.int_token("sample")
+        value, m = _int(tokens, "sample", size)
         if value > maxval:
-            raise NetpbmError(f"sample {value} exceeds maxval {maxval}", at)
+            raise NetpbmError(f"sample {value} exceeds maxval {maxval}", m.start())
         out.append(value)
     return out
 
 
-def _read_binary_samples(scanner: _Scanner, count: int, maxval: int) -> list[int]:
-    data = scanner.data
+def _read_binary_samples(data: bytes, pos: int, count: int, maxval: int) -> list[int]:
     # Exactly one whitespace byte separates maxval from the raster.
-    if scanner.pos >= len(data) or data[scanner.pos] not in _WHITESPACE:
-        raise NetpbmError("missing raster separator", scanner.pos)
-    scanner.pos += 1
+    if pos >= len(data) or data[pos] not in _WHITESPACE:
+        raise NetpbmError("missing raster separator", pos)
+    pos += 1
     width_bytes = 2 if maxval > 255 else 1
     needed = count * width_bytes
-    if len(data) - scanner.pos < needed:
+    if len(data) - pos < needed:
         raise NetpbmError(
-            f"truncated raster: need {needed} bytes, have {len(data) - scanner.pos}",
+            f"truncated raster: need {needed} bytes, have {len(data) - pos}",
             len(data),
         )
-    pos = scanner.pos
     raster = data[pos : pos + needed]
     if width_bytes == 1:
         out = list(raster)
@@ -168,7 +155,6 @@ def _read_binary_samples(scanner: _Scanner, count: int, maxval: int) -> list[int
         raise NetpbmError(
             f"sample {out[k]} exceeds maxval {maxval}", pos + k * width_bytes
         )
-    scanner.pos = pos + needed
     return out
 
 
@@ -188,21 +174,23 @@ def _color(width, height, maxval, interleaved: list[int]) -> ColorImage:
 def read_netpbm(data: bytes) -> ImagePlane | ColorImage:
     """Parse P2/P5 into an :class:`ImagePlane`, P3/P6 into a
     :class:`ColorImage`."""
-    scanner = _Scanner(data)
-    magic = scanner.token("magic number")
+    size = len(data)
+    tokens = filter(attrgetter("lastindex"), _TOKEN.finditer(data))  # skip comments
+    # The magic starts at byte 0: anything before its token belongs to it.
+    magic = data[: _token(tokens, "magic number", size).end()]
     if magic in (b"P1", b"P4"):
         raise NetpbmError(f"unsupported bitmap format {magic.decode()}", 0)
     if magic == b"P7":
         raise NetpbmError("unsupported format P7 (PAM)", 0)
     if magic not in (b"P2", b"P3", b"P5", b"P6"):
         raise NetpbmError(f"malformed magic {magic[:8]!r}", 0)
-    width, height, maxval = _read_header(scanner)
+    width, height, maxval, end = _read_header(tokens, size)
     channels = 3 if magic in (b"P3", b"P6") else 1
     count = width * height * channels
     if magic in (b"P2", b"P3"):
-        flat = _read_ascii_samples(scanner, count, maxval)
+        flat = _read_ascii_samples(tokens, count, maxval, size)
     else:
-        flat = _read_binary_samples(scanner, count, maxval)
+        flat = _read_binary_samples(data, end, count, maxval)
     if channels == 1:
         return _plane(width, height, maxval, flat)
     return _color(width, height, maxval, flat)
@@ -216,14 +204,13 @@ def write_netpbm(img: ImagePlane | ColorImage, format: str = "binary") -> bytes:
     if format not in ("ascii", "binary"):
         raise ValueError("format must be 'ascii' or 'binary'")
     color = isinstance(img, ColorImage)
+    width, height, maxval = img.width, img.height, img.maxval
     if color:
         magic = b"P3" if format == "ascii" else b"P6"
-        width, height, maxval = img.width, img.height, img.maxval
-        grids = [p.samples.data for p in (img.red, img.green, img.blue)]
-        flat = [g[i] for i in range(width * height) for g in grids]
+        grids = (p.samples.data for p in (img.red, img.green, img.blue))
+        flat = list(chain.from_iterable(zip(*grids)))
     else:
         magic = b"P2" if format == "ascii" else b"P5"
-        width, height, maxval = img.width, img.height, img.maxval
         flat = list(img.samples.data)
     header = b"%s\n%d %d\n%d\n" % (magic, width, height, maxval)
     if format == "ascii":

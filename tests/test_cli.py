@@ -66,6 +66,17 @@ class TestBlurCommand:
         assert open(a_out, "rb").read().startswith(b"P2")
         assert open(b_out, "rb").read().startswith(b"P5")
 
+    @pytest.mark.parametrize(
+        "body", [b" \nP2\n2 1\n9\n3 4\n", b"# c\nP5\n1 1\n9\n\x03"]
+    )
+    def test_bytes_before_the_magic_rejected(self, body, tmp_path, capsys):
+        # The output encoding follows the magic at byte 0, so nothing may
+        # come before it.
+        src = write_pgm(tmp_path / "lead.pgm", body)
+        assert main(["blur", "-r", "1", src, str(tmp_path / "out.pgm")]) == 2
+        assert "malformed magic" in capsys.readouterr().err
+        assert not (tmp_path / "out.pgm").exists()
+
     def test_constant_image_unchanged(self, tmp_path):
         body = b"P2\n4 4\n255\n" + b" ".join(b"77" for _ in range(16)) + b"\n"
         src = write_pgm(tmp_path / "in.pgm", body)

@@ -1,19 +1,29 @@
 import random
+import sys
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collapsum.kernels import EdgeMode
 from collapsum.matrix import DimensionError, Matrix
 from collapsum.netpbm import (
+    MAX_MAXVAL,
     ColorImage,
     ImagePlane,
     NetpbmError,
+    _color,
+    _plane,
+    _read_binary_samples,
     merge_color,
     read_netpbm,
     split_color,
     write_netpbm,
 )
 from collapsum.pipeline import BlurRequest, blur
+
+SEPARATORS = b" \t\r\n\x0b\x0c"
 
 
 def random_plane(rng, width, height, maxval):
@@ -27,6 +37,118 @@ def random_color(rng, width, height, maxval):
         random_plane(rng, width, height, maxval),
         random_plane(rng, width, height, maxval),
     )
+
+
+class ByteScanner:
+    """Reference tokenizer: a cursor that steps through the bytes one at a
+    time, skipping separators and comments before each token."""
+
+    def __init__(self, data):
+        self.data = data
+        self.pos = 0
+
+    def skip_separators(self):
+        d, n = self.data, len(self.data)
+        while self.pos < n:
+            c = d[self.pos : self.pos + 1]
+            if c == b"#":
+                while self.pos < n and d[self.pos] != ord("\n"):
+                    self.pos += 1
+            elif c in SEPARATORS:
+                self.pos += 1
+            else:
+                return
+
+    def token(self, what):
+        self.skip_separators()
+        if self.pos >= len(self.data):
+            raise NetpbmError(f"unexpected end of input reading {what}", self.pos)
+        start = self.pos
+        d, n = self.data, len(self.data)
+        while self.pos < n and d[self.pos : self.pos + 1] not in SEPARATORS + b"#":
+            self.pos += 1
+        return d[start : self.pos]
+
+    def int_token(self, what):
+        start = self.pos
+        tok = self.token(what)
+        try:
+            if tok.isdigit():
+                return int(tok)
+        except ValueError:
+            pass
+        raise NetpbmError(f"invalid {what} {tok!r}", max(start, self.pos - len(tok)))
+
+
+def reference_read(data):
+    """``read_netpbm`` on the byte-at-a-time reference tokenizer.
+
+    The magic starts at byte 0, so any separators or comments before the
+    first token are part of the magic (and make it malformed)."""
+    scanner = ByteScanner(data)
+    scanner.token("magic number")
+    magic = data[: scanner.pos]
+    if magic in (b"P1", b"P4"):
+        raise NetpbmError(f"unsupported bitmap format {magic.decode()}", 0)
+    if magic == b"P7":
+        raise NetpbmError("unsupported format P7 (PAM)", 0)
+    if magic not in (b"P2", b"P3", b"P5", b"P6"):
+        raise NetpbmError(f"malformed magic {magic[:8]!r}", 0)
+    width = scanner.int_token("width")
+    height = scanner.int_token("height")
+    maxval = scanner.int_token("maxval")
+    if width < 1 or height < 1:
+        raise NetpbmError(f"bad dimensions {width}x{height}", scanner.pos)
+    if not 1 <= maxval <= MAX_MAXVAL:
+        raise NetpbmError(f"maxval {maxval} out of range", scanner.pos)
+    channels = 3 if magic in (b"P3", b"P6") else 1
+    count = width * height * channels
+    if magic in (b"P5", b"P6"):
+        flat = _read_binary_samples(data, scanner.pos, count, maxval)
+    else:
+        flat = []
+        for _ in range(count):
+            scanner.skip_separators()
+            at = scanner.pos
+            value = scanner.int_token("sample")
+            if value > maxval:
+                raise NetpbmError(f"sample {value} exceeds maxval {maxval}", at)
+            flat.append(value)
+    if channels == 1:
+        return _plane(width, height, maxval, flat)
+    return _color(width, height, maxval, flat)
+
+
+def outcome(read, data):
+    """The image read, or the message and offset of the parse error."""
+    try:
+        return read(data)
+    except NetpbmError as exc:
+        return str(exc), exc.offset
+
+
+MAGICS = [b"P2", b"P3", b"P5", b"P6"]
+
+# Byte strings over the grammar's alphabet: a magic (or none), then
+# pieces each followed by a separator, a comment or nothing, so that
+# pieces also glue into longer tokens. Small numbers make whole images
+# likely; large ones and stray bytes reach every error.
+grammar_pieces = (
+    st.sampled_from(
+        MAGICS + [b"P1", b"P4", b"P7", b"#", b"+", b"_", b"-", b"a", b"Z", b"\xff"]
+    )
+    | st.integers(1, 3).map(lambda n: b"%d" % n)
+    | st.integers(0, 70000).map(lambda n: b"%d" % n)
+    | st.text("0123456789", min_size=1, max_size=6).map(str.encode)
+)
+grammar_gaps = st.sampled_from(
+    [bytes([c]) for c in SEPARATORS] + [b"", b"#", b"# c\n", b" # c\n"]
+)
+grammar_bytes = st.tuples(
+    st.sampled_from(MAGICS + [b""]),
+    st.lists(st.tuples(grammar_gaps, grammar_pieces), max_size=30),
+    grammar_gaps,
+).map(lambda t: t[0] + b"".join(gap + piece for gap, piece in t[1]) + t[2])
 
 
 class TestParse:
@@ -97,6 +219,76 @@ class TestParse:
         with pytest.raises(NetpbmError):
             read_netpbm(b"XY\n1 1\n1\n0")
 
+    @pytest.mark.parametrize(
+        "lead", [b" ", b"\n", b"# c\n"], ids=["space", "newline", "comment"]
+    )
+    @pytest.mark.parametrize("magic", MAGICS, ids=lambda m: m.decode())
+    def test_magic_starts_at_byte_zero(self, magic, lead):
+        raster = b"1 2 3" if magic in (b"P2", b"P3") else b"\x01\x02\x03"
+        body = b"\n1 1\n9\n" + raster
+        read_netpbm(magic + body)
+        with pytest.raises(NetpbmError) as err:
+            read_netpbm(lead + magic + body)
+        assert str(err.value) == f"malformed magic {(lead + magic)[:8]!r} (byte 0)"
+        assert err.value.offset == 0
+
+    @pytest.mark.parametrize("data", [b"", b" \n\t", b"# only a comment"])
+    def test_no_magic_is_end_of_input(self, data):
+        with pytest.raises(NetpbmError) as err:
+            read_netpbm(data)
+        assert str(err.value) == (
+            f"unexpected end of input reading magic number (byte {len(data)})"
+        )
+
+    def test_comments_between_samples(self):
+        img = read_netpbm(b"P2\n3 1\n9\n1#x 2\n2 # 7 8\n#\n3#")
+        assert img.samples.to_rows() == [[1, 2, 3]]
+
+    def test_sample_above_maxval_before_later_invalid_token(self):
+        with pytest.raises(NetpbmError) as err:
+            read_netpbm(b"P2\n3 1\n9\n1 10 x")
+        assert str(err.value) == "sample 10 exceeds maxval 9 (byte 11)"
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="int() converts any number of digits on this interpreter",
+    )
+    def test_too_many_digits_is_invalid(self):
+        huge = b"1" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(NetpbmError) as err:
+            read_netpbm(b"P2\n" + huge + b" 1\n9\n1")
+        assert str(err.value).startswith("invalid width b'1111")
+        assert err.value.offset == 3
+
+    @pytest.mark.parametrize(
+        "tail",
+        [b" " * 2_000_000, b"#" + b"c" * 2_000_000, b"# c\n" * 500_000],
+        ids=["spaces", "unterminated-comment", "comment-lines"],
+    )
+    def test_hostile_tail_fails_fast(self, tail):
+        data = b"P2\n2 2\n9\n1 " + tail
+        start = time.perf_counter()
+        with pytest.raises(NetpbmError) as err:
+            read_netpbm(data)
+        assert time.perf_counter() - start < 1.0
+        assert str(err.value) == (
+            f"unexpected end of input reading sample (byte {len(data)})"
+        )
+        assert err.value.offset == len(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(MAGICS + [b""]), st.binary(max_size=64))
+    def test_arbitrary_bytes_raise_only_netpbm_errors(self, magic, rest):
+        try:
+            read_netpbm(magic + rest)
+        except NetpbmError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(grammar_bytes)
+    def test_matches_byte_at_a_time_tokenizer(self, data):
+        assert outcome(read_netpbm, data) == outcome(reference_read, data)
+
     def test_unsupported_formats_named(self):
         with pytest.raises(NetpbmError) as err:
             read_netpbm(b"P1\n1 1\n0")
@@ -144,6 +336,16 @@ class TestWrite:
         plane = ImagePlane(2, 2, 255, Matrix.from_rows([[1, 2], [3, 4]]))
         tokens = write_netpbm(plane, "ascii").split()
         assert tokens == [b"P2", b"2", b"2", b"255", b"1", b"2", b"3", b"4"]
+
+    def test_color_raster_interleaves_pixels(self):
+        red, green, blue = (
+            ImagePlane(2, 1, 255, Matrix.from_rows([[v, v + 1]])) for v in (10, 20, 30)
+        )
+        img = ColorImage(red, green, blue)
+        assert write_netpbm(img, "binary") == b"P6\n2 1\n255\n" + bytes(
+            [10, 20, 30, 11, 21, 31]
+        )
+        assert write_netpbm(img, "ascii") == b"P3\n2 1\n255\n10 20 30 11 21 31\n"
 
     def test_unknown_format_rejected(self):
         plane = ImagePlane(1, 1, 1, Matrix.from_rows([[0]]))
