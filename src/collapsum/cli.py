@@ -10,7 +10,6 @@ import sys
 
 from .kernels import (
     EdgeMode,
-    FilterResult,
     Kernel,
     box_kernel,
     convolve,
@@ -31,6 +30,7 @@ from .netpbm import (
 from .pipeline import (
     BlurRequest,
     Method,
+    _check_crop_fit,
     benchmark,
     blur,
     equivalence_report,
@@ -48,34 +48,30 @@ def _build_parser() -> argparse.ArgumentParser:
         "with exact verification and benchmarks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Window options, shared by blur and kernel.
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("--radius", "-r", type=int, default=1,
+                        help="window radius (default 1)")
+    window.add_argument("--filter", choices=["gauss", "box", "interp", "rect"],
+                        default="gauss", dest="filter_name",
+                        help="kernel family (default gauss)")
+    window.add_argument("--s", type=int, default=None,
+                        help="interp only: collapse count, 0 (box) .. 2r (gauss)")
+    window.add_argument("--a", type=int, default=None, help="rect only: window height")
+    window.add_argument("--b", type=int, default=None, help="rect only: window width")
 
-    p_blur = sub.add_parser("blur", help="blur a netpbm image")
+    p_blur = sub.add_parser("blur", parents=[window], help="blur a netpbm image")
     p_blur.add_argument("input", help="input .pgm/.ppm file (P2/P3/P5/P6)")
     p_blur.add_argument("output", help="output file, same format as the input")
-    p_blur.add_argument("--radius", "-r", type=int, default=1,
-                        help="window radius (default 1)")
     p_blur.add_argument("--method", choices=METHOD_CHOICES, default="collapse",
-                        help="execution strategy for gauss/rect filters "
+                        help="execution strategy for gauss/rect filters; box "
+                        "and interp always run direct convolution "
                         "(default collapse)")
     p_blur.add_argument("--edge", choices=EDGE_CHOICES, default="replicate",
                         help="edge handling; mirror reflects without "
                         "repeating the edge row (default replicate)")
-    p_blur.add_argument("--filter", choices=["gauss", "box", "interp", "rect"],
-                        default="gauss", dest="filter_name",
-                        help="kernel family (default gauss); box and interp "
-                        "always run direct convolution")
-    p_blur.add_argument("--s", type=int, default=None,
-                        help="interp only: collapse count, 0 (box) .. 2r (gauss)")
-    p_blur.add_argument("--a", type=int, default=None, help="rect only: window height")
-    p_blur.add_argument("--b", type=int, default=None, help="rect only: window width")
 
-    p_kernel = sub.add_parser("kernel", help="print a kernel table")
-    p_kernel.add_argument("--radius", "-r", type=int, default=1)
-    p_kernel.add_argument("--filter", choices=["gauss", "box", "interp", "rect"],
-                          default="gauss", dest="filter_name")
-    p_kernel.add_argument("--s", type=int, default=None)
-    p_kernel.add_argument("--a", type=int, default=None)
-    p_kernel.add_argument("--b", type=int, default=None)
+    sub.add_parser("kernel", parents=[window], help="print a kernel table")
 
     p_verify = sub.add_parser(
         "verify", help="check that all three strategies agree on a seeded image"
@@ -104,28 +100,40 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",")]
 
 
+def _window(args) -> tuple[int, int]:
+    # Height and width of the requested window; its filter's options must be set.
+    if args.filter_name == "rect":
+        if args.a is None or args.b is None:
+            raise ValueError("--filter rect requires --a and --b")
+        return args.a, args.b
+    if args.filter_name == "interp" and args.s is None:
+        raise ValueError("--filter interp requires --s")
+    return 2 * args.radius + 1, 2 * args.radius + 1
+
+
 def _pick_kernel(args) -> Kernel:
-    name = args.filter_name
-    if name == "gauss":
+    h, w = _window(args)
+    if args.filter_name == "gauss":
         return gaussian_kernel(args.radius)
-    if name == "box":
+    if args.filter_name == "box":
         return box_kernel(args.radius)
-    if name == "interp":
-        if args.s is None:
-            raise ValueError("--filter interp requires --s")
+    if args.filter_name == "interp":
         return interpolation_kernel(args.radius, args.s)
-    if args.a is None or args.b is None:
-        raise ValueError("--filter rect requires --a and --b")
-    return gaussian_kernel_rect(args.a, args.b)
+    return gaussian_kernel_rect(h, w)
 
 
-def _blur_plane(samples: Matrix, args) -> FilterResult:
+def _blur_planes(planes: list[Matrix], args) -> list[Matrix]:
+    # Rounded blur of each plane by one window: ``blur`` for binomial ones,
+    # a direct convolution for box and interp, built after the crop check.
     edge = EdgeMode(args.edge)
-    kernel = _pick_kernel(args)
-    if args.filter_name not in ("gauss", "rect"):
-        return convolve(kernel, samples, edge)
-    return blur(samples, BlurRequest(rect=(kernel.height, kernel.width),
-                                     method=Method(args.method), edge=edge))
+    h, w = _window(args)
+    if args.filter_name in ("box", "interp"):
+        _check_crop_fit(planes[0], h, w, edge)
+        kernel = _pick_kernel(args)
+        return [convolve(kernel, p, edge).rounded() for p in planes]
+    window = {"radius": args.radius} if args.filter_name == "gauss" else {"rect": (h, w)}
+    req = BlurRequest(**window, method=Method(args.method), edge=edge)
+    return [blur(p, req).rounded() for p in planes]
 
 
 def _cmd_blur(args) -> int:
@@ -134,11 +142,10 @@ def _cmd_blur(args) -> int:
     img = read_netpbm(raw)
     encoding = "ascii" if raw[:2] in (b"P2", b"P3") else "binary"
     if isinstance(img, ColorImage):
-        planes = [_blur_plane(p, args).rounded() for p in split_color(img)]
-        out = merge_color(*planes, maxval=img.maxval)
+        out = merge_color(*_blur_planes(split_color(img), args), maxval=img.maxval)
     else:
-        result = _blur_plane(img.samples, args).rounded()
-        out = plane_from_matrix(result, img.maxval)
+        (plane,) = _blur_planes([img.samples], args)
+        out = plane_from_matrix(plane, img.maxval)
     with open(args.output, "wb") as fh:
         fh.write(write_netpbm(out, encoding))
     return 0

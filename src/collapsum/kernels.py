@@ -6,11 +6,16 @@ defer the normalizing division; convolution therefore returns a
 once, at the caller's chosen boundary, which keeps integer pipelines
 bit-exact; rounding the quotient is :func:`matrix.round_half_away`.
 
-Every binomial window is :func:`gaussian_kernel_rect`; the radius-r
-kernel is its (2r+1)-square case.  Convolution uses flipped kernel
-indexing (output (p, q) sums weight(i, j) * input(p - i, q - j) over
-window offsets), which matters only for asymmetric kernels; it runs as
-the generalized collapse of the flipped window, the package's one
+Every exact window is the m x n coefficient matrix with a x b collapses
+(:func:`structured.coefficient_matrix`) over its entry sum, anchored at
+(ceil(m/2), ceil(n/2)): the binomial :func:`gaussian_kernel_rect` is
+(h, w, h-1, w-1), the radius-r Gaussian its (2r+1)-square case, the box
+(2r+1, 2r+1, 0, 0) and the interpolation window (2r+1, 2r+1, s, s).  A
+window whose largest weight leaves the signed 128-bit range is refused
+before any weight is built.  Convolution uses flipped kernel indexing
+(output (p, q) sums weight(i, j) * input(p - i, q - j) over window
+offsets), which matters only for asymmetric kernels; it runs as the
+generalized collapse of the flipped window, the package's one
 correlation loop.  :func:`separable_convolve` splits an h x w binomial
 window into a row and a column pass.
 """
@@ -23,14 +28,12 @@ from enum import Enum
 
 from .collapse import GammaSpec, generalized_collapse
 from .matrix import (
-    INT128_MAX,
     DimensionError,
-    ExactOverflowError,
     Matrix,
     ScalarMode,
     round_half_away,
 )
-from .structured import binomial, coefficient_matrix
+from .structured import coefficient_matrix, coefficient_matrix_entry_sum
 
 FLOAT_KERNEL_TOL = 1e-12
 
@@ -99,29 +102,22 @@ class Kernel:
     ``weights`` is either an exact integer matrix paired with a positive
     ``divisor`` (weights sum exactly to the divisor), or a float matrix
     with divisor 1 whose entries sum to 1 within 1e-12.  ``anchor`` is
-    the 1-based position aligned over the output pixel; ``radius`` is set
-    for square odd kernels, where the anchor is the center.
+    the 1-based position aligned over the output pixel.
     """
 
     weights: Matrix
     divisor: int
     anchor: tuple[int, int]
-    radius: int | None = None
 
     def __post_init__(self):
         if self.divisor < 1:
             raise ValueError("divisor must be a positive integer")
-        total = (
-            math.fsum(self.weights.data)
-            if self.weights.mode is ScalarMode.FLOAT
-            else sum(self.weights.data)
-        )
         if self.weights.mode is ScalarMode.EXACT:
+            total = sum(self.weights.data)
             if total != self.divisor:
-                raise ValueError(
-                    f"weights sum to {total}, divisor is {self.divisor}"
-                )
+                raise ValueError(f"weights sum to {total}, divisor is {self.divisor}")
         else:
+            total = math.fsum(self.weights.data)
             if self.divisor != 1:
                 raise ValueError("float kernels must carry divisor 1")
             if abs(total - 1.0) > FLOAT_KERNEL_TOL:
@@ -129,14 +125,6 @@ class Kernel:
         ar, ac = self.anchor
         if not (1 <= ar <= self.weights.rows and 1 <= ac <= self.weights.cols):
             raise ValueError(f"anchor {self.anchor} outside the weight window")
-        if self.radius is not None:
-            r = self.radius
-            if (
-                self.weights.rows != 2 * r + 1
-                or self.weights.cols != 2 * r + 1
-                or self.anchor != (r + 1, r + 1)
-            ):
-                raise ValueError("radius kernels must be square odd, centered")
 
     @property
     def height(self) -> int:
@@ -156,27 +144,24 @@ class Kernel:
             return self
         w = self.weights
         data = tuple(x / self.divisor for x in w.data)
-        return Kernel(
-            Matrix(w.rows, w.cols, data, ScalarMode.FLOAT),
-            1,
-            self.anchor,
-            self.radius,
-        )
+        return Kernel(Matrix(w.rows, w.cols, data, ScalarMode.FLOAT), 1, self.anchor)
 
 
-def _center(n: int) -> int:
-    # 1-based anchor row/col for an n-wide window: ceil(n / 2).
-    return (n + 1) // 2
+def _coefficient_kernel(m: int, n: int, a: int, b: int) -> Kernel:
+    # The m x n coefficient matrix with a x b collapses, over its entry
+    # sum, anchored at (ceil(m/2), ceil(n/2)).
+    return Kernel(
+        coefficient_matrix(m, n, a, b),
+        coefficient_matrix_entry_sum(m, n, a, b),
+        ((m + 1) // 2, (n + 1) // 2),
+    )
 
 
 def box_kernel(r: int) -> Kernel:
     """Uniform (2r+1)-square window, divisor (2r+1)^2."""
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    size = 2 * r + 1
-    return Kernel(
-        Matrix.filled(size, size, 1), size * size, (r + 1, r + 1), radius=r
-    )
+    return _coefficient_kernel(2 * r + 1, 2 * r + 1, 0, 0)
 
 
 def gaussian_kernel(r: int) -> Kernel:
@@ -202,22 +187,7 @@ def gaussian_kernel_rect(a: int, b: int) -> Kernel:
     """
     if a < 1 or b < 1:
         raise ValueError("kernel sides must be positive")
-    # C(k, k//2) >= 2^k / (k+1), so sides summing past 400 always
-    # overflow; only smaller windows need their largest weight computed.
-    if a + b > 400 or (
-        math.comb(a - 1, (a - 1) // 2) * math.comb(b - 1, (b - 1) // 2)
-        > INT128_MAX
-    ):
-        raise ExactOverflowError(
-            f"{a}x{b} binomial window exceeds the signed 128-bit range"
-        )
-    col = [binomial(a - 1, i) for i in range(a)]
-    row = [binomial(b - 1, j) for j in range(b)]
-    data = tuple(ci * rj for ci in col for rj in row)
-    radius = (a - 1) // 2 if a == b and a % 2 == 1 else None
-    return Kernel(
-        Matrix(a, b, data), 2 ** (a + b - 2), (_center(a), _center(b)), radius
-    )
+    return _coefficient_kernel(a, b, a - 1, b - 1)
 
 
 def gaussian_kernel_sampled(r: int, s: float) -> Kernel:
@@ -235,9 +205,7 @@ def gaussian_kernel_sampled(r: int, s: float) -> Kernel:
     ]
     total = math.fsum(raw)
     data = tuple(v / total for v in raw)
-    return Kernel(
-        Matrix(size, size, data, ScalarMode.FLOAT), 1, (r + 1, r + 1), radius=r
-    )
+    return Kernel(Matrix(size, size, data, ScalarMode.FLOAT), 1, (r + 1, r + 1))
 
 
 def interpolation_kernel(r: int, s: int) -> Kernel:
@@ -251,10 +219,7 @@ def interpolation_kernel(r: int, s: int) -> Kernel:
         raise ValueError("radius must be nonnegative")
     if not 0 <= s <= 2 * r:
         raise ValueError(f"interpolation step must satisfy 0 <= s <= 2r, got {s}")
-    size = 2 * r + 1
-    weights = coefficient_matrix(size, size, s, s)
-    divisor = 2 ** (2 * s) * (size - s) ** 2
-    return Kernel(weights, divisor, (r + 1, r + 1), radius=r)
+    return _coefficient_kernel(2 * r + 1, 2 * r + 1, s, s)
 
 
 def _sources(n: int, before: int, after: int, mode: EdgeMode) -> list[int]:

@@ -1,14 +1,15 @@
 """Blur execution strategies, their equivalence check, and a benchmark.
 
 Every blur is an h x w binomial window; a radius r is the (2r+1)-square
-window.  :func:`blur` extends the image once by the window margins,
-checks once that the window fits, and then runs one of three methods on
-that input: direct 2-D convolution, a row and a column 1-D pass, or
-pair-sum collapses divided by 2^(h+w-2) at the end.  The collapse method
-runs the square part of the window as full collapses, so a radius-r blur
-is the collapse applied 2r times and divided by 4^(2r).  In exact mode
-the three must agree bit for bit on their (numerator, divisor) pairs;
-the report and benchmark objects record whether they do.
+window.  :func:`blur` checks that the window fits before building it,
+extends the image once by the window margins, and runs one of three
+methods on that input: direct 2-D convolution, a row and a column 1-D
+pass, or pair-sum collapses divided by 2^(h+w-2) at the end.  The
+collapse method runs the square part of the window as full collapses,
+so a radius-r blur is the collapse applied 2r times and divided by
+4^(2r).  In exact mode the three must agree bit for bit on their
+(numerator, divisor) pairs; the report and benchmark objects record
+whether they do.
 """
 
 from __future__ import annotations
@@ -77,19 +78,23 @@ def _coerce_mode(a: Matrix, mode: ScalarMode) -> Matrix:
     raise ValueError("cannot run an exact pipeline on a float matrix")
 
 
+def _check_crop_fit(a: Matrix, h: int, w: int, edge: EdgeMode) -> None:
+    # Only a cropped image must hold the window; extension makes room.
+    if edge is EdgeMode.CROP and (a.rows < h or a.cols < w):
+        raise DimensionError(
+            f"{a.rows}x{a.cols} image too small for a {h}x{w} window under cropping"
+        )
+
+
 def blur(a: Matrix, req: BlurRequest) -> FilterResult:
     """Run one blur request; see :class:`BlurRequest`."""
     a = _coerce_mode(a, req.mode)
     h, w = req.rect
+    _check_crop_fit(a, h, w, req.edge)
     kernel = gaussian_kernel_rect(h, w)
     work = a
     if req.edge is not EdgeMode.CROP:
         work = extend_asym(a, *kernel.margins(), req.edge)
-    if work.rows < h or work.cols < w:
-        raise DimensionError(
-            f"{a.rows}x{a.cols} image too small for a {h}x{w} window "
-            "under cropping"
-        )
     if req.method is Method.DIRECT:
         return convolve(kernel, work, EdgeMode.CROP)
     if req.method is Method.SEPARABLE:

@@ -1,10 +1,11 @@
 """Combinatorial matrices behind the collapse calculus.
 
-Binomial coefficients (exact, Pascal recurrence), the banded pair-sum
-matrices whose products realize the directional collapses, their
-weighted generalization, coefficient matrices that count how often each
-entry feeds a fully summed collapse, and Toeplitz constructors with the
-closed-form value of their full collapse.
+Binomial coefficients, the banded pair-sum matrices whose products
+realize the directional collapses, their weighted generalization,
+coefficient matrices that count how often each entry feeds a fully
+summed collapse (every exact filter window is one: binomial, box and
+interpolation), and Toeplitz constructors with the closed-form value of
+their full collapse.
 
 Vectors are represented as n x 1 matrices throughout; there is no
 separate vector type.
@@ -12,30 +13,25 @@ separate vector type.
 
 from __future__ import annotations
 
-import threading
+import math
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 
-from .matrix import DimensionError, Matrix, ScalarMode, multiply
-
-# Pascal triangle rows, grown on demand.  Appends happen under the lock;
-# rows are fully built before publication, so unlocked reads are safe.
-_pascal_rows: list[list[int]] = [[1]]
-_pascal_lock = threading.Lock()
+from .matrix import (
+    INT128_MAX,
+    DimensionError,
+    ExactOverflowError,
+    Matrix,
+    ScalarMode,
+    multiply,
+)
 
 
 def binomial(n: int, r: int) -> int:
     """Exact binomial coefficient, 0 whenever r < 0 or r > n."""
     if n < 0:
         raise ValueError("binomial requires a nonnegative upper index")
-    if r < 0 or r > n:
-        return 0
-    if n >= len(_pascal_rows):
-        with _pascal_lock:
-            while len(_pascal_rows) <= n:
-                prev = _pascal_rows[-1]
-                row = [1] + [prev[i] + prev[i + 1] for i in range(len(prev) - 1)] + [1]
-                _pascal_rows.append(row)
-    return _pascal_rows[n][r]
+    return math.comb(n, r) if 0 <= r else 0
 
 
 def r_matrix(m: int) -> Matrix:
@@ -118,29 +114,51 @@ def row_sum_vector(a: Matrix) -> Matrix:
     return Matrix(a.rows, 1, tuple(sums), a.mode)
 
 
+def _check_counts(m: int, n: int, a: int, b: int) -> None:
+    if not 0 <= a < m:
+        raise DimensionError(f"need 0 <= a < m, got a={a}, m={m}")
+    if not 0 <= b < n:
+        raise DimensionError(f"need 0 <= b < n, got b={b}, n={n}")
+
+
+def _side(m: int, a: int) -> list[int]:
+    # Column sums of r_falling(m, a): entry j sums the m - a binomials
+    # C(a, k) ending at k = j, a difference of the row's prefix sums.
+    p = [0, *accumulate(map(binomial, repeat(a), range(a + 1)))]
+    return [p[min(j, a) + 1] - p[max(j - m + a + 1, 0)] for j in range(m)]
+
+
+def _peak(m: int, a: int) -> int:
+    # Middle entry of _side(m, a), summed alone; the side is symmetric and
+    # unimodal, so it is the largest.
+    j = (m - 1) // 2
+    return sum(math.comb(a, k) for k in range(max(j - m + a + 1, 0), min(j, a) + 1))
+
+
 def coefficient_matrix(m: int, n: int, a: int, b: int) -> Matrix:
     """m x n matrix whose (i, j) entry counts how often input entry
     (i, j) contributes to the summed total of a vertical^a horizontal^b
     collapse.
 
-    Built as the outer product of the column sums of the two falling
-    band products.
+    The outer product of the column sums of ``r_falling(m, a)`` and
+    ``r_falling(n, b)``, each in closed form.  A window whose largest
+    entry leaves the signed 128-bit range is refused before any entry is
+    computed.
     """
-    if not 0 <= a < m:
-        raise DimensionError(f"need 0 <= a < m, got a={a}, m={m}")
-    if not 0 <= b < n:
-        raise DimensionError(f"need 0 <= b < n, got b={b}, n={n}")
-    alpha = column_sum_vector(r_falling(m, a))
-    beta = column_sum_vector(r_falling(n, b))
-    return multiply(alpha, beta.transpose())
+    _check_counts(m, n, a, b)
+    # The middle window holds C(a, a//2) >= 2^a / (a+1), so a + b past
+    # 400 always overflows; only smaller counts need the peak computed.
+    if a + b > 400 or _peak(m, a) * _peak(n, b) > INT128_MAX:
+        raise ExactOverflowError(
+            f"{m}x{n} binomial window exceeds the signed 128-bit range"
+        )
+    beta = _side(n, b)
+    return Matrix(m, n, tuple(x * y for x in _side(m, a) for y in beta))
 
 
 def coefficient_matrix_entry_sum(m: int, n: int, a: int, b: int) -> int:
     """Total of all coefficient-matrix entries: 2^(a+b) (m-a)(n-b)."""
-    if not 0 <= a < m:
-        raise DimensionError(f"need 0 <= a < m, got a={a}, m={m}")
-    if not 0 <= b < n:
-        raise DimensionError(f"need 0 <= b < n, got b={b}, n={n}")
+    _check_counts(m, n, a, b)
     return 2 ** (a + b) * (m - a) * (n - b)
 
 

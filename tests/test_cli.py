@@ -1,3 +1,4 @@
+import importlib
 import time
 
 import pytest
@@ -112,6 +113,17 @@ class TestBlurCommand:
             assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["blur", "kernel"])
+    def test_interp_overflow_fails_fast(self, command, tmp_path, capsys):
+        argv = [command, "--filter", "interp", "--radius", "40", "--s", "80"]
+        if command == "blur":
+            src = write_pgm(tmp_path / "in.pgm", b"P2\n4 4\n255\n" + b"1 " * 16)
+            argv += [src, str(tmp_path / "out.pgm")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: 81x81 binomial window exceeds the signed 128-bit range\n"
+        )
+
+    @pytest.mark.parametrize("command", ["blur", "kernel"])
     def test_huge_radius_fails_fast(self, command, tmp_path, capsys):
         argv = [command, "--radius", "1000000"]
         if command == "blur":
@@ -123,6 +135,36 @@ class TestBlurCommand:
         assert capsys.readouterr().err == (
             "error: 2000001x2000001 binomial window exceeds the signed "
             "128-bit range\n"
+        )
+
+    @pytest.mark.parametrize(
+        "window, size",
+        [
+            (["--radius", "3"], 7),
+            (["--filter", "rect", "--a", "7", "--b", "7"], 7),
+            (["--filter", "box", "--radius", "3"], 7),
+            (["--filter", "interp", "--radius", "3", "--s", "2"], 7),
+            (["--filter", "box", "--radius", "600"], 1201),
+            (["--filter", "interp", "--radius", "300", "--s", "2"], 601),
+        ],
+        ids=["gauss", "rect", "box", "interp", "box-600", "interp-300"],
+    )
+    def test_crop_refused_before_any_weight(self, window, size, tmp_path,
+                                            capsys, monkeypatch):
+        # Every filter gets the same message, and no weight is built.
+        def building(n, r):
+            raise AssertionError("a weight was built")
+
+        monkeypatch.setattr(importlib.import_module("collapsum.structured"),
+                            "binomial", building)
+        src = write_pgm(tmp_path / "in.pgm", b"P2\n4 4\n255\n" + b"1 " * 16)
+        argv = ["blur", *window, "--edge", "crop", src, str(tmp_path / "o.pgm")]
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"error: 4x4 image too small for a {size}x{size} window under "
+            "cropping\n"
         )
 
     def test_crop_radius_too_large(self, tmp_path, capsys):

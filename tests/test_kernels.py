@@ -2,8 +2,11 @@ import importlib
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collapsum.kernels import (
     EdgeMode,
@@ -132,8 +135,9 @@ class TestRectKernel:
         assert gaussian_kernel_rect(2, 4).anchor == (1, 2)
 
     def test_refused_exactly_when_a_weight_leaves_int128(self, monkeypatch):
-        # Largest materialized weight of each side, before the builder
-        # is replaced by one that only reports it was reached.
+        # Largest materialized weight of each side, before the binomial
+        # that every window's weights are first computed from is replaced
+        # by one that only reports it was reached.
         peak = {s: max(binomial(s - 1, i) for i in range(s)) for s in range(1, 141)}
 
         class Built(Exception):
@@ -142,7 +146,7 @@ class TestRectKernel:
         def building(n, r):
             raise Built
 
-        monkeypatch.setattr(importlib.import_module("collapsum.kernels"),
+        monkeypatch.setattr(importlib.import_module("collapsum.structured"),
                             "binomial", building)
         refused = set()
         for a, b in itertools.product(peak, repeat=2):
@@ -217,6 +221,34 @@ class TestInterpolationKernel:
     def test_step_bound(self):
         with pytest.raises(ValueError):
             interpolation_kernel(2, 5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_refused_exactly_when_a_weight_leaves_int128(self, data):
+        r = data.draw(st.integers(0, 70), label="r")
+        s = data.draw(st.integers(0, 2 * r), label="s")
+        size = 2 * r + 1
+        # Largest column sum of the falling band product, by the double sum.
+        side = max(
+            sum(math.comb(s, j - i) for i in range(size - s) if 0 <= j - i <= s)
+            for j in range(size)
+        )
+
+        class Built(Exception):
+            pass
+
+        structured = importlib.import_module("collapsum.structured")
+        with mock.patch.object(structured, "binomial", side_effect=Built):
+            with pytest.raises((ExactOverflowError, Built)) as caught:
+                interpolation_kernel(r, s)
+        if side * side > INT128_MAX:
+            assert caught.type is ExactOverflowError
+            assert str(caught.value) == (
+                f"{size}x{size} binomial window exceeds the signed 128-bit range"
+            )
+        else:
+            assert caught.type is Built
+            assert max(interpolation_kernel(r, s).weights.data) == side * side
 
 
 class TestKernelInvariants:

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collapsum.collapse import (
     GammaSpec,
@@ -353,6 +355,15 @@ class TestOperatorMatrixDuality:
             assert coefficient_matrix(m, n, a, b) == multiply(
                 alpha, beta.transpose()
             )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_coefficient_matrix_is_the_band_product(self, data):
+        m, n = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+        a, b = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, n - 1))
+        alpha = column_sum_vector(r_falling(m, a))
+        beta = column_sum_vector(r_falling(n, b))
+        assert coefficient_matrix(m, n, a, b) == multiply(alpha, beta.transpose())
 
     def test_fully_collapsed_value_formula(self):
         rng = random.Random(107)
