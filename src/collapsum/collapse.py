@@ -7,15 +7,24 @@ generalized form slides an arbitrary weight window instead of the
 all-ones 2x2 window, and the n-dimensional form collapses a flat array
 along any axis.  One pair-sum loop serves all three directional
 collapses: down, right and along an axis each add a slab of the flat
-data to itself shifted by one step.  The generalized collapse is the
-same idea per window tap: it adds the flat input, shifted to that tap
-and scaled by its weight, into one accumulator, then keeps the columns
-of each row where the whole window fits.
+data to itself shifted by one step.
+
+The generalized collapse is a correlation, and in exact mode it is one
+bigint product (Kronecker substitution).  The input is packed into one
+Python int with a 64-bit lane per entry in row-major order, the flipped
+window into another with the input's row stride, and the lanes of their
+product are the window sums.  A bound on every lane decides when that is
+exact; wider values and float mode take a shift-and-add loop instead,
+which adds the flat input, shifted to each window tap and scaled by its
+weight, into one accumulator.  Both keep the columns of each row where
+the whole window fits.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from operator import add, mul
@@ -23,6 +32,11 @@ from operator import add, mul
 from .matrix import DimensionError, Matrix, ScalarMode, multiply
 
 MAX_AXES = 8
+
+# A packed lane is a signed 64-bit integer.  Packing reads ``array('q')``
+# bytes as little-endian, so on a big-endian host only shift-and-add runs.
+LANE_MAX = 2**63 - 1
+_PACKABLE = sys.byteorder == "little"
 
 
 def _pair_sum(data: tuple, outer: int, k: int, inner: int) -> tuple:
@@ -118,21 +132,75 @@ class GammaSpec:
         return cls(multiply(rho, phi.transpose()), rho, phi)
 
 
+def _lane_bound(d: tuple, weights: tuple) -> int:
+    # Largest magnitude of a lane of the packed product or of its operands.
+    top = max(max(d), -min(d))
+    weights = tuple(map(abs, weights))
+    return max(top * sum(weights), top, max(weights))
+
+
+def _pack(lanes: array, bias: int) -> int:
+    # Lane k of the result is lanes[k] as a signed value: XOR with the bias
+    # adds 2**63 to each lane, which makes it nonnegative, and subtracting
+    # the bias takes the 2**63 off again with carries across lanes.  Lanes
+    # of the bias beyond ``lanes`` cancel to 0.
+    return (int.from_bytes(lanes.tobytes(), "little") ^ bias) - bias
+
+
+def _packed_correlation(a: Matrix, w: Matrix) -> array:
+    # Lanes (p + b1 - 1) * n + q + b2 - 1 of A * W hold the window sums.
+    b1, b2, n = w.rows, w.cols, a.cols
+    window = array("q", bytes(8 * ((b1 - 1) * n + b2)))
+    flipped = w.data[::-1]
+    for i in range(b1):
+        window[i * n : i * n + b2] = array("q", flipped[i * b2 : (i + 1) * b2])
+    lanes = len(a.data) + len(window) - 1
+    # Bit 63 set in each of the product's lanes.
+    bias = int.from_bytes((bytes(7) + b"\x80") * lanes, "little")
+    product = _pack(array("q", a.data), bias) * _pack(window, bias)
+    out = array("q")
+    out.frombytes(((product + bias) ^ bias).to_bytes(8 * lanes, "little"))
+    return out
+
+
 def generalized_collapse(a: Matrix, gamma: GammaSpec) -> Matrix:
     """Sliding weighted window sum, unflipped indexing.
 
     Output entry (p, q) is the weight window laid over the input block
     whose top-left corner is (p, q); dimensions shrink to
-    (m - b1 + 1) x (n - b2 + 1).  Convolution runs through this loop
+    (m - b1 + 1) x (n - b2 + 1).  Convolution runs through this function
     with the window flipped.
 
-    The sum runs as shift-and-add over the flat input: window tap (i, j)
-    adds its weight times the input from flat offset i*n + j onward to
-    an accumulator spanning every output position, in row-major tap
-    order, so each entry sums the same products in the same order as a
-    per-entry loop.  The accumulator is laid out with the input's row
-    stride n, so each row also holds b2 - 1 positions where the window
-    wraps onto the next input row; those are computed and dropped.
+    Exact mode computes the whole sum as one product of two packed
+    ints (Kronecker substitution).  The input packs entry k into 64-bit
+    lane k (row-major, row stride n); the window packs weight (i, j)
+    into lane (b1-1-i)*n + (b2-1-j), so its rows keep the input's
+    stride.  Lane (p+b1-1)*n + q+b2-1 of the product then collects
+    input (p+i, q+j) times weight (i, j) over every tap, and row p of
+    the output is a slice of n - b2 + 1 lanes from there.
+
+    Packing reads each entry's two's-complement bytes as one unsigned
+    int, XORs bit 63 of every lane (which adds 2**63 to each lane and
+    makes it nonnegative) and subtracts the same bias constant, which
+    leaves sum(x_k * 2**(64k)) with signed lanes.  Unpacking adds the
+    bias, XORs it off again and reads the bytes back with
+    ``array('q')``.  That is exact when every lane, of the operands and
+    of the product, lies in [-(2**63 - 1), 2**63 - 1]: adding the bias
+    then makes each lane a digit in [1, 2**64 - 1], so no lane borrows
+    from or carries into the next.  Each lane of the product, the lanes
+    where the window wraps onto the next row included, adds each weight
+    at most once, so it is bounded by
+    B = max(max|a| * sum|w|, max|a|, max|w|), and the packed path runs
+    exactly when B <= 2**63 - 1.
+
+    Beyond that bound, and in float mode, the sum runs as shift-and-add
+    over the flat input: window tap (i, j) adds its weight times the
+    input from flat offset i*n + j onward to an accumulator spanning
+    every output position, in row-major tap order, so each entry sums
+    the same products in the same order as a per-entry loop.  The
+    accumulator is laid out with the input's row stride n, so each row
+    also holds b2 - 1 positions where the window wraps onto the next
+    input row; those are computed and dropped.
     """
     w = gamma.weights
     if w.mode is not a.mode:
@@ -145,14 +213,19 @@ def generalized_collapse(a: Matrix, gamma: GammaSpec) -> Matrix:
         )
     d = a.data
     out_m, out_n = m - b1 + 1, n - b2 + 1
-    span = (out_m - 1) * n + out_n
-    zero = 0.0 if a.mode is ScalarMode.FLOAT else 0
-    acc = repeat(zero, span)
-    for k, wk in enumerate(w.data):
-        off = k // b2 * n + k % b2
-        taps = map(mul, repeat(wk, span), islice(d, off, off + span))
-        acc = list(map(add, acc, taps))
-    rows = (acc[p : p + out_n] for p in range(0, out_m * n, n))
+    exact = a.mode is ScalarMode.EXACT
+    if exact and _PACKABLE and _lane_bound(d, w.data) <= LANE_MAX:
+        acc = _packed_correlation(a, w)
+        first = (b1 - 1) * n + b2 - 1
+    else:
+        span = (out_m - 1) * n + out_n
+        acc = repeat(0 if exact else 0.0, span)
+        for k, wk in enumerate(w.data):
+            off = k // b2 * n + k % b2
+            taps = map(mul, repeat(wk, span), islice(d, off, off + span))
+            acc = list(map(add, acc, taps))
+        first = 0
+    rows = (acc[p : p + out_n] for p in range(first, first + out_m * n, n))
     return Matrix(out_m, out_n, tuple(chain.from_iterable(rows)), a.mode)
 
 

@@ -193,11 +193,14 @@ def seeded_image(rows: int, cols: int, seed: int = LCG_SEED) -> Matrix:
 
 
 def entry_ops(method: Method, rows: int, cols: int, r: int, edge: EdgeMode) -> int:
-    """Accumulation count of one strategy, mirroring its loop structure.
+    """Accumulation count of one strategy in the paper's cost model.
 
     Direct counts one multiply-accumulate per window tap; separable the
     same across both 1-D passes; collapse one addition per produced
-    entry of every directional pass.
+    entry of every directional pass.  These are the operations each
+    strategy is defined by, not the steps the code runs: an exact
+    correlation is one packed bigint product, so the wall time of direct
+    and separable no longer follows these counts.
     """
     if edge is EdgeMode.CROP:
         me, ne = rows, cols

@@ -1,12 +1,14 @@
+import importlib
 import itertools
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from collapsum.collapse import (
+    LANE_MAX,
     GammaSpec,
     NdArray,
     collapse,
@@ -60,6 +62,41 @@ def per_entry_correlation(a, w):
                     k += 1
             out.append(acc)
     return tuple(out)
+
+
+# The package's ``collapse`` attribute is the function, not this module.
+collapse_module = importlib.import_module("collapsum.collapse")
+LANE_SEVENTH = LANE_MAX // 7
+
+
+def lane_bound(a, w):
+    """B = max(max|a| * sum|w|, max|a|, max|w|), by the definition."""
+    top = max(abs(x) for x in a.data)
+    return max(top * sum(abs(x) for x in w.data), top,
+               max(abs(x) for x in w.data))
+
+
+@st.composite
+def correlation_cases(draw):
+    """An input and a window of one scalar mode.  Exact entries are drawn
+    up to 2**bits with bits itself drawn, so the lane bound falls on both
+    sides of 2**63."""
+    b1, b2 = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    m = draw(st.integers(b1, b1 + 4))
+    n = draw(st.integers(b2, b2 + 4))
+    mode = draw(st.sampled_from(ScalarMode))
+    if mode is ScalarMode.EXACT:
+        weight = st.integers(-(2**27), 2**27)
+        bits = draw(st.integers(0, 100))
+        entry = st.integers(-(2**bits), 2**bits)
+    else:
+        weight = entry = st.just(-0.0) | st.floats(-1e6, 1e6)
+
+    def entries(size, values):
+        return tuple(draw(st.lists(values, min_size=size, max_size=size)))
+
+    w = Matrix(b1, b2, entries(b1 * b2, weight), mode)
+    return Matrix(m, n, entries(m * n, entry), mode), w
 
 
 def assert_entries(run, expected, mode):
@@ -278,26 +315,16 @@ class TestGeneralized:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_matches_per_entry_loop(self, data):
-        b1, b2 = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
-        m = data.draw(st.integers(b1, b1 + 4))
-        n = data.draw(st.integers(b2, b2 + 4))
-        mode = data.draw(st.sampled_from(ScalarMode))
-
-        def entries(size, values):
-            return tuple(data.draw(st.lists(values, min_size=size, max_size=size)))
-
-        if mode is ScalarMode.EXACT:
-            weight = st.integers(-(2**27), 2**27)
-            entry = st.integers(-(2**100), 2**100)
-        else:
-            weight = entry = st.just(-0.0) | st.floats(-1e6, 1e6)
-        w = Matrix(b1, b2, entries(b1 * b2, weight), mode)
-        a = Matrix(m, n, entries(m * n, entry), mode)
+        a, w = data.draw(correlation_cases())
+        b1, b2, mode = w.rows, w.cols, w.mode
         expected = per_entry_correlation(a, w)
         assert_entries(lambda: generalized_collapse(a, GammaSpec(w)), expected, mode)
         # A Kernel needs a positive divisor, so the flip check draws its
         # own positive weights; float mode divides them out first.
-        kw = entries(b1 * b2, st.integers(1, 2**27))
+        kw = tuple(
+            data.draw(st.lists(st.integers(1, 2**27), min_size=b1 * b2,
+                               max_size=b1 * b2))
+        )
         kernel = Kernel(Matrix(b1, b2, kw), sum(kw), (1, 1))
         if mode is ScalarMode.FLOAT:
             kernel = kernel.as_float()
@@ -307,6 +334,67 @@ class TestGeneralized:
             per_entry_correlation(a, flipped),
             mode,
         )
+
+    @pytest.mark.parametrize("packed", [True, False])
+    def test_cases_straddle_the_lane_bound(self, packed):
+        # The exact cases above land on both sides of the 64-bit lane bound,
+        # so they exercise the packed product and the shift-and-add loop.
+        def side(case):
+            a, w = case
+            if a.mode is not ScalarMode.EXACT:
+                return False
+            return (lane_bound(a, w) <= LANE_MAX) is packed
+
+        find(correlation_cases(), side, settings=settings(database=None))
+
+    # Entries and weights around the lane bound B = max(max|a| * sum|w|,
+    # max|a|, max|w|): 2**63 - 1 = 7 * LANE_SEVENTH is the last packed B.
+    @pytest.mark.parametrize(
+        "rows, weights, packed",
+        [
+            # B = 2**63 - 1 with lanes of +B and -B.
+            ([[LANE_SEVENTH, -LANE_SEVENTH, LANE_SEVENTH]], [[3, -4]], True),
+            ([[LANE_MAX], [-LANE_MAX]], [[1]], True),
+            ([[-LANE_MAX, 0, -LANE_MAX]], [[1, 0]], True),
+            ([[-LANE_MAX, -1]], [[1]], True),
+            # B = 2**63: one more than a lane holds.
+            ([[2**62, 2**62]], [[1, 1]], False),
+            ([[-(2**62), -(2**62)]], [[1, 1]], False),
+            ([[2**62, -(2**62)]], [[1, -1]], False),
+            ([[2**63]], [[0]], False),
+            ([[0, 0, 0]], [[2**63, 1]], False),
+            ([[-(2**63), 5]], [[1]], False),
+            # All-zero weights over entries near +-2**126.
+            ([[2**126, -(2**126)], [INT128_MAX, INT128_MIN]], [[0, 0]], False),
+            # All-zero input with weights near 2**62.
+            ([[0, 0, 0], [0, 0, 0]], [[2**62, -(2**62)], [2**62 - 1, 1]], True),
+            # 1x1 window, window equal to the image, every row wrapping.
+            ([[5, -7, 11], [-13, 17, -19]], [[-3]], True),
+            ([[5, -7, 11], [-13, 17, -19]], [[2, -1, 4], [1, 0, -6]], True),
+            ([[1, 2], [3, 4], [5, 6], [7, 8]], [[1, -2], [3, -4]], True),
+            ([[1], [2], [3]], [[-1], [1]], True),
+            # Outputs that leave int128 must raise.
+            ([[2**126, 2**126]], [[1, 1]], False),
+            ([[INT128_MIN, INT128_MIN]], [[1, 1]], False),
+            ([[INT128_MIN]], [[-1]], False),
+        ],
+    )
+    def test_lane_edges(self, monkeypatch, rows, weights, packed):
+        calls = []
+        packed_correlation = collapse_module._packed_correlation
+        monkeypatch.setattr(
+            collapse_module,
+            "_packed_correlation",
+            lambda *args: calls.append(args) or packed_correlation(*args),
+        )
+        a, w = Matrix.from_rows(rows), Matrix.from_rows(weights)
+        assert (lane_bound(a, w) <= LANE_MAX) is packed
+        assert_entries(
+            lambda: generalized_collapse(a, GammaSpec(w)),
+            per_entry_correlation(a, w),
+            ScalarMode.EXACT,
+        )
+        assert len(calls) == packed
 
     def test_power_zero(self):
         a = Matrix.from_rows([[1, 2], [3, 4]])

@@ -382,6 +382,27 @@ class TestWrite:
                 img = random_color(rng, width, height, maxval)
             assert read_netpbm(write_netpbm(img, fmt)) == img
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_round_trip_every_maxval_and_encoding(self, data):
+        # Any maxval, so samples cross the 1-byte/2-byte boundary at 255/256.
+        maxval = data.draw(
+            st.sampled_from((1, 255, 256, MAX_MAXVAL)) | st.integers(1, MAX_MAXVAL)
+        )
+        width, height = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        fmt = data.draw(st.sampled_from(("ascii", "binary")))
+        sample = st.sampled_from((0, maxval)) | st.integers(0, maxval)
+
+        def plane():
+            flat = data.draw(st.lists(sample, min_size=width * height,
+                                      max_size=width * height))
+            return ImagePlane(width, height, maxval,
+                              Matrix(height, width, tuple(flat)))
+
+        color = data.draw(st.booleans())
+        img = ColorImage(plane(), plane(), plane()) if color else plane()
+        assert read_netpbm(write_netpbm(img, fmt)) == img
+
 
 class TestPlanes:
     def test_gray_as_color_splits_equal(self):
