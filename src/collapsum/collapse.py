@@ -9,6 +9,24 @@ along any axis.  One pair-sum loop serves all three directional
 collapses: down, right and along an axis each add a slab of the flat
 data to itself shifted by one step.
 
+The collapse powers run their passes on one packed Python int in exact
+mode when the values allow it.  Entry (i, j) of the plane sits in
+unsigned 64-bit lane i*n + j (row-major, row stride n = the input's
+column count, kept through every pass), so a pass down is
+``X + (X >> 64*n)`` and a pass right is ``X + (X >> 64)``: one bigint
+addition each.  The last lanes of each row, where a pass right adds the
+first lane of the next row, and the lanes below the last row are
+computed and dropped.  A plane with a negative minimum is packed as
+a - min(a), and min(a) * 2**passes is added back when unpacking.  After
+p passes every lane, the dropped ones included, is a sum of 2**p terms,
+each a packed entry (at most 2 * max|a|) or a zero shifted in from
+beyond the last lane.  The packed path therefore runs exactly when
+B = max|a| * 2**passes is at most 2**63 - 1: then every lane is
+at most 2 * B < 2**64, so none carries into the next, and every entry of
+every pass lies within +-B, inside int128, so the per-pass range scans
+that a packed pass skips could not have raised.  Otherwise, and in float
+mode, each pass is the pair-sum loop.
+
 The generalized collapse is a correlation, and in exact mode it is one
 bigint product (Kronecker substitution).  The input is packed into one
 Python int with a 64-bit lane per entry in row-major order, the flipped
@@ -27,16 +45,27 @@ import sys
 from array import array
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
-from operator import add, mul
+from operator import add, mul, sub
+from typing import NamedTuple
 
 from .matrix import DimensionError, Matrix, ScalarMode, multiply
 
 MAX_AXES = 8
 
-# A packed lane is a signed 64-bit integer.  Packing reads ``array('q')``
-# bytes as little-endian, so on a big-endian host only shift-and-add runs.
+# A packed lane is a 64-bit integer, signed in a correlation and unsigned
+# in a collapse power.  Packing reads ``array`` bytes as little-endian, so
+# on a big-endian host only the unpacked loops run.
 LANE_MAX = 2**63 - 1
 _PACKABLE = sys.byteorder == "little"
+
+
+class _Packed(NamedTuple):
+    # A plane of ``rows`` x ``cols`` entries, entry (i, j) in unsigned
+    # 64-bit lane i * stride + j of ``value``.
+    rows: int
+    cols: int
+    stride: int
+    value: int
 
 
 def _pair_sum(data: tuple, outer: int, k: int, inner: int) -> tuple:
@@ -53,6 +82,9 @@ def collapse_down(a: Matrix) -> Matrix:
     """Sum vertically adjacent pairs; (m-1) x n result."""
     if a.rows < 2:
         raise DimensionError("collapse_down needs at least 2 rows")
+    if isinstance(a, _Packed):
+        x = a.value
+        return a._replace(rows=a.rows - 1, value=x + (x >> 64 * a.stride))
     data = _pair_sum(a.data, 1, a.rows, a.cols)
     return Matrix(a.rows - 1, a.cols, data, a.mode)
 
@@ -61,6 +93,9 @@ def collapse_right(a: Matrix) -> Matrix:
     """Sum horizontally adjacent pairs; m x (n-1) result."""
     if a.cols < 2:
         raise DimensionError("collapse_right needs at least 2 columns")
+    if isinstance(a, _Packed):
+        x = a.value
+        return a._replace(cols=a.cols - 1, value=x + (x >> 64))
     data = _pair_sum(a.data, a.rows, a.cols, 1)
     return Matrix(a.rows, a.cols - 1, data, a.mode)
 
@@ -75,29 +110,61 @@ def collapse(a: Matrix) -> Matrix:
     return collapse_right(collapse_down(a))
 
 
-def _repeat(step, a: Matrix, s: int, room: int, what: str) -> Matrix:
-    # Apply ``step`` s times; each application uses up one of ``room``.
+def _repeat(step, a: Matrix, s: int, room: int, what: str, passes: int) -> Matrix:
+    # Apply ``step`` s times, ``passes`` pair-sum passes in all; each
+    # application uses up one of ``room``.
     if s < 0:
         raise ValueError("collapse power must be nonnegative")
     if s >= room:
         raise DimensionError(f"cannot collapse {what} {s} times")
+    if s and a.mode is ScalarMode.EXACT and _PACKABLE:
+        low, high = min(a.data), max(a.data)
+        if max(high, -low) << passes <= LANE_MAX:
+            return _packed_repeat(step, a, s, passes, min(low, 0))
     for _ in range(s):
         a = step(a)
     return a
 
 
+def _packed_repeat(step, a: Matrix, s: int, passes: int, low: int) -> Matrix:
+    # ``step`` applied s times to the plane packed as a - low; see the
+    # module docstring for the lane bound.
+    d = map(sub, a.data, repeat(low)) if low else a.data
+    x = int.from_bytes(array("Q", d).tobytes(), "little")
+    plane = _Packed(a.rows, a.cols, a.cols, x)
+    for _ in range(s):
+        plane = step(plane)
+    lanes = array("Q")
+    lanes.frombytes(plane.value.to_bytes(8 * len(a.data), "little"))
+    m, k, n = plane.rows, plane.cols, a.cols
+    data = chain.from_iterable(lanes[p : p + k] for p in range(0, m * n, n))
+    if low:
+        data = map(add, data, repeat(low << passes))
+    return Matrix(m, k, tuple(data), a.mode)
+
+
 def collapse_power(a: Matrix, s: int) -> Matrix:
-    """s-fold collapse; s = 0 returns the input unchanged."""
+    """s-fold collapse; s = 0 returns the input unchanged.
+
+    In exact mode the passes run on one packed int when
+    B = max|a| * 4**s <= 2**63 - 1 (see the module docstring): entry
+    (i, j) sits in unsigned 64-bit lane i*n + j, the lanes where a pass
+    right wraps onto the next row are dropped at the end, and a negative
+    minimum is subtracted before packing and added back, times 4**s,
+    after.  Each lane is then at most 2 * B < 2**64 and each entry of
+    every pass within +-B, so skipping the int128 scan of each pass
+    drops no error; the result keeps its scan.
+    """
     room = min(a.rows, a.cols)
-    return _repeat(collapse, a, s, room, f"a {a.rows}x{a.cols} matrix")
+    return _repeat(collapse, a, s, room, f"a {a.rows}x{a.cols} matrix", 2 * s)
 
 
 def collapse_down_power(a: Matrix, s: int) -> Matrix:
-    return _repeat(collapse_down, a, s, a.rows, f"{a.rows} rows down")
+    return _repeat(collapse_down, a, s, a.rows, f"{a.rows} rows down", s)
 
 
 def collapse_right_power(a: Matrix, s: int) -> Matrix:
-    return _repeat(collapse_right, a, s, a.cols, f"{a.cols} columns right")
+    return _repeat(collapse_right, a, s, a.cols, f"{a.cols} columns right", s)
 
 
 @dataclass(frozen=True)
@@ -150,14 +217,19 @@ def _pack(lanes: array, bias: int) -> int:
 def _packed_correlation(a: Matrix, w: Matrix) -> array:
     # Lanes (p + b1 - 1) * n + q + b2 - 1 of A * W hold the window sums.
     b1, b2, n = w.rows, w.cols, a.cols
-    window = array("q", bytes(8 * ((b1 - 1) * n + b2)))
     flipped = w.data[::-1]
-    for i in range(b1):
-        window[i * n : i * n + b2] = array("q", flipped[i * b2 : (i + 1) * b2])
-    lanes = len(a.data) + len(window) - 1
+    lanes = len(a.data) + (b1 - 1) * n + b2 - 1
     # Bit 63 set in each of the product's lanes.
     bias = int.from_bytes((bytes(7) + b"\x80") * lanes, "little")
-    product = _pack(array("q", a.data), bias) * _pack(window, bias)
+    x = _pack(array("q", a.data), bias)
+    if b2 == 1:
+        # The product with sum(w_i * 2**(64*i*n)), without its zero lanes.
+        product = sum(wi * (x << 64 * n * i) for i, wi in enumerate(flipped))
+    else:
+        window = array("q", bytes(8 * ((b1 - 1) * n + b2)))
+        for i in range(b1):
+            window[i * n : i * n + b2] = array("q", flipped[i * b2 : (i + 1) * b2])
+        product = x * _pack(window, bias)
     out = array("q")
     out.frombytes(((product + bias) ^ bias).to_bytes(8 * lanes, "little"))
     return out
@@ -177,7 +249,10 @@ def generalized_collapse(a: Matrix, gamma: GammaSpec) -> Matrix:
     into lane (b1-1-i)*n + (b2-1-j), so its rows keep the input's
     stride.  Lane (p+b1-1)*n + q+b2-1 of the product then collects
     input (p+i, q+j) times weight (i, j) over every tap, and row p of
-    the output is a slice of n - b2 + 1 lanes from there.
+    the output is a slice of n - b2 + 1 lanes from there.  A one-column
+    window packs to sum(w_i * 2**(64*i*n)), mostly zero lanes, so its
+    product is formed as the same sum of the packed input shifted by
+    64*i*n bits and scaled by w_i.
 
     Packing reads each entry's two's-complement bytes as one unsigned
     int, XORs bit 63 of every lane (which adds 2**63 to each lane and

@@ -206,9 +206,11 @@ def round_half_away(a: Matrix, divisor: int = 1) -> Matrix:
     if a.mode is ScalarMode.EXACT:
         if divisor == 1:
             return a
-        d2 = 2 * divisor
+        # Equal to (2x + d) // 2d: with d odd, 2x + d is odd and so never
+        # a multiple of 2d, so flooring (2x + d - 1) / 2d gives the same.
+        half = divisor // 2
         data = [
-            (2 * x + divisor) // d2 if x >= 0 else -((divisor - 2 * x) // d2)
+            (x + half) // divisor if x >= 0 else -((half - x) // divisor)
             for x in a.data
         ]
     else:

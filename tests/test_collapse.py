@@ -1,10 +1,11 @@
+import contextlib
 import importlib
 import itertools
 import math
 import random
 
 import pytest
-from hypothesis import find, given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from collapsum.collapse import (
@@ -116,6 +117,63 @@ def basis(rows, cols, p, q):
     data = [0] * (rows * cols)
     data[(p - 1) * cols + (q - 1)] = 1
     return Matrix(rows, cols, tuple(data), ScalarMode.EXACT)
+
+
+@contextlib.contextmanager
+def counted_calls(name):
+    """Record the arguments of every call of a private collapse helper."""
+    calls = []
+    original = getattr(collapse_module, name)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            collapse_module, name, lambda *args: calls.append(args) or original(*args)
+        )
+        yield calls
+
+
+# Passes down and right that one step of each collapse power runs.
+POWER_PASSES = {
+    collapse_power: (1, 1),
+    collapse_down_power: (1, 0),
+    collapse_right_power: (0, 1),
+}
+LANE_QUARTER = LANE_MAX >> 2
+LANE_EIGHTH = LANE_MAX >> 3
+
+
+def pair_sum_powers(a, down, right):
+    """Reference: ``down`` vertical then ``right`` horizontal pair sums,
+    entry by entry."""
+    rows = a.to_rows()
+    for _ in range(down):
+        rows = [
+            [rows[i][j] + rows[i + 1][j] for j in range(len(rows[i]))]
+            for i in range(len(rows) - 1)
+        ]
+    for _ in range(right):
+        rows = [[r[j] + r[j + 1] for j in range(len(r) - 1)] for r in rows]
+    return tuple(x for r in rows for x in r)
+
+
+def power_bound(a, passes):
+    """B = max|a| * 2**passes, by the definition."""
+    return max(abs(x) for x in a.data) * 2**passes
+
+
+@st.composite
+def power_cases(draw):
+    """An exact plane, a collapse power and any valid s.  Entries are drawn
+    up to 2**bits with bits itself drawn, so B falls on both sides of 2**63
+    while every result stays far inside int128."""
+    power = draw(st.sampled_from(sorted(POWER_PASSES, key=lambda f: f.__name__)))
+    down, right = POWER_PASSES[power]
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    bits = draw(st.integers(0, 100))
+    data = draw(
+        st.lists(st.integers(-(2**bits), 2**bits), min_size=m * n, max_size=m * n)
+    )
+    s = draw(st.integers(0, min(m if down else n, n if right else m) - 1))
+    return Matrix(m, n, tuple(data)), power, s
 
 
 class TestDirectional:
@@ -268,6 +326,78 @@ class TestPowers:
                     sub = a.block(p, q, s + 1, s + 1)
                     assert out.at(p, q) == collapse_power(sub, s).at(1, 1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(power_cases())
+    def test_powers_match_per_index_pair_sums(self, case):
+        a, power, s = case
+        down, right = POWER_PASSES[power]
+        packed = s > 0 and power_bound(a, (down + right) * s) <= LANE_MAX
+        with counted_calls("_packed_repeat") as calls:
+            out = power(a, s)
+        assert (out.rows, out.cols) == (a.rows - down * s, a.cols - right * s)
+        assert out.data == pair_sum_powers(a, down * s, right * s)
+        assert len(calls) == packed
+
+    @pytest.mark.parametrize("packed", [True, False])
+    def test_power_cases_straddle_the_lane_bound(self, packed):
+        def side(case):
+            a, power, s = case
+            passes = sum(POWER_PASSES[power]) * s
+            return s > 0 and (power_bound(a, passes) <= LANE_MAX) is packed
+
+        find(power_cases(), side,
+             settings=settings(database=None, phases=[Phase.generate]))
+
+    # B = max|a| * 2**passes.  With s >= 1 the last packed B is
+    # 2**63 - 2**passes, and the widest lanes, 2 * B, come from summing
+    # only entries at max|a| over a packed minimum of -max|a|.
+    @pytest.mark.parametrize(
+        "power, rows, s, packed",
+        [
+            (collapse_power, [[LANE_QUARTER] * 2 + [0]] * 2
+             + [[0, 0, -LANE_QUARTER]], 1, True),
+            (collapse_down_power, [[LANE_EIGHTH]] * 4 + [[-LANE_EIGHTH]], 3, True),
+            (collapse_right_power, [[LANE_EIGHTH] * 4 + [-LANE_EIGHTH]] * 2,
+             3, True),
+            # B = 2**63: one more than the last packed value.
+            (collapse_power, [[LANE_QUARTER + 1] * 2 + [0]] * 2
+             + [[0, 0, -LANE_QUARTER]], 1, False),
+            (collapse_down_power, [[LANE_EIGHTH]] * 4 + [[-LANE_EIGHTH - 1]],
+             3, False),
+            (collapse_right_power, [[-LANE_EIGHTH - 1] * 5], 3, False),
+            # A negative minimum, subtracted before packing.
+            (collapse_power, [[-5, 3, -7], [2, -1, 4], [0, 6, -2]], 2, True),
+            # Constant planes give c * 2**passes.
+            (collapse_power, [[-3] * 5] * 4, 3, True),
+            (collapse_down_power, [[11] * 3] * 4, 2, True),
+            (collapse_power, [[0] * 3] * 3, 2, True),
+            # One-column results.
+            (collapse_power, [[1, 2, 3], [4, 5, 6], [7, 8, 9], [10, 11, 12]],
+             2, True),
+            (collapse_right_power, [[1, -2, 3, -4], [5, 6, 7, 8]], 3, True),
+            # s = 0 returns the input.
+            (collapse_power, [[1, 2], [3, 4]], 0, False),
+            (collapse_down_power, [[2**126], [-(2**127)]], 0, False),
+            # Results that leave int128 must raise.
+            (collapse_power, [[2**126, 2**126], [0, 0]], 1, False),
+            (collapse_down_power, [[-(2**126)], [-(2**126) - 1]], 1, False),
+            (collapse_right_power, [[2**125] * 4], 2, False),
+        ],
+    )
+    def test_power_lane_edges(self, power, rows, s, packed):
+        a = Matrix.from_rows(rows)
+        down, right = POWER_PASSES[power]
+        if s:
+            passes = (down + right) * s
+            assert (power_bound(a, passes) <= LANE_MAX) is packed
+        with counted_calls("_packed_repeat") as calls:
+            assert_entries(
+                lambda: power(a, s),
+                pair_sum_powers(a, down * s, right * s),
+                ScalarMode.EXACT,
+            )
+        assert len(calls) == packed
+
 
 class TestGeneralized:
     def test_all_ones_window_recovers_collapse(self):
@@ -377,23 +507,23 @@ class TestGeneralized:
             ([[2**126, 2**126]], [[1, 1]], False),
             ([[INT128_MIN, INT128_MIN]], [[1, 1]], False),
             ([[INT128_MIN]], [[-1]], False),
+            # k x 1 windows, which sum shifted copies of the packed input.
+            ([[LANE_SEVENTH, 0], [-LANE_SEVENTH, 5], [LANE_SEVENTH, -5]],
+             [[3], [-4]], True),
+            ([[5, -7], [1, 2], [-3, 4]], [[2], [0], [-3]], True),
+            ([[2**62, 1], [2**62, 2]], [[1], [1]], False),
+            ([[-(2**62)], [-(2**62)]], [[1], [1]], False),
         ],
     )
-    def test_lane_edges(self, monkeypatch, rows, weights, packed):
-        calls = []
-        packed_correlation = collapse_module._packed_correlation
-        monkeypatch.setattr(
-            collapse_module,
-            "_packed_correlation",
-            lambda *args: calls.append(args) or packed_correlation(*args),
-        )
+    def test_lane_edges(self, rows, weights, packed):
         a, w = Matrix.from_rows(rows), Matrix.from_rows(weights)
         assert (lane_bound(a, w) <= LANE_MAX) is packed
-        assert_entries(
-            lambda: generalized_collapse(a, GammaSpec(w)),
-            per_entry_correlation(a, w),
-            ScalarMode.EXACT,
-        )
+        with counted_calls("_packed_correlation") as calls:
+            assert_entries(
+                lambda: generalized_collapse(a, GammaSpec(w)),
+                per_entry_correlation(a, w),
+                ScalarMode.EXACT,
+            )
         assert len(calls) == packed
 
     def test_power_zero(self):

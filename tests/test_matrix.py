@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from collapsum.matrix import (
     INT128_MAX,
+    INT128_MIN,
     DimensionError,
     ExactOverflowError,
     Matrix,
@@ -13,6 +16,7 @@ from collapsum.matrix import (
     add,
     approx_equal,
     multiply,
+    round_half_away,
     scale,
 )
 
@@ -223,3 +227,36 @@ class TestApproxEqual:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             approx_equal(Matrix.from_rows([[1]]), Matrix.from_rows([[1, 2]]), 0)
+
+
+# Divisors up to 2**130: powers of two, odd and even.
+DIVISORS = st.one_of(
+    st.integers(0, 130).map(lambda k: 2**k),
+    st.integers(0, 2**129 - 1).map(lambda k: 2 * k + 1),
+    st.integers(1, 2**129).map(lambda k: 2 * k),
+)
+
+
+@st.composite
+def quotients(draw):
+    """A signed int128 dividend and a divisor; half the dividends lie
+    within one of a tie, where rounding half away from zero decides."""
+    d = draw(DIVISORS)
+    if draw(st.booleans()):
+        x = draw(st.integers(INT128_MIN, INT128_MAX))
+    else:
+        q = draw(st.integers(0, INT128_MAX // d))
+        x = (q * d + d // 2 + draw(st.integers(-1, 1))) * draw(st.sampled_from([1, -1]))
+        x = min(max(x, INT128_MIN), INT128_MAX)
+    return x, d
+
+
+class TestRoundHalfAway:
+    @given(quotients())
+    def test_matches_exact_fraction(self, case):
+        x, d = case
+        q = Fraction(x, d)
+        expected = math.floor(abs(q) + Fraction(1, 2))
+        if q < 0:
+            expected = -expected
+        assert round_half_away(Matrix(1, 1, (x,)), d).data == (expected,)

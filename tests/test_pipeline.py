@@ -262,12 +262,23 @@ class TestEntryOps:
                 produced.append(out.rows * out.cols)
                 return out
             monkeypatch.setattr(collapse, name, counted)
+        # The passes run packed, and still call both functions once each.
+        packed = []
+        monkeypatch.setattr(
+            collapse,
+            "_packed_repeat",
+            lambda *args, original=collapse._packed_repeat: (
+                packed.append(args) or original(*args)
+            ),
+        )
         a = random_matrix(random.Random(227), 9, 12)
         for r in range(4):
             for edge in ALL_EDGES:
                 produced.clear()
+                packed.clear()
                 blur(a, BlurRequest(radius=r, method=Method.COLLAPSE, edge=edge))
                 assert sum(produced) == entry_ops(Method.COLLAPSE, 9, 12, r, edge)
+                assert len(packed) == (r > 0)
 
     @pytest.mark.parametrize("method", [Method.DIRECT, Method.SEPARABLE])
     def test_correlation_count_matches_the_macs_run(self, method, monkeypatch):
