@@ -13,7 +13,6 @@ from .kernels import (
     Kernel,
     box_kernel,
     convolve,
-    gaussian_kernel,
     gaussian_kernel_rect,
     interpolation_kernel,
 )
@@ -101,20 +100,21 @@ def _int_list(text: str) -> list[int]:
 
 
 def _window(args) -> tuple[int, int]:
-    # Height and width of the requested window; its filter's options must be set.
+    # Height and width of the requested window; its filter's options must be
+    # set and a radius must be nonnegative.
     if args.filter_name == "rect":
         if args.a is None or args.b is None:
             raise ValueError("--filter rect requires --a and --b")
         return args.a, args.b
     if args.filter_name == "interp" and args.s is None:
         raise ValueError("--filter interp requires --s")
+    if args.radius < 0:
+        raise ValueError("radius must be nonnegative")
     return 2 * args.radius + 1, 2 * args.radius + 1
 
 
 def _pick_kernel(args) -> Kernel:
     h, w = _window(args)
-    if args.filter_name == "gauss":
-        return gaussian_kernel(args.radius)
     if args.filter_name == "box":
         return box_kernel(args.radius)
     if args.filter_name == "interp":
@@ -131,8 +131,7 @@ def _blur_planes(planes: list[Matrix], args) -> list[Matrix]:
         _check_crop_fit(planes[0], h, w, edge)
         kernel = _pick_kernel(args)
         return [convolve(kernel, p, edge).rounded() for p in planes]
-    window = {"radius": args.radius} if args.filter_name == "gauss" else {"rect": (h, w)}
-    req = BlurRequest(**window, method=Method(args.method), edge=edge)
+    req = BlurRequest(rect=(h, w), method=Method(args.method), edge=edge)
     return [blur(p, req).rounded() for p in planes]
 
 

@@ -118,7 +118,7 @@ def _repeat(step, a: Matrix, s: int, room: int, what: str, passes: int) -> Matri
     if s >= room:
         raise DimensionError(f"cannot collapse {what} {s} times")
     if s and a.mode is ScalarMode.EXACT and _PACKABLE:
-        low, high = min(a.data), max(a.data)
+        low, high = a.span
         if max(high, -low) << passes <= LANE_MAX:
             return _packed_repeat(step, a, s, passes, min(low, 0))
     for _ in range(s):
@@ -199,11 +199,11 @@ class GammaSpec:
         return cls(multiply(rho, phi.transpose()), rho, phi)
 
 
-def _lane_bound(d: tuple, weights: tuple) -> int:
+def _lane_bound(a: Matrix, w: Matrix) -> int:
     # Largest magnitude of a lane of the packed product or of its operands.
-    top = max(max(d), -min(d))
-    weights = tuple(map(abs, weights))
-    return max(top * sum(weights), top, max(weights))
+    (low, high), (wlow, whigh) = a.span, w.span
+    top = max(high, -low)
+    return max(top * sum(map(abs, w.data)), top, whigh, -wlow)
 
 
 def _pack(lanes: array, bias: int) -> int:
@@ -289,7 +289,7 @@ def generalized_collapse(a: Matrix, gamma: GammaSpec) -> Matrix:
     d = a.data
     out_m, out_n = m - b1 + 1, n - b2 + 1
     exact = a.mode is ScalarMode.EXACT
-    if exact and _PACKABLE and _lane_bound(d, w.data) <= LANE_MAX:
+    if exact and _PACKABLE and _lane_bound(a, w) <= LANE_MAX:
         acc = _packed_correlation(a, w)
         first = (b1 - 1) * n + b2 - 1
     else:

@@ -2,7 +2,9 @@
 
 Exact mode models a signed 128-bit integer: every constructed entry must
 lie in [-2**127, 2**127 - 1], and anything outside that range raises
-:class:`ExactOverflowError` instead of wrapping.  Float mode is plain
+:class:`ExactOverflowError` instead of wrapping.  The check reads
+:attr:`Matrix.span`, the (min, max) of the entries, measured once per
+matrix and kept for every later bound on it.  Float mode is plain
 IEEE-754 binary64.  All operator identities in this package are verified
 in exact mode; image pipelines may use either.
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 INT128_MIN = -(2**127)
@@ -66,12 +69,19 @@ class Matrix:
                 f"data length {len(self.data)} != {self.rows}x{self.cols}"
             )
         if self.mode is ScalarMode.EXACT:
-            # Range scan doubles as the overflow check for every operation,
-            # since results only exist once they are constructed.
-            if min(self.data) < INT128_MIN or max(self.data) > INT128_MAX:
+            # Measuring ``span`` doubles as the overflow check for every
+            # operation, since results only exist once they are constructed.
+            low, high = self.span
+            if low < INT128_MIN or high > INT128_MAX:
                 raise ExactOverflowError(
                     "entry outside the signed 128-bit range in exact mode"
                 )
+
+    @cached_property
+    def span(self) -> tuple:
+        """``(min(data), max(data))``, measured once: when an exact matrix
+        is built (its int128 check), or when a float one is first asked."""
+        return min(self.data), max(self.data)
 
     @classmethod
     def from_rows(

@@ -50,7 +50,8 @@ class ImagePlane:
             raise ValueError("image samples must be exact integers")
         if self.samples.rows != self.height or self.samples.cols != self.width:
             raise DimensionError("sample matrix shape must match width/height")
-        if min(self.samples.data) < 0 or max(self.samples.data) > self.maxval:
+        low, high = self.samples.span
+        if low < 0 or high > self.maxval:
             raise ValueError(f"samples must lie in [0, {self.maxval}]")
 
 
@@ -147,28 +148,29 @@ def _read_binary_samples(data: bytes, pos: int, count: int, maxval: int) -> list
         )
     raster = data[pos : pos + needed]
     if width_bytes == 1:
-        out = list(raster)
-    else:
-        out = [hi << 8 | lo for hi, lo in zip(raster[::2], raster[1::2])]
-    if max(out) > maxval:
-        k = next(k for k, value in enumerate(out) if value > maxval)
+        return list(raster)
+    return [hi << 8 | lo for hi, lo in zip(raster[::2], raster[1::2])]
+
+
+def _image(
+    width: int, height: int, maxval: int, flat: list[int], raster: int
+) -> ImagePlane | ColorImage:
+    # The image of the channel-interleaved samples ``flat``.  ASCII samples
+    # are checked as they are read, so a sample above maxval comes from a
+    # binary raster whose first byte is at offset ``raster``.
+    channels = len(flat) // (width * height)
+    samples = [
+        Matrix(height, width, tuple(flat[c::channels]), ScalarMode.EXACT)
+        for c in range(channels)
+    ]
+    if any(m.span[1] > maxval for m in samples):
+        k = next(k for k, value in enumerate(flat) if value > maxval)
         raise NetpbmError(
-            f"sample {out[k]} exceeds maxval {maxval}", pos + k * width_bytes
+            f"sample {flat[k]} exceeds maxval {maxval}",
+            raster + k * (2 if maxval > 255 else 1),
         )
-    return out
-
-
-def _plane(width: int, height: int, maxval: int, flat: list[int]) -> ImagePlane:
-    return ImagePlane(
-        width, height, maxval, Matrix(height, width, tuple(flat), ScalarMode.EXACT)
-    )
-
-
-def _color(width, height, maxval, interleaved: list[int]) -> ColorImage:
-    planes = []
-    for channel in range(3):
-        planes.append(_plane(width, height, maxval, interleaved[channel::3]))
-    return ColorImage(*planes)
+    planes = [ImagePlane(width, height, maxval, m) for m in samples]
+    return planes[0] if channels == 1 else ColorImage(*planes)
 
 
 def read_netpbm(data: bytes) -> ImagePlane | ColorImage:
@@ -191,9 +193,7 @@ def read_netpbm(data: bytes) -> ImagePlane | ColorImage:
         flat = _read_ascii_samples(tokens, count, maxval, size)
     else:
         flat = _read_binary_samples(data, end, count, maxval)
-    if channels == 1:
-        return _plane(width, height, maxval, flat)
-    return _color(width, height, maxval, flat)
+    return _image(width, height, maxval, flat, end + 1)
 
 
 def write_netpbm(img: ImagePlane | ColorImage, format: str = "binary") -> bytes:
@@ -234,7 +234,8 @@ def split_color(img: ColorImage) -> tuple[Matrix, Matrix, Matrix]:
 
 def _quantize(m: Matrix, maxval: int) -> Matrix:
     q = round_half_away(m)
-    if 0 <= min(q.data) and max(q.data) <= maxval:
+    low, high = q.span
+    if 0 <= low and high <= maxval:
         return q
     data = tuple(min(max(v, 0), maxval) for v in q.data)
     return Matrix(q.rows, q.cols, data, ScalarMode.EXACT)

@@ -1,9 +1,12 @@
+import builtins
 import importlib
+import random
 import time
 
 import pytest
 
 from collapsum.cli import main
+from collapsum.matrix import Matrix, ScalarMode
 from collapsum.netpbm import read_netpbm, write_netpbm
 from collapsum.pipeline import CSV_HEADER
 
@@ -166,6 +169,39 @@ class TestBlurCommand:
             f"error: 4x4 image too small for a {size}x{size} window under "
             "cropping\n"
         )
+
+    def test_each_plane_matrix_scanned_once(self, tmp_path, monkeypatch):
+        # A 12x10 plane holds more entries than the 9x9 window, so only the
+        # plane-sized matrices count: each plane is read, extended,
+        # collapsed and rounded, and each is scanned once, when built.
+        plane = 12 * 10
+        rng = random.Random(9)
+        raster = bytes(rng.randrange(256) for _ in range(3 * plane))
+        src = write_pgm(tmp_path / "in.ppm", b"P6\n12 10\n255\n" + raster)
+        scans, built = [], []
+
+        def counting(scan):
+            def counted(*args, **kwargs):
+                seq = args[0] if len(args) == 1 else None
+                if isinstance(seq, (tuple, list)) and len(seq) >= plane:
+                    scans.append(scan.__name__)
+                return scan(*args, **kwargs)
+            return counted
+
+        post_init = Matrix.__post_init__
+
+        def building(self):
+            if self.mode is ScalarMode.EXACT and len(self.data) >= plane:
+                built.append((self.rows, self.cols))
+            post_init(self)
+
+        monkeypatch.setattr(Matrix, "__post_init__", building)
+        monkeypatch.setattr(builtins, "min", counting(min))
+        monkeypatch.setattr(builtins, "max", counting(max))
+        assert main(["blur", "-r", "4", src, str(tmp_path / "out.ppm")]) == 0
+        monkeypatch.undo()
+        assert len(built) == 12
+        assert len(scans) == 2 * len(built)
 
     def test_crop_radius_too_large(self, tmp_path, capsys):
         src = write_pgm(tmp_path / "in.pgm", b"P2\n3 3\n255\n" + b"1 " * 9)

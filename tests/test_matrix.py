@@ -1,9 +1,11 @@
+import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from collapsum.matrix import (
@@ -83,6 +85,42 @@ class TestOverflow:
 
     def test_boundary_values_allowed(self):
         Matrix(1, 2, (INT128_MAX, -(2**127)), ScalarMode.EXACT)
+
+
+@st.composite
+def matrices(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    mode = draw(st.sampled_from(ScalarMode))
+    entries = (
+        st.integers(INT128_MIN, INT128_MAX)
+        if mode is ScalarMode.EXACT
+        else st.floats(allow_nan=False)
+    )
+    data = draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+    return Matrix(rows, cols, tuple(data), mode)
+
+
+class TestSpan:
+    @given(matrices())
+    @example(Matrix(1, 1, (INT128_MIN,)))
+    @example(Matrix(1, 1, (-0.5,), ScalarMode.FLOAT))
+    def test_span_is_min_and_max(self, a):
+        # Exact matrices measure the span when built, float ones on demand.
+        assert ("span" in vars(a)) is (a.mode is ScalarMode.EXACT)
+        twin = Matrix(a.rows, a.cols, a.data, a.mode)
+        assert a.span == (min(a.data), max(a.data))
+        assert a == twin and hash(a) == hash(twin)
+        assert repr(a) == repr(twin)
+        restored = pickle.loads(pickle.dumps(a))
+        assert restored == twin and restored.span == a.span
+        first = a.data[0]
+        replaced = dataclasses.replace(a, data=(first,) * len(a.data))
+        assert replaced.span == (first, first)
+
+    def test_span_is_read_only(self):
+        a = Matrix.from_rows([[1, 2]])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.span = (0, 0)
 
 
 class TestAdd:

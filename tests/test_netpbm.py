@@ -13,8 +13,7 @@ from collapsum.netpbm import (
     ColorImage,
     ImagePlane,
     NetpbmError,
-    _color,
-    _plane,
+    _image,
     _read_binary_samples,
     merge_color,
     read_netpbm,
@@ -114,9 +113,7 @@ def reference_read(data):
             if value > maxval:
                 raise NetpbmError(f"sample {value} exceeds maxval {maxval}", at)
             flat.append(value)
-    if channels == 1:
-        return _plane(width, height, maxval, flat)
-    return _color(width, height, maxval, flat)
+    return _image(width, height, maxval, flat, scanner.pos + 1)
 
 
 def outcome(read, data):
@@ -206,8 +203,21 @@ class TestParse:
                 "sample 1000 exceeds maxval 999",
                 13,
             ),
+            # Color rasters: the first bad sample in raster order is blue,
+            # a later one is red, so a search plane by plane would name red.
+            (
+                b"P6\n2 1\n99\n" + bytes([1, 2, 100, 150, 3, 4]),
+                "sample 100 exceeds maxval 99",
+                12,
+            ),
+            (
+                b"P6\n2 1\n999\n"
+                + b"".join(v.to_bytes(2, "big") for v in (1, 2, 1000, 1500, 3, 4)),
+                "sample 1000 exceeds maxval 999",
+                15,
+            ),
         ],
-        ids=["1-byte", "2-byte"],
+        ids=["1-byte", "2-byte", "P6-1-byte", "P6-2-byte"],
     )
     def test_sample_exceeds_maxval_binary(self, data, message, offset):
         with pytest.raises(NetpbmError) as err:
