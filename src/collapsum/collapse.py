@@ -9,11 +9,17 @@ along any axis.  One pair-sum loop serves all three directional
 collapses: down, right and along an axis each add a slab of the flat
 data to itself shifted by one step.
 
+Packed values sit in lanes of L bits, and L follows from a bound B on
+every value a packer handles: the narrowest of 32 and 64 with
+B <= 2**(L-1) - 1.  So an 8-bit image blurred at radius 4
+(B = 255 * 4**8 < 2**25) packs in 32-bit lanes, half the digits of
+64-bit ones; values beyond 2**63 - 1 are not packed.
+
 The collapse powers run their passes on one packed Python int in exact
 mode when the values allow it.  Entry (i, j) of the plane sits in
-unsigned 64-bit lane i*n + j (row-major, row stride n = the input's
+unsigned L-bit lane i*n + j (row-major, row stride n = the input's
 column count, kept through every pass), so a pass down is
-``X + (X >> 64*n)`` and a pass right is ``X + (X >> 64)``: one bigint
+``X + (X >> L*n)`` and a pass right is ``X + (X >> L)``: one bigint
 addition each.  The last lanes of each row, where a pass right adds the
 first lane of the next row, and the lanes below the last row are
 computed and dropped.  A plane with a negative minimum is packed as
@@ -21,21 +27,22 @@ a - min(a), and min(a) * 2**passes is added back when unpacking.  After
 p passes every lane, the dropped ones included, is a sum of 2**p terms,
 each a packed entry (at most 2 * max|a|) or a zero shifted in from
 beyond the last lane.  The packed path therefore runs exactly when
-B = max|a| * 2**passes is at most 2**63 - 1: then every lane is
-at most 2 * B < 2**64, so none carries into the next, and every entry of
-every pass lies within +-B, inside int128, so the per-pass range scans
-that a packed pass skips could not have raised.  Otherwise, and in float
-mode, each pass is the pair-sum loop.
+B = max|a| * 2**passes is at most 2**63 - 1, in L-bit lanes with
+B <= 2**(L-1) - 1: then every lane is at most 2 * B < 2**L, so none
+carries into the next, and every entry of every pass lies within +-B,
+inside int128, so the per-pass range scans that a packed pass skips
+could not have raised, and the result skips its own.  Otherwise, and in
+float mode, each pass is the pair-sum loop.
 
 The generalized collapse is a correlation, and in exact mode it is one
 bigint product (Kronecker substitution).  The input is packed into one
-Python int with a 64-bit lane per entry in row-major order, the flipped
+Python int with an L-bit lane per entry in row-major order, the flipped
 window into another with the input's row stride, and the lanes of their
 product are the window sums.  A bound on every lane decides when that is
-exact; wider values and float mode take a shift-and-add loop instead,
-which adds the flat input, shifted to each window tap and scaled by its
-weight, into one accumulator.  Both keep the columns of each row where
-the whole window fits.
+exact and sets L; wider values and float mode take a shift-and-add loop
+instead, which adds the flat input, shifted to each window tap and
+scaled by its weight, into one accumulator.  Both keep the columns of
+each row where the whole window fits.
 """
 
 from __future__ import annotations
@@ -52,19 +59,35 @@ from .matrix import DimensionError, Matrix, ScalarMode, multiply
 
 MAX_AXES = 8
 
-# A packed lane is a 64-bit integer, signed in a correlation and unsigned
-# in a collapse power.  Packing reads ``array`` bytes as little-endian, so
-# on a big-endian host only the unpacked loops run.
+# A packed lane is an L-bit integer, signed in a correlation and unsigned
+# in a collapse power; each width L maps to its ``array`` typecodes
+# (unsigned, signed).  LANE_MAX is the largest bound that any lane holds.
+# Packing reads ``array`` bytes as little-endian, so on a big-endian host
+# only the unpacked loops run.
+_TYPECODES = {32: ("I", "i"), 64: ("Q", "q")}
 LANE_MAX = 2**63 - 1
-_PACKABLE = sys.byteorder == "little"
+_PACKABLE = sys.byteorder == "little" and all(
+    8 * array(code).itemsize == bits for bits, (code, _) in _TYPECODES.items()
+)
+
+
+def _lane_bits(bound: int) -> int | None:
+    # The lane width L of values within +-bound: the narrowest with
+    # bound <= 2**(L-1) - 1, or None when no lane holds them.
+    if _PACKABLE:
+        for bits in _TYPECODES:
+            if bound < 1 << (bits - 1):
+                return bits
+    return None
 
 
 class _Packed(NamedTuple):
     # A plane of ``rows`` x ``cols`` entries, entry (i, j) in unsigned
-    # 64-bit lane i * stride + j of ``value``.
+    # ``bits``-bit lane i * stride + j of ``value``.
     rows: int
     cols: int
     stride: int
+    bits: int
     value: int
 
 
@@ -84,7 +107,7 @@ def collapse_down(a: Matrix) -> Matrix:
         raise DimensionError("collapse_down needs at least 2 rows")
     if isinstance(a, _Packed):
         x = a.value
-        return a._replace(rows=a.rows - 1, value=x + (x >> 64 * a.stride))
+        return a._replace(rows=a.rows - 1, value=x + (x >> a.bits * a.stride))
     data = _pair_sum(a.data, 1, a.rows, a.cols)
     return Matrix(a.rows - 1, a.cols, data, a.mode)
 
@@ -95,7 +118,7 @@ def collapse_right(a: Matrix) -> Matrix:
         raise DimensionError("collapse_right needs at least 2 columns")
     if isinstance(a, _Packed):
         x = a.value
-        return a._replace(cols=a.cols - 1, value=x + (x >> 64))
+        return a._replace(cols=a.cols - 1, value=x + (x >> a.bits))
     data = _pair_sum(a.data, a.rows, a.cols, 1)
     return Matrix(a.rows, a.cols - 1, data, a.mode)
 
@@ -117,30 +140,34 @@ def _repeat(step, a: Matrix, s: int, room: int, what: str, passes: int) -> Matri
         raise ValueError("collapse power must be nonnegative")
     if s >= room:
         raise DimensionError(f"cannot collapse {what} {s} times")
-    if s and a.mode is ScalarMode.EXACT and _PACKABLE:
+    if s and a.mode is ScalarMode.EXACT:
         low, high = a.span
-        if max(high, -low) << passes <= LANE_MAX:
-            return _packed_repeat(step, a, s, passes, min(low, 0))
+        bits = _lane_bits(max(high, -low) << passes)
+        if bits:
+            return _packed_repeat(step, a, s, passes, min(low, 0), bits)
     for _ in range(s):
         a = step(a)
     return a
 
 
-def _packed_repeat(step, a: Matrix, s: int, passes: int, low: int) -> Matrix:
-    # ``step`` applied s times to the plane packed as a - low; see the
-    # module docstring for the lane bound.
+def _packed_repeat(
+    step, a: Matrix, s: int, passes: int, low: int, bits: int
+) -> Matrix:
+    # ``step`` applied s times to the plane packed as a - low in
+    # ``bits``-bit lanes; see the module docstring for the lane bound.
+    code = _TYPECODES[bits][0]
     d = map(sub, a.data, repeat(low)) if low else a.data
-    x = int.from_bytes(array("Q", d).tobytes(), "little")
-    plane = _Packed(a.rows, a.cols, a.cols, x)
+    x = int.from_bytes(array(code, d).tobytes(), "little")
+    plane = _Packed(a.rows, a.cols, a.cols, bits, x)
     for _ in range(s):
         plane = step(plane)
-    lanes = array("Q")
-    lanes.frombytes(plane.value.to_bytes(8 * len(a.data), "little"))
+    lanes = array(code)
+    lanes.frombytes(plane.value.to_bytes(bits // 8 * len(a.data), "little"))
     m, k, n = plane.rows, plane.cols, a.cols
     data = chain.from_iterable(lanes[p : p + k] for p in range(0, m * n, n))
     if low:
         data = map(add, data, repeat(low << passes))
-    return Matrix(m, k, tuple(data), a.mode)
+    return Matrix._proven(m, k, tuple(data), a.mode)
 
 
 def collapse_power(a: Matrix, s: int) -> Matrix:
@@ -148,12 +175,13 @@ def collapse_power(a: Matrix, s: int) -> Matrix:
 
     In exact mode the passes run on one packed int when
     B = max|a| * 4**s <= 2**63 - 1 (see the module docstring): entry
-    (i, j) sits in unsigned 64-bit lane i*n + j, the lanes where a pass
-    right wraps onto the next row are dropped at the end, and a negative
-    minimum is subtracted before packing and added back, times 4**s,
-    after.  Each lane is then at most 2 * B < 2**64 and each entry of
-    every pass within +-B, so skipping the int128 scan of each pass
-    drops no error; the result keeps its scan.
+    (i, j) sits in unsigned L-bit lane i*n + j, with L = 32 when
+    B <= 2**31 - 1 and 64 otherwise, the lanes where a pass right wraps
+    onto the next row are dropped at the end, and a negative minimum is
+    subtracted before packing and added back, times 4**s, after.  Each
+    lane is then at most 2 * B < 2**L and each entry of every pass within
+    +-B, so skipping the int128 scan of each pass, and of the result,
+    drops no error.
     """
     room = min(a.rows, a.cols)
     return _repeat(collapse, a, s, room, f"a {a.rows}x{a.cols} matrix", 2 * s)
@@ -214,24 +242,26 @@ def _pack(lanes: array, bias: int) -> int:
     return (int.from_bytes(lanes.tobytes(), "little") ^ bias) - bias
 
 
-def _packed_correlation(a: Matrix, w: Matrix) -> array:
-    # Lanes (p + b1 - 1) * n + q + b2 - 1 of A * W hold the window sums.
+def _packed_correlation(a: Matrix, w: Matrix, bits: int) -> array:
+    # Lanes (p + b1 - 1) * n + q + b2 - 1 of A * W, ``bits`` wide, hold the
+    # window sums.
     b1, b2, n = w.rows, w.cols, a.cols
+    code, size = _TYPECODES[bits][1], bits // 8
     flipped = w.data[::-1]
     lanes = len(a.data) + (b1 - 1) * n + b2 - 1
-    # Bit 63 set in each of the product's lanes.
-    bias = int.from_bytes((bytes(7) + b"\x80") * lanes, "little")
-    x = _pack(array("q", a.data), bias)
+    # The top bit set in each of the product's lanes.
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * lanes, "little")
+    x = _pack(array(code, a.data), bias)
     if b2 == 1:
-        # The product with sum(w_i * 2**(64*i*n)), without its zero lanes.
-        product = sum(wi * (x << 64 * n * i) for i, wi in enumerate(flipped))
+        # The product with sum(w_i * 2**(L*i*n)), without its zero lanes.
+        product = sum(wi * (x << bits * n * i) for i, wi in enumerate(flipped))
     else:
-        window = array("q", bytes(8 * ((b1 - 1) * n + b2)))
+        window = array(code, bytes(size * ((b1 - 1) * n + b2)))
         for i in range(b1):
-            window[i * n : i * n + b2] = array("q", flipped[i * b2 : (i + 1) * b2])
+            window[i * n : i * n + b2] = array(code, flipped[i * b2 : (i + 1) * b2])
         product = x * _pack(window, bias)
-    out = array("q")
-    out.frombytes(((product + bias) ^ bias).to_bytes(8 * lanes, "little"))
+    out = array(code)
+    out.frombytes(((product + bias) ^ bias).to_bytes(size * lanes, "little"))
     return out
 
 
@@ -244,29 +274,31 @@ def generalized_collapse(a: Matrix, gamma: GammaSpec) -> Matrix:
     with the window flipped.
 
     Exact mode computes the whole sum as one product of two packed
-    ints (Kronecker substitution).  The input packs entry k into 64-bit
+    ints (Kronecker substitution).  The input packs entry k into L-bit
     lane k (row-major, row stride n); the window packs weight (i, j)
     into lane (b1-1-i)*n + (b2-1-j), so its rows keep the input's
     stride.  Lane (p+b1-1)*n + q+b2-1 of the product then collects
     input (p+i, q+j) times weight (i, j) over every tap, and row p of
     the output is a slice of n - b2 + 1 lanes from there.  A one-column
-    window packs to sum(w_i * 2**(64*i*n)), mostly zero lanes, so its
+    window packs to sum(w_i * 2**(L*i*n)), mostly zero lanes, so its
     product is formed as the same sum of the packed input shifted by
-    64*i*n bits and scaled by w_i.
+    L*i*n bits and scaled by w_i.
 
     Packing reads each entry's two's-complement bytes as one unsigned
-    int, XORs bit 63 of every lane (which adds 2**63 to each lane and
-    makes it nonnegative) and subtracts the same bias constant, which
-    leaves sum(x_k * 2**(64k)) with signed lanes.  Unpacking adds the
-    bias, XORs it off again and reads the bytes back with
-    ``array('q')``.  That is exact when every lane, of the operands and
-    of the product, lies in [-(2**63 - 1), 2**63 - 1]: adding the bias
-    then makes each lane a digit in [1, 2**64 - 1], so no lane borrows
-    from or carries into the next.  Each lane of the product, the lanes
-    where the window wraps onto the next row included, adds each weight
-    at most once, so it is bounded by
+    int, XORs bit L-1 of every lane (which adds 2**(L-1) to each lane
+    and makes it nonnegative) and subtracts the same bias constant, which
+    leaves sum(x_k * 2**(Lk)) with signed lanes.  Unpacking adds the
+    bias, XORs it off again and reads the bytes back with ``array``
+    (typecode ``i`` or ``q``).  That is exact when every lane, of the
+    operands and of the product, lies in [-(2**(L-1) - 1), 2**(L-1) - 1]:
+    adding the bias then makes each lane a digit in [1, 2**L - 1], so no
+    lane borrows from or carries into the next.  Each lane of the
+    product, the lanes where the window wraps onto the next row included,
+    adds each weight at most once, so it is bounded by
     B = max(max|a| * sum|w|, max|a|, max|w|), and the packed path runs
-    exactly when B <= 2**63 - 1.
+    exactly when B <= 2**63 - 1, in 32-bit lanes when B <= 2**31 - 1 and
+    in 64-bit ones otherwise.  Every entry of its result lies within +-B,
+    so the result skips the int128 scan.
 
     Beyond that bound, and in float mode, the sum runs as shift-and-add
     over the flat input: window tap (i, j) adds its weight times the
@@ -289,9 +321,12 @@ def generalized_collapse(a: Matrix, gamma: GammaSpec) -> Matrix:
     d = a.data
     out_m, out_n = m - b1 + 1, n - b2 + 1
     exact = a.mode is ScalarMode.EXACT
-    if exact and _PACKABLE and _lane_bound(a, w) <= LANE_MAX:
-        acc = _packed_correlation(a, w)
+    bits = _lane_bits(_lane_bound(a, w)) if exact else None
+    if bits:
+        acc = _packed_correlation(a, w, bits)
         first = (b1 - 1) * n + b2 - 1
+        # Every entry lies within +-B < 2**63, so the int128 scan is skipped.
+        build = Matrix._proven
     else:
         span = (out_m - 1) * n + out_n
         acc = repeat(0 if exact else 0.0, span)
@@ -300,8 +335,9 @@ def generalized_collapse(a: Matrix, gamma: GammaSpec) -> Matrix:
             taps = map(mul, repeat(wk, span), islice(d, off, off + span))
             acc = list(map(add, acc, taps))
         first = 0
+        build = Matrix
     rows = (acc[p : p + out_n] for p in range(first, first + out_m * n, n))
-    return Matrix(out_m, out_n, tuple(chain.from_iterable(rows)), a.mode)
+    return build(out_m, out_n, tuple(chain.from_iterable(rows)), a.mode)
 
 
 def generalized_collapse_power(a: Matrix, gamma: GammaSpec, s: int) -> Matrix:

@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
+from operator import itemgetter
 
 from .collapse import GammaSpec, generalized_collapse
 from .matrix import (
@@ -254,12 +256,19 @@ def extend_asym(
         return a
     zero = 0.0 if a.mode is ScalarMode.FLOAT else 0
     rows, cols = _sources(m, top, bottom, mode), _sources(n, left, right, mode)
-    pad = (zero,) * (n + 1)
-    out = []
-    for i in rows:
-        row = d[i * n : i * n + n] + (zero,) if i < m else pad
-        out += [row[j] for j in cols]
-    return Matrix(len(rows), len(cols), tuple(out), a.mode)
+    # itemgetter of one index returns the entry itself, not a 1-tuple.
+    pick = itemgetter(*cols) if len(cols) > 1 else lambda row: (row[cols[0]],)
+    # Each source row, and the zero pad row, extended once.
+    extended = [pick(d[i * n : i * n + n] + (zero,)) for i in range(m)]
+    extended.append((zero,) * len(cols))
+    out = tuple(chain.from_iterable(map(extended.__getitem__, rows)))
+    span = None
+    if a.mode is ScalarMode.EXACT:
+        # The central block is the input and every other entry copies one
+        # of its entries or, under zero padding, is 0.
+        low, high = a.span
+        span = (min(low, 0), max(high, 0)) if mode is EdgeMode.ZERO else (low, high)
+    return Matrix._proven(len(rows), len(cols), out, a.mode, span)
 
 
 def extend(a: Matrix, r: int, mode: EdgeMode) -> Matrix:

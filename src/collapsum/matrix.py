@@ -3,10 +3,22 @@
 Exact mode models a signed 128-bit integer: every constructed entry must
 lie in [-2**127, 2**127 - 1], and anything outside that range raises
 :class:`ExactOverflowError` instead of wrapping.  The check reads
-:attr:`Matrix.span`, the (min, max) of the entries, measured once per
-matrix and kept for every later bound on it.  Float mode is plain
-IEEE-754 binary64.  All operator identities in this package are verified
-in exact mode; image pipelines may use either.
+:attr:`Matrix.span`, the exact (min, max) of the entries, kept for every
+later bound on the matrix.  When it is known:
+
+- ``Matrix(...)`` and every public constructor measure it when they build
+  an exact matrix; that scan is the int128 check.
+- An operation that proves its result in range from its operands builds
+  it without the scan, through a constructor private to the package.
+  Edge extension carries the exact span of its input (with 0 added under
+  zero padding).  A packed collapse power or packed correlation, whose
+  entries lie within +-(2**63 - 1), and exact rounding by a divisor >= 2,
+  which never grows a magnitude, leave it unmeasured.
+- An unmeasured span, and that of a float matrix, is measured once when
+  first read.
+
+Float mode is plain IEEE-754 binary64.  All operator identities in this
+package are verified in exact mode; image pipelines may use either.
 
 Entries are addressed 1-based: ``at(1, 1)`` is the top-left corner.
 
@@ -58,6 +70,18 @@ class Matrix:
     mode: ScalarMode = ScalarMode.EXACT
 
     def __post_init__(self):
+        self._check_shape()
+        if self.mode is ScalarMode.EXACT:
+            # Measuring ``span`` doubles as the overflow check for every
+            # operation that has not proved its result in range, since
+            # results only exist once they are constructed.
+            low, high = self.span
+            if low < INT128_MIN or high > INT128_MAX:
+                raise ExactOverflowError(
+                    "entry outside the signed 128-bit range in exact mode"
+                )
+
+    def _check_shape(self):
         if not isinstance(self.data, tuple):
             raise TypeError("matrix data must be a tuple")
         if self.rows < 1 or self.cols < 1:
@@ -68,19 +92,28 @@ class Matrix:
             raise DimensionError(
                 f"data length {len(self.data)} != {self.rows}x{self.cols}"
             )
-        if self.mode is ScalarMode.EXACT:
-            # Measuring ``span`` doubles as the overflow check for every
-            # operation, since results only exist once they are constructed.
-            low, high = self.span
-            if low < INT128_MIN or high > INT128_MAX:
-                raise ExactOverflowError(
-                    "entry outside the signed 128-bit range in exact mode"
-                )
+
+    @classmethod
+    def _proven(
+        cls, rows: int, cols: int, data: tuple, mode: ScalarMode, span=None
+    ) -> "Matrix":
+        """For this package's operations only: a matrix whose entries the
+        calling operation has proved to lie in range, built without the
+        int128 scan.  ``span`` is passed only when the proof gives the
+        exact (min, max); otherwise it is measured if and when it is read.
+        """
+        m = object.__new__(cls)
+        m.__dict__.update(rows=rows, cols=cols, data=data, mode=mode)
+        m._check_shape()
+        if span is not None:
+            m.__dict__["span"] = span
+        return m
 
     @cached_property
     def span(self) -> tuple:
-        """``(min(data), max(data))``, measured once: when an exact matrix
-        is built (its int128 check), or when a float one is first asked."""
+        """``(min(data), max(data))``, measured once: when a public
+        constructor builds an exact matrix (its int128 check), when an
+        operation proves it exactly, or else when it is first asked."""
         return min(self.data), max(self.data)
 
     @classmethod
@@ -223,6 +256,9 @@ def round_half_away(a: Matrix, divisor: int = 1) -> Matrix:
             (x + half) // divisor if x >= 0 else -((half - x) // divisor)
             for x in a.data
         ]
+        if divisor > 1:
+            # |round(x / d)| <= |x| when d >= 2, so the result stays in range.
+            return Matrix._proven(a.rows, a.cols, tuple(data), ScalarMode.EXACT)
     else:
         data = [
             math.floor(v + 0.5) if v >= 0 else math.ceil(v - 0.5)

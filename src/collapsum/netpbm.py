@@ -12,6 +12,8 @@ Binary samples are 1 byte up to maxval 255 and big-endian 2 bytes above.
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
@@ -149,7 +151,14 @@ def _read_binary_samples(data: bytes, pos: int, count: int, maxval: int) -> list
     raster = data[pos : pos + needed]
     if width_bytes == 1:
         return list(raster)
-    return [hi << 8 | lo for hi, lo in zip(raster[::2], raster[1::2])]
+    return _wide(array("H", raster)).tolist()
+
+
+def _wide(samples: array) -> array:
+    # 16-bit samples, converted between this host's order and big-endian.
+    if sys.byteorder == "little":
+        samples.byteswap()
+    return samples
 
 
 def _image(
@@ -208,20 +217,17 @@ def write_netpbm(img: ImagePlane | ColorImage, format: str = "binary") -> bytes:
     if color:
         magic = b"P3" if format == "ascii" else b"P6"
         grids = (p.samples.data for p in (img.red, img.green, img.blue))
-        flat = list(chain.from_iterable(zip(*grids)))
+        flat = tuple(chain.from_iterable(zip(*grids)))
     else:
         magic = b"P2" if format == "ascii" else b"P5"
-        flat = list(img.samples.data)
+        flat = img.samples.data
     header = b"%s\n%d %d\n%d\n" % (magic, width, height, maxval)
     if format == "ascii":
-        per_row = width * (3 if color else 1)
-        lines = [
-            " ".join(str(v) for v in flat[i : i + per_row])
-            for i in range(0, len(flat), per_row)
-        ]
-        return header + ("\n".join(lines) + "\n").encode("ascii")
+        # One line of decimal samples per image row, formatted in one pass.
+        line = b" ".join([b"%d"] * (width * (3 if color else 1))) + b"\n"
+        return (header + line * height) % flat
     if maxval > 255:
-        raster = b"".join(v.to_bytes(2, "big") for v in flat)
+        raster = _wide(array("H", flat)).tobytes()
     else:
         raster = bytes(flat)
     return header + raster

@@ -173,7 +173,11 @@ class TestBlurCommand:
     def test_each_plane_matrix_scanned_once(self, tmp_path, monkeypatch):
         # A 12x10 plane holds more entries than the 9x9 window, so only the
         # plane-sized matrices count: each plane is read, extended,
-        # collapsed and rounded, and each is scanned once, when built.
+        # collapsed and rounded.  A read plane is scanned when it is built.
+        # The extension carries its input's span and the packed collapse
+        # and the rounding prove their range, so neither is scanned when
+        # built; a rounded plane is scanned once, when quantizing reads its
+        # span.
         plane = 12 * 10
         rng = random.Random(9)
         raster = bytes(rng.randrange(256) for _ in range(3 * plane))
@@ -184,24 +188,28 @@ class TestBlurCommand:
             def counted(*args, **kwargs):
                 seq = args[0] if len(args) == 1 else None
                 if isinstance(seq, (tuple, list)) and len(seq) >= plane:
-                    scans.append(scan.__name__)
+                    scans.append(seq)
                 return scan(*args, **kwargs)
             return counted
 
-        post_init = Matrix.__post_init__
+        check_shape = Matrix._check_shape
 
         def building(self):
+            # Every constructor, public or proven, checks the shape.
             if self.mode is ScalarMode.EXACT and len(self.data) >= plane:
-                built.append((self.rows, self.cols))
-            post_init(self)
+                built.append(self)
+            check_shape(self)
 
-        monkeypatch.setattr(Matrix, "__post_init__", building)
+        monkeypatch.setattr(Matrix, "_check_shape", building)
         monkeypatch.setattr(builtins, "min", counting(min))
         monkeypatch.setattr(builtins, "max", counting(max))
         assert main(["blur", "-r", "4", src, str(tmp_path / "out.ppm")]) == 0
         monkeypatch.undo()
+        # Read red, green, blue; then extended, collapsed, rounded per plane.
         assert len(built) == 12
-        assert len(scans) == 2 * len(built)
+        per_matrix = [sum(seq is m.data for seq in scans) for m in built]
+        assert per_matrix == [2, 2, 2] + [0, 0, 2] * 3
+        assert len(scans) == 12
 
     def test_crop_radius_too_large(self, tmp_path, capsys):
         src = write_pgm(tmp_path / "in.pgm", b"P2\n3 3\n255\n" + b"1 " * 9)

@@ -23,7 +23,7 @@ from collapsum.collapse import (
     generalized_collapse,
     generalized_collapse_power,
 )
-from collapsum.kernels import Kernel, convolve_crop
+from collapsum.kernels import EdgeMode, Kernel, convolve_crop, extend_asym
 from collapsum.matrix import (
     INT128_MAX,
     INT128_MIN,
@@ -68,6 +68,21 @@ def per_entry_correlation(a, w):
 # The package's ``collapse`` attribute is the function, not this module.
 collapse_module = importlib.import_module("collapsum.collapse")
 LANE_SEVENTH = LANE_MAX // 7
+# The largest bound that 32-bit lanes hold.
+NARROW_MAX = 2**31 - 1
+
+
+def lane_bits(bound):
+    """The lane width that values within +-bound take, by the definition:
+    32 bits up to 2**31 - 1, 64 bits up to 2**63 - 1, else none."""
+    if bound <= NARROW_MAX:
+        return 32
+    return 64 if bound <= LANE_MAX else None
+
+
+def signed_entries(bits):
+    """Integers within +-2**bits, clipped to int128."""
+    return st.integers(-(2**bits), min(2**bits, INT128_MAX))
 
 
 def lane_bound(a, w):
@@ -78,18 +93,17 @@ def lane_bound(a, w):
 
 
 @st.composite
-def correlation_cases(draw):
+def correlation_cases(draw, bits=st.integers(0, 100)):
     """An input and a window of one scalar mode.  Exact entries are drawn
-    up to 2**bits with bits itself drawn, so the lane bound falls on both
-    sides of 2**63."""
+    up to 2**k with k itself drawn from ``bits``, so the lane bound falls
+    on both sides of 2**31 and of 2**63."""
     b1, b2 = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     m = draw(st.integers(b1, b1 + 4))
     n = draw(st.integers(b2, b2 + 4))
     mode = draw(st.sampled_from(ScalarMode))
     if mode is ScalarMode.EXACT:
         weight = st.integers(-(2**27), 2**27)
-        bits = draw(st.integers(0, 100))
-        entry = st.integers(-(2**bits), 2**bits)
+        entry = signed_entries(draw(bits))
     else:
         weight = entry = st.just(-0.0) | st.floats(-1e6, 1e6)
 
@@ -102,14 +116,17 @@ def correlation_cases(draw):
 
 def assert_entries(run, expected, mode):
     # repr shows the value types and the sign of zero; exact results that
-    # leave int128 must raise instead.
+    # leave int128 must raise instead.  A result's span, carried or
+    # measured when read, is its exact (min, max).
     if mode is ScalarMode.EXACT and not (
         INT128_MIN <= min(expected) and max(expected) <= INT128_MAX
     ):
         with pytest.raises(ExactOverflowError):
             run()
     else:
-        assert repr(run().data) == repr(expected)
+        out = run()
+        assert repr(out.data) == repr(expected)
+        assert out.span == (min(expected), max(expected))
 
 
 def basis(rows, cols, p, q):
@@ -160,17 +177,35 @@ def power_bound(a, passes):
     return max(abs(x) for x in a.data) * 2**passes
 
 
+def per_pass_powers(a, power, s):
+    """Reference: the passes of ``power(a, s)`` entry by entry, in the order
+    it runs them (each full collapse goes down, then right); None when one
+    of them leaves int128, where the unpacked loop's per-pass scan raises."""
+    down, right = POWER_PASSES[power]
+    rows = a.to_rows()
+    for _ in range(s):
+        for step in ["down"] * down + ["right"] * right:
+            if step == "down":
+                rows = [[x + y for x, y in zip(r, q)] for r, q in zip(rows, rows[1:])]
+            else:
+                rows = [[x + y for x, y in zip(r, r[1:])] for r in rows]
+            flat = [x for r in rows for x in r]
+            if not (INT128_MIN <= min(flat) and max(flat) <= INT128_MAX):
+                return None
+    return tuple(x for r in rows for x in r)
+
+
 @st.composite
-def power_cases(draw):
+def power_cases(draw, bits=st.integers(0, 100)):
     """An exact plane, a collapse power and any valid s.  Entries are drawn
-    up to 2**bits with bits itself drawn, so B falls on both sides of 2**63
-    while every result stays far inside int128."""
+    up to 2**k with k itself drawn from ``bits``, so B falls on both sides
+    of 2**31 and of 2**63; with the default every result stays far inside
+    int128."""
     power = draw(st.sampled_from(sorted(POWER_PASSES, key=lambda f: f.__name__)))
     down, right = POWER_PASSES[power]
     m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    bits = draw(st.integers(0, 100))
     data = draw(
-        st.lists(st.integers(-(2**bits), 2**bits), min_size=m * n, max_size=m * n)
+        st.lists(signed_entries(draw(bits)), min_size=m * n, max_size=m * n)
     )
     s = draw(st.integers(0, min(m if down else n, n if right else m) - 1))
     return Matrix(m, n, tuple(data)), power, s
@@ -331,22 +366,25 @@ class TestPowers:
     def test_powers_match_per_index_pair_sums(self, case):
         a, power, s = case
         down, right = POWER_PASSES[power]
-        packed = s > 0 and power_bound(a, (down + right) * s) <= LANE_MAX
+        bits = lane_bits(power_bound(a, (down + right) * s)) if s else None
         with counted_calls("_packed_repeat") as calls:
             out = power(a, s)
         assert (out.rows, out.cols) == (a.rows - down * s, a.cols - right * s)
         assert out.data == pair_sum_powers(a, down * s, right * s)
-        assert len(calls) == packed
+        # The last argument is the lane width that ran.
+        assert [call[-1] for call in calls] == ([bits] if bits else [])
 
     @pytest.mark.parametrize("packed", [True, False])
     def test_power_cases_straddle_the_lane_bound(self, packed):
-        def side(case):
+        # The cases above run in 32-bit lanes, in 64-bit lanes and unpacked.
+        def width(case):
             a, power, s = case
             passes = sum(POWER_PASSES[power]) * s
-            return s > 0 and (power_bound(a, passes) <= LANE_MAX) is packed
+            return lane_bits(power_bound(a, passes)) if s else None
 
-        find(power_cases(), side,
-             settings=settings(database=None, phases=[Phase.generate]))
+        for bits in (32, 64) if packed else (None,):
+            find(power_cases(), lambda case: width(case) == bits,
+                 settings=settings(database=None, phases=[Phase.generate]))
 
     # B = max|a| * 2**passes.  With s >= 1 the last packed B is
     # 2**63 - 2**passes, and the widest lanes, 2 * B, come from summing
@@ -382,21 +420,39 @@ class TestPowers:
             (collapse_power, [[2**126, 2**126], [0, 0]], 1, False),
             (collapse_down_power, [[-(2**126)], [-(2**126) - 1]], 1, False),
             (collapse_right_power, [[2**125] * 4], 2, False),
+            # 32-bit lanes hold B <= 2**31 - 1, so with s >= 1 the last B
+            # they take is 2**31 - 2**passes, with the widest 2B lanes.
+            (collapse_power, [[NARROW_MAX >> 2] * 2 + [0]] * 2
+             + [[0, 0, -(NARROW_MAX >> 2)]], 1, True),
+            (collapse_down_power, [[NARROW_MAX >> 3]] * 4
+             + [[-(NARROW_MAX >> 3)]], 3, True),
+            (collapse_right_power, [[NARROW_MAX >> 3] * 4
+                                    + [-(NARROW_MAX >> 3)]] * 2, 3, True),
+            # B = 2**31 takes 64-bit lanes.
+            (collapse_power, [[(NARROW_MAX >> 2) + 1] * 2 + [0]] * 2
+             + [[0, 0, -(NARROW_MAX >> 2)]], 1, True),
+            (collapse_right_power, [[2**28] * 5], 3, True),
+            # Negative minima setting B: 2**31 - 8 in 32-bit lanes, then
+            # 2**31 in 64-bit lanes.
+            (collapse_down_power, [[3], [-(NARROW_MAX >> 3)], [5], [0]], 3, True),
+            (collapse_down_power, [[3], [-(2**28)], [5], [0]], 3, True),
         ],
     )
     def test_power_lane_edges(self, power, rows, s, packed):
         a = Matrix.from_rows(rows)
         down, right = POWER_PASSES[power]
+        bits = None
         if s:
-            passes = (down + right) * s
-            assert (power_bound(a, passes) <= LANE_MAX) is packed
+            bits = lane_bits(power_bound(a, (down + right) * s))
+            assert (bits is not None) is packed
         with counted_calls("_packed_repeat") as calls:
             assert_entries(
                 lambda: power(a, s),
                 pair_sum_powers(a, down * s, right * s),
                 ScalarMode.EXACT,
             )
-        assert len(calls) == packed
+        # The last argument is the lane width that ran.
+        assert [call[-1] for call in calls] == ([bits] if packed else [])
 
 
 class TestGeneralized:
@@ -467,15 +523,16 @@ class TestGeneralized:
 
     @pytest.mark.parametrize("packed", [True, False])
     def test_cases_straddle_the_lane_bound(self, packed):
-        # The exact cases above land on both sides of the 64-bit lane bound,
-        # so they exercise the packed product and the shift-and-add loop.
-        def side(case):
+        # The exact cases above land in 32-bit lanes, in 64-bit lanes and
+        # beyond, so they exercise the packed product at both widths and
+        # the shift-and-add loop.
+        def width(case):
             a, w = case
-            if a.mode is not ScalarMode.EXACT:
-                return False
-            return (lane_bound(a, w) <= LANE_MAX) is packed
+            return lane_bits(lane_bound(a, w)) if a.mode is ScalarMode.EXACT else 0
 
-        find(correlation_cases(), side, settings=settings(database=None))
+        for bits in (32, 64) if packed else (None,):
+            find(correlation_cases(), lambda case: width(case) == bits,
+                 settings=settings(database=None, phases=[Phase.generate]))
 
     # Entries and weights around the lane bound B = max(max|a| * sum|w|,
     # max|a|, max|w|): 2**63 - 1 = 7 * LANE_SEVENTH is the last packed B.
@@ -513,18 +570,33 @@ class TestGeneralized:
             ([[5, -7], [1, 2], [-3, 4]], [[2], [0], [-3]], True),
             ([[2**62, 1], [2**62, 2]], [[1], [1]], False),
             ([[-(2**62)], [-(2**62)]], [[1], [1]], False),
+            # 32-bit lanes: B = 2**31 - 1 with lanes of +B and -B.
+            ([[1, -1, 1]], [[2**30, -(2**30 - 1)]], True),
+            ([[NARROW_MAX], [-NARROW_MAX]], [[1]], True),
+            ([[1], [-1], [1]], [[2**30], [-(2**30 - 1)]], True),
+            ([[0, 0, 0], [0, 0, 0]], [[NARROW_MAX, 0], [0, -NARROW_MAX]], True),
+            # B = 2**31 takes 64-bit lanes.
+            ([[2**30, 2**30]], [[1, 1]], True),
+            ([[2**30], [2**30]], [[1], [1]], True),
+            ([[0, 0]], [[2**31, 1]], True),
+            # Negative minima: -(2**31 - 1) in 32-bit lanes, -(2**31) in
+            # 64-bit lanes.
+            ([[-NARROW_MAX, -1]], [[1]], True),
+            ([[-(2**31), 5]], [[1]], True),
         ],
     )
     def test_lane_edges(self, rows, weights, packed):
         a, w = Matrix.from_rows(rows), Matrix.from_rows(weights)
-        assert (lane_bound(a, w) <= LANE_MAX) is packed
+        bits = lane_bits(lane_bound(a, w))
+        assert (bits is not None) is packed
         with counted_calls("_packed_correlation") as calls:
             assert_entries(
                 lambda: generalized_collapse(a, GammaSpec(w)),
                 per_entry_correlation(a, w),
                 ScalarMode.EXACT,
             )
-        assert len(calls) == packed
+        # The last argument is the lane width that ran.
+        assert [call[-1] for call in calls] == ([bits] if packed else [])
 
     def test_power_zero(self):
         a = Matrix.from_rows([[1, 2], [3, 4]])
@@ -562,6 +634,71 @@ class TestGeneralized:
                 rho=Matrix.from_rows([[1], [1]]),
                 phi=Matrix.from_rows([[1], [1]]),
             )
+
+
+def correlation_overflows(case):
+    a, w = case
+    expected = per_entry_correlation(a, w)
+    return a.mode is ScalarMode.EXACT and not (
+        INT128_MIN <= min(expected) and max(expected) <= INT128_MAX
+    )
+
+
+# Entry sizes up to the int128 edge, half of them at it.
+WIDE_BITS = st.integers(0, 127) | st.just(127)
+
+
+class TestProvenSpans:
+    """Results that the package builds without an int128 scan, for entries
+    up to +-2**127: a span read from them is their exact (min, max), and
+    ExactOverflowError comes exactly where the per-pass or per-entry
+    references leave int128."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(power_cases(WIDE_BITS))
+    def test_powers(self, case):
+        a, power, s = case
+        expected = per_pass_powers(a, power, s)
+        if expected is None:
+            with pytest.raises(ExactOverflowError):
+                power(a, s)
+        else:
+            out = power(a, s)
+            assert out.data == expected
+            assert out.span == (min(expected), max(expected))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_extension(self, data):
+        m, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        entry = signed_entries(data.draw(WIDE_BITS))
+        a = Matrix(m, n, tuple(data.draw(
+            st.lists(entry, min_size=m * n, max_size=m * n))))
+        mode = data.draw(st.sampled_from(
+            [EdgeMode.REPLICATE, EdgeMode.MIRROR, EdgeMode.ZERO]))
+        wide = 3 if mode is not EdgeMode.MIRROR else 0
+        top, bottom = (data.draw(st.integers(0, m - 1 + wide)) for _ in "tb")
+        left, right = (data.draw(st.integers(0, n - 1 + wide)) for _ in "lr")
+        out = extend_asym(a, top, bottom, left, right, mode)
+        assert out.span == (min(out.data), max(out.data))
+
+    @settings(max_examples=200, deadline=None)
+    @given(correlation_cases(WIDE_BITS))
+    def test_generalized_collapse(self, case):
+        a, w = case
+        assert_entries(lambda: generalized_collapse(a, GammaSpec(w)),
+                       per_entry_correlation(a, w), a.mode)
+
+    @pytest.mark.parametrize("overflows", [True, False])
+    def test_cases_reach_the_int128_edge(self, overflows):
+        # Both properties above draw results in range and beyond it.
+        drawn = settings(database=None, phases=[Phase.generate], max_examples=1000)
+        find(power_cases(WIDE_BITS),
+             lambda case: (per_pass_powers(*case) is None) is overflows,
+             settings=drawn)
+        find(correlation_cases(WIDE_BITS),
+             lambda case: correlation_overflows(case) is overflows,
+             settings=drawn)
 
 
 class TestNdArray:

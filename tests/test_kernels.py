@@ -331,6 +331,7 @@ class TestExtend:
                     assert out.mode is a.mode
                     assert out.to_rows() == [list(x) for x in zip(*cols)]
                     assert all(type(v) is type(zero) for v in out.data)
+                    assert out.span == (min(out.data), max(out.data))
 
 
 class TestConvolveCrop:

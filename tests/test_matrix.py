@@ -297,4 +297,6 @@ class TestRoundHalfAway:
         expected = math.floor(abs(q) + Fraction(1, 2))
         if q < 0:
             expected = -expected
-        assert round_half_away(Matrix(1, 1, (x,)), d).data == (expected,)
+        out = round_half_away(Matrix(1, 1, (x,)), d)
+        assert out.data == (expected,)
+        assert out.span == (expected, expected)
