@@ -12,8 +12,11 @@ later bound on the matrix.  When it is known:
   it without the scan, through a constructor private to the package.
   Edge extension carries the exact span of its input (with 0 added under
   zero padding).  A packed collapse power or packed correlation, whose
-  entries lie within +-(2**63 - 1), and exact rounding by a divisor >= 2,
-  which never grows a magnitude, leave it unmeasured.
+  entries lie within a proven bound (and in int128, checked on the packed
+  int when the bound goes beyond it), and exact rounding by a divisor
+  >= 2, which never grows a magnitude, leave it unmeasured.  The packed
+  operations carry their bound instead, which the next one reads to size
+  its lanes.
 - An unmeasured span, and that of a float matrix, is measured once when
   first read.
 
@@ -39,6 +42,7 @@ from typing import Sequence
 
 INT128_MIN = -(2**127)
 INT128_MAX = 2**127 - 1
+OUT_OF_RANGE = "entry outside the signed 128-bit range in exact mode"
 
 
 class ScalarMode(Enum):
@@ -77,9 +81,7 @@ class Matrix:
             # results only exist once they are constructed.
             low, high = self.span
             if low < INT128_MIN or high > INT128_MAX:
-                raise ExactOverflowError(
-                    "entry outside the signed 128-bit range in exact mode"
-                )
+                raise ExactOverflowError(OUT_OF_RANGE)
 
     def _check_shape(self):
         if not isinstance(self.data, tuple):
@@ -95,18 +97,23 @@ class Matrix:
 
     @classmethod
     def _proven(
-        cls, rows: int, cols: int, data: tuple, mode: ScalarMode, span=None
+        cls, rows: int, cols: int, data: tuple, mode: ScalarMode, span=None,
+        bounds=None,
     ) -> "Matrix":
         """For this package's operations only: a matrix whose entries the
         calling operation has proved to lie in range, built without the
         int128 scan.  ``span`` is passed only when the proof gives the
         exact (min, max); otherwise it is measured if and when it is read.
+        ``bounds`` is a proven (low, high) around every entry, kept as
+        :attr:`_bounds` for the next operation's lane sizing.
         """
         m = object.__new__(cls)
         m.__dict__.update(rows=rows, cols=cols, data=data, mode=mode)
         m._check_shape()
         if span is not None:
             m.__dict__["span"] = span
+        if bounds is not None:
+            m.__dict__["_bounds"] = bounds
         return m
 
     @cached_property
@@ -115,6 +122,12 @@ class Matrix:
         constructor builds an exact matrix (its int128 check), when an
         operation proves it exactly, or else when it is first asked."""
         return min(self.data), max(self.data)
+
+    @cached_property
+    def _bounds(self) -> tuple:
+        # A proven (low, high) with low <= every entry <= high: what the
+        # operation that built the matrix proved, else the span.
+        return self.span
 
     @classmethod
     def from_rows(

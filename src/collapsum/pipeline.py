@@ -118,14 +118,18 @@ def rect_blur(a: Matrix, h: int, w: int, edge: EdgeMode) -> FilterResult:
 def deviation(x: FilterResult, y: FilterResult) -> float:
     """Max entrywise difference between two filter results as values.
 
-    Exact pairs compare by cross-multiplication, so 0.0 means identical
-    rational values, not merely close floats.
+    Exact pairs compare their numerators when the divisors are equal and
+    by cross-multiplication otherwise, so 0.0 means identical rational
+    values, not merely close floats.
     """
     nx, ny = x.numerator, y.numerator
     if nx.rows != ny.rows or nx.cols != ny.cols:
         raise DimensionError("results have different shapes")
     if nx.mode is ScalarMode.EXACT and ny.mode is ScalarMode.EXACT:
-        if all(
+        if x.divisor == y.divisor:
+            if nx.data == ny.data:
+                return 0.0
+        elif all(
             p * y.divisor == q * x.divisor for p, q in zip(nx.data, ny.data)
         ):
             return 0.0

@@ -172,44 +172,48 @@ class TestBlurCommand:
 
     def test_each_plane_matrix_scanned_once(self, tmp_path, monkeypatch):
         # A 12x10 plane holds more entries than the 9x9 window, so only the
-        # plane-sized matrices count: each plane is read, extended,
-        # collapsed and rounded.  A read plane is scanned when it is built.
-        # The extension carries its input's span and the packed collapse
-        # and the rounding prove their range, so neither is scanned when
-        # built; a rounded plane is scanned once, when quantizing reads its
-        # span.
+        # plane-sized matrices count: each plane is read, extended, blurred
+        # (collapsed, correlated, or correlated by rows and then by
+        # columns) and rounded.  A read plane is scanned when it is built.
+        # The extension carries its input's span, and the packed passes,
+        # the packed correlations and the rounding prove their range, so
+        # none of them is scanned when built; the column pass sizes its
+        # lanes from the row pass's proven bound.  A rounded plane is
+        # scanned once, when quantizing reads its span.
         plane = 12 * 10
         rng = random.Random(9)
         raster = bytes(rng.randrange(256) for _ in range(3 * plane))
         src = write_pgm(tmp_path / "in.ppm", b"P6\n12 10\n255\n" + raster)
-        scans, built = [], []
-
-        def counting(scan):
-            def counted(*args, **kwargs):
-                seq = args[0] if len(args) == 1 else None
-                if isinstance(seq, (tuple, list)) and len(seq) >= plane:
-                    scans.append(seq)
-                return scan(*args, **kwargs)
-            return counted
-
         check_shape = Matrix._check_shape
+        blurred = {"collapse": 1, "direct": 1, "separable": 2}
+        for method, passes in blurred.items():
+            scans, built = [], []
 
-        def building(self):
-            # Every constructor, public or proven, checks the shape.
-            if self.mode is ScalarMode.EXACT and len(self.data) >= plane:
-                built.append(self)
-            check_shape(self)
+            def counting(scan):
+                def counted(*args, **kwargs):
+                    seq = args[0] if len(args) == 1 else None
+                    if isinstance(seq, (tuple, list)) and len(seq) >= plane:
+                        scans.append(seq)
+                    return scan(*args, **kwargs)
+                return counted
 
-        monkeypatch.setattr(Matrix, "_check_shape", building)
-        monkeypatch.setattr(builtins, "min", counting(min))
-        monkeypatch.setattr(builtins, "max", counting(max))
-        assert main(["blur", "-r", "4", src, str(tmp_path / "out.ppm")]) == 0
-        monkeypatch.undo()
-        # Read red, green, blue; then extended, collapsed, rounded per plane.
-        assert len(built) == 12
-        per_matrix = [sum(seq is m.data for seq in scans) for m in built]
-        assert per_matrix == [2, 2, 2] + [0, 0, 2] * 3
-        assert len(scans) == 12
+            def building(self):
+                # Every constructor, public or proven, checks the shape.
+                if self.mode is ScalarMode.EXACT and len(self.data) >= plane:
+                    built.append(self)
+                check_shape(self)
+
+            monkeypatch.setattr(Matrix, "_check_shape", building)
+            monkeypatch.setattr(builtins, "min", counting(min))
+            monkeypatch.setattr(builtins, "max", counting(max))
+            out = str(tmp_path / f"{method}.ppm")
+            assert main(["blur", "-r", "4", "--method", method, src, out]) == 0
+            monkeypatch.undo()
+            # Read red, green, blue; then extended, blurred, rounded per plane.
+            assert len(built) == 3 + 3 * (2 + passes), method
+            per_matrix = [sum(seq is m.data for seq in scans) for m in built]
+            assert per_matrix == [2, 2, 2] + ([0] * (1 + passes) + [2]) * 3, method
+            assert len(scans) == 12, method
 
     def test_crop_radius_too_large(self, tmp_path, capsys):
         src = write_pgm(tmp_path / "in.pgm", b"P2\n3 3\n255\n" + b"1 " * 9)

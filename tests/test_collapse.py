@@ -72,17 +72,28 @@ LANE_SEVENTH = LANE_MAX // 7
 NARROW_MAX = 2**31 - 1
 
 
-def lane_bits(bound):
-    """The lane width that values within +-bound take, by the definition:
-    32 bits up to 2**31 - 1, 64 bits up to 2**63 - 1, else none."""
-    if bound <= NARROW_MAX:
-        return 32
-    return 64 if bound <= LANE_MAX else None
+def lane_bits(bound, signed):
+    """The lane width that values in [0, bound], or within +-bound when
+    signed, take by the definition: 8L bits for the narrowest whole number
+    of bytes L >= 1 with bound < 2**(8L), or bound <= 2**(8L-1) - 1 when
+    signed; none for signed values beyond 2**63 - 1."""
+    if signed and bound > LANE_MAX:
+        return None
+    size = 1
+    while not (bound <= 2 ** (8 * size - 1) - 1 if signed
+               else bound < 2 ** (8 * size)):
+        size += 1
+    return 8 * size
 
 
 def signed_entries(bits):
     """Integers within +-2**bits, clipped to int128."""
     return st.integers(-(2**bits), min(2**bits, INT128_MAX))
+
+
+def nonnegative_entries(bits):
+    """Integers in [0, 2**bits], clipped to int128."""
+    return st.integers(0, min(2**bits, INT128_MAX))
 
 
 def lane_bound(a, w):
@@ -92,18 +103,26 @@ def lane_bound(a, w):
                max(abs(x) for x in w.data))
 
 
+def correlation_bits(a, w):
+    """The lane width of a correlation: unsigned when the input and the
+    window are nonnegative."""
+    return lane_bits(lane_bound(a, w), min(a.data + w.data) < 0)
+
+
 @st.composite
-def correlation_cases(draw, bits=st.integers(0, 100)):
-    """An input and a window of one scalar mode.  Exact entries are drawn
-    up to 2**k with k itself drawn from ``bits``, so the lane bound falls
-    on both sides of 2**31 and of 2**63."""
+def correlation_cases(draw, bits=st.integers(0, 100), nonnegative=st.booleans()):
+    """An input and a window of one scalar mode, exact when drawn
+    ``nonnegative`` (then no entry or weight is negative).  Exact entries
+    are drawn up to 2**k with k itself drawn from ``bits``, so the lane
+    bound falls on both sides of 2**31 and of 2**63."""
+    nonnegative = draw(nonnegative)
     b1, b2 = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     m = draw(st.integers(b1, b1 + 4))
     n = draw(st.integers(b2, b2 + 4))
-    mode = draw(st.sampled_from(ScalarMode))
+    mode = ScalarMode.EXACT if nonnegative else draw(st.sampled_from(ScalarMode))
     if mode is ScalarMode.EXACT:
-        weight = st.integers(-(2**27), 2**27)
-        entry = signed_entries(draw(bits))
+        weight = st.integers(0 if nonnegative else -(2**27), 2**27)
+        entry = (nonnegative_entries if nonnegative else signed_entries)(draw(bits))
     else:
         weight = entry = st.just(-0.0) | st.floats(-1e6, 1e6)
 
@@ -112,6 +131,14 @@ def correlation_cases(draw, bits=st.integers(0, 100)):
 
     w = Matrix(b1, b2, entries(b1 * b2, weight), mode)
     return Matrix(m, n, entries(m * n, entry), mode), w
+
+
+def assert_bounds(out):
+    """The bound that an exact result carries for the next operation's
+    lanes encloses its entries and lies in int128."""
+    low, high = out._bounds
+    assert INT128_MIN <= low <= min(out.data)
+    assert max(out.data) <= high <= INT128_MAX
 
 
 def assert_entries(run, expected, mode):
@@ -127,6 +154,8 @@ def assert_entries(run, expected, mode):
         out = run()
         assert repr(out.data) == repr(expected)
         assert out.span == (min(expected), max(expected))
+        if mode is ScalarMode.EXACT:
+            assert_bounds(out)
 
 
 def basis(rows, cols, p, q):
@@ -156,6 +185,60 @@ POWER_PASSES = {
 }
 LANE_QUARTER = LANE_MAX >> 2
 LANE_EIGHTH = LANE_MAX >> 3
+# Lane widths in bits that the drawn cases reach: native items of 1, 4
+# and 8 bytes, scattered bytes of 2, 3 and 9.
+LANE_WIDTHS = (8, 16, 24, 32, 64, 72)
+
+
+def nonnegative_power_edges():
+    """Nonnegative planes around the edges of k-byte lanes: constant planes
+    with B = max(a) * 4 = 2**(8k) - 4 (the last B in k bytes after two
+    passes) and 2**(8k), every power in turn; then B around 2**127."""
+    powers = [
+        (collapse_power, 3, 3, 1),
+        (collapse_down_power, 3, 2, 2),
+        (collapse_right_power, 2, 3, 2),
+    ]
+    for i, k in enumerate((1, 2, 3, 4, 5, 8)):
+        power, rows, cols, s = powers[i % 3]
+        for top in (2 ** (8 * k) - 4, 2 ** (8 * k)):
+            yield power, [[top >> 2] * cols] * rows, s, True
+    # B = 2**127 - 4 in 16-byte lanes, and 2**127, which leaves int128.
+    yield collapse_power, [[2**125 - 1] * 3] * 3, 1, True
+    yield collapse_power, [[2**125] * 3] * 3, 1, True
+    # B = 2**127 with every kept entry in range: the last one, and a
+    # dropped lane (a pass right wrapping onto the next row) at 2**127.
+    yield collapse_down_power, [[2**126], [2**126 - 1]], 1, True
+    yield collapse_right_power, [[0, 2**126], [2**126, 0]], 1, True
+    # B = 2**128, in 17-byte lanes, with the result in range.
+    yield collapse_power, [[2**126, 0], [0, 0]], 1, True
+    # An all-zero plane takes 1-byte lanes.
+    yield collapse_right_power, [[0] * 4] * 2, 3, True
+
+
+def nonnegative_correlation_edges():
+    """Nonnegative inputs and windows with B = 2**(8k) - 1 (every output
+    3t) and B = 2**(8k) (every output 2t), row and column windows in turn;
+    then B around 2**127."""
+    for k in (1, 2, 3, 4, 5, 8):
+        last, first = (2 ** (8 * k) - 1) // 3, 2 ** (8 * k - 1)
+        if k % 2:
+            yield [[last] * 3] * 2, [[1, 2]], True
+            yield [[first] * 3] * 2, [[1, 1]], True
+        else:
+            yield [[last] * 2] * 3, [[1], [2]], True
+            yield [[first] * 2] * 3, [[1], [1]], True
+    # B = 2**127 - 1 in 16-byte lanes, from the input and from the window.
+    yield [[INT128_MAX, 0], [0, 5]], [[1]], True
+    yield [[1, 1, 1]], [[2**126, 2**126 - 1]], True
+    # B = 2**127 with every kept entry in range: the last one, and a
+    # dropped lane (the window wrapping onto the next row) at 2**127.
+    yield [[2**126], [2**126 - 1]], [[1], [1]], True
+    yield [[0, 2**126], [2**126, 0]], [[1, 1]], True
+    # B = 2**128, in 17-byte lanes, with the result in range.
+    yield [[2**126, 0, 0]], [[1, 2, 1]], True
+    # An all-zero input and window take 1-byte lanes.
+    yield [[0] * 3] * 2, [[0, 0]], True
 
 
 def pair_sum_powers(a, down, right):
@@ -177,6 +260,12 @@ def power_bound(a, passes):
     return max(abs(x) for x in a.data) * 2**passes
 
 
+def power_bits(a, passes):
+    """The lane width of a collapse power: lanes hold B when the plane is
+    nonnegative and 2B (a - min(a), within +-B as signed) otherwise."""
+    return lane_bits(power_bound(a, passes), min(a.data) < 0)
+
+
 def per_pass_powers(a, power, s):
     """Reference: the passes of ``power(a, s)`` entry by entry, in the order
     it runs them (each full collapse goes down, then right); None when one
@@ -196,17 +285,16 @@ def per_pass_powers(a, power, s):
 
 
 @st.composite
-def power_cases(draw, bits=st.integers(0, 100)):
+def power_cases(draw, bits=st.integers(0, 100), nonnegative=st.booleans()):
     """An exact plane, a collapse power and any valid s.  Entries are drawn
     up to 2**k with k itself drawn from ``bits``, so B falls on both sides
     of 2**31 and of 2**63; with the default every result stays far inside
-    int128."""
+    int128.  When drawn ``nonnegative``, no entry is negative."""
     power = draw(st.sampled_from(sorted(POWER_PASSES, key=lambda f: f.__name__)))
     down, right = POWER_PASSES[power]
     m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    data = draw(
-        st.lists(signed_entries(draw(bits)), min_size=m * n, max_size=m * n)
-    )
+    entries = nonnegative_entries if draw(nonnegative) else signed_entries
+    data = draw(st.lists(entries(draw(bits)), min_size=m * n, max_size=m * n))
     s = draw(st.integers(0, min(m if down else n, n if right else m) - 1))
     return Matrix(m, n, tuple(data)), power, s
 
@@ -366,7 +454,7 @@ class TestPowers:
     def test_powers_match_per_index_pair_sums(self, case):
         a, power, s = case
         down, right = POWER_PASSES[power]
-        bits = lane_bits(power_bound(a, (down + right) * s)) if s else None
+        bits = power_bits(a, (down + right) * s) if s else None
         with counted_calls("_packed_repeat") as calls:
             out = power(a, s)
         assert (out.rows, out.cols) == (a.rows - down * s, a.cols - right * s)
@@ -376,19 +464,22 @@ class TestPowers:
 
     @pytest.mark.parametrize("packed", [True, False])
     def test_power_cases_straddle_the_lane_bound(self, packed):
-        # The cases above run in 32-bit lanes, in 64-bit lanes and unpacked.
+        # The cases above run in lanes of every width in LANE_WIDTHS, and
+        # unpacked.
         def width(case):
             a, power, s = case
-            passes = sum(POWER_PASSES[power]) * s
-            return lane_bits(power_bound(a, passes)) if s else None
+            return power_bits(a, sum(POWER_PASSES[power]) * s) if s else None
 
-        for bits in (32, 64) if packed else (None,):
+        for bits in LANE_WIDTHS if packed else (None,):
             find(power_cases(), lambda case: width(case) == bits,
-                 settings=settings(database=None, phases=[Phase.generate]))
+                 settings=settings(database=None, phases=[Phase.generate],
+                                   max_examples=1000))
 
-    # B = max|a| * 2**passes.  With s >= 1 the last packed B is
-    # 2**63 - 2**passes, and the widest lanes, 2 * B, come from summing
-    # only entries at max|a| over a packed minimum of -max|a|.
+    # B = max|a| * 2**passes.  A signed plane packs up to B = 2**63 - 1,
+    # so with s >= 1 the last signed B is 2**63 - 2**passes, and its widest
+    # lanes, 2 * B, come from summing only entries at max|a| over a packed
+    # minimum of -max|a|.  A nonnegative plane packs at any B, in lanes
+    # that hold B.
     @pytest.mark.parametrize(
         "power, rows, s, packed",
         [
@@ -416,10 +507,10 @@ class TestPowers:
             # s = 0 returns the input.
             (collapse_power, [[1, 2], [3, 4]], 0, False),
             (collapse_down_power, [[2**126], [-(2**127)]], 0, False),
-            # Results that leave int128 must raise.
-            (collapse_power, [[2**126, 2**126], [0, 0]], 1, False),
+            # Results that leave int128 must raise; nonnegative ones pack.
+            (collapse_power, [[2**126, 2**126], [0, 0]], 1, True),
             (collapse_down_power, [[-(2**126)], [-(2**126) - 1]], 1, False),
-            (collapse_right_power, [[2**125] * 4], 2, False),
+            (collapse_right_power, [[2**125] * 4], 2, True),
             # 32-bit lanes hold B <= 2**31 - 1, so with s >= 1 the last B
             # they take is 2**31 - 2**passes, with the widest 2B lanes.
             (collapse_power, [[NARROW_MAX >> 2] * 2 + [0]] * 2
@@ -428,7 +519,8 @@ class TestPowers:
              + [[-(NARROW_MAX >> 3)]], 3, True),
             (collapse_right_power, [[NARROW_MAX >> 3] * 4
                                     + [-(NARROW_MAX >> 3)]] * 2, 3, True),
-            # B = 2**31 takes 64-bit lanes.
+            # B = 2**31 takes 64-bit lanes when signed, 32-bit ones when
+            # nonnegative.
             (collapse_power, [[(NARROW_MAX >> 2) + 1] * 2 + [0]] * 2
              + [[0, 0, -(NARROW_MAX >> 2)]], 1, True),
             (collapse_right_power, [[2**28] * 5], 3, True),
@@ -436,6 +528,7 @@ class TestPowers:
             # 2**31 in 64-bit lanes.
             (collapse_down_power, [[3], [-(NARROW_MAX >> 3)], [5], [0]], 3, True),
             (collapse_down_power, [[3], [-(2**28)], [5], [0]], 3, True),
+            *nonnegative_power_edges(),
         ],
     )
     def test_power_lane_edges(self, power, rows, s, packed):
@@ -443,7 +536,7 @@ class TestPowers:
         down, right = POWER_PASSES[power]
         bits = None
         if s:
-            bits = lane_bits(power_bound(a, (down + right) * s))
+            bits = power_bits(a, (down + right) * s)
             assert (bits is not None) is packed
         with counted_calls("_packed_repeat") as calls:
             assert_entries(
@@ -523,16 +616,17 @@ class TestGeneralized:
 
     @pytest.mark.parametrize("packed", [True, False])
     def test_cases_straddle_the_lane_bound(self, packed):
-        # The exact cases above land in 32-bit lanes, in 64-bit lanes and
-        # beyond, so they exercise the packed product at both widths and
-        # the shift-and-add loop.
+        # The exact cases above land in lanes of every width in LANE_WIDTHS
+        # and beyond any lane, so they exercise the packed product at native
+        # and scattered widths and the shift-and-add loop.
         def width(case):
             a, w = case
-            return lane_bits(lane_bound(a, w)) if a.mode is ScalarMode.EXACT else 0
+            return correlation_bits(a, w) if a.mode is ScalarMode.EXACT else 0
 
-        for bits in (32, 64) if packed else (None,):
+        for bits in LANE_WIDTHS if packed else (None,):
             find(correlation_cases(), lambda case: width(case) == bits,
-                 settings=settings(database=None, phases=[Phase.generate]))
+                 settings=settings(database=None, phases=[Phase.generate],
+                                   max_examples=1000))
 
     # Entries and weights around the lane bound B = max(max|a| * sum|w|,
     # max|a|, max|w|): 2**63 - 1 = 7 * LANE_SEVENTH is the last packed B.
@@ -544,12 +638,13 @@ class TestGeneralized:
             ([[LANE_MAX], [-LANE_MAX]], [[1]], True),
             ([[-LANE_MAX, 0, -LANE_MAX]], [[1, 0]], True),
             ([[-LANE_MAX, -1]], [[1]], True),
-            # B = 2**63: one more than a lane holds.
-            ([[2**62, 2**62]], [[1, 1]], False),
+            # B = 2**63: one more than a signed lane holds; unsigned 64-bit
+            # lanes hold it.
+            ([[2**62, 2**62]], [[1, 1]], True),
             ([[-(2**62), -(2**62)]], [[1, 1]], False),
             ([[2**62, -(2**62)]], [[1, -1]], False),
-            ([[2**63]], [[0]], False),
-            ([[0, 0, 0]], [[2**63, 1]], False),
+            ([[2**63]], [[0]], True),
+            ([[0, 0, 0]], [[2**63, 1]], True),
             ([[-(2**63), 5]], [[1]], False),
             # All-zero weights over entries near +-2**126.
             ([[2**126, -(2**126)], [INT128_MAX, INT128_MIN]], [[0, 0]], False),
@@ -561,21 +656,21 @@ class TestGeneralized:
             ([[1, 2], [3, 4], [5, 6], [7, 8]], [[1, -2], [3, -4]], True),
             ([[1], [2], [3]], [[-1], [1]], True),
             # Outputs that leave int128 must raise.
-            ([[2**126, 2**126]], [[1, 1]], False),
+            ([[2**126, 2**126]], [[1, 1]], True),
             ([[INT128_MIN, INT128_MIN]], [[1, 1]], False),
             ([[INT128_MIN]], [[-1]], False),
             # k x 1 windows, which sum shifted copies of the packed input.
             ([[LANE_SEVENTH, 0], [-LANE_SEVENTH, 5], [LANE_SEVENTH, -5]],
              [[3], [-4]], True),
             ([[5, -7], [1, 2], [-3, 4]], [[2], [0], [-3]], True),
-            ([[2**62, 1], [2**62, 2]], [[1], [1]], False),
+            ([[2**62, 1], [2**62, 2]], [[1], [1]], True),
             ([[-(2**62)], [-(2**62)]], [[1], [1]], False),
             # 32-bit lanes: B = 2**31 - 1 with lanes of +B and -B.
             ([[1, -1, 1]], [[2**30, -(2**30 - 1)]], True),
             ([[NARROW_MAX], [-NARROW_MAX]], [[1]], True),
             ([[1], [-1], [1]], [[2**30], [-(2**30 - 1)]], True),
             ([[0, 0, 0], [0, 0, 0]], [[NARROW_MAX, 0], [0, -NARROW_MAX]], True),
-            # B = 2**31 takes 64-bit lanes.
+            # B = 2**31 takes 32-bit lanes here, all of them unsigned.
             ([[2**30, 2**30]], [[1, 1]], True),
             ([[2**30], [2**30]], [[1], [1]], True),
             ([[0, 0]], [[2**31, 1]], True),
@@ -583,11 +678,12 @@ class TestGeneralized:
             # 64-bit lanes.
             ([[-NARROW_MAX, -1]], [[1]], True),
             ([[-(2**31), 5]], [[1]], True),
+            *nonnegative_correlation_edges(),
         ],
     )
     def test_lane_edges(self, rows, weights, packed):
         a, w = Matrix.from_rows(rows), Matrix.from_rows(weights)
-        bits = lane_bits(lane_bound(a, w))
+        bits = correlation_bits(a, w)
         assert (bits is not None) is packed
         with counted_calls("_packed_correlation") as calls:
             assert_entries(
@@ -646,6 +742,7 @@ def correlation_overflows(case):
 
 # Entry sizes up to the int128 edge, half of them at it.
 WIDE_BITS = st.integers(0, 127) | st.just(127)
+OUT_OF_RANGE = "^entry outside the signed 128-bit range in exact mode$"
 
 
 class TestProvenSpans:
@@ -666,6 +763,7 @@ class TestProvenSpans:
             out = power(a, s)
             assert out.data == expected
             assert out.span == (min(expected), max(expected))
+            assert_bounds(out)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -689,16 +787,48 @@ class TestProvenSpans:
         assert_entries(lambda: generalized_collapse(a, GammaSpec(w)),
                        per_entry_correlation(a, w), a.mode)
 
+    @settings(max_examples=200, deadline=None)
+    @given(power_cases(WIDE_BITS, st.just(True)),
+           correlation_cases(WIDE_BITS, st.just(True)))
+    def test_nonnegative_planes_always_pack(self, power_case, correlation_case):
+        # Nonnegative planes pack at any B, and one masked check of the
+        # result raises exactly where the per-pass oracle does: every entry
+        # of an earlier pass is at most some entry of the result.
+        a, power, s = power_case
+        expected = per_pass_powers(a, power, s)
+        with counted_calls("_packed_repeat") as calls:
+            if expected is None:
+                with pytest.raises(ExactOverflowError, match=OUT_OF_RANGE):
+                    power(a, s)
+            else:
+                out = power(a, s)
+                assert out.data == expected
+                assert out.span == (min(expected), max(expected))
+                assert_bounds(out)
+        assert len(calls) == (1 if s else 0)
+        a, w = correlation_case
+        expected = per_entry_correlation(a, w)
+        with counted_calls("_packed_correlation") as calls:
+            if max(expected) > INT128_MAX:
+                with pytest.raises(ExactOverflowError, match=OUT_OF_RANGE):
+                    generalized_collapse(a, GammaSpec(w))
+            else:
+                assert_entries(lambda: generalized_collapse(a, GammaSpec(w)),
+                               expected, ScalarMode.EXACT)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("overflows", [True, False])
     def test_cases_reach_the_int128_edge(self, overflows):
-        # Both properties above draw results in range and beyond it.
+        # The properties above draw results in range and beyond it, the
+        # nonnegative ones included.
         drawn = settings(database=None, phases=[Phase.generate], max_examples=1000)
-        find(power_cases(WIDE_BITS),
-             lambda case: (per_pass_powers(*case) is None) is overflows,
-             settings=drawn)
-        find(correlation_cases(WIDE_BITS),
-             lambda case: correlation_overflows(case) is overflows,
-             settings=drawn)
+        for nonnegative in (st.booleans(), st.just(True)):
+            find(power_cases(WIDE_BITS, nonnegative),
+                 lambda case: (per_pass_powers(*case) is None) is overflows,
+                 settings=drawn)
+            find(correlation_cases(WIDE_BITS, nonnegative),
+                 lambda case: correlation_overflows(case) is overflows,
+                 settings=drawn)
 
 
 class TestNdArray:

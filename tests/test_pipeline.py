@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collapsum.kernels import EdgeMode, convolve, gaussian_kernel_rect
+from collapsum.kernels import (
+    EdgeMode,
+    FilterResult,
+    convolve,
+    gaussian_kernel_rect,
+)
 from collapsum.matrix import DimensionError, Matrix, ScalarMode
 from collapsum.pipeline import (
     CSV_HEADER,
@@ -221,6 +226,26 @@ class TestEquivalenceReport:
             ("direct", "collapse"),
             ("separable", "collapse"),
         }
+
+
+class TestDeviation:
+    def test_equal_rationals_under_unequal_divisors(self):
+        # 3/4, 5/2 and -1/4 as (numerator, divisor) 4 and 8.
+        x = FilterResult(Matrix(1, 3, (3, 10, -1)), 4)
+        y = FilterResult(Matrix(1, 3, (6, 20, -2)), 8)
+        assert deviation(x, y) == 0.0
+        assert deviation(y, x) == 0.0
+
+    @pytest.mark.parametrize("divisors", [(4, 4), (4, 8)])
+    def test_a_differing_entry_gives_the_float_difference(self, divisors):
+        dx, dy = divisors
+        x = FilterResult(Matrix(1, 3, (3, 10, -1)), dx)
+        y = FilterResult(Matrix(1, 3, (3 * dy // dx, 10 * dy // dx + 1, -dy // dx)),
+                         dy)
+        expected = max(abs(p / dx - q / dy)
+                       for p, q in zip(x.numerator.data, y.numerator.data))
+        assert expected == 1 / dy
+        assert deviation(x, y) == expected
 
 
 class TestSeededImage:
