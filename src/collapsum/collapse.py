@@ -9,61 +9,47 @@ along any axis.  One pair-sum loop serves all three directional
 collapses: down, right and along an axis each add a slab of the flat
 data to itself shifted by one step.
 
-Packed values sit in lanes of L bits, a whole number of bytes, and L
-follows from a bound B on every value a lane holds: the narrowest L >= 8
-with B < 2**L for unsigned lanes, or B <= 2**(L-1) - 1 for signed ones.
-So an 8-bit image blurred at radius 4 (B = 255 * 4**8 < 2**24) packs in
-3-byte lanes, and a 16-bit one at radius 12 (B = 65535 * 4**24 < 2**64)
-in 8-byte lanes.  Lanes of 1, 4 or 8 bytes are one native ``array``
-buffer; other widths scatter and gather the bytes of such items with
-slice assignment, and lanes wider than 8 bytes do so per 64-bit digit,
-with no Python code per entry.
+In exact mode a plane with no negative entry, correlated with a window
+with none, is packed into one Python int; a plane or window with a
+negative entry, and float mode, runs the unpacked loops: the pair-sum
+passes and a shift-and-add correlation.  The packed values sit in
+unsigned lanes of L bits, a whole number of bytes: the narrowest L >= 8
+with B < 2**L for a bound B on every value a lane holds, with no upper
+limit.  So an 8-bit image blurred at radius 4 (B = 255 * 4**8 < 2**24)
+packs in 3-byte lanes, and a 16-bit one at radius 12
+(B = 65535 * 4**24 < 2**64) in 8-byte lanes.  Lanes of 1, 4 or 8 bytes
+are one native ``array`` buffer; other widths scatter and gather the
+bytes of such items with slice assignment, and lanes wider than 8 bytes
+do so per 64-bit digit, with no Python code per entry.
 
-The collapse powers run their passes on one packed Python int in exact
-mode when the values allow it.  Entry (i, j) of the plane sits in
-unsigned L-bit lane i*n + j (row-major, row stride n = the input's
-column count, kept through every pass), so a pass down is
-``X + (X >> L*n)`` and a pass right is ``X + (X >> L)``: one bigint
-addition each.  The last lanes of each row, where a pass right adds the
-first lane of the next row, and the lanes below the last row are
-computed and dropped.  After p passes every lane, the dropped ones
-included, is a sum of 2**p terms, each a packed entry or a zero shifted
-in from beyond the last lane.
+One proof covers every packed operation.  Each lane holds a sum of
+nonnegative terms, at most B, so no lane carries into the next.  Every
+entry of an earlier collapse pass is at most some entry of the result,
+since each pass adds only nonnegative terms and every entry feeds at
+least one entry of the next pass.  So the result needs one range check:
+when B > 2**127 - 1, one AND of the packed result with a mask of bits
+127 and up of every kept lane raises ``ExactOverflowError`` exactly
+where the unpacked loops, which scan each pass and each result as they
+build it, would.
 
-- A nonnegative plane packs as it is, in lanes that hold
-  B = max(a) * 2**passes, with no upper limit: no lane exceeds B, so
-  none carries into the next.  Its entries, and those of every pass, are
-  sums of nonnegative terms, so the result needs one range check: every
-  entry of an earlier pass is at most some entry of the result, since
-  each pass adds only nonnegative terms and every entry feeds at least
-  one entry of the next pass.  When B > 2**127 - 1 that check is one
-  AND of the packed result with a mask of bits 127 and up of every kept
-  lane, and it raises ``ExactOverflowError`` exactly where the per-pass
-  scans of the unpacked loop would.
-- A plane with a negative minimum is packed as a - min(a), and
-  min(a) * 2**passes is added back when unpacking.  Its lanes hold 2B,
-  with B = max|a| * 2**passes, and it packs only while B <= 2**63 - 1:
-  every entry of every pass then lies within +-B, inside int128, so the
-  per-pass range scans that a packed pass skips could not have raised.
-  With cancellation, a signed plane's earlier passes can leave int128
-  while its result does not, so wider signed planes, and float mode,
-  run each pass as the pair-sum loop.
+A collapse power packs entry (i, j) of the plane in lane i*n + j
+(row-major, row stride n = the input's column count, kept through every
+pass), so a pass down is ``X + (X >> L*n)`` and a pass right is
+``X + (X >> L)``: one bigint addition each, with B = max(a) * 2**passes.
+The last lanes of each row, where a pass right adds the first lane of the
+next row, and the lanes below the last row are computed and dropped.
 
-The generalized collapse is a correlation, and in exact mode it is one
-bigint product (Kronecker substitution).  The input is packed into one
-Python int with an L-bit lane per entry in row-major order, the flipped
-window into another with the input's row stride, and the lanes of their
-product are the window sums.  A bound on every lane decides when that is
-exact and sets L, by the same rule: unsigned lanes with no upper limit
-when the input and the window are nonnegative, biased signed lanes up
-to 2**63 - 1 otherwise.  Wider signed values and float mode take a
-shift-and-add loop instead, which adds the flat input, shifted to each
+The generalized collapse is a correlation, and packed it is one bigint
+product (Kronecker substitution).  The input is packed with a lane per
+entry in row-major order, the flipped window into another int with the
+input's row stride, and the lanes of their product are the window sums.
+Unpacked, a shift-and-add loop adds the flat input, shifted to each
 window tap and scaled by its weight, into one accumulator.  Both keep
 the columns of each row where the whole window fits.
 
-A packed result carries the range it proved (``Matrix._bounds``, inside
-[0, B] when unsigned and +-B when signed), so the next operation sizes
-its lanes without scanning it.
+A packed result carries the range it proved (``Matrix._bounds``, [0, B]
+clipped to int128), so the next operation sizes its lanes without
+scanning it.
 """
 
 from __future__ import annotations
@@ -73,7 +59,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
-from operator import add, and_, lshift, mul, rshift, sub
+from operator import add, and_, lshift, mul, rshift
 from typing import NamedTuple
 
 from .matrix import (
@@ -97,8 +83,6 @@ _NATIVE = {1: "B", 4: "I", 8: "Q"}
 _PACKABLE = sys.byteorder == "little" and all(
     array(code).itemsize == size for size, code in _NATIVE.items()
 )
-# The largest bound that a signed lane takes: signed planes pack up to it.
-LANE_MAX = 2**63 - 1
 _DIGIT = 2**64 - 1
 
 
@@ -112,15 +96,10 @@ def _native(size: int) -> int:
     return next(s for s in _NATIVE if s >= size)
 
 
-def _lane_bits(bound: int, signed: bool) -> int | None:
-    # The lane width in bits of values in [0, bound], or within +-bound when
-    # signed: 8L for the narrowest L >= 1 with bound < 2**(8L), or with
-    # bound <= 2**(8L-1) - 1 (the unsigned width of 2 * bound) when signed.
-    # None when no lane takes them: signed values beyond LANE_MAX, or any
-    # values on a host that cannot pack.
-    if not _PACKABLE or signed and bound > LANE_MAX:
-        return None
-    return 8 * _size(bound << signed)
+def _lane_bits(bound: int) -> int | None:
+    # The lane width in bits of values in [0, bound]: 8L for the narrowest
+    # L >= 1 with bound < 2**(8L).  None on a host that cannot pack.
+    return 8 * _size(bound) if _PACKABLE else None
 
 
 def _items(values, size: int) -> bytes:
@@ -206,6 +185,19 @@ class _Packed(NamedTuple):
     value: int
 
 
+def _unpacked(p: _Packed, first: int, count: int, bound: int, mode) -> Matrix:
+    # The plane p from lane ``first`` of the ``count`` lanes of p.value,
+    # each in [0, bound], as a matrix that carries that range clipped to
+    # int128; when bound leaves int128 the kept lanes are checked first.
+    size = p.bits // 8
+    if bound > INT128_MAX:
+        _check_int128(p.value, size, first, p.rows, p.cols, p.stride)
+        bound = INT128_MAX
+    lanes = _unpack(p.value, size, count, bound)
+    data = tuple(_rows(lanes, first, p.rows, p.cols, p.stride))
+    return Matrix._proven(p.rows, p.cols, data, mode, bounds=(0, bound))
+
+
 def _pair_sum(data: tuple, outer: int, k: int, inner: int) -> tuple:
     """Read ``data`` as ``outer`` slabs of ``k`` steps of ``inner`` entries
     and add each step to the next one; every slab loses one step."""
@@ -255,60 +247,41 @@ def _repeat(step, a: Matrix, s: int, room: int, what: str, passes: int) -> Matri
         raise ValueError("collapse power must be nonnegative")
     if s >= room:
         raise DimensionError(f"cannot collapse {what} {s} times")
-    if s and a.mode is ScalarMode.EXACT:
-        low, high = a._bounds
-        bits = _lane_bits(max(high, -low) << passes, low < 0)
+    if s and a.mode is ScalarMode.EXACT and a._bounds[0] >= 0:
+        bound = a._bounds[1] << passes
+        bits = _lane_bits(bound)
         if bits:
-            return _packed_repeat(step, a, s, passes, min(low, 0), bits)
+            return _packed_repeat(step, a, s, bound, bits)
     for _ in range(s):
         a = step(a)
     return a
 
 
-def _packed_repeat(
-    step, a: Matrix, s: int, passes: int, low: int, bits: int
-) -> Matrix:
-    # ``step`` applied s times to the plane packed as a - low in
-    # ``bits``-bit lanes; see the module docstring for the lane bound.
-    size, top = bits // 8, a._bounds[1] - low
-    values = map(sub, a.data, repeat(low)) if low else a.data
+def _packed_repeat(step, a: Matrix, s: int, bound: int, bits: int) -> Matrix:
+    # ``step`` applied s times to the plane packed in ``bits``-bit lanes,
+    # each of which stays at most ``bound`` (see the module docstring).
     # x stays referenced to the end.  Freed after the first pass, its
     # buffer left glibc's heap holding about 2 MB more at the write of a
     # 512x512 P6 blur (peak RSS 46.2 against 44.3 MB at radius 4, and
     # 46.2 against 44.8 MB at radius 6).
-    x = _pack(values, size, top)
+    x = _pack(a.data, bits // 8, a._bounds[1])
     plane = _Packed(a.rows, a.cols, a.cols, bits, x)
     for _ in range(s):
         plane = step(plane)
-    m, k, n = plane.rows, plane.cols, a.cols
-    top <<= passes
-    if top > INT128_MAX:
-        _check_int128(plane.value, size, 0, m, k, n)
-        top = INT128_MAX
-    data = _rows(_unpack(plane.value, size, len(a.data), top), 0, m, k, n)
-    base = low << passes
-    if low:
-        data = map(add, data, repeat(base))
-    return Matrix._proven(m, k, tuple(data), a.mode, bounds=(base, base + top))
+    return _unpacked(plane, 0, len(a.data), bound, a.mode)
 
 
 def collapse_power(a: Matrix, s: int) -> Matrix:
     """s-fold collapse; s = 0 returns the input unchanged.
 
-    In exact mode the passes run on one packed int (see the module
-    docstring): entry (i, j) sits in unsigned lane i*n + j of a whole
-    number of bytes, and the lanes where a pass right wraps onto the next
-    row are dropped at the end.  With B = max|a| * 4**s:
-
-    - a nonnegative plane always packs, in the narrowest lanes that hold
-      B.  Every entry of an earlier pass is at most some entry of the
-      result (each pass adds nonnegative terms), so one check of the
-      result, one masked AND when B > 2**127 - 1, raises exactly where
-      the scan of each pass would;
-    - a plane with a negative minimum packs while B <= 2**63 - 1, as
-      a - min(a) in lanes that hold 2B, and min(a) * 4**s is added back
-      after.  Each entry of every pass lies within +-B, so skipping the
-      int128 scan of each pass, and of the result, drops no error.
+    An exact nonnegative plane runs its passes on one packed int (see
+    the module docstring): entry (i, j) sits in unsigned lane i*n + j of
+    the fewest whole bytes that hold B = max(a) * 4**s, and the lanes
+    where a pass right wraps onto the next row are dropped at the end.
+    Every entry of an earlier pass is at most some entry of the result,
+    so one check of the result, one masked AND when B > 2**127 - 1,
+    raises exactly where the scan of each pass would.  A plane with a
+    negative entry, and a float one, runs each pass as the pair-sum loop.
     """
     room = min(a.rows, a.cols)
     return _repeat(collapse, a, s, room, f"a {a.rows}x{a.cols} matrix", 2 * s)
@@ -355,33 +328,19 @@ class GammaSpec:
 
 
 def _lane_bound(a: Matrix, w: Matrix) -> int:
-    # Largest magnitude of a lane of the packed product or of its operands.
-    (low, high), (wlow, whigh) = a._bounds, w._bounds
-    top = max(high, -low)
-    return max(top * sum(map(abs, w.data)), top, whigh, -wlow)
+    # The largest lane of the packed product or of its operands, for a
+    # nonnegative input and window.
+    high, whigh = a._bounds[1], w._bounds[1]
+    return max(high * sum(w.data), high, whigh)
 
 
-def _packed_correlation(a: Matrix, w: Matrix, bits: int) -> Matrix:
+def _packed_correlation(a: Matrix, w: Matrix, bound: int, bits: int) -> Matrix:
     # The window sums: lanes (p + b1 - 1) * n + q + b2 - 1 of the product
-    # A * W in ``bits``-bit lanes, unsigned when the input and the window
-    # are nonnegative and biased otherwise (see generalized_collapse).
+    # A * W in unsigned ``bits``-bit lanes, each at most ``bound`` (see
+    # generalized_collapse).
     b1, b2, n = w.rows, w.cols, a.cols
-    out_m, out_n = a.rows - b1 + 1, n - b2 + 1
-    size, bound = bits // 8, _lane_bound(a, w)
-    signed = min(a._bounds[0], w._bounds[0]) < 0
-    half = 1 << (bits - 1) if signed else 0
-
-    def bias(count: int) -> int:
-        # 2**(L-1) in each of ``count`` lanes.
-        return int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
-
-    def pack(values, top: int) -> int:
-        if not signed:
-            return _pack(values, size, top)
-        digits = map(add, values, repeat(half))
-        return _pack(digits, size, 2 * half - 1) - bias(len(values))
-
-    x = pack(a.data, a._bounds[1])
+    size = bits // 8
+    x = _pack(a.data, size, a._bounds[1])
     flipped = w.data[::-1]
     if b2 == 1:
         # The product with sum(w_i * 2**(L*i*n)), without its zero lanes.
@@ -390,20 +349,10 @@ def _packed_correlation(a: Matrix, w: Matrix, bits: int) -> Matrix:
         window = [0] * ((b1 - 1) * n + b2)
         for i in range(b1):
             window[i * n : i * n + b2] = flipped[i * b2 : (i + 1) * b2]
-        product = x * pack(window, w._bounds[1])
+        product = x * _pack(window, size, w._bounds[1])
     first = (b1 - 1) * n + b2 - 1
-    lanes = len(a.data) + first
-    if signed:
-        product += bias(lanes)
-    elif bound > INT128_MAX:
-        _check_int128(product, size, first, out_m, out_n, n)
-    top = 2 * half - 1 if signed else min(bound, INT128_MAX)
-    data = _rows(_unpack(product, size, lanes, top), first, out_m, out_n, n)
-    if signed:
-        data = map(sub, data, repeat(half))
-    # Every entry lies in [0, B], or within +-B when signed, and in int128.
-    bounds = (-bound, bound) if signed else (0, top)
-    return Matrix._proven(out_m, out_n, tuple(data), a.mode, bounds=bounds)
+    plane = _Packed(a.rows - b1 + 1, n - b2 + 1, n, bits, product)
+    return _unpacked(plane, first, len(a.data) + first, bound, a.mode)
 
 
 def generalized_collapse(a: Matrix, gamma: GammaSpec) -> Matrix:
@@ -414,11 +363,11 @@ def generalized_collapse(a: Matrix, gamma: GammaSpec) -> Matrix:
     (m - b1 + 1) x (n - b2 + 1).  Convolution runs through this function
     with the window flipped.
 
-    Exact mode computes the whole sum as one product of two packed
-    ints (Kronecker substitution).  The input packs entry k into L-bit
-    lane k (row-major, row stride n); the window packs weight (i, j)
-    into lane (b1-1-i)*n + (b2-1-j), so its rows keep the input's
-    stride.  Lane (p+b1-1)*n + q+b2-1 of the product then collects
+    In exact mode, with a nonnegative input and window, the whole sum is
+    one product of two packed ints (Kronecker substitution).  The input
+    packs entry k into L-bit lane k (row-major, row stride n); the window
+    packs weight (i, j) into lane (b1-1-i)*n + (b2-1-j), so its rows keep
+    the input's stride.  Lane (p+b1-1)*n + q+b2-1 of the product then collects
     input (p+i, q+j) times weight (i, j) over every tap, and row p of
     the output is a slice of n - b2 + 1 lanes from there.  A one-column
     window packs to sum(w_i * 2**(L*i*n)), mostly zero lanes, so its
@@ -426,33 +375,20 @@ def generalized_collapse(a: Matrix, gamma: GammaSpec) -> Matrix:
     L*i*n bits and scaled by w_i.
 
     Each lane of the product, the lanes where the window wraps onto the
-    next row included, adds each weight at most once, so it is bounded by
-    B = max(max|a| * sum|w|, max|a|, max|w|), and every lane of the
-    operands by B as well.  Lanes are a whole number of bytes:
+    next row included, adds each weight at most once, so it lies in
+    [0, B] with B = max(max(a) * sum(w), max(a), max(w)), as does every
+    lane of the operands.  The lanes are the fewest whole bytes with
+    B < 2**L, for any B, and when B > 2**127 - 1 one AND of the product
+    with a mask of bits 127 and up of every kept lane raises
+    ``ExactOverflowError`` exactly where the entry scan would.  The
+    result skips that scan and carries [0, B] clipped to int128.
 
-    - When the input and the window are nonnegative, every lane is a
-      digit in [0, B], in the narrowest unsigned lanes with B < 2**L, for
-      any B.  Each entry is then a sum of nonnegative terms, and when
-      B > 2**127 - 1 one AND of the product with a mask of bits 127 and
-      up of every kept lane raises ``ExactOverflowError`` exactly where
-      the entry scan would.
-    - Otherwise packing adds 2**(L-1) to each value, which makes it a
-      digit in [1, 2**L - 1], packs those digits and subtracts the same
-      bias, leaving sum(x_k * 2**(Lk)) with signed lanes; unpacking adds
-      the bias back and subtracts 2**(L-1) from each kept lane.  That is
-      exact when every lane lies in [-(2**(L-1) - 1), 2**(L-1) - 1], so
-      no lane borrows from or carries into the next, and it runs while
-      B <= 2**63 - 1, with B <= 2**(L-1) - 1.
-
-    Every entry of a packed result lies in [0, B], or within +-B, and in
-    int128, so the result skips the int128 scan and carries that bound.
-
-    For signed values beyond that bound, and in float mode, the sum runs
-    as shift-and-add over the flat input: window tap (i, j) adds its
-    weight times the input from flat offset i*n + j onward to an
-    accumulator spanning every output position, in row-major tap order,
-    so each entry sums the same products in the same order as a
-    per-entry loop.  The accumulator is laid out with the input's row
+    When the input or the window has a negative entry, and in float
+    mode, the sum runs as shift-and-add over the flat input: window tap
+    (i, j) adds its weight times the input from flat offset i*n + j
+    onward to an accumulator spanning every output position, in row-major
+    tap order, so each entry sums the same products in the same order as
+    a per-entry loop.  The accumulator is laid out with the input's row
     stride n, so each row also holds b2 - 1 positions where the window
     wraps onto the next input row; those are computed and dropped.
     """
@@ -465,11 +401,11 @@ def generalized_collapse(a: Matrix, gamma: GammaSpec) -> Matrix:
         raise DimensionError(
             f"{b1}x{b2} window does not fit a {m}x{n} matrix"
         )
-    if a.mode is ScalarMode.EXACT:
-        low = min(a._bounds[0], w._bounds[0])
-        bits = _lane_bits(_lane_bound(a, w), low < 0)
+    if a.mode is ScalarMode.EXACT and min(a._bounds[0], w._bounds[0]) >= 0:
+        bound = _lane_bound(a, w)
+        bits = _lane_bits(bound)
         if bits:
-            return _packed_correlation(a, w, bits)
+            return _packed_correlation(a, w, bound, bits)
     d, zero = a.data, 0 if a.mode is ScalarMode.EXACT else 0.0
     out_m, out_n = m - b1 + 1, n - b2 + 1
     span = (out_m - 1) * n + out_n

@@ -10,9 +10,10 @@ Every exact window is the m x n coefficient matrix with a x b collapses
 (:func:`structured.coefficient_matrix`) over its entry sum, anchored at
 (ceil(m/2), ceil(n/2)): the binomial :func:`gaussian_kernel_rect` is
 (h, w, h-1, w-1), the radius-r Gaussian its (2r+1)-square case, the box
-(2r+1, 2r+1, 0, 0) and the interpolation window (2r+1, 2r+1, s, s).  A
-window whose largest weight leaves the signed 128-bit range is refused
-before any weight is built.  Convolution uses flipped kernel indexing
+(2r+1, 2r+1, 0, 0) and the interpolation window (2r+1, 2r+1, s, s).  An
+exact window whose largest weight leaves the signed 128-bit range is
+refused before any weight is built; a float binomial window has no such
+limit.  Convolution uses flipped kernel indexing
 (output (p, q) sums weight(i, j) * input(p - i, q - j) over window
 offsets), which matters only for asymmetric kernels; it runs as the
 generalized collapse of the flipped window, the package's one
@@ -35,7 +36,11 @@ from .matrix import (
     ScalarMode,
     round_half_away,
 )
-from .structured import coefficient_matrix, coefficient_matrix_entry_sum
+from .structured import (
+    coefficient_matrix,
+    coefficient_matrix_entry_sum,
+    coefficient_sides,
+)
 
 FLOAT_KERNEL_TOL = 1e-12
 
@@ -149,14 +154,21 @@ class Kernel:
         return Kernel(Matrix(w.rows, w.cols, data, ScalarMode.FLOAT), 1, self.anchor)
 
 
-def _coefficient_kernel(m: int, n: int, a: int, b: int) -> Kernel:
+def _coefficient_kernel(
+    m: int, n: int, a: int, b: int, mode: ScalarMode = ScalarMode.EXACT
+) -> Kernel:
     # The m x n coefficient matrix with a x b collapses, over its entry
-    # sum, anchored at (ceil(m/2), ceil(n/2)).
-    return Kernel(
-        coefficient_matrix(m, n, a, b),
-        coefficient_matrix_entry_sum(m, n, a, b),
-        ((m + 1) // 2, (n + 1) // 2),
-    )
+    # sum, anchored at (ceil(m/2), ceil(n/2)).  A float window divides
+    # each exact weight by that sum in one correctly rounded int division,
+    # as ``as_float`` does, so it needs no exact window and has no int128
+    # limit.
+    divisor = coefficient_matrix_entry_sum(m, n, a, b)
+    anchor = ((m + 1) // 2, (n + 1) // 2)
+    if mode is ScalarMode.EXACT:
+        return Kernel(coefficient_matrix(m, n, a, b), divisor, anchor)
+    alpha, beta = coefficient_sides(m, n, a, b)
+    data = tuple(x * y / divisor for x in alpha for y in beta)
+    return Kernel(Matrix(m, n, data, ScalarMode.FLOAT), 1, anchor)
 
 
 def box_kernel(r: int) -> Kernel:
@@ -178,18 +190,21 @@ def gaussian_kernel(r: int) -> Kernel:
     return gaussian_kernel_rect(2 * r + 1, 2 * r + 1)
 
 
-def gaussian_kernel_rect(a: int, b: int) -> Kernel:
+def gaussian_kernel_rect(
+    a: int, b: int, mode: ScalarMode = ScalarMode.EXACT
+) -> Kernel:
     """Rectangular a x b binomial kernel, divisor 2^(a+b-2).
 
     Weight (i, j), indexed from the top-left corner, is
     binomial(a-1, i-1) * binomial(b-1, j-1).  Even sides have no central
-    entry, so the anchor sits at (ceil(a/2), ceil(b/2)).  A window whose
-    largest weight leaves the signed 128-bit range is refused before any
-    weight is built.
+    entry, so the anchor sits at (ceil(a/2), ceil(b/2)).  An exact window
+    whose largest weight leaves the signed 128-bit range is refused
+    before any weight is built.  In float ``mode`` each weight is that
+    quotient correctly rounded, with divisor 1, at any size.
     """
     if a < 1 or b < 1:
         raise ValueError("kernel sides must be positive")
-    return _coefficient_kernel(a, b, a - 1, b - 1)
+    return _coefficient_kernel(a, b, a - 1, b - 1, mode)
 
 
 def gaussian_kernel_sampled(r: int, s: float) -> Kernel:
@@ -262,13 +277,13 @@ def extend_asym(
     extended = [pick(d[i * n : i * n + n] + (zero,)) for i in range(m)]
     extended.append((zero,) * len(cols))
     out = tuple(chain.from_iterable(map(extended.__getitem__, rows)))
-    span = None
+    bounds = None
     if a.mode is ScalarMode.EXACT:
         # The central block is the input and every other entry copies one
-        # of its entries or, under zero padding, is 0.
+        # of its entries or, under zero padding, is 0: the exact range.
         low, high = a.span
-        span = (min(low, 0), max(high, 0)) if mode is EdgeMode.ZERO else (low, high)
-    return Matrix._proven(len(rows), len(cols), out, a.mode, span)
+        bounds = (min(low, 0), max(high, 0)) if mode is EdgeMode.ZERO else (low, high)
+    return Matrix._proven(len(rows), len(cols), out, a.mode, bounds=bounds)
 
 
 def extend(a: Matrix, r: int, mode: EdgeMode) -> Matrix:
@@ -316,9 +331,10 @@ def separable_convolve(h: int, w: int, a: Matrix, mode: EdgeMode) -> FilterResul
     Extension happens once, on the full window margin, so the result
     matches the direct 2-D convolution entry for entry.
     """
-    row_k, col_k = gaussian_kernel_rect(1, w), gaussian_kernel_rect(h, 1)
+    row_k = gaussian_kernel_rect(1, w, a.mode)
+    col_k = gaussian_kernel_rect(h, 1, a.mode)
     if mode is not EdgeMode.CROP:
-        a = extend_asym(a, *gaussian_kernel_rect(h, w).margins(), mode)
+        a = extend_asym(a, *gaussian_kernel_rect(h, w, a.mode).margins(), mode)
     first = convolve_crop(row_k, a)
     second = convolve_crop(col_k, first.numerator)
     return FilterResult(second.numerator, first.divisor * second.divisor)

@@ -2,23 +2,21 @@
 
 Exact mode models a signed 128-bit integer: every constructed entry must
 lie in [-2**127, 2**127 - 1], and anything outside that range raises
-:class:`ExactOverflowError` instead of wrapping.  The check reads
-:attr:`Matrix.span`, the exact (min, max) of the entries, kept for every
-later bound on the matrix.  When it is known:
+:class:`ExactOverflowError` instead of wrapping.  ``Matrix(...)`` and
+every public constructor check it by measuring :attr:`Matrix.span`, the
+exact (min, max) of the entries, when they build an exact matrix.
 
-- ``Matrix(...)`` and every public constructor measure it when they build
-  an exact matrix; that scan is the int128 check.
-- An operation that proves its result in range from its operands builds
-  it without the scan, through a constructor private to the package.
-  Edge extension carries the exact span of its input (with 0 added under
-  zero padding).  A packed collapse power or packed correlation, whose
-  entries lie within a proven bound (and in int128, checked on the packed
-  int when the bound goes beyond it), and exact rounding by a divisor
-  >= 2, which never grows a magnitude, leave it unmeasured.  The packed
-  operations carry their bound instead, which the next one reads to size
-  its lanes.
-- An unmeasured span, and that of a float matrix, is measured once when
-  first read.
+An operation that proves its result in range from its operands builds
+it without that scan, through a constructor private to the package that
+takes one proof: ``bounds``, a (low, high) around every entry, which the
+next operation reads to size its packed lanes.  Edge extension passes
+the exact span of its input (with 0 added under zero padding); a packed
+collapse power or packed correlation passes [0, B] for its lane bound B,
+clipped to int128 after a check on the packed int when B goes beyond it.
+Exact rounding by a divisor >= 2, which never grows a magnitude, passes
+none.  Without a proof the bounds are the span, and a span that is not
+yet measured, as on these results and on every float matrix, is measured
+once when first read.
 
 Float mode is plain IEEE-754 binary64.  All operator identities in this
 package are verified in exact mode; image pipelines may use either.
@@ -97,21 +95,17 @@ class Matrix:
 
     @classmethod
     def _proven(
-        cls, rows: int, cols: int, data: tuple, mode: ScalarMode, span=None,
-        bounds=None,
+        cls, rows: int, cols: int, data: tuple, mode: ScalarMode, bounds=None
     ) -> "Matrix":
         """For this package's operations only: a matrix whose entries the
         calling operation has proved to lie in range, built without the
-        int128 scan.  ``span`` is passed only when the proof gives the
-        exact (min, max); otherwise it is measured if and when it is read.
-        ``bounds`` is a proven (low, high) around every entry, kept as
-        :attr:`_bounds` for the next operation's lane sizing.
+        int128 scan.  ``bounds`` is the proof, a (low, high) around every
+        entry, kept as :attr:`_bounds` for the next operation's lane
+        sizing; :attr:`span` is measured if and when it is read.
         """
         m = object.__new__(cls)
         m.__dict__.update(rows=rows, cols=cols, data=data, mode=mode)
         m._check_shape()
-        if span is not None:
-            m.__dict__["span"] = span
         if bounds is not None:
             m.__dict__["_bounds"] = bounds
         return m

@@ -91,7 +91,7 @@ def blur(a: Matrix, req: BlurRequest) -> FilterResult:
     a = _coerce_mode(a, req.mode)
     h, w = req.rect
     _check_crop_fit(a, h, w, req.edge)
-    kernel = gaussian_kernel_rect(h, w)
+    kernel = gaussian_kernel_rect(h, w, a.mode)
     work = a
     if req.edge is not EdgeMode.CROP:
         work = extend_asym(a, *kernel.margins(), req.edge)
@@ -104,9 +104,10 @@ def blur(a: Matrix, req: BlurRequest) -> FilterResult:
     s = min(h, w) - 1
     num = collapse_power(work, s)
     num = collapse_right_power(collapse_down_power(num, h - 1 - s), w - 1 - s)
+    divisor = 2 ** (h + w - 2)
     if a.mode is ScalarMode.FLOAT:
-        return FilterResult(scale(1 / kernel.divisor, num), 1)
-    return FilterResult(num, kernel.divisor)
+        return FilterResult(scale(1 / divisor, num), 1)
+    return FilterResult(num, divisor)
 
 
 def rect_blur(a: Matrix, h: int, w: int, edge: EdgeMode) -> FilterResult:

@@ -135,6 +135,13 @@ def _peak(m: int, a: int) -> int:
     return sum(math.comb(a, k) for k in range(max(j - m + a + 1, 0), min(j, a) + 1))
 
 
+def coefficient_sides(m: int, n: int, a: int, b: int) -> tuple[list, list]:
+    """The column sums of ``r_falling(m, a)`` and ``r_falling(n, b)``,
+    whose outer product is :func:`coefficient_matrix`, at any size."""
+    _check_counts(m, n, a, b)
+    return _side(m, a), _side(n, b)
+
+
 def coefficient_matrix(m: int, n: int, a: int, b: int) -> Matrix:
     """m x n matrix whose (i, j) entry counts how often input entry
     (i, j) contributes to the summed total of a vertical^a horizontal^b

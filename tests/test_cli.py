@@ -232,6 +232,18 @@ class TestVerifyCommand:
         assert out.startswith("deviation ")
         assert "(float)" in out
 
+    def test_float_window_past_the_int128_edge(self, capsys):
+        # The largest weight of the 69x69 window leaves int128: float mode
+        # builds float weights and passes, exact mode refuses the window.
+        argv = ["verify", "--radius", "34", "--size", "16"]
+        assert main(argv + ["--mode", "float"]) == 0
+        deviation, mode = capsys.readouterr().out.split()[1:]
+        assert float(deviation) <= 1e-9 and mode == "(float)"
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: 69x69 binomial window exceeds the signed 128-bit range\n"
+        )
+
     def test_all_edges(self):
         for edge in ("crop", "replicate", "mirror", "zero"):
             assert main(["verify", "--radius", "2", "--size", "10", "--edge", edge]) == 0

@@ -9,7 +9,6 @@ from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from collapsum.collapse import (
-    LANE_MAX,
     GammaSpec,
     NdArray,
     collapse,
@@ -67,21 +66,19 @@ def per_entry_correlation(a, w):
 
 # The package's ``collapse`` attribute is the function, not this module.
 collapse_module = importlib.import_module("collapsum.collapse")
+# The largest signed 64-bit value: the edge tables place entries around it.
+LANE_MAX = 2**63 - 1
 LANE_SEVENTH = LANE_MAX // 7
 # The largest bound that 32-bit lanes hold.
 NARROW_MAX = 2**31 - 1
 
 
-def lane_bits(bound, signed):
-    """The lane width that values in [0, bound], or within +-bound when
-    signed, take by the definition: 8L bits for the narrowest whole number
-    of bytes L >= 1 with bound < 2**(8L), or bound <= 2**(8L-1) - 1 when
-    signed; none for signed values beyond 2**63 - 1."""
-    if signed and bound > LANE_MAX:
-        return None
+def lane_bits(bound):
+    """The lane width that values in [0, bound] take by the definition: 8L
+    bits for the narrowest whole number of bytes L >= 1 with
+    bound < 2**(8L)."""
     size = 1
-    while not (bound <= 2 ** (8 * size - 1) - 1 if signed
-               else bound < 2 ** (8 * size)):
+    while not bound < 2 ** (8 * size):
         size += 1
     return 8 * size
 
@@ -104,9 +101,11 @@ def lane_bound(a, w):
 
 
 def correlation_bits(a, w):
-    """The lane width of a correlation: unsigned when the input and the
-    window are nonnegative."""
-    return lane_bits(lane_bound(a, w), min(a.data + w.data) < 0)
+    """The lane width of a correlation; none when the input or the window
+    has a negative entry, which runs unpacked."""
+    if min(a.data + w.data) < 0:
+        return None
+    return lane_bits(lane_bound(a, w))
 
 
 @st.composite
@@ -261,9 +260,11 @@ def power_bound(a, passes):
 
 
 def power_bits(a, passes):
-    """The lane width of a collapse power: lanes hold B when the plane is
-    nonnegative and 2B (a - min(a), within +-B as signed) otherwise."""
-    return lane_bits(power_bound(a, passes), min(a.data) < 0)
+    """The lane width of a collapse power, whose lanes hold B; none when
+    the plane has a negative entry, which runs unpacked."""
+    if min(a.data) < 0:
+        return None
+    return lane_bits(power_bound(a, passes))
 
 
 def per_pass_powers(a, power, s):
@@ -465,7 +466,8 @@ class TestPowers:
     @pytest.mark.parametrize("packed", [True, False])
     def test_power_cases_straddle_the_lane_bound(self, packed):
         # The cases above run in lanes of every width in LANE_WIDTHS, and
-        # unpacked.
+        # unpacked.  Only the nonnegative half of them packs, so the search
+        # for the rarest width, 72 bits, takes up to 4000 draws.
         def width(case):
             a, power, s = case
             return power_bits(a, sum(POWER_PASSES[power]) * s) if s else None
@@ -473,28 +475,30 @@ class TestPowers:
         for bits in LANE_WIDTHS if packed else (None,):
             find(power_cases(), lambda case: width(case) == bits,
                  settings=settings(database=None, phases=[Phase.generate],
-                                   max_examples=1000))
+                                   max_examples=4000))
 
-    # B = max|a| * 2**passes.  A signed plane packs up to B = 2**63 - 1,
-    # so with s >= 1 the last signed B is 2**63 - 2**passes, and its widest
-    # lanes, 2 * B, come from summing only entries at max|a| over a packed
-    # minimum of -max|a|.  A nonnegative plane packs at any B, in lanes
-    # that hold B.
+    # B = max|a| * 2**passes.  A nonnegative plane packs at any B, in
+    # lanes that hold B, when s >= 1.  A plane with a negative entry runs
+    # the pair-sum loop at any B; those cases put B on both sides of
+    # 2**63 - 1 and of 2**31 - 1, and the last column says which: it is
+    # True for a case with s >= 1 that is nonnegative or has
+    # B <= 2**63 - 1.  Summing only entries at max|a| over a minimum of
+    # -max|a| gives values of 2B.
     @pytest.mark.parametrize(
-        "power, rows, s, packed",
+        "power, rows, s, inside",
         [
             (collapse_power, [[LANE_QUARTER] * 2 + [0]] * 2
              + [[0, 0, -LANE_QUARTER]], 1, True),
             (collapse_down_power, [[LANE_EIGHTH]] * 4 + [[-LANE_EIGHTH]], 3, True),
             (collapse_right_power, [[LANE_EIGHTH] * 4 + [-LANE_EIGHTH]] * 2,
              3, True),
-            # B = 2**63: one more than the last packed value.
+            # B = 2**63.
             (collapse_power, [[LANE_QUARTER + 1] * 2 + [0]] * 2
              + [[0, 0, -LANE_QUARTER]], 1, False),
             (collapse_down_power, [[LANE_EIGHTH]] * 4 + [[-LANE_EIGHTH - 1]],
              3, False),
             (collapse_right_power, [[-LANE_EIGHTH - 1] * 5], 3, False),
-            # A negative minimum, subtracted before packing.
+            # A negative minimum.
             (collapse_power, [[-5, 3, -7], [2, -1, 4], [0, 6, -2]], 2, True),
             # Constant planes give c * 2**passes.
             (collapse_power, [[-3] * 5] * 4, 3, True),
@@ -507,33 +511,35 @@ class TestPowers:
             # s = 0 returns the input.
             (collapse_power, [[1, 2], [3, 4]], 0, False),
             (collapse_down_power, [[2**126], [-(2**127)]], 0, False),
-            # Results that leave int128 must raise; nonnegative ones pack.
+            # Results that leave int128 must raise.
             (collapse_power, [[2**126, 2**126], [0, 0]], 1, True),
             (collapse_down_power, [[-(2**126)], [-(2**126) - 1]], 1, False),
             (collapse_right_power, [[2**125] * 4], 2, True),
-            # 32-bit lanes hold B <= 2**31 - 1, so with s >= 1 the last B
-            # they take is 2**31 - 2**passes, with the widest 2B lanes.
+            # B = 2**31 - 2**passes, with values of 2B.
             (collapse_power, [[NARROW_MAX >> 2] * 2 + [0]] * 2
              + [[0, 0, -(NARROW_MAX >> 2)]], 1, True),
             (collapse_down_power, [[NARROW_MAX >> 3]] * 4
              + [[-(NARROW_MAX >> 3)]], 3, True),
             (collapse_right_power, [[NARROW_MAX >> 3] * 4
                                     + [-(NARROW_MAX >> 3)]] * 2, 3, True),
-            # B = 2**31 takes 64-bit lanes when signed, 32-bit ones when
-            # nonnegative.
+            # B = 2**31, with a negative entry and then nonnegative, in
+            # 32-bit lanes.
             (collapse_power, [[(NARROW_MAX >> 2) + 1] * 2 + [0]] * 2
              + [[0, 0, -(NARROW_MAX >> 2)]], 1, True),
             (collapse_right_power, [[2**28] * 5], 3, True),
-            # Negative minima setting B: 2**31 - 8 in 32-bit lanes, then
-            # 2**31 in 64-bit lanes.
+            # Negative minima setting B: 2**31 - 8, then 2**31.
             (collapse_down_power, [[3], [-(NARROW_MAX >> 3)], [5], [0]], 3, True),
             (collapse_down_power, [[3], [-(2**28)], [5], [0]], 3, True),
             *nonnegative_power_edges(),
         ],
     )
-    def test_power_lane_edges(self, power, rows, s, packed):
+    def test_power_lane_edges(self, power, rows, s, inside):
         a = Matrix.from_rows(rows)
         down, right = POWER_PASSES[power]
+        nonnegative = min(a.data) >= 0
+        bound = power_bound(a, (down + right) * s)
+        assert inside is (s > 0 and (nonnegative or bound <= LANE_MAX))
+        packed = s > 0 and nonnegative
         bits = None
         if s:
             bits = power_bits(a, (down + right) * s)
@@ -629,17 +635,19 @@ class TestGeneralized:
                                    max_examples=1000))
 
     # Entries and weights around the lane bound B = max(max|a| * sum|w|,
-    # max|a|, max|w|): 2**63 - 1 = 7 * LANE_SEVENTH is the last packed B.
+    # max|a|, max|w|).  A nonnegative input and window pack at any B; a
+    # negative entry runs shift-and-add at any B, and those cases put B on
+    # both sides of 2**63 - 1 = 7 * LANE_SEVENTH and of 2**31 - 1.  The last
+    # column is True for a case that is nonnegative or has B <= 2**63 - 1.
     @pytest.mark.parametrize(
-        "rows, weights, packed",
+        "rows, weights, inside",
         [
-            # B = 2**63 - 1 with lanes of +B and -B.
+            # B = 2**63 - 1 with values of +B and -B.
             ([[LANE_SEVENTH, -LANE_SEVENTH, LANE_SEVENTH]], [[3, -4]], True),
             ([[LANE_MAX], [-LANE_MAX]], [[1]], True),
             ([[-LANE_MAX, 0, -LANE_MAX]], [[1, 0]], True),
             ([[-LANE_MAX, -1]], [[1]], True),
-            # B = 2**63: one more than a signed lane holds; unsigned 64-bit
-            # lanes hold it.
+            # B = 2**63: unsigned 64-bit lanes hold it.
             ([[2**62, 2**62]], [[1, 1]], True),
             ([[-(2**62), -(2**62)]], [[1, 1]], False),
             ([[2**62, -(2**62)]], [[1, -1]], False),
@@ -665,24 +673,25 @@ class TestGeneralized:
             ([[5, -7], [1, 2], [-3, 4]], [[2], [0], [-3]], True),
             ([[2**62, 1], [2**62, 2]], [[1], [1]], True),
             ([[-(2**62)], [-(2**62)]], [[1], [1]], False),
-            # 32-bit lanes: B = 2**31 - 1 with lanes of +B and -B.
+            # B = 2**31 - 1 with values of +B and -B.
             ([[1, -1, 1]], [[2**30, -(2**30 - 1)]], True),
             ([[NARROW_MAX], [-NARROW_MAX]], [[1]], True),
             ([[1], [-1], [1]], [[2**30], [-(2**30 - 1)]], True),
             ([[0, 0, 0], [0, 0, 0]], [[NARROW_MAX, 0], [0, -NARROW_MAX]], True),
-            # B = 2**31 takes 32-bit lanes here, all of them unsigned.
+            # B = 2**31 takes 32-bit lanes.
             ([[2**30, 2**30]], [[1, 1]], True),
             ([[2**30], [2**30]], [[1], [1]], True),
             ([[0, 0]], [[2**31, 1]], True),
-            # Negative minima: -(2**31 - 1) in 32-bit lanes, -(2**31) in
-            # 64-bit lanes.
+            # Negative minima: -(2**31 - 1), then -(2**31).
             ([[-NARROW_MAX, -1]], [[1]], True),
             ([[-(2**31), 5]], [[1]], True),
             *nonnegative_correlation_edges(),
         ],
     )
-    def test_lane_edges(self, rows, weights, packed):
+    def test_lane_edges(self, rows, weights, inside):
         a, w = Matrix.from_rows(rows), Matrix.from_rows(weights)
+        packed = min(a.data + w.data) >= 0
+        assert inside is (packed or lane_bound(a, w) <= LANE_MAX)
         bits = correlation_bits(a, w)
         assert (bits is not None) is packed
         with counted_calls("_packed_correlation") as calls:

@@ -171,6 +171,17 @@ class TestRectKernel:
         with pytest.raises(ExactOverflowError, match="^69x69 binomial window"):
             gaussian_kernel(34)
 
+    def test_float_weights_are_rounded_exact_quotients(self):
+        # Each float weight is the exact weight over the divisor, rounded
+        # once: as_float() of every window that builds exactly, and the same
+        # quotient past the int128 edge, where no exact window builds.
+        for a, b in [(1, 1), (1, 69), (2, 3), (7, 4), (67, 67)]:
+            exact = gaussian_kernel_rect(a, b)
+            assert gaussian_kernel_rect(a, b, ScalarMode.FLOAT) == exact.as_float()
+        k = gaussian_kernel_rect(69, 70, ScalarMode.FLOAT)
+        assert (k.divisor, k.anchor) == (1, (35, 35))
+        assert k.weights.at(35, 35) == math.comb(68, 34) * math.comb(69, 34) / 2**137
+
 
 class TestSampledKernel:
     def test_center_is_maximum(self):
