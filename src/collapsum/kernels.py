@@ -12,10 +12,11 @@ Every exact window is the m x n coefficient matrix with a x b collapses
 (h, w, h-1, w-1), the radius-r Gaussian its (2r+1)-square case, the box
 (2r+1, 2r+1, 0, 0) and the interpolation window (2r+1, 2r+1, s, s).  An
 exact window whose largest weight leaves the signed 128-bit range is
-refused before any weight is built; a float binomial window has no such
-limit.  Convolution uses flipped kernel indexing
-(output (p, q) sums weight(i, j) * input(p - i, q - j) over window
-offsets), which matters only for asymmetric kernels; it runs as the
+refused before any weight is built; a float binomial window is refused
+only past 400 collapses (a + b), where no exact one builds either.
+Convolution uses flipped kernel indexing (output (p, q) sums
+weight(i, j) * input(p - i, q - j) over window offsets), which matters
+only for asymmetric kernels; it runs as the
 generalized collapse of the flipped window, the package's one
 correlation loop.  :func:`separable_convolve` splits an h x w binomial
 window into a row and a column pass.
@@ -160,8 +161,8 @@ def _coefficient_kernel(
     # The m x n coefficient matrix with a x b collapses, over its entry
     # sum, anchored at (ceil(m/2), ceil(n/2)).  A float window divides
     # each exact weight by that sum in one correctly rounded int division,
-    # as ``as_float`` does, so it needs no exact window and has no int128
-    # limit.
+    # as ``as_float`` does, so it needs no exact window and passes the
+    # int128 range, up to 400 collapses.
     divisor = coefficient_matrix_entry_sum(m, n, a, b)
     anchor = ((m + 1) // 2, (n + 1) // 2)
     if mode is ScalarMode.EXACT:
@@ -200,7 +201,8 @@ def gaussian_kernel_rect(
     entry, so the anchor sits at (ceil(a/2), ceil(b/2)).  An exact window
     whose largest weight leaves the signed 128-bit range is refused
     before any weight is built.  In float ``mode`` each weight is that
-    quotient correctly rounded, with divisor 1, at any size.
+    quotient correctly rounded, with divisor 1, for sides with
+    a + b <= 402; longer ones are refused first.
     """
     if a < 1 or b < 1:
         raise ValueError("kernel sides must be positive")

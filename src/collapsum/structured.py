@@ -114,6 +114,10 @@ def row_sum_vector(a: Matrix) -> Matrix:
     return Matrix(a.rows, 1, tuple(sums), a.mode)
 
 
+# The most collapses a + b that a coefficient window takes.
+MAX_COLLAPSES = 400
+
+
 def _check_counts(m: int, n: int, a: int, b: int) -> None:
     if not 0 <= a < m:
         raise DimensionError(f"need 0 <= a < m, got a={a}, m={m}")
@@ -137,8 +141,14 @@ def _peak(m: int, a: int) -> int:
 
 def coefficient_sides(m: int, n: int, a: int, b: int) -> tuple[list, list]:
     """The column sums of ``r_falling(m, a)`` and ``r_falling(n, b)``,
-    whose outer product is :func:`coefficient_matrix`, at any size."""
+    whose outer product is :func:`coefficient_matrix`, past the int128
+    range too.  Past :data:`MAX_COLLAPSES` collapses they are refused,
+    before any is computed, as no exact window builds there either."""
     _check_counts(m, n, a, b)
+    if a + b > MAX_COLLAPSES:
+        raise DimensionError(
+            f"{m}x{n} binomial window needs more than {MAX_COLLAPSES} collapses"
+        )
     return _side(m, a), _side(n, b)
 
 
@@ -154,8 +164,9 @@ def coefficient_matrix(m: int, n: int, a: int, b: int) -> Matrix:
     """
     _check_counts(m, n, a, b)
     # The middle window holds C(a, a//2) >= 2^a / (a+1), so a + b past
-    # 400 always overflows; only smaller counts need the peak computed.
-    if a + b > 400 or _peak(m, a) * _peak(n, b) > INT128_MAX:
+    # MAX_COLLAPSES always overflows; only smaller counts need the peak
+    # computed.
+    if a + b > MAX_COLLAPSES or _peak(m, a) * _peak(n, b) > INT128_MAX:
         raise ExactOverflowError(
             f"{m}x{n} binomial window exceeds the signed 128-bit range"
         )

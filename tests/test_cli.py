@@ -244,6 +244,22 @@ class TestVerifyCommand:
             "error: 69x69 binomial window exceeds the signed 128-bit range\n"
         )
 
+    def test_float_huge_radius_fails_fast(self, capsys, monkeypatch):
+        # A float window past 400 collapses is refused before any weight
+        # is built.
+        def building(n, r):
+            raise AssertionError("a weight was built")
+
+        monkeypatch.setattr(importlib.import_module("collapsum.structured"),
+                            "binomial", building)
+        start = time.perf_counter()
+        assert main(["verify", "--radius", "1000000", "--mode", "float"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            "error: 2000001x2000001 binomial window needs more than 400 "
+            "collapses\n"
+        )
+
     def test_all_edges(self):
         for edge in ("crop", "replicate", "mirror", "zero"):
             assert main(["verify", "--radius", "2", "--size", "10", "--edge", edge]) == 0

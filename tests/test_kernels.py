@@ -182,6 +182,14 @@ class TestRectKernel:
         assert (k.divisor, k.anchor) == (1, (35, 35))
         assert k.weights.at(35, 35) == math.comb(68, 34) * math.comb(69, 34) / 2**137
 
+    def test_float_windows_stop_at_400_collapses(self):
+        assert gaussian_kernel_rect(201, 201, ScalarMode.FLOAT).weights.rows == 201
+        with pytest.raises(
+            DimensionError,
+            match="^201x202 binomial window needs more than 400 collapses$",
+        ):
+            gaussian_kernel_rect(201, 202, ScalarMode.FLOAT)
+
 
 class TestSampledKernel:
     def test_center_is_maximum(self):
