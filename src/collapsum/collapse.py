@@ -23,14 +23,26 @@ bytes of such items with slice assignment, and lanes wider than 8 bytes
 do so per 64-bit digit, with no Python code per entry.
 
 One proof covers every packed operation.  Each lane holds a sum of
-nonnegative terms, at most B, so no lane carries into the next.  Every
-entry of an earlier collapse pass is at most some entry of the result,
-since each pass adds only nonnegative terms and every entry feeds at
-least one entry of the next pass.  So the result needs one range check:
-when B > 2**127 - 1, one AND of the packed result with a mask of bits
-127 and up of every kept lane raises ``ExactOverflowError`` exactly
-where the unpacked loops, which scan each pass and each result as they
-build it, would.
+nonnegative terms that uses each window weight at most once, at most B,
+so no lane carries into the next.  In a chain of passes whose weights
+are all at least 1 (collapse passes, and the binomial row and column
+windows of ``pipeline.blur``), every entry of an earlier pass is at most
+some entry of the result, since each pass adds only nonnegative terms
+and every entry feeds at least one entry of the next pass.  So the
+result needs one range check: when B > 2**127 - 1, one AND of the packed
+result with a mask of bits 127 and up of every kept lane raises
+``ExactOverflowError`` exactly where the unpacked loops, which scan each
+pass and each result as they build it, would.
+
+A packed plane (``_Packed``) carries its shape, lane width, row stride
+and the lane of its first kept entry, and flows between stages without
+being unpacked: ``collapse_down``, ``collapse_right``, the collapse
+powers and ``generalized_collapse`` all take one and return one.
+``pipeline.blur`` packs its extended plane once, in lanes that hold the
+bound of its whole method, runs the stages on it and unpacks the result
+once.  Called on a ``Matrix``, the powers and ``generalized_collapse``
+are adapters over the same stages: they pack the input in lanes that
+hold their own bound, run the stage and unpack.
 
 A collapse power packs entry (i, j) of the plane in lane i*n + j
 (row-major, row stride n = the input's column count, kept through every
@@ -42,7 +54,8 @@ next row, and the lanes below the last row are computed and dropped.
 The generalized collapse is a correlation, and packed it is one bigint
 product (Kronecker substitution).  The input is packed with a lane per
 entry in row-major order, the flipped window into another int with the
-input's row stride, and the lanes of their product are the window sums.
+input's row stride, and the lanes of their product are the window sums,
+from a first kept lane (b1-1)*n + b2-1 further on.
 Unpacked, a shift-and-add loop adds the flat input, shifted to each
 window tap and scaled by its weight, into one accumulator.  Both keep
 the columns of each row where the whole window fits.
@@ -166,36 +179,65 @@ def _rows(lanes, first: int, rows: int, cols: int, stride: int):
     )
 
 
-def _check_int128(x: int, size: int, first: int, rows: int, cols: int, stride: int):
-    # One AND over the lanes that ``_rows`` keeps: each must be below 2**127,
-    # so bits 127 and up of every kept ``size``-byte lane must be clear.
-    lane = bytes(15) + b"\x80" + b"\xff" * (size - 16)
-    row = lane * cols + bytes(size * (stride - cols))
-    if x & int.from_bytes(bytes(size * first) + row * rows, "little"):
-        raise ExactOverflowError(OUT_OF_RANGE)
-
-
 class _Packed(NamedTuple):
-    # A plane of ``rows`` x ``cols`` entries, entry (i, j) in unsigned
-    # ``bits``-bit lane i * stride + j of ``value``.
+    # A plane of ``rows`` x ``cols`` exact entries, entry (i, j) in unsigned
+    # ``bits``-bit lane first + i * stride + j of ``value``.  The lanes
+    # around the kept ones hold partial sums that are dropped at the end.
     rows: int
     cols: int
     stride: int
     bits: int
     value: int
+    first: int = 0
+    # Not a field: the mode that stages read off their operand.
+    mode = ScalarMode.EXACT
 
 
-def _unpacked(p: _Packed, first: int, count: int, bound: int, mode) -> Matrix:
-    # The plane p from lane ``first`` of the ``count`` lanes of p.value,
-    # each in [0, bound], as a matrix that carries that range clipped to
-    # int128; when bound leaves int128 the kept lanes are checked first.
+def _packed(a: Matrix, bits: int) -> _Packed:
+    # The nonnegative exact plane a, entry k in ``bits``-bit lane k.
+    x = _pack(a.data, bits // 8, a._bounds[1])
+    return _Packed(a.rows, a.cols, a.cols, bits, x)
+
+
+def _kept(p: _Packed, lane: bytes) -> int:
+    # The byte pattern ``lane`` in every kept lane of p, zero elsewhere.
     size = p.bits // 8
+    row = lane * p.cols + bytes(size * (p.stride - p.cols))
+    return int.from_bytes(bytes(size * p.first) + row * p.rows, "little")
+
+
+def _checked(p: _Packed, bound: int) -> int:
+    # The bound a result carries: ``bound`` clipped to int128.  Past int128,
+    # one AND over the kept lanes of p, each at most ``bound``: bits 127
+    # and up of every kept lane must be clear.
     if bound > INT128_MAX:
-        _check_int128(p.value, size, first, p.rows, p.cols, p.stride)
-        bound = INT128_MAX
+        size = p.bits // 8
+        if p.value & _kept(p, bytes(15) + b"\x80" + b"\xff" * (size - 16)):
+            raise ExactOverflowError(OUT_OF_RANGE)
+    return min(bound, INT128_MAX)
+
+
+def _unpacked(p: _Packed, bound: int) -> Matrix:
+    # The kept lanes of p, each in [0, bound], as a matrix that carries
+    # that range clipped to int128; past it the kept lanes are checked first.
+    size = p.bits // 8
+    bound = _checked(p, bound)
+    last = p.first + (p.rows - 1) * p.stride + p.cols
+    count = max(last, -(-p.value.bit_length() // p.bits))
     lanes = _unpack(p.value, size, count, bound)
-    data = tuple(_rows(lanes, first, p.rows, p.cols, p.stride))
-    return Matrix._proven(p.rows, p.cols, data, mode, bounds=(0, bound))
+    data = tuple(_rows(lanes, p.first, p.rows, p.cols, p.stride))
+    return Matrix._proven(p.rows, p.cols, data, ScalarMode.EXACT,
+                          bounds=(0, bound))
+
+
+def _same(p: _Packed, q: _Packed) -> bool:
+    # Whether two packed planes of one shape and lane width hold equal
+    # kept lanes: one XOR, aligned on their first kept lanes, and one AND
+    # with q's kept lanes.
+    if p.first < q.first:
+        p, q = q, p
+    aligned = p.value >> p.bits * (p.first - q.first)
+    return not (aligned ^ q.value) & _kept(q, b"\xff" * (q.bits // 8))
 
 
 def _pair_sum(data: tuple, outer: int, k: int, inner: int) -> tuple:
@@ -247,7 +289,10 @@ def _repeat(step, a: Matrix, s: int, room: int, what: str, passes: int) -> Matri
         raise ValueError("collapse power must be nonnegative")
     if s >= room:
         raise DimensionError(f"cannot collapse {what} {s} times")
-    if s and a.mode is ScalarMode.EXACT and a._bounds[0] >= 0:
+    # A packed plane runs the loop as it is, since its lanes already hold
+    # the bound of the caller's whole method.
+    packable = isinstance(a, Matrix) and a.mode is ScalarMode.EXACT
+    if s and packable and a._bounds[0] >= 0:
         bound = a._bounds[1] << passes
         bits = _lane_bits(bound)
         if bits:
@@ -260,15 +305,15 @@ def _repeat(step, a: Matrix, s: int, room: int, what: str, passes: int) -> Matri
 def _packed_repeat(step, a: Matrix, s: int, bound: int, bits: int) -> Matrix:
     # ``step`` applied s times to the plane packed in ``bits``-bit lanes,
     # each of which stays at most ``bound`` (see the module docstring).
-    # x stays referenced to the end.  Freed after the first pass, its
-    # buffer left glibc's heap holding about 2 MB more at the write of a
-    # 512x512 P6 blur (peak RSS 46.2 against 44.3 MB at radius 4, and
-    # 46.2 against 44.8 MB at radius 6).
-    x = _pack(a.data, bits // 8, a._bounds[1])
-    plane = _Packed(a.rows, a.cols, a.cols, bits, x)
+    # The packed input stays referenced to the end.  Freed after the first
+    # pass, its buffer left glibc's heap holding about 2 MB more at the
+    # write of a 512x512 P6 blur (peak RSS 46.2 against 44.3 MB at radius
+    # 4, and 46.2 against 44.8 MB at radius 6).
+    packed = _packed(a, bits)
+    plane = packed
     for _ in range(s):
         plane = step(plane)
-    return _unpacked(plane, 0, len(a.data), bound, a.mode)
+    return _unpacked(plane, bound)
 
 
 def collapse_power(a: Matrix, s: int) -> Matrix:
@@ -280,7 +325,8 @@ def collapse_power(a: Matrix, s: int) -> Matrix:
     where a pass right wraps onto the next row are dropped at the end.
     Every entry of an earlier pass is at most some entry of the result,
     so one check of the result, one masked AND when B > 2**127 - 1,
-    raises exactly where the scan of each pass would.  A plane with a
+    raises exactly where the scan of each pass would.  A packed plane
+    runs its passes in the lanes it has and stays packed.  A plane with a
     negative entry, and a float one, runs each pass as the pair-sum loop.
     """
     room = min(a.rows, a.cols)
@@ -334,25 +380,29 @@ def _lane_bound(a: Matrix, w: Matrix) -> int:
     return max(high * sum(w.data), high, whigh)
 
 
-def _packed_correlation(a: Matrix, w: Matrix, bound: int, bits: int) -> Matrix:
-    # The window sums: lanes (p + b1 - 1) * n + q + b2 - 1 of the product
-    # A * W in unsigned ``bits``-bit lanes, each at most ``bound`` (see
-    # generalized_collapse).
-    b1, b2, n = w.rows, w.cols, a.cols
-    size = bits // 8
-    x = _pack(a.data, size, a._bounds[1])
+def _correlate(p: _Packed, w: Matrix) -> _Packed:
+    # The window sums of p as the packed product P * W, whose first kept
+    # lane lies (b1 - 1) * n + b2 - 1 past p's, n the row stride of p (see
+    # generalized_collapse).  The caller sized p's lanes to hold every lane
+    # of the product and every weight of the nonnegative window w.
+    b1, b2, n, x = w.rows, w.cols, p.stride, p.value
     flipped = w.data[::-1]
     if b2 == 1:
         # The product with sum(w_i * 2**(L*i*n)), without its zero lanes.
-        product = sum(wi * (x << bits * n * i) for i, wi in enumerate(flipped))
+        product = sum(wi * (x << p.bits * n * i) for i, wi in enumerate(flipped))
     else:
         window = [0] * ((b1 - 1) * n + b2)
         for i in range(b1):
             window[i * n : i * n + b2] = flipped[i * b2 : (i + 1) * b2]
-        product = x * _pack(window, size, w._bounds[1])
-    first = (b1 - 1) * n + b2 - 1
-    plane = _Packed(a.rows - b1 + 1, n - b2 + 1, n, bits, product)
-    return _unpacked(plane, first, len(a.data) + first, bound, a.mode)
+        product = x * _pack(window, p.bits // 8, w._bounds[1])
+    return _Packed(p.rows - b1 + 1, p.cols - b2 + 1, n, p.bits, product,
+                   p.first + (b1 - 1) * n + b2 - 1)
+
+
+def _packed_correlation(a: Matrix, w: Matrix, bound: int, bits: int) -> Matrix:
+    # The window sums of a, correlated in unsigned ``bits``-bit lanes, each
+    # at most ``bound``.
+    return _unpacked(_correlate(_packed(a, bits), w), bound)
 
 
 def generalized_collapse(a: Matrix, gamma: GammaSpec) -> Matrix:
@@ -381,7 +431,9 @@ def generalized_collapse(a: Matrix, gamma: GammaSpec) -> Matrix:
     B < 2**L, for any B, and when B > 2**127 - 1 one AND of the product
     with a mask of bits 127 and up of every kept lane raises
     ``ExactOverflowError`` exactly where the entry scan would.  The
-    result skips that scan and carries [0, B] clipped to int128.
+    result skips that scan and carries [0, B] clipped to int128.  A
+    packed plane, as ``pipeline.blur`` passes, is multiplied in the lanes
+    its caller sized, and the product stays packed.
 
     When the input or the window has a negative entry, and in float
     mode, the sum runs as shift-and-add over the flat input: window tap
@@ -401,6 +453,8 @@ def generalized_collapse(a: Matrix, gamma: GammaSpec) -> Matrix:
         raise DimensionError(
             f"{b1}x{b2} window does not fit a {m}x{n} matrix"
         )
+    if isinstance(a, _Packed):
+        return _correlate(a, w)
     if a.mode is ScalarMode.EXACT and min(a._bounds[0], w._bounds[0]) >= 0:
         bound = _lane_bound(a, w)
         bits = _lane_bits(bound)

@@ -14,8 +14,9 @@ the exact span of its input (with 0 added under zero padding); a packed
 collapse power or packed correlation passes [0, B] for its lane bound B,
 clipped to int128 after a check on the packed int when B goes beyond it.
 Exact rounding by a divisor >= 2, which never grows a magnitude, passes
-none.  Without a proof the bounds are the span, and a span that is not
-yet measured, as on these results and on every float matrix, is measured
+its input's bounds rounded the same way, since rounding is monotone.
+Without a proof the bounds are the span.  A span that is not yet
+measured, as on these results and on every float matrix, is measured
 once when first read.
 
 Float mode is plain IEEE-754 binary64.  All operator identities in this
@@ -247,6 +248,17 @@ def scale(c, a: Matrix) -> Matrix:
     return Matrix(a.rows, a.cols, tuple(c * x for x in a.data), a.mode)
 
 
+def _rounded(values, divisor: int) -> list:
+    # Each exact value over ``divisor``, rounded half away from zero.  Equal
+    # to (2x + d) // 2d: with d odd, 2x + d is odd and so never a multiple
+    # of 2d, so flooring (2x + d - 1) / 2d gives the same.
+    half = divisor // 2
+    return [
+        (x + half) // divisor if x >= 0 else -((half - x) // divisor)
+        for x in values
+    ]
+
+
 def round_half_away(a: Matrix, divisor: int = 1) -> Matrix:
     """Exact matrix of ``a / divisor``, each entry rounded half away from zero.
 
@@ -256,16 +268,14 @@ def round_half_away(a: Matrix, divisor: int = 1) -> Matrix:
     if a.mode is ScalarMode.EXACT:
         if divisor == 1:
             return a
-        # Equal to (2x + d) // 2d: with d odd, 2x + d is odd and so never
-        # a multiple of 2d, so flooring (2x + d - 1) / 2d gives the same.
-        half = divisor // 2
-        data = [
-            (x + half) // divisor if x >= 0 else -((half - x) // divisor)
-            for x in a.data
-        ]
+        data = _rounded(a.data, divisor)
         if divisor > 1:
-            # |round(x / d)| <= |x| when d >= 2, so the result stays in range.
-            return Matrix._proven(a.rows, a.cols, tuple(data), ScalarMode.EXACT)
+            # |round(x / d)| <= |x| when d >= 2, so the result stays in
+            # range, and rounding is monotone, so the rounded bounds of the
+            # input bound the result.
+            bounds = tuple(_rounded(a._bounds, divisor))
+            return Matrix._proven(a.rows, a.cols, tuple(data),
+                                  ScalarMode.EXACT, bounds=bounds)
     else:
         data = [
             math.floor(v + 0.5) if v >= 0 else math.ceil(v - 0.5)

@@ -161,6 +161,21 @@ def _wide(samples: array) -> array:
     return samples
 
 
+def _big_endian_16(samples) -> bytearray:
+    # Samples below 2**16 as big-endian 2-byte items.  ``array("I")``
+    # converts ints about three times as fast as ``array("H")``; the two
+    # low bytes of each item, in little-endian order, are interleaved high
+    # byte first.
+    items = array("I", samples)
+    if sys.byteorder == "big":
+        items.byteswap()
+    raw, step = items.tobytes(), items.itemsize
+    out = bytearray(2 * len(items))
+    out[0::2] = raw[1::step]
+    out[1::2] = raw[0::step]
+    return out
+
+
 def _image(
     width: int, height: int, maxval: int, flat: list[int], raster: int
 ) -> ImagePlane | ColorImage:
@@ -227,7 +242,7 @@ def write_netpbm(img: ImagePlane | ColorImage, format: str = "binary") -> bytes:
         line = b" ".join([b"%d"] * (width * (3 if color else 1))) + b"\n"
         return (header + line * height) % flat
     if maxval > 255:
-        raster = _wide(array("H", flat)).tobytes()
+        raster = _big_endian_16(flat)
     else:
         raster = bytes(flat)
     return header + raster
@@ -239,8 +254,10 @@ def split_color(img: ColorImage) -> tuple[Matrix, Matrix, Matrix]:
 
 
 def _quantize(m: Matrix, maxval: int) -> Matrix:
+    # A rounded blur carries bounds that prove the clamp idle without a scan;
+    # the plane it becomes still measures its span.
     q = round_half_away(m)
-    low, high = q.span
+    low, high = q._bounds
     if 0 <= low and high <= maxval:
         return q
     data = tuple(min(max(v, 0), maxval) for v in q.data)

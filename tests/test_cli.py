@@ -173,20 +173,18 @@ class TestBlurCommand:
     def test_each_plane_matrix_scanned_once(self, tmp_path, monkeypatch):
         # A 12x10 plane holds more entries than the 9x9 window, so only the
         # plane-sized matrices count: each plane is read, extended, blurred
-        # (collapsed, correlated, or correlated by rows and then by
-        # columns) and rounded.  A read plane is scanned when it is built.
-        # The extension carries its input's span, and the packed passes,
-        # the packed correlations and the rounding prove their range, so
-        # none of them is scanned when built; the column pass sizes its
-        # lanes from the row pass's proven bound.  A rounded plane is
-        # scanned once, when quantizing reads its span.
+        # and rounded.  A read plane is scanned when it is built.  The
+        # extension carries its input's span; every method runs packed on
+        # the extended plane and is unpacked once, with its proven bound;
+        # and the rounding carries that bound rounded, which proves the
+        # quantizing clamp idle.  A rounded plane is scanned once, when the
+        # image plane it becomes checks its span.
         plane = 12 * 10
         rng = random.Random(9)
         raster = bytes(rng.randrange(256) for _ in range(3 * plane))
         src = write_pgm(tmp_path / "in.ppm", b"P6\n12 10\n255\n" + raster)
         check_shape = Matrix._check_shape
-        blurred = {"collapse": 1, "direct": 1, "separable": 2}
-        for method, passes in blurred.items():
+        for method in ("collapse", "direct", "separable"):
             scans, built = [], []
 
             def counting(scan):
@@ -210,9 +208,9 @@ class TestBlurCommand:
             assert main(["blur", "-r", "4", "--method", method, src, out]) == 0
             monkeypatch.undo()
             # Read red, green, blue; then extended, blurred, rounded per plane.
-            assert len(built) == 3 + 3 * (2 + passes), method
+            assert len(built) == 3 + 3 * 3, method
             per_matrix = [sum(seq is m.data for seq in scans) for m in built]
-            assert per_matrix == [2, 2, 2] + ([0] * (1 + passes) + [2]) * 3, method
+            assert per_matrix == [2, 2, 2] + [0, 0, 2] * 3, method
             assert len(scans) == 12, method
 
     def test_crop_radius_too_large(self, tmp_path, capsys):

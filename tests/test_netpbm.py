@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collapsum.kernels import EdgeMode
-from collapsum.matrix import DimensionError, Matrix
+from collapsum.matrix import DimensionError, Matrix, ScalarMode
 from collapsum.netpbm import (
     MAX_MAXVAL,
     ColorImage,
     ImagePlane,
     NetpbmError,
     _image,
+    _quantize,
     _read_binary_samples,
     merge_color,
     read_netpbm,
@@ -413,6 +414,37 @@ class TestWrite:
         img = ColorImage(plane(), plane(), plane()) if color else plane()
         assert read_netpbm(write_netpbm(img, fmt)) == img
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_sixteen_bit_raster_is_big_endian_pairs(self, data):
+        # Every 2-byte maxval, odd widths included, and samples at 0 and
+        # maxval: the raster is each sample as 2 bytes, high byte first.
+        maxval = data.draw(st.sampled_from((256, MAX_MAXVAL))
+                           | st.integers(256, MAX_MAXVAL))
+        width = data.draw(st.integers(0, 4).map(lambda k: 2 * k + 1)
+                          | st.integers(1, 8))
+        height = data.draw(st.integers(1, 4))
+        sample = st.sampled_from((0, maxval)) | st.integers(0, maxval)
+
+        def plane():
+            flat = data.draw(st.lists(sample, min_size=width * height,
+                                      max_size=width * height))
+            return ImagePlane(width, height, maxval,
+                              Matrix(height, width, tuple(flat)))
+
+        if data.draw(st.booleans()):
+            img, magic = ColorImage(plane(), plane(), plane()), b"P6"
+            grids = (p.samples.data for p in (img.red, img.green, img.blue))
+            flat = [v for pixel in zip(*grids) for v in pixel]
+        else:
+            img, magic = plane(), b"P5"
+            flat = img.samples.data
+        header = b"%s\n%d %d\n%d\n" % (magic, width, height, maxval)
+        raster = b"".join(v.to_bytes(2, "big") for v in flat)
+        out = write_netpbm(img, "binary")
+        assert type(out) is bytes
+        assert out == header + raster
+
 
 class TestPlanes:
     def test_gray_as_color_splits_equal(self):
@@ -426,6 +458,20 @@ class TestPlanes:
         m = Matrix.from_rows([[256, -3], [0, 255]])
         img = merge_color(m, m, m, 255)
         assert img.red.samples.to_rows() == [[255, 0], [0, 255]]
+
+    def test_proven_bounds_skip_the_clamp_and_its_scan(self):
+        # A rounded blur carries bounds inside [0, maxval]: quantizing
+        # keeps the rounded matrix and leaves its span unmeasured.
+        rng = random.Random(243)
+        for plane in split_color(random_color(rng, 9, 7, 255)):
+            for edge in (EdgeMode.MIRROR, EdgeMode.ZERO):
+                rounded = blur(plane, BlurRequest(radius=2, edge=edge)).rounded()
+                assert _quantize(rounded, 255) is rounded
+                assert "span" not in rounded.__dict__
+        # A proven bound beyond maxval still clamps.
+        loose = Matrix._proven(1, 3, (255, 0, 256), ScalarMode.EXACT,
+                               bounds=(0, 300))
+        assert _quantize(loose, 255).data == (255, 0, 255)
 
     def test_merge_rounds_half_away_from_zero(self):
         m = Matrix.from_rows([[0.5, 1.4], [2.5, 3.6]])

@@ -1,17 +1,40 @@
+import contextlib
 import importlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_collapse import (
+    OUT_OF_RANGE,
+    POWER_PASSES,
+    WIDE_BITS,
+    assert_bounds,
+    nonnegative_entries,
+    per_entry_correlation,
+    per_pass_powers,
+)
 
+from collapsum import pipeline
+from collapsum.collapse import (
+    collapse_down_power,
+    collapse_power,
+    collapse_right_power,
+)
 from collapsum.kernels import (
     EdgeMode,
     FilterResult,
     convolve,
+    extend_asym,
     gaussian_kernel_rect,
 )
-from collapsum.matrix import DimensionError, Matrix, ScalarMode
+from collapsum.matrix import (
+    INT128_MAX,
+    DimensionError,
+    ExactOverflowError,
+    Matrix,
+    ScalarMode,
+)
 from collapsum.pipeline import (
     CSV_HEADER,
     BlurRequest,
@@ -26,6 +49,10 @@ from collapsum.pipeline import (
 )
 
 ALL_EDGES = (EdgeMode.CROP, EdgeMode.REPLICATE, EdgeMode.MIRROR, EdgeMode.ZERO)
+
+
+# The package's ``collapse`` attribute is the function, not this module.
+collapse_module = importlib.import_module("collapsum.collapse")
 
 
 def random_matrix(rng, rows, cols):
@@ -196,7 +223,171 @@ class TestRectBlur:
         assert results[0].divisor == 2 ** (h + w - 2)
 
 
+def extended(a, h, w, edge):
+    """The input of every method: ``a`` extended by the window's margins."""
+    if edge is EdgeMode.CROP:
+        return a
+    return extend_asym(a, *gaussian_kernel_rect(h, w).margins(), edge)
+
+
+def per_pass_blur(work, h, w, method):
+    """Reference: the passes of ``method`` on the extended plane, entry by
+    entry; None when one of them leaves int128, where a scan of each pass
+    would raise."""
+    if method is Method.COLLAPSE:
+        s = min(h, w) - 1
+        passes = ((collapse_power, s), (collapse_down_power, h - 1 - s),
+                  (collapse_right_power, w - 1 - s))
+        for power, k in passes:
+            out = per_pass_powers(work, power, k)
+            if out is None:
+                return None
+            down, right = POWER_PASSES[power]
+            work = Matrix(work.rows - down * k, work.cols - right * k, out)
+        return work.data
+    windows = [gaussian_kernel_rect(h, w)]
+    if method is Method.SEPARABLE:
+        windows = [gaussian_kernel_rect(1, w), gaussian_kernel_rect(h, 1)]
+    for kernel in windows:
+        k = kernel.weights
+        flipped = Matrix(k.rows, k.cols, k.data[::-1])
+        out = per_entry_correlation(work, flipped)
+        if max(out) > INT128_MAX:
+            return None
+        work = Matrix(work.rows - k.rows + 1, work.cols - k.cols + 1, out)
+    return work.data
+
+
+@st.composite
+def nonnegative_blurs(draw):
+    """A nonnegative exact plane (all zero one time in eight, else entries
+    up to 2**k with k drawn up to 127), an h x w window and an edge under
+    which the window fits."""
+    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    m, n = draw(st.integers(h, h + 3)), draw(st.integers(w, w + 3))
+    if draw(st.integers(0, 7)):
+        entry = nonnegative_entries(draw(WIDE_BITS))
+        data = draw(st.lists(entry, min_size=m * n, max_size=m * n))
+    else:
+        data = [0] * (m * n)
+    edge = draw(st.sampled_from(ALL_EDGES))
+    return Matrix(m, n, tuple(data)), h, w, edge
+
+
+@contextlib.contextmanager
+def counted_planes(entries):
+    """Record the packs of ``entries``-lane planes and every unpack."""
+    packs, unpacks = [], []
+
+    def pack(values, *args, original=collapse_module._pack):
+        if len(values) == entries:
+            packs.append(values)
+        return original(values, *args)
+
+    def unpack(*args, original=collapse_module._unpack):
+        unpacks.append(args)
+        return original(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(collapse_module, "_pack", pack)
+        patch.setattr(collapse_module, "_unpack", unpack)
+        yield packs, unpacks
+
+
+class TestPackedPlane:
+    @settings(max_examples=200, deadline=None)
+    @given(nonnegative_blurs())
+    def test_blur_matches_the_per_pass_oracle(self, case):
+        # One packed plane per blur: every method equals the per-entry
+        # correlation, and raises exactly where a scan of each pass would.
+        a, h, w, edge = case
+        work = extended(a, h, w, edge)
+        expected = per_entry_correlation(work, gaussian_kernel_rect(h, w).weights)
+        for method in Method:
+            per_pass = per_pass_blur(work, h, w, method)
+            assert (per_pass is None) is (max(expected) > INT128_MAX), method
+            req = BlurRequest(rect=(h, w), method=method, edge=edge)
+            if per_pass is None:
+                with pytest.raises(ExactOverflowError, match=OUT_OF_RANGE):
+                    blur(a, req)
+                continue
+            out = blur(a, req)
+            assert out.numerator.data == per_pass == expected, method
+            assert out.divisor == 2 ** (h + w - 2)
+            assert out.numerator.span == (min(expected), max(expected))
+            assert_bounds(out.numerator)
+
+    @pytest.mark.parametrize("edge", ALL_EDGES)
+    def test_each_blur_packs_once_and_unpacks_once(self, edge):
+        a = random_matrix(random.Random(263), 11, 9)
+        work = extended(a, 5, 4, edge)
+        for method in Method:
+            with counted_planes(len(work.data)) as (packs, unpacks):
+                blur(a, BlurRequest(rect=(5, 4), method=method, edge=edge))
+            assert (len(packs), len(unpacks)) == (1, 1), method
+
+    @pytest.mark.parametrize("edge", ALL_EDGES)
+    def test_a_passing_report_packs_once_and_unpacks_nothing(self, edge):
+        a = random_matrix(random.Random(269), 12, 12)
+        with counted_planes(len(extended(a, 5, 5, edge).data)) as (packs, unpacks):
+            report = equivalence_report(a, 2, edge)
+        assert report.passed
+        assert (len(packs), len(unpacks)) == (1, 0)
+
+
+def tuple_report(a, r, edge):
+    """Reference: each method's blur unpacked, compared pairwise by
+    ``deviation``, as the report did before it compared packed planes."""
+    results = {
+        m.value: blur(a, BlurRequest(radius=r, method=m, edge=edge, mode=a.mode))
+        for m in Method
+    }
+    names = [m.value for m in Method]
+    devs = {(x, y): deviation(results[x], results[y])
+            for i, x in enumerate(names) for y in names[i + 1 :]}
+    return devs, max(devs.values())
+
+
+def perturbed(name, entry, delta):
+    """A stand-in for ``pipeline.<name>`` whose result has ``delta`` added to
+    one entry (row-major index ``entry``) of its numerator, packed or not."""
+    original = getattr(pipeline, name)
+
+    def run(*args):
+        out = original(*args)
+        num = out if name == "collapse_power" else out.numerator
+        if isinstance(num, collapse_module._Packed):
+            i, j = divmod(entry, num.cols)
+            lane = num.first + i * num.stride + j
+            num = num._replace(value=num.value + (delta << num.bits * lane))
+        else:
+            data = list(num.data)
+            data[entry] += delta
+            num = Matrix(num.rows, num.cols, tuple(data), num.mode)
+        return num if name == "collapse_power" else FilterResult(num, out.divisor)
+
+    return run
+
+
 class TestEquivalenceReport:
+    @pytest.mark.parametrize("name, entry, delta", [
+        ("convolve", 0, 3), ("separable_convolve", 17, 1),
+        ("collapse_power", 99, 250), ("convolve", 50, 1000),
+    ])
+    @pytest.mark.parametrize("edge", ALL_EDGES)
+    @pytest.mark.parametrize("mode", list(ScalarMode))
+    def test_a_differing_method_reads_as_the_tuple_path(self, name, entry, delta,
+                                                       edge, mode, monkeypatch):
+        a = random_matrix(random.Random(271), 14, 14)
+        if mode is ScalarMode.FLOAT:
+            a, delta = a.to_float(), delta / 7
+        monkeypatch.setattr(pipeline, name, perturbed(name, entry, delta))
+        report = equivalence_report(a, 2, edge)
+        devs, worst = tuple_report(a, 2, edge)
+        assert report.deviations == devs
+        assert report.max_deviation == worst
+        assert not report.passed
+
     def test_exact_mode_deviation_zero(self):
         rng = random.Random(211)
         a = random_matrix(rng, 10, 10)
@@ -280,22 +471,16 @@ class TestEntryOps:
         # The package re-exports the function ``collapse`` under the
         # submodule's name, so fetch the module itself.
         collapse = importlib.import_module("collapsum.collapse")
-        produced = []
+        produced, packed = [], []
         for name in ("collapse_down", "collapse_right"):
             def counted(a, original=getattr(collapse, name)):
                 out = original(a)
                 produced.append(out.rows * out.cols)
+                packed.append(isinstance(a, collapse._Packed))
                 return out
             monkeypatch.setattr(collapse, name, counted)
-        # The passes run packed, and still call both functions once each.
-        packed = []
-        monkeypatch.setattr(
-            collapse,
-            "_packed_repeat",
-            lambda *args, original=collapse._packed_repeat: (
-                packed.append(args) or original(*args)
-            ),
-        )
+        # The passes run on the plane that blur packed, and still call both
+        # functions once each.
         a = random_matrix(random.Random(227), 9, 12)
         for r in range(4):
             for edge in ALL_EDGES:
@@ -303,7 +488,7 @@ class TestEntryOps:
                 packed.clear()
                 blur(a, BlurRequest(radius=r, method=Method.COLLAPSE, edge=edge))
                 assert sum(produced) == entry_ops(Method.COLLAPSE, 9, 12, r, edge)
-                assert len(packed) == (r > 0)
+                assert packed == [True] * (4 * r)
 
     @pytest.mark.parametrize("method", [Method.DIRECT, Method.SEPARABLE])
     def test_correlation_count_matches_the_macs_run(self, method, monkeypatch):
