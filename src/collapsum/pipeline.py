@@ -13,8 +13,8 @@ whether they do.
 
 An exact plane with no negative entry is packed once, after extension,
 into one int (``collapse._Packed``), and every stage of every method runs
-on that int: the direct correlation is one product, the separable row
-and column passes two, and the collapse passes shift-and-adds.  Each
+on that int: each correlation, direct or a separable pass, is one product
+per distinct window row, and the collapse passes shift-and-adds.  Each
 result stays packed, with the offset of its first kept lane, until
 :func:`blur` unpacks it once.  One lane width serves all of them: the
 fewest whole bytes that hold B = max(a) * 2^(h+w-2), and at least the
@@ -286,8 +286,8 @@ def entry_ops(method: Method, rows: int, cols: int, r: int, edge: EdgeMode) -> i
     same across both 1-D passes; collapse one addition per produced
     entry of every directional pass.  These are the operations each
     strategy is defined by, not the steps the code runs: an exact
-    correlation is one packed bigint product, so the wall time of direct
-    and separable no longer follows these counts.
+    correlation is a packed bigint product per distinct window row, so
+    the wall time of direct and separable no longer follows these counts.
     """
     if edge is EdgeMode.CROP:
         me, ne = rows, cols

@@ -932,3 +932,96 @@ class TestNdArray:
             if len(shape) == 2:
                 directional = (collapse_down, collapse_right)[axis]
                 assert out.data == directional(Matrix(*shape, arr.data)).data
+
+
+# Shapes of windows whose rows repeat, which a packed correlation
+# multiplies once per distinct row.
+REPEATED_ROWS = ("box", "mirrored", "duplicated", "zero row", "1 x b", "b x 1")
+
+
+@st.composite
+def repeated_row_cases(draw):
+    """A nonnegative input and a window whose rows repeat, of a shape drawn
+    from REPEATED_ROWS: every row equal, rows mirrored about the middle,
+    one row of an asymmetric window duplicated, a zero row inserted, one
+    row, or one column whose weights come from a pool of two.  Entries and
+    weights are drawn up to 2**k, k up to 127, so lanes go past 16 bytes
+    and results past int128."""
+    shape = draw(st.sampled_from(REPEATED_ROWS))
+    weight = nonnegative_entries(draw(WIDE_BITS))
+    b2 = 1 if shape == "b x 1" else draw(st.integers(1, 5))
+
+    def row():
+        return draw(st.lists(weight, min_size=b2, max_size=b2))
+
+    if shape == "box":
+        rows = [row()] * draw(st.integers(1, 5))
+    elif shape == "mirrored":
+        half = [row() for _ in range(draw(st.integers(1, 3)))]
+        rows = half + half[-1 - draw(st.integers(0, 1)) :: -1]
+    elif shape == "duplicated":
+        rows = [row() for _ in range(draw(st.integers(2, 4)))]
+        rows.insert(draw(st.integers(0, len(rows))),
+                    rows[draw(st.integers(0, len(rows) - 1))])
+    elif shape == "zero row":
+        rows = [row() for _ in range(draw(st.integers(0, 4)))]
+        rows.insert(draw(st.integers(0, len(rows))), [0] * b2)
+    elif shape == "1 x b":
+        rows = [row()]
+    else:
+        pool = [row(), row()]
+        rows = [draw(st.sampled_from(pool)) for _ in range(draw(st.integers(1, 6)))]
+    w = Matrix.from_rows(rows)
+    m = draw(st.integers(w.rows, w.rows + 4))
+    n = draw(st.integers(w.cols, w.cols + 4))
+    entry = nonnegative_entries(draw(WIDE_BITS))
+    data = draw(st.lists(entry, min_size=m * n, max_size=m * n))
+    return Matrix(m, n, tuple(data)), w
+
+
+class TestRepeatedWindowRows:
+    """Packed correlations with windows whose rows repeat, each distinct
+    row multiplied once, against the per-entry loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(repeated_row_cases())
+    def test_matches_the_per_entry_loop(self, case):
+        a, w = case
+        expected = per_entry_correlation(a, w)
+        with counted_calls("_packed_correlation") as calls:
+            if max(expected) > INT128_MAX:
+                with pytest.raises(ExactOverflowError, match=OUT_OF_RANGE):
+                    generalized_collapse(a, GammaSpec(w))
+            else:
+                assert_entries(lambda: generalized_collapse(a, GammaSpec(w)),
+                               expected, ScalarMode.EXACT)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("shape", REPEATED_ROWS)
+    def test_cases_cover_every_shape(self, shape):
+        def drawn(case):
+            rows = case[1].to_rows()
+            distinct = len(set(map(tuple, rows)))
+            if shape == "box":
+                return len(rows) > 1 and distinct == 1
+            if shape == "mirrored":
+                return len(rows) > 2 and rows == rows[::-1] and distinct > 1
+            if shape == "zero row":
+                return [0] * len(rows[0]) in rows and any(map(any, rows))
+            if shape == "1 x b":
+                return len(rows) == 1 and len(rows[0]) > 1
+            if shape == "b x 1":
+                return len(rows[0]) == 1 and len(rows) > distinct > 1
+            return len(rows[0]) > 1 and rows != rows[::-1] and distinct < len(rows)
+
+        find(repeated_row_cases(), drawn, settings=settings(
+            database=None, phases=[Phase.generate], max_examples=1000))
+
+    @pytest.mark.parametrize("overflows", [True, False])
+    def test_cases_reach_wide_lanes_and_the_int128_edge(self, overflows):
+        # Lanes past 16 bytes, with results in int128 and beyond it.
+        find(repeated_row_cases(),
+             lambda case: correlation_bits(*case) > 128
+             and correlation_overflows(case) is overflows,
+             settings=settings(database=None, phases=[Phase.generate],
+                               max_examples=1000))

@@ -24,6 +24,7 @@ from collapsum.collapse import (
 from collapsum.kernels import (
     EdgeMode,
     FilterResult,
+    box_kernel,
     convolve,
     extend_asym,
     gaussian_kernel_rect,
@@ -553,3 +554,50 @@ class TestBenchmark:
         assert first[1] == "1"
         assert first[2] == "direct"
         assert first[5] == "0.00e+00"
+
+
+@contextlib.contextmanager
+def packed_lengths():
+    """Record the lane count of every ``_pack`` call."""
+    lengths = []
+
+    def pack(values, *args, original=collapse_module._pack):
+        lengths.append(len(values))
+        return original(values, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(collapse_module, "_pack", pack)
+        yield lengths
+
+
+class TestOneProductPerDistinctRow:
+    """A packed correlation packs each distinct window row once, in b2
+    lanes, and never the whole window with the input's row stride."""
+
+    @pytest.mark.parametrize("r", [0, 1, 2, 5])
+    def test_binomial_direct_blur_packs_r_plus_1_rows(self, r):
+        a = random_matrix(random.Random(271), 7, 6)
+        k, n = 2 * r + 1, 6 + 2 * r
+        with packed_lengths() as lengths:
+            blur(a, BlurRequest(radius=r, method=Method.DIRECT))
+        # The extended plane, then one pack per distinct row.
+        assert lengths == [(7 + 2 * r) * n] + [k] * (r + 1)
+        assert r == 0 or (k - 1) * n + k not in lengths
+
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_separable_blur_packs_each_pass_by_rows(self, r):
+        a = random_matrix(random.Random(277), 7, 6)
+        k = 2 * r + 1
+        with packed_lengths() as lengths:
+            blur(a, BlurRequest(radius=r, method=Method.SEPARABLE))
+        # The row pass has one row of k lanes, the column pass r + 1
+        # distinct rows of one lane.
+        assert lengths == [(7 + 2 * r) * (6 + 2 * r), k] + [1] * (r + 1)
+
+    @pytest.mark.parametrize("edge", ALL_EDGES)
+    def test_box_convolution_packs_one_row(self, edge):
+        r, a = 2, random_matrix(random.Random(281), 8, 9)
+        work = extend_asym(a, r, r, r, r, edge) if edge is not EdgeMode.CROP else a
+        with packed_lengths() as lengths:
+            convolve(box_kernel(r), a, edge)
+        assert lengths == [len(work.data), 2 * r + 1]
