@@ -128,7 +128,7 @@ def _blur_planes(planes: list[Matrix], args) -> list[Matrix]:
     edge = EdgeMode(args.edge)
     h, w = _window(args)
     if args.filter_name in ("box", "interp"):
-        _check_crop_fit(planes[0], h, w, edge)
+        _check_crop_fit(planes[0].rows, planes[0].cols, h, w, edge)
         kernel = _pick_kernel(args)
         return [convolve(kernel, p, edge).rounded() for p in planes]
     req = BlurRequest(rect=(h, w), method=Method(args.method), edge=edge)

@@ -12,15 +12,16 @@ data to itself shifted by one step.
 In exact mode a plane with no negative entry, correlated with a window
 with none, is packed into one Python int; a plane or window with a
 negative entry, and float mode, runs the unpacked loops: the pair-sum
-passes and a shift-and-add correlation.  The packed values sit in
+passes and a shift-and-add correlation.  One gate, ``_packed``, decides
+whether a plane packs and in which lanes.  The packed values sit in
 unsigned lanes of L bits, a whole number of bytes: the narrowest L >= 8
 with B < 2**L for a bound B on every value a lane holds, with no upper
 limit.  So an 8-bit image blurred at radius 4 (B = 255 * 4**8 < 2**24)
 packs in 3-byte lanes, and a 16-bit one at radius 12
-(B = 65535 * 4**24 < 2**64) in 8-byte lanes.  Lanes of 1, 4 or 8 bytes
-are one native ``array`` buffer; other widths scatter and gather the
-bytes of such items with slice assignment, and lanes wider than 8 bytes
-do so per 64-bit digit, with no Python code per entry.
+(B = 65535 * 4**24 < 2**64) in 8-byte lanes.  One packer serves every
+width: it scatters and gathers the bytes of native ``array`` items with
+slice assignment, and lanes wider than 8 bytes do so per 64-bit digit,
+with no Python code per entry.
 
 One proof covers every packed operation.  Each lane holds a sum of
 nonnegative terms that uses each window weight at most once, at most B,
@@ -34,15 +35,16 @@ result with a mask of bits 127 and up of every kept lane raises
 ``ExactOverflowError`` exactly where the unpacked loops, which scan each
 pass and each result as they build it, would.
 
-A packed plane (``_Packed``) carries its shape, lane width, row stride
-and the lane of its first kept entry, and flows between stages without
-being unpacked: ``collapse_down``, ``collapse_right``, the collapse
-powers and ``generalized_collapse`` all take one and return one.
-``pipeline.blur`` packs its extended plane once, in lanes that hold the
-bound of its whole method, runs the stages on it and unpacks the result
-once.  Called on a ``Matrix``, the powers and ``generalized_collapse``
-are adapters over the same stages: they pack the input in lanes that
-hold their own bound, run the stage and unpack.
+A packed plane (``_Packed``) carries its shape, row stride, lane width,
+the bound B its lanes were sized for and the lane of its first kept
+entry, and flows between stages without being unpacked:
+``collapse_down``, ``collapse_right``, the collapse powers and
+``generalized_collapse`` all take one and return one.  ``pipeline.blur``
+packs its extended plane once, in lanes that hold the bound of its whole
+method, runs the stages on it and unpacks the result once.  Called on a
+``Matrix``, the powers and ``generalized_collapse`` are adapters over
+the same stages: they pack the input in lanes that hold their own
+bound, run the stage and unpack.
 
 A collapse power packs entry (i, j) of the plane in lane i*n + j
 (row-major, row stride n = the input's column count, kept through every
@@ -73,7 +75,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from operator import add, and_, lshift, mul, rshift
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .matrix import (
     INT128_MAX,
@@ -87,11 +89,11 @@ from .matrix import (
 
 MAX_AXES = 8
 
-# The unsigned ``array`` typecode of each item size in bytes that lanes
-# use natively; 2-byte items are left out, since ``array('H')`` builds
-# from ints as slowly as 'B', about three times slower than 'I'.  Packing reads
-# ``array`` bytes as little-endian, so on a big-endian host, or one whose
-# item sizes differ, only the unpacked loops run.
+# The unsigned ``array`` typecode of each item size in bytes that packing
+# converts through; 2-byte items are left out, since ``array('H')`` builds
+# from ints as slowly as 'B', about three times slower than 'I'.  Packing
+# reads ``array`` bytes as little-endian, so on a big-endian host, or one
+# whose item sizes differ, only the unpacked loops run.
 _NATIVE = {1: "B", 4: "I", 8: "Q"}
 _PACKABLE = sys.byteorder == "little" and all(
     array(code).itemsize == size for size, code in _NATIVE.items()
@@ -109,26 +111,11 @@ def _native(size: int) -> int:
     return next(s for s in _NATIVE if s >= size)
 
 
-def _lane_bits(bound: int) -> int | None:
-    # The lane width in bits of values in [0, bound]: 8L for the narrowest
-    # L >= 1 with bound < 2**(8L).  None on a host that cannot pack.
-    return 8 * _size(bound) if _PACKABLE else None
-
-
-def _items(values, size: int) -> bytes:
-    # The values, each below 2**(8 * size), as little-endian native items
-    # of that size.  ``bytes`` builds 1-byte items about four times as fast
-    # as ``array('B')`` does.
-    return bytes(values) if size == 1 else array(_NATIVE[size], values).tobytes()
-
-
 def _pack(values, size: int, top: int) -> int:
     # One int whose ``size``-byte lane k holds values[k], each in [0, top]
-    # with top < 2**(8 * size).  Native sizes are one buffer of items;
-    # other sizes scatter the bytes of the narrowest native items that
-    # hold the values, taken 64 bits at a time beyond 8 bytes.
-    if size in _NATIVE:
-        return int.from_bytes(_items(values, size), "little")
+    # with top < 2**(8 * size): the bytes of the narrowest native items
+    # that hold the values, taken 64 bits at a time beyond 8 bytes, are
+    # scattered into their lanes.
     width = _size(top)
     if width > 8:
         values = tuple(values)
@@ -139,7 +126,9 @@ def _pack(values, size: int, top: int) -> int:
         digit = values
         if width > 8:
             digit = map(and_, map(rshift, values, repeat(8 * lo)), repeat(_DIGIT))
-        src = _items(digit, step)
+        # ``bytes`` builds 1-byte items about four times as fast as
+        # ``array('B')`` does.
+        src = bytes(digit) if step == 1 else array(_NATIVE[step], digit).tobytes()
         if buf is None:
             buf = bytearray(size * (len(src) // step))
         for j in range(k):
@@ -150,12 +139,10 @@ def _pack(values, size: int, top: int) -> int:
 def _unpack(x: int, size: int, count: int, top: int):
     # Lanes 0 .. count-1 of x (``size`` bytes each) as a sequence of ints,
     # each read from its low bytes that hold 0..top: exact for every lane
-    # in [0, top].  The inverse of ``_pack``: native sizes read one
-    # ``array``, others gather bytes into the next wider native array, and
-    # beyond 8 bytes the 64-bit digits combine by C-level ``map``.
+    # in [0, top].  The inverse of ``_pack``: the bytes are gathered into
+    # the next wider native array, and beyond 8 bytes the 64-bit digits
+    # combine by C-level ``map``.
     raw = x.to_bytes(size * count, "little")
-    if size in _NATIVE:
-        return array(_NATIVE[size], raw)
     width = min(_size(top), size)
     values = None
     for lo in reversed(range(0, width, 8)):
@@ -181,22 +168,31 @@ def _rows(lanes, first: int, rows: int, cols: int, stride: int):
 
 class _Packed(NamedTuple):
     # A plane of ``rows`` x ``cols`` exact entries, entry (i, j) in unsigned
-    # ``bits``-bit lane first + i * stride + j of ``value``.  The lanes
-    # around the kept ones hold partial sums that are dropped at the end.
+    # ``bits``-bit lane first + i * stride + j of ``value``, every lane at
+    # most ``bound``.  The lanes around the kept ones hold partial sums
+    # that are dropped at the end.
     rows: int
     cols: int
     stride: int
     bits: int
+    bound: int
     value: int
     first: int = 0
     # Not a field: the mode that stages read off their operand.
     mode = ScalarMode.EXACT
 
 
-def _packed(a: Matrix, bits: int) -> _Packed:
-    # The nonnegative exact plane a, entry k in ``bits``-bit lane k.
-    x = _pack(a.data, bits // 8, a._bounds[1])
-    return _Packed(a.rows, a.cols, a.cols, bits, x)
+def _packed(a: Matrix, bound: Callable[[int], int]) -> _Packed | None:
+    # The one packing gate: an exact plane a with no negative entry, on a
+    # host that can pack, as entry k in lane k of the fewest whole bytes
+    # that hold B = bound(max(a)); else None.  The bound is a function of
+    # the maximum so that a plane that does not pack never computes it.
+    if not (_PACKABLE and a.mode is ScalarMode.EXACT and a._bounds[0] >= 0):
+        return None
+    high = a._bounds[1]
+    b = bound(high)
+    size = _size(b)
+    return _Packed(a.rows, a.cols, a.cols, 8 * size, b, _pack(a.data, size, high))
 
 
 def _kept(p: _Packed, lane: bytes) -> int:
@@ -206,38 +202,35 @@ def _kept(p: _Packed, lane: bytes) -> int:
     return int.from_bytes(bytes(size * p.first) + row * p.rows, "little")
 
 
-def _checked(p: _Packed, bound: int) -> int:
-    # The bound a result carries: ``bound`` clipped to int128.  Past int128,
-    # one AND over the kept lanes of p, each at most ``bound``: bits 127
-    # and up of every kept lane must be clear.
-    if bound > INT128_MAX:
+def _checked(p: _Packed) -> int:
+    # The bound a result carries: p's bound clipped to int128.  Past int128,
+    # one AND over the kept lanes of p: bits 127 and up of every kept lane
+    # must be clear.
+    if p.bound > INT128_MAX:
         size = p.bits // 8
         if p.value & _kept(p, bytes(15) + b"\x80" + b"\xff" * (size - 16)):
             raise ExactOverflowError(OUT_OF_RANGE)
-    return min(bound, INT128_MAX)
+    return min(p.bound, INT128_MAX)
 
 
-def _unpacked(p: _Packed, bound: int) -> Matrix:
-    # The kept lanes of p, each in [0, bound], as a matrix that carries
-    # that range clipped to int128; past it the kept lanes are checked first.
-    size = p.bits // 8
-    bound = _checked(p, bound)
+def _unpacked(p: _Packed) -> Matrix:
+    # The kept lanes of p as a matrix that carries p's bound clipped to
+    # int128; past it the kept lanes are checked first.
+    bound = _checked(p)
     last = p.first + (p.rows - 1) * p.stride + p.cols
     count = max(last, -(-p.value.bit_length() // p.bits))
-    lanes = _unpack(p.value, size, count, bound)
+    lanes = _unpack(p.value, p.bits // 8, count, bound)
     data = tuple(_rows(lanes, p.first, p.rows, p.cols, p.stride))
     return Matrix._proven(p.rows, p.cols, data, ScalarMode.EXACT,
                           bounds=(0, bound))
 
 
 def _same(p: _Packed, q: _Packed) -> bool:
-    # Whether two packed planes of one shape and lane width hold equal
-    # kept lanes: one XOR, aligned on their first kept lanes, and one AND
-    # with q's kept lanes.
+    # Whether two packed planes of one shape and lane width are one int
+    # once aligned on their first kept lanes (see ``pipeline``).
     if p.first < q.first:
         p, q = q, p
-    aligned = p.value >> p.bits * (p.first - q.first)
-    return not (aligned ^ q.value) & _kept(q, b"\xff" * (q.bits // 8))
+    return p.value >> p.bits * (p.first - q.first) == q.value
 
 
 def _pair_sum(data: tuple, outer: int, k: int, inner: int) -> tuple:
@@ -291,29 +284,27 @@ def _repeat(step, a: Matrix, s: int, room: int, what: str, passes: int) -> Matri
         raise DimensionError(f"cannot collapse {what} {s} times")
     # A packed plane runs the loop as it is, since its lanes already hold
     # the bound of the caller's whole method.
-    packable = isinstance(a, Matrix) and a.mode is ScalarMode.EXACT
-    if s and packable and a._bounds[0] >= 0:
-        bound = a._bounds[1] << passes
-        bits = _lane_bits(bound)
-        if bits:
-            return _packed_repeat(step, a, s, bound, bits)
+    if s and isinstance(a, Matrix):
+        plane = _packed(a, lambda high: high << passes)
+        if plane is not None:
+            return _packed_repeat(step, plane, s, plane.bits)
     for _ in range(s):
         a = step(a)
     return a
 
 
-def _packed_repeat(step, a: Matrix, s: int, bound: int, bits: int) -> Matrix:
-    # ``step`` applied s times to the plane packed in ``bits``-bit lanes,
-    # each of which stays at most ``bound`` (see the module docstring).
-    # The packed input stays referenced to the end.  Freed after the first
-    # pass, its buffer left glibc's heap holding about 2 MB more at the
-    # write of a 512x512 P6 blur (peak RSS 46.2 against 44.3 MB at radius
-    # 4, and 46.2 against 44.8 MB at radius 6).
-    packed = _packed(a, bits)
+def _packed_repeat(step, packed: _Packed, s: int, bits: int) -> Matrix:
+    # ``step`` applied s times to a plane packed in ``bits``-bit lanes, each
+    # of which stays at most its bound (see the module docstring); the
+    # width is passed so that a call shows the lanes that ran.  The packed
+    # input stays referenced to the end.  Freed after the first pass, its
+    # buffer left glibc's heap holding about 2 MB more at the write of a
+    # 512x512 P6 blur (peak RSS 46.2 against 44.3 MB at radius 4, and 46.2
+    # against 44.8 MB at radius 6).
     plane = packed
     for _ in range(s):
         plane = step(plane)
-    return _unpacked(plane, bound)
+    return _unpacked(plane)
 
 
 def collapse_power(a: Matrix, s: int) -> Matrix:
@@ -373,13 +364,6 @@ class GammaSpec:
         return cls(multiply(rho, phi.transpose()), rho, phi)
 
 
-def _lane_bound(a: Matrix, w: Matrix) -> int:
-    # The largest lane of the packed product or of its operands, for a
-    # nonnegative input and window.
-    high, whigh = a._bounds[1], w._bounds[1]
-    return max(high * sum(w.data), high, whigh)
-
-
 def _correlate(p: _Packed, w: Matrix) -> _Packed:
     # The window sums of p as P * W (see generalized_collapse), first kept
     # lane (b1 - 1) * n + b2 - 1 past p's; p's lanes hold every lane of the
@@ -396,14 +380,14 @@ def _correlate(p: _Packed, w: Matrix) -> _Packed:
         part = x * _pack(row, p.bits // 8, w._bounds[1])
         for offset in offsets:
             product += part << offset
-    return _Packed(p.rows - b1 + 1, p.cols - b2 + 1, n, p.bits, product,
-                   p.first + (b1 - 1) * n + b2 - 1)
+    return p._replace(rows=p.rows - b1 + 1, cols=p.cols - b2 + 1, value=product,
+                      first=p.first + (b1 - 1) * n + b2 - 1)
 
 
-def _packed_correlation(a: Matrix, w: Matrix, bound: int, bits: int) -> Matrix:
-    # The window sums of a, correlated in unsigned ``bits``-bit lanes, each
-    # at most ``bound``.
-    return _unpacked(_correlate(_packed(a, bits), w), bound)
+def _packed_correlation(p: _Packed, w: Matrix, bits: int) -> Matrix:
+    # The window sums of p, correlated in its ``bits``-bit lanes, the width
+    # passed so that a call shows the lanes that ran.
+    return _unpacked(_correlate(p, w))
 
 
 def generalized_collapse(a: Matrix, gamma: GammaSpec) -> Matrix:
@@ -455,11 +439,12 @@ def generalized_collapse(a: Matrix, gamma: GammaSpec) -> Matrix:
         )
     if isinstance(a, _Packed):
         return _correlate(a, w)
-    if a.mode is ScalarMode.EXACT and min(a._bounds[0], w._bounds[0]) >= 0:
-        bound = _lane_bound(a, w)
-        bits = _lane_bits(bound)
-        if bits:
-            return _packed_correlation(a, w, bound, bits)
+    if w._bounds[0] >= 0:
+        # B bounds every lane of the product and of its operands.
+        plane = _packed(a, lambda high: max(high * sum(w.data), high,
+                                            w._bounds[1]))
+        if plane is not None:
+            return _packed_correlation(plane, w, plane.bits)
     d, zero = a.data, 0 if a.mode is ScalarMode.EXACT else 0.0
     out_m, out_n = m - b1 + 1, n - b2 + 1
     span = (out_m - 1) * n + out_n

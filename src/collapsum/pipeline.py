@@ -12,11 +12,12 @@ so a radius-r blur is the collapse applied 2r times and divided by
 whether they do.
 
 An exact plane with no negative entry is packed once, after extension,
-into one int (``collapse._Packed``), and every stage of every method runs
-on that int: each correlation, direct or a separable pass, is one product
-per distinct window row, and the collapse passes shift-and-adds.  Each
-result stays packed, with the offset of its first kept lane, until
-:func:`blur` unpacks it once.  One lane width serves all of them: the
+into one int (``collapse._Packed``), which carries the bound its lanes
+hold, and every stage of every method runs on that int: each
+correlation, direct or a separable pass, is one product per distinct
+window row, and the collapse passes shift-and-adds.  Each result stays
+packed, with the offset of its first kept lane, until :func:`blur`
+unpacks it once.  One lane width serves all of them: the
 fewest whole bytes that hold B = max(a) * 2^(h+w-2), and at least the
 largest window weight.  Every plane and window here is nonnegative, so
 each lane is a sum of nonnegative terms that uses each tap weight at
@@ -29,10 +30,11 @@ and one masked check of the result's kept lanes against 2^127 raises
 
 :func:`equivalence_report` extends and packs its input once as well, runs
 the three methods on that plane and compares their packed numerators,
-whose divisors are all 2^(h+w-2), by one aligned, masked XOR of the kept
-lanes per pair.  Only a pair that differs is unpacked and measured by
-:func:`deviation`.  A plane with a negative entry, and a float one, runs
-the same stage calls on matrices.
+whose divisors are all 2^(h+w-2), by one int equality per pair aligned
+on their first kept lanes: each method computes every lane from there
+on, dropped ones too, as the same window sum.  Only a pair that differs
+anywhere is unpacked and measured by :func:`deviation`.  A plane with a
+negative entry, and a float one, runs the same stage calls on matrices.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ from dataclasses import InitVar, dataclass
 from enum import Enum
 
 from .collapse import (
+    _Packed,
     _checked,
-    _lane_bits,
     _packed,
     _same,
     _unpacked,
@@ -110,17 +112,17 @@ def _coerce_mode(a: Matrix, mode: ScalarMode) -> Matrix:
     raise ValueError("cannot run an exact pipeline on a float matrix")
 
 
-def _check_crop_fit(a: Matrix, h: int, w: int, edge: EdgeMode) -> None:
+def _check_crop_fit(rows: int, cols: int, h: int, w: int, edge: EdgeMode) -> None:
     # Only a cropped image must hold the window; extension makes room.
-    if edge is EdgeMode.CROP and (a.rows < h or a.cols < w):
+    if edge is EdgeMode.CROP and (rows < h or cols < w):
         raise DimensionError(
-            f"{a.rows}x{a.cols} image too small for a {h}x{w} window under cropping"
+            f"{rows}x{cols} image too small for a {h}x{w} window under cropping"
         )
 
 
 def _extended(a: Matrix, h: int, w: int, edge: EdgeMode):
     # The h x w binomial window and the input extended by its margins.
-    _check_crop_fit(a, h, w, edge)
+    _check_crop_fit(a.rows, a.cols, h, w, edge)
     kernel = gaussian_kernel_rect(h, w, a.mode)
     if edge is EdgeMode.CROP:
         return kernel, a
@@ -128,16 +130,12 @@ def _extended(a: Matrix, h: int, w: int, edge: EdgeMode):
 
 
 def _packed_plane(work: Matrix, kernel):
-    # The plane that every stage runs on, and its lane bound B: packed in
-    # lanes that hold B when exact and nonnegative (see the module
-    # docstring), else the matrix itself with bound None.
-    if work.mode is ScalarMode.EXACT and work._bounds[0] >= 0:
-        passes = kernel.height + kernel.width - 2
-        bound = max(work._bounds[1] << passes, kernel.weights._bounds[1])
-        bits = _lane_bits(bound)
-        if bits:
-            return _packed(work, bits), bound
-    return work, None
+    # The plane that every stage runs on: packed in lanes that hold
+    # B = max(work) * 2^(h+w-2) and every weight when it packs (see the
+    # module docstring), else the matrix itself.
+    passes = kernel.height + kernel.width - 2
+    return _packed(work, lambda high: max(high << passes,
+                                          kernel.weights._bounds[1])) or work
 
 
 def _numerator(method: Method, kernel, plane) -> FilterResult:
@@ -158,10 +156,10 @@ def _numerator(method: Method, kernel, plane) -> FilterResult:
     return FilterResult(num, divisor)
 
 
-def _unpacked_result(out: FilterResult, bound: int | None) -> FilterResult:
-    if bound is None:
-        return out
-    return FilterResult(_unpacked(out.numerator, bound), out.divisor)
+def _unpacked_result(out: FilterResult) -> FilterResult:
+    if isinstance(out.numerator, _Packed):
+        return FilterResult(_unpacked(out.numerator), out.divisor)
+    return out
 
 
 def blur(a: Matrix, req: BlurRequest) -> FilterResult:
@@ -174,8 +172,8 @@ def blur(a: Matrix, req: BlurRequest) -> FilterResult:
     # ``work`` stays referenced until the result is unpacked.  Freed before
     # the passes, its buffer shifted glibc's heap placement enough to raise
     # the peak RSS of a 512x512 P6 blur at radius 4 from 44.4 to 45.8 MB.
-    plane, bound = _packed_plane(work, kernel)
-    return _unpacked_result(_numerator(req.method, kernel, plane), bound)
+    plane = _packed_plane(work, kernel)
+    return _unpacked_result(_numerator(req.method, kernel, plane))
 
 
 def rect_blur(a: Matrix, h: int, w: int, edge: EdgeMode) -> FilterResult:
@@ -223,31 +221,32 @@ def equivalence_report(a: Matrix, r: int, edge: EdgeMode) -> EquivalenceReport:
 
     The tolerance is 0 for exact-mode images and 1e-9 for float ones;
     failures are recorded in the report, not raised.  An exact
-    nonnegative image is extended and packed once, and equal packed
-    numerators give deviation 0.0 without being unpacked; a pair that
-    differs is unpacked and measured by :func:`deviation` (see the module
-    docstring).
+    nonnegative image is extended and packed once, and one int equality
+    per pair of aligned packed numerators gives deviation 0.0 without
+    unpacking; a pair that differs is unpacked and measured by
+    :func:`deviation` (see the module docstring).
     """
     kernel, work = _extended(a, *BlurRequest(radius=r).rect, edge)
-    plane, bound = _packed_plane(work, kernel)
+    plane = _packed_plane(work, kernel)
+    packed = isinstance(plane, _Packed)
     results = {}
     for method in Method:
         out = _numerator(method, kernel, plane)
-        if bound is not None:
+        if packed:
             # Each packed result's one int128 check, as unpacking runs it.
-            _checked(out.numerator, bound)
+            _checked(out.numerator)
         results[method.value] = out
     names = [m.value for m in Method]
     devs = {}
     for i, first in enumerate(names):
         for second in names[i + 1 :]:
             x, y = results[first], results[second]
-            if (bound is not None and x.divisor == y.divisor
+            if (packed and x.divisor == y.divisor
                     and _same(x.numerator, y.numerator)):
                 devs[(first, second)] = 0.0
             else:
-                devs[(first, second)] = deviation(_unpacked_result(x, bound),
-                                                  _unpacked_result(y, bound))
+                devs[(first, second)] = deviation(_unpacked_result(x),
+                                                  _unpacked_result(y))
     worst = max(devs.values())
     tol = 0.0 if a.mode is ScalarMode.EXACT else FLOAT_TOLERANCE
     return EquivalenceReport(
@@ -288,7 +287,11 @@ def entry_ops(method: Method, rows: int, cols: int, r: int, edge: EdgeMode) -> i
     strategy is defined by, not the steps the code runs: an exact
     correlation is a packed bigint product per distinct window row, so
     the wall time of direct and separable no longer follows these counts.
+
+    A negative radius, or a window larger than a cropped image, raises
+    what :func:`blur` raises.
     """
+    _check_crop_fit(rows, cols, *BlurRequest(radius=r).rect, edge)
     if edge is EdgeMode.CROP:
         me, ne = rows, cols
     else:

@@ -1025,3 +1025,15 @@ class TestRepeatedWindowRows:
              and correlation_overflows(case) is overflows,
              settings=settings(database=None, phases=[Phase.generate],
                                max_examples=1000))
+
+
+class TestPacker:
+    @pytest.mark.parametrize("size", range(1, 18))
+    def test_round_trip_at_every_lane_width(self, size):
+        # Lane k of the packed int holds values[k]; 1-, 4- and 8-byte lanes
+        # scatter and gather like every other width.
+        top = 2 ** (8 * size) - 1
+        values = [0, 1, top, 1, 0, top]
+        x = collapse_module._pack(values, size, top)
+        assert x == sum(v << 8 * size * k for k, v in enumerate(values))
+        assert list(collapse_module._unpack(x, size, len(values), top)) == values

@@ -335,6 +335,48 @@ class TestPackedPlane:
         assert report.passed
         assert (len(packs), len(unpacks)) == (1, 0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(nonnegative_blurs())
+    def test_packed_numerators_are_one_int_once_aligned(self, case):
+        # Every method computes each lane from its first kept lane on as
+        # the same window sum, the dropped lanes included, so the aligned
+        # ints are equal whole, whether the kept lanes fit int128 or not.
+        a, h, w, edge = case
+        kernel, work = pipeline._extended(a, h, w, edge)
+        plane = pipeline._packed_plane(work, kernel)
+        assert isinstance(plane, collapse_module._Packed)
+        nums = [pipeline._numerator(m, kernel, plane).numerator for m in Method]
+        first = min(num.first for num in nums)
+        aligned = {num.value >> num.bits * (num.first - first) for num in nums}
+        assert len(aligned) == 1
+        assert len({(n.rows, n.cols, n.stride, n.bits, n.bound) for n in nums}) == 1
+
+    @pytest.mark.parametrize("edge", ALL_EDGES)
+    def test_a_dropped_lane_difference_passes_through_the_fallback(
+            self, edge, monkeypatch):
+        # The direct numerator gains 1 in the lane after its last kept one:
+        # the ints differ, so both of its pairs are unpacked and measured,
+        # and their kept lanes are equal.
+        def convolve_with_dropped(*args, original=pipeline.convolve):
+            out = original(*args)
+            num = out.numerator
+            lane = num.first + (num.rows - 1) * num.stride + num.cols
+            num = num._replace(value=num.value + (1 << num.bits * lane))
+            return FilterResult(num, out.divisor)
+
+        measured = []
+
+        def counted(x, y, original=pipeline.deviation):
+            measured.append(original(x, y))
+            return measured[-1]
+
+        monkeypatch.setattr(pipeline, "convolve", convolve_with_dropped)
+        monkeypatch.setattr(pipeline, "deviation", counted)
+        report = equivalence_report(random_matrix(random.Random(283), 9, 10), 2,
+                                    edge)
+        assert report.passed and report.max_deviation == 0.0
+        assert measured == [0.0, 0.0]
+
 
 def tuple_report(a, r, edge):
     """Reference: each method's blur unpacked, compared pairwise by
@@ -509,6 +551,22 @@ class TestEntryOps:
                 macs.clear()
                 blur(a, BlurRequest(radius=r, method=method, edge=edge))
                 assert sum(macs) == entry_ops(method, 9, 12, r, edge)
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_refuses_what_blur_refuses(self, method):
+        # A window larger than a cropped image, and a negative radius.
+        a = random_matrix(random.Random(293), 4, 4)
+        for r, edge, error in [(8, EdgeMode.CROP, DimensionError),
+                               (2, EdgeMode.CROP, DimensionError),
+                               (-1, EdgeMode.CROP, ValueError),
+                               (-1, EdgeMode.REPLICATE, ValueError)]:
+            with pytest.raises(error) as blurred:
+                blur(a, BlurRequest(radius=r, method=method, edge=edge))
+            with pytest.raises(error) as counted:
+                entry_ops(method, 4, 4, r, edge)
+            assert str(counted.value) == str(blurred.value)
+        # The largest window that fits is counted.
+        assert entry_ops(method, 4, 4, 1, EdgeMode.CROP) > 0
 
     def test_ratio_grows_with_radius(self):
         ratios = []
