@@ -21,7 +21,8 @@ packs in 3-byte lanes, and a 16-bit one at radius 12
 (B = 65535 * 4**24 < 2**64) in 8-byte lanes.  One packer serves every
 width: it scatters and gathers the bytes of native ``array`` items with
 slice assignment, and lanes wider than 8 bytes do so per 64-bit digit,
-with no Python code per entry.
+with no Python code per entry.  A lane that is exactly one native item
+(1, 4 or 8 bytes) is read and written as that item's bytes, uncopied.
 
 One proof covers every packed operation.  Each lane holds a sum of
 nonnegative terms that uses each window weight at most once, at most B,
@@ -129,6 +130,8 @@ def _pack(values, size: int, top: int) -> int:
         # ``bytes`` builds 1-byte items about four times as fast as
         # ``array('B')`` does.
         src = bytes(digit) if step == 1 else array(_NATIVE[step], digit).tobytes()
+        if step == size:  # each lane is one native item: src is the buffer
+            return int.from_bytes(src, "little")
         if buf is None:
             buf = bytearray(size * (len(src) // step))
         for j in range(k):
@@ -140,17 +143,19 @@ def _unpack(x: int, size: int, count: int, top: int):
     # Lanes 0 .. count-1 of x (``size`` bytes each) as a sequence of ints,
     # each read from its low bytes that hold 0..top: exact for every lane
     # in [0, top].  The inverse of ``_pack``: the bytes are gathered into
-    # the next wider native array, and beyond 8 bytes the 64-bit digits
-    # combine by C-level ``map``.
+    # the next wider native array, unless the lanes are its items, and
+    # beyond 8 bytes the 64-bit digits combine by C-level ``map``.
     raw = x.to_bytes(size * count, "little")
     width = min(_size(top), size)
     values = None
     for lo in reversed(range(0, width, 8)):
         k = min(8, width - lo)
         step = _native(k)
-        buf = bytearray(step * count)
-        for j in range(k):
-            buf[j::step] = raw[lo + j :: size]
+        buf = raw
+        if step != size:
+            buf = bytearray(step * count)
+            for j in range(k):
+                buf[j::step] = raw[lo + j :: size]
         digit = array(_NATIVE[step], buf)
         values = digit if values is None else map(
             add, map(lshift, values, repeat(64)), digit
@@ -283,28 +288,15 @@ def _repeat(step, a: Matrix, s: int, room: int, what: str, passes: int) -> Matri
     if s >= room:
         raise DimensionError(f"cannot collapse {what} {s} times")
     # A packed plane runs the loop as it is, since its lanes already hold
-    # the bound of the caller's whole method.
+    # the bound of the caller's whole method; a matrix that packs here runs
+    # it packed and is unpacked at the end.
+    packed = None
     if s and isinstance(a, Matrix):
-        plane = _packed(a, lambda high: high << passes)
-        if plane is not None:
-            return _packed_repeat(step, plane, s, plane.bits)
-    for _ in range(s):
-        a = step(a)
-    return a
-
-
-def _packed_repeat(step, packed: _Packed, s: int, bits: int) -> Matrix:
-    # ``step`` applied s times to a plane packed in ``bits``-bit lanes, each
-    # of which stays at most its bound (see the module docstring); the
-    # width is passed so that a call shows the lanes that ran.  The packed
-    # input stays referenced to the end.  Freed after the first pass, its
-    # buffer left glibc's heap holding about 2 MB more at the write of a
-    # 512x512 P6 blur (peak RSS 46.2 against 44.3 MB at radius 4, and 46.2
-    # against 44.8 MB at radius 6).
-    plane = packed
+        packed = _packed(a, lambda high: high << passes)
+    plane = packed or a
     for _ in range(s):
         plane = step(plane)
-    return _unpacked(plane)
+    return plane if packed is None else _unpacked(plane)
 
 
 def collapse_power(a: Matrix, s: int) -> Matrix:
@@ -384,12 +376,6 @@ def _correlate(p: _Packed, w: Matrix) -> _Packed:
                       first=p.first + (b1 - 1) * n + b2 - 1)
 
 
-def _packed_correlation(p: _Packed, w: Matrix, bits: int) -> Matrix:
-    # The window sums of p, correlated in its ``bits``-bit lanes, the width
-    # passed so that a call shows the lanes that ran.
-    return _unpacked(_correlate(p, w))
-
-
 def generalized_collapse(a: Matrix, gamma: GammaSpec) -> Matrix:
     """Sliding weighted window sum, unflipped indexing.
 
@@ -444,7 +430,7 @@ def generalized_collapse(a: Matrix, gamma: GammaSpec) -> Matrix:
         plane = _packed(a, lambda high: max(high * sum(w.data), high,
                                             w._bounds[1]))
         if plane is not None:
-            return _packed_correlation(plane, w, plane.bits)
+            return _unpacked(_correlate(plane, w))
     d, zero = a.data, 0 if a.mode is ScalarMode.EXACT else 0.0
     out_m, out_n = m - b1 + 1, n - b2 + 1
     span = (out_m - 1) * n + out_n

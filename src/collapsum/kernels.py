@@ -282,8 +282,8 @@ def extend_asym(
     bounds = None
     if a.mode is ScalarMode.EXACT:
         # The central block is the input and every other entry copies one
-        # of its entries or, under zero padding, is 0: the exact range.
-        low, high = a.span
+        # of its entries or, under zero padding, is 0: the input's proof.
+        low, high = a._bounds
         bounds = (min(low, 0), max(high, 0)) if mode is EdgeMode.ZERO else (low, high)
     return Matrix._proven(len(rows), len(cols), out, a.mode, bounds=bounds)
 

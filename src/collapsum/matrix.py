@@ -9,15 +9,15 @@ exact (min, max) of the entries, when they build an exact matrix.
 An operation that proves its result in range from its operands builds
 it without that scan, through a constructor private to the package that
 takes one proof: ``bounds``, a (low, high) around every entry, which the
-next operation reads to size its packed lanes.  Edge extension passes
-the exact span of its input (with 0 added under zero padding); a packed
-collapse power or packed correlation passes [0, B] for its lane bound B,
-clipped to int128 after a check on the packed int when B goes beyond it.
-Exact rounding by a divisor >= 2, which never grows a magnitude, passes
-its input's bounds rounded the same way, since rounding is monotone.
-Without a proof the bounds are the span.  A span that is not yet
-measured, as on these results and on every float matrix, is measured
-once when first read.
+next operation reads to size its packed lanes.  A netpbm plane read
+passes (0, its max); edge extension passes its input's proof (with 0
+added under zero padding); a packed collapse power or correlation passes
+[0, B] for its lane bound B, clipped to int128 after a check on the
+packed int when B goes beyond it.  Exact rounding by a divisor >= 2,
+which never grows a magnitude, passes its input's bounds rounded the
+same way, since rounding is monotone.  Without a proof the bounds are
+the span.  So only the public constructors measure the span; on every
+other matrix, float ones included, it is measured if and when first read.
 
 Float mode is plain IEEE-754 binary64.  All operator identities in this
 package are verified in exact mode; image pipelines may use either.
@@ -114,8 +114,8 @@ class Matrix:
     @cached_property
     def span(self) -> tuple:
         """``(min(data), max(data))``, measured once: when a public
-        constructor builds an exact matrix (its int128 check), when an
-        operation proves it exactly, or else when it is first asked."""
+        constructor builds an exact matrix (its int128 check), or else
+        when it is first asked."""
         return min(self.data), max(self.data)
 
     @cached_property

@@ -7,6 +7,11 @@ Every number is ASCII decimal digits, and a binary raster follows
 exactly one separator byte after maxval. Every failure is a
 :class:`NetpbmError` carrying the byte offset where parsing stopped.
 Binary samples are 1 byte up to maxval 255 and big-endian 2 bytes above.
+
+Each plane crosses this boundary with its proof (``Matrix._bounds``): one
+C-level ``max`` per channel of a raster read is its maxval check and its
+bounds (0, max), and a blurred plane is written with the bounds its
+rounding proved, so no plane is scanned between the read and the write.
 """
 
 from __future__ import annotations
@@ -36,7 +41,9 @@ class NetpbmError(ValueError):
 
 @dataclass(frozen=True)
 class ImagePlane:
-    """One grayscale channel: height x width samples in [0, maxval]."""
+    """One grayscale channel: height x width samples in [0, maxval],
+    checked on the proof they carry (``Matrix._bounds``), and on their
+    span only when that proof is wider."""
 
     width: int
     height: int
@@ -52,9 +59,13 @@ class ImagePlane:
             raise ValueError("image samples must be exact integers")
         if self.samples.rows != self.height or self.samples.cols != self.width:
             raise DimensionError("sample matrix shape must match width/height")
-        low, high = self.samples.span
-        if low < 0 or high > self.maxval:
+        s = self.samples
+        if not (_within(s._bounds, self.maxval) or _within(s.span, self.maxval)):
             raise ValueError(f"samples must lie in [0, {self.maxval}]")
+
+
+def _within(bounds: tuple, maxval: int) -> bool:
+    return 0 <= bounds[0] and bounds[1] <= maxval
 
 
 @dataclass(frozen=True)
@@ -136,7 +147,9 @@ def _read_ascii_samples(
     return out
 
 
-def _read_binary_samples(data: bytes, pos: int, count: int, maxval: int) -> list[int]:
+def _read_binary_samples(
+    data: bytes, pos: int, count: int, maxval: int
+) -> bytes | array:
     # Exactly one whitespace byte separates maxval from the raster.
     if pos >= len(data) or data[pos] not in _WHITESPACE:
         raise NetpbmError("missing raster separator", pos)
@@ -150,8 +163,8 @@ def _read_binary_samples(data: bytes, pos: int, count: int, maxval: int) -> list
         )
     raster = data[pos : pos + needed]
     if width_bytes == 1:
-        return list(raster)
-    return _wide(array("H", raster)).tolist()
+        return raster
+    return _wide(array("H", raster))
 
 
 def _wide(samples: array) -> array:
@@ -177,23 +190,25 @@ def _big_endian_16(samples) -> bytearray:
 
 
 def _image(
-    width: int, height: int, maxval: int, flat: list[int], raster: int
+    width: int, height: int, maxval: int, flat, raster: int
 ) -> ImagePlane | ColorImage:
-    # The image of the channel-interleaved samples ``flat``.  ASCII samples
-    # are checked as they are read, so a sample above maxval comes from a
-    # binary raster whose first byte is at offset ``raster``.
+    # The image of the channel-interleaved samples ``flat``: one C-level
+    # ``max`` per channel is its maxval check and its plane's proof (0, max).
+    # ASCII samples are checked as they are read, so a sample above maxval
+    # comes from a binary raster whose first byte is at offset ``raster``.
     channels = len(flat) // (width * height)
-    samples = [
-        Matrix(height, width, tuple(flat[c::channels]), ScalarMode.EXACT)
-        for c in range(channels)
-    ]
-    if any(m.span[1] > maxval for m in samples):
-        k = next(k for k, value in enumerate(flat) if value > maxval)
-        raise NetpbmError(
-            f"sample {flat[k]} exceeds maxval {maxval}",
-            raster + k * (2 if maxval > 255 else 1),
-        )
-    planes = [ImagePlane(width, height, maxval, m) for m in samples]
+    planes = []
+    for c in range(channels):
+        samples = flat[c::channels]
+        high = max(samples)
+        if high > maxval:
+            k = next(k for k, value in enumerate(flat) if value > maxval)
+            raise NetpbmError(
+                f"sample {flat[k]} exceeds maxval {maxval}",
+                raster + k * (2 if maxval > 255 else 1),
+            )
+        planes.append(ImagePlane(width, height, maxval, Matrix._proven(
+            height, width, tuple(samples), ScalarMode.EXACT, bounds=(0, high))))
     return planes[0] if channels == 1 else ColorImage(*planes)
 
 
@@ -254,11 +269,10 @@ def split_color(img: ColorImage) -> tuple[Matrix, Matrix, Matrix]:
 
 
 def _quantize(m: Matrix, maxval: int) -> Matrix:
-    # A rounded blur carries bounds that prove the clamp idle without a scan;
-    # the plane it becomes still measures its span.
+    # A rounded blur carries bounds that prove the clamp idle, and the plane
+    # it becomes valid, without a scan.
     q = round_half_away(m)
-    low, high = q._bounds
-    if 0 <= low and high <= maxval:
+    if _within(q._bounds, maxval):
         return q
     data = tuple(min(max(v, 0), maxval) for v in q.data)
     return Matrix(q.rows, q.cols, data, ScalarMode.EXACT)

@@ -459,12 +459,12 @@ class TestPowers:
         a, power, s = case
         down, right = POWER_PASSES[power]
         bits = power_bits(a, (down + right) * s) if s else None
-        with counted_calls("_packed_repeat") as calls:
+        with counted_calls("_unpacked") as calls:
             out = power(a, s)
         assert (out.rows, out.cols) == (a.rows - down * s, a.cols - right * s)
         assert out.data == pair_sum_powers(a, down * s, right * s)
-        # The last argument is the lane width that ran.
-        assert [call[-1] for call in calls] == ([bits] if bits else [])
+        # The packed plane unpacked at the end has the lanes that ran.
+        assert [call[0].bits for call in calls] == ([bits] if bits else [])
 
     @pytest.mark.parametrize("packed", [True, False])
     def test_power_cases_straddle_the_lane_bound(self, packed):
@@ -542,14 +542,14 @@ class TestPowers:
         if s:
             bits = power_bits(a, (down + right) * s)
             assert (bits is not None) is packed
-        with counted_calls("_packed_repeat") as calls:
+        with counted_calls("_unpacked") as calls:
             assert_entries(
                 lambda: power(a, s),
                 pair_sum_powers(a, down * s, right * s),
                 ScalarMode.EXACT,
             )
-        # The last argument is the lane width that ran.
-        assert [call[-1] for call in calls] == ([bits] if packed else [])
+        # The packed plane unpacked at the end has the lanes that ran.
+        assert [call[0].bits for call in calls] == ([bits] if packed else [])
 
 
 class TestGeneralized:
@@ -692,14 +692,14 @@ class TestGeneralized:
         packed = min(a.data + w.data) >= 0
         bits = correlation_bits(a, w)
         assert (bits is not None) is packed
-        with counted_calls("_packed_correlation") as calls:
+        with counted_calls("_unpacked") as calls:
             assert_entries(
                 lambda: generalized_collapse(a, GammaSpec(w)),
                 per_entry_correlation(a, w),
                 ScalarMode.EXACT,
             )
-        # The last argument is the lane width that ran.
-        assert [call[-1] for call in calls] == ([bits] if packed else [])
+        # The packed plane unpacked at the end has the lanes that ran.
+        assert [call[0].bits for call in calls] == ([bits] if packed else [])
 
     def test_power_zero(self):
         a = Matrix.from_rows([[1, 2], [3, 4]])
@@ -803,7 +803,7 @@ class TestProvenSpans:
         # of an earlier pass is at most some entry of the result.
         a, power, s = power_case
         expected = per_pass_powers(a, power, s)
-        with counted_calls("_packed_repeat") as calls:
+        with counted_calls("_unpacked") as calls:
             if expected is None:
                 with pytest.raises(ExactOverflowError, match=OUT_OF_RANGE):
                     power(a, s)
@@ -815,7 +815,7 @@ class TestProvenSpans:
         assert len(calls) == (1 if s else 0)
         a, w = correlation_case
         expected = per_entry_correlation(a, w)
-        with counted_calls("_packed_correlation") as calls:
+        with counted_calls("_unpacked") as calls:
             if max(expected) > INT128_MAX:
                 with pytest.raises(ExactOverflowError, match=OUT_OF_RANGE):
                     generalized_collapse(a, GammaSpec(w))
@@ -988,7 +988,7 @@ class TestRepeatedWindowRows:
     def test_matches_the_per_entry_loop(self, case):
         a, w = case
         expected = per_entry_correlation(a, w)
-        with counted_calls("_packed_correlation") as calls:
+        with counted_calls("_unpacked") as calls:
             if max(expected) > INT128_MAX:
                 with pytest.raises(ExactOverflowError, match=OUT_OF_RANGE):
                     generalized_collapse(a, GammaSpec(w))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collapsum.collapse import collapse_power
 from collapsum.kernels import EdgeMode
 from collapsum.matrix import DimensionError, Matrix, ScalarMode
 from collapsum.netpbm import (
@@ -225,6 +226,53 @@ class TestParse:
             read_netpbm(data)
         assert str(err.value) == f"{message} (byte {offset})"
         assert err.value.offset == offset
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_read_planes_carry_their_proof(self, data):
+        # Every format, 8- and 16-bit, any maxval: each plane read equals the
+        # one the public constructor builds, carries (0, max) as its proof
+        # with its span unmeasured, and one sample above maxval is refused
+        # at its own byte offset.
+        magic = data.draw(st.sampled_from(MAGICS))
+        maxval = data.draw(
+            st.sampled_from((1, 200, 255, 256, MAX_MAXVAL)) | st.integers(1, MAX_MAXVAL)
+        )
+        width, height = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        channels = 3 if magic in (b"P3", b"P6") else 1
+        count = width * height * channels
+        sample = st.sampled_from((0, maxval)) | st.integers(0, maxval)
+        flat = data.draw(st.lists(sample, min_size=count, max_size=count))
+        header = b"%s\n%d %d\n%d\n" % (magic, width, height, maxval)
+        text, wide = magic in (b"P2", b"P3"), maxval > 255
+
+        def encoded(values):
+            if text:
+                return header + b" ".join(b"%d" % v for v in values)
+            return header + b"".join(v.to_bytes(1 + wide, "big") for v in values)
+
+        img = read_netpbm(encoded(flat))
+        planes = [img] if channels == 1 else [img.red, img.green, img.blue]
+        for c, plane in enumerate(planes):
+            samples = flat[c::channels]
+            assert plane.samples == Matrix(height, width, tuple(samples))
+            assert plane.samples._bounds == (0, max(samples))
+            assert "span" not in plane.samples.__dict__
+        # Binary samples hold at most 255 or 65535.
+        top = maxval + 10 if text else 65535 if wide else 255
+        if maxval < top:
+            k = data.draw(st.integers(0, count - 1))
+            value = data.draw(st.integers(maxval + 1, top))
+            bad = flat[:k] + [value] + flat[k + 1 :]
+            if text:
+                offset = len(header) + sum(len(b"%d " % v) for v in flat[:k])
+            else:
+                offset = len(header) + k * (1 + wide)
+            with pytest.raises(NetpbmError) as err:
+                read_netpbm(encoded(bad))
+            assert str(err.value) == (
+                f"sample {value} exceeds maxval {maxval} (byte {offset})"
+            )
 
     def test_malformed_magic(self):
         with pytest.raises(NetpbmError):
@@ -497,6 +545,11 @@ class TestPlanes:
             ImagePlane(2, 1, 255, Matrix.from_rows([[300, 0]]))
         with pytest.raises(DimensionError):
             ImagePlane(3, 1, 255, Matrix.from_rows([[1, 2]]))
+        # A proof wider than [0, maxval] falls back to the span: a collapse
+        # carries [0, 4 * max], here 8, around entries of at most 3.
+        ImagePlane(1, 1, 3, collapse_power(Matrix.from_rows([[2, 0], [1, 0]]), 1))
+        with pytest.raises(ValueError):
+            ImagePlane(1, 1, 2, collapse_power(Matrix.from_rows([[2, 0], [1, 0]]), 1))
 
     def test_color_plane_agreement(self):
         rng = random.Random(251)
