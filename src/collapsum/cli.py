@@ -12,7 +12,6 @@ from .kernels import (
     EdgeMode,
     Kernel,
     box_kernel,
-    convolve,
     gaussian_kernel_rect,
     interpolation_kernel,
 )
@@ -29,7 +28,6 @@ from .netpbm import (
 from .pipeline import (
     BlurRequest,
     Method,
-    _check_crop_fit,
     benchmark,
     blur,
     equivalence_report,
@@ -63,9 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_blur.add_argument("input", help="input .pgm/.ppm file (P2/P3/P5/P6)")
     p_blur.add_argument("output", help="output file, same format as the input")
     p_blur.add_argument("--method", choices=METHOD_CHOICES, default="collapse",
-                        help="execution strategy for gauss/rect filters; box "
-                        "and interp always run direct convolution "
-                        "(default collapse)")
+                        help="execution strategy (default collapse)")
     p_blur.add_argument("--edge", choices=EDGE_CHOICES, default="replicate",
                         help="edge handling; mirror reflects without "
                         "repeating the edge row (default replicate)")
@@ -101,7 +97,7 @@ def _int_list(text: str) -> list[int]:
 
 def _window(args) -> tuple[int, int]:
     # Height and width of the requested window; its filter's options must be
-    # set and a radius must be nonnegative.
+    # set and in range, and a radius must be nonnegative.
     if args.filter_name == "rect":
         if args.a is None or args.b is None:
             raise ValueError("--filter rect requires --a and --b")
@@ -110,6 +106,8 @@ def _window(args) -> tuple[int, int]:
         raise ValueError("--filter interp requires --s")
     if args.radius < 0:
         raise ValueError("radius must be nonnegative")
+    if args.filter_name == "interp" and not 0 <= args.s <= 2 * args.radius:
+        raise ValueError(f"interpolation step must satisfy 0 <= s <= 2r, got {args.s}")
     return 2 * args.radius + 1, 2 * args.radius + 1
 
 
@@ -123,15 +121,10 @@ def _pick_kernel(args) -> Kernel:
 
 
 def _blur_planes(planes: list[Matrix], args) -> list[Matrix]:
-    # Rounded blur of each plane by one window: ``blur`` for binomial ones,
-    # a direct convolution for box and interp, built after the crop check.
-    edge = EdgeMode(args.edge)
-    h, w = _window(args)
-    if args.filter_name in ("box", "interp"):
-        _check_crop_fit(planes[0].rows, planes[0].cols, h, w, edge)
-        kernel = _pick_kernel(args)
-        return [convolve(kernel, p, edge).rounded() for p in planes]
-    req = BlurRequest(rect=(h, w), method=Method(args.method), edge=edge)
+    # Rounded blur of each plane by the requested coefficient window.
+    collapses = {"box": (0, 0), "interp": (args.s, args.s)}.get(args.filter_name)
+    req = BlurRequest(rect=_window(args), collapses=collapses,
+                      method=Method(args.method), edge=EdgeMode(args.edge))
     return [blur(p, req).rounded() for p in planes]
 
 

@@ -26,8 +26,8 @@ with no Python code per entry.
 One proof covers every packed operation.  Each lane holds a sum of
 nonnegative terms that uses each window weight at most once, at most B,
 so no lane carries into the next.  In a chain of passes whose weights
-are all at least 1 (collapse passes, and the binomial row and column
-windows of ``pipeline.blur``), every entry of an earlier pass is at most
+are all at least 1 (collapse passes, and the coefficient windows, their
+sides and boxes in ``pipeline.blur``), every entry of an earlier pass is at most
 some entry of the result, since each pass adds only nonnegative terms
 and every entry feeds at least one entry of the next pass.  So the
 result needs one range check: when B > 2**127 - 1, one AND of the packed

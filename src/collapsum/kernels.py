@@ -18,8 +18,8 @@ Convolution uses flipped kernel indexing (output (p, q) sums
 weight(i, j) * input(p - i, q - j) over window offsets), which matters
 only for asymmetric kernels; it runs as the
 generalized collapse of the flipped window, the package's one
-correlation loop.  :func:`separable_convolve` splits an h x w binomial
-window into a row and a column pass.
+correlation loop.  :func:`separable_convolve` splits an h x w
+coefficient window into a row and a column pass by its two sides.
 """
 
 from __future__ import annotations
@@ -327,16 +327,19 @@ def convolve(kernel: Kernel, a: Matrix, mode: EdgeMode) -> FilterResult:
     return convolve_crop(kernel, extend_asym(a, top, bottom, left, right, mode))
 
 
-def separable_convolve(h: int, w: int, a: Matrix, mode: EdgeMode) -> FilterResult:
-    """Binomial h x w blur as a horizontal then a vertical 1-D pass.
+def separable_convolve(h: int, w: int, a: Matrix, mode: EdgeMode,
+                       collapses: tuple[int, int] | None = None) -> FilterResult:
+    """The h x w coefficient window with ``collapses`` (a, b), by default
+    the binomial (h-1, w-1), as a row then a column pass by its sides.
 
     Extension happens once, on the full window margin, so the result
     matches the direct 2-D convolution entry for entry.
     """
-    row_k = gaussian_kernel_rect(1, w, a.mode)
-    col_k = gaussian_kernel_rect(h, 1, a.mode)
+    down, right = collapses or (h - 1, w - 1)
+    row_k = _coefficient_kernel(1, w, 0, right, a.mode)
+    col_k = _coefficient_kernel(h, 1, down, 0, a.mode)
     if mode is not EdgeMode.CROP:
-        a = extend_asym(a, *gaussian_kernel_rect(h, w, a.mode).margins(), mode)
+        a = extend_asym(a, *col_k.margins()[:2], *row_k.margins()[2:], mode)
     first = convolve_crop(row_k, a)
     second = convolve_crop(col_k, first.numerator)
     return FilterResult(second.numerator, first.divisor * second.divisor)

@@ -1,31 +1,33 @@
 """Blur execution strategies, their equivalence check, and a benchmark.
 
-Every blur is an h x w binomial window; a radius r is the (2r+1)-square
-window.  :func:`blur` checks that the window fits before building it,
-extends the image once by the window margins, and runs one of three
-methods on that input: direct 2-D convolution, a row and a column 1-D
-pass, or pair-sum collapses divided by 2^(h+w-2) at the end.  The
-collapse method runs the square part of the window as full collapses,
-so a radius-r blur is the collapse applied 2r times and divided by
-4^(2r).  In exact mode the three must agree bit for bit on their
-(numerator, divisor) pairs; the report and benchmark objects record
-whether they do.
+Every blur is an h x w coefficient window with a x b collapses
+(``structured.coefficient_matrix``): the binomial (h, w, h-1, w-1), whose
+(2r+1)-square case is radius r, the box (2r+1, 2r+1, 0, 0) and the
+interpolation window (2r+1, 2r+1, s, s).  :func:`blur` checks that the
+window fits before building it, extends the image once by its margins,
+and runs one of three methods on that input: direct 2-D convolution, a
+row and a column pass by the window's two sides, or a collapses down and
+b right, as full collapses over their square part, then the box of the
+(h-a) x (w-b) taps left (none for the binomial).  So a radius-r blur is
+the collapse applied 2r times and divided by 4^(2r).  In exact mode the
+three must agree bit for bit on their (numerator, divisor) pairs; the
+report and benchmark objects record whether they do.
 
 An exact plane with no negative entry is packed once, after extension,
 into one int (``collapse._Packed``), which carries the bound its lanes
 hold, and every stage of every method runs on that int: each
-correlation, direct or a separable pass, is one product per distinct
+correlation, direct, separable or the box, is one product per distinct
 window row, and the collapse passes shift-and-adds.  Each result stays
 packed, with the offset of its first kept lane, until :func:`blur`
-unpacks it once.  One lane width serves all of them: the
-fewest whole bytes that hold B = max(a) * 2^(h+w-2), and at least the
+unpacks it once.  One lane width serves all of them: the fewest whole
+bytes that hold B = max(a) times the window's divisor, and at least the
 largest window weight.  Every plane and window here is nonnegative, so
 each lane is a sum of nonnegative terms that uses each tap weight at
 most once, the lanes where a window wraps onto the next row included;
 so every lane stays at most B and no lane carries into the next.  Every
-binomial weight is at least 1, so every entry of an intermediate plane,
-the separable row pass included, is at most some entry of the result,
-and one masked check of the result's kept lanes against 2^127 raises
+coefficient weight is an integer of at least 1, so every entry of an
+intermediate plane is at most some entry of the result, and one masked
+check of the result's kept lanes against 2^127 raises
 :class:`ExactOverflowError` exactly where a scan of each pass would.
 
 :func:`equivalence_report` extends and packs its input once as well, runs
@@ -57,15 +59,15 @@ from .collapse import (
 from .kernels import (
     EdgeMode,
     FilterResult,
+    _coefficient_kernel,
     convolve,
     extend_asym,
-    gaussian_kernel_rect,
     separable_convolve,
 )
 
-# Not called here; kept because perfbench/tracing.py wraps these two names
+# Not called here; kept because perfbench/tracing.py wraps these names
 # in this module.
-from .kernels import extend, gaussian_kernel  # noqa: F401
+from .kernels import extend, gaussian_kernel, gaussian_kernel_rect  # noqa: F401
 from .matrix import DimensionError, Matrix, ScalarMode, scale
 
 FLOAT_TOLERANCE = 1e-9
@@ -83,12 +85,14 @@ class BlurRequest:
 
     Exactly one of ``radius`` or ``rect`` (an h x w window) must be
     given; a radius r is stored as ``rect`` = (2r+1, 2r+1), so the two
-    forms of one window make equal requests.  ``mode`` selects
-    exact-integer or float arithmetic.
+    forms of one window make equal requests.  ``collapses`` is the (a, b)
+    of its coefficient window, None the binomial (h-1, w-1), (0, 0) the
+    box.  ``mode`` selects exact-integer or float arithmetic.
     """
 
     radius: InitVar[int | None] = None
     rect: tuple[int, int] | None = None
+    collapses: tuple[int, int] | None = None
     method: Method = Method.COLLAPSE
     edge: EdgeMode = EdgeMode.REPLICATE
     mode: ScalarMode = ScalarMode.EXACT
@@ -120,37 +124,44 @@ def _check_crop_fit(rows: int, cols: int, h: int, w: int, edge: EdgeMode) -> Non
         )
 
 
-def _extended(a: Matrix, h: int, w: int, edge: EdgeMode):
-    # The h x w binomial window and the input extended by its margins.
-    _check_crop_fit(a.rows, a.cols, h, w, edge)
-    kernel = gaussian_kernel_rect(h, w, a.mode)
-    if edge is EdgeMode.CROP:
-        return kernel, a
-    return kernel, extend_asym(a, *kernel.margins(), edge)
+def _extended(a: Matrix, req: BlurRequest):
+    # The request's coefficient window, its collapses (a, b) and the input
+    # extended by the window's margins.
+    h, w = req.rect
+    collapses = req.collapses or (h - 1, w - 1)
+    _check_crop_fit(a.rows, a.cols, h, w, req.edge)
+    kernel = _coefficient_kernel(h, w, *collapses, a.mode)
+    if req.edge is EdgeMode.CROP:
+        return kernel, collapses, a
+    return kernel, collapses, extend_asym(a, *kernel.margins(), req.edge)
 
 
 def _packed_plane(work: Matrix, kernel):
     # The plane that every stage runs on: packed in lanes that hold
-    # B = max(work) * 2^(h+w-2) and every weight when it packs (see the
+    # B = max(work) * divisor and every weight when it packs (see the
     # module docstring), else the matrix itself.
-    passes = kernel.height + kernel.width - 2
-    return _packed(work, lambda high: max(high << passes,
+    return _packed(work, lambda high: max(high * kernel.divisor,
                                           kernel.weights._bounds[1])) or work
 
 
-def _numerator(method: Method, kernel, plane) -> FilterResult:
+def _numerator(method: Method, kernel, collapses, plane) -> FilterResult:
     # One method's stages on the prepared plane, packed or not.
-    h, w = kernel.height, kernel.width
+    (h, w), (a, b) = (kernel.height, kernel.width), collapses
     if method is Method.DIRECT:
         return convolve(kernel, plane, EdgeMode.CROP)
     if method is Method.SEPARABLE:
-        return separable_convolve(h, w, plane, EdgeMode.CROP)
-    # Full collapses over the square part of the window keep a radius-r
-    # blur the paper's C^(2r); the longer side's extra passes follow.
-    s = min(h, w) - 1
+        return separable_convolve(h, w, plane, EdgeMode.CROP, collapses)
+    # Full collapses over the square part keep a radius-r blur the paper's
+    # C^(2r); the longer side's extra passes, then the box left, follow.
+    s = min(a, b)
     num = collapse_power(plane, s)
-    num = collapse_right_power(collapse_down_power(num, h - 1 - s), w - 1 - s)
-    divisor = 2 ** (h + w - 2)
+    num = collapse_right_power(collapse_down_power(num, a - s), b - s)
+    divisor = 2 ** (a + b)
+    if (h - a, w - b) != (1, 1):
+        # The box left; with nothing collapsed, the window itself.
+        box = _coefficient_kernel(h - a, w - b, 0, 0) if a or b else kernel
+        box = convolve(box, num, EdgeMode.CROP)
+        num, divisor = box.numerator, divisor * box.divisor
     if plane.mode is ScalarMode.FLOAT:
         return FilterResult(scale(1 / divisor, num), 1)
     return FilterResult(num, divisor)
@@ -168,12 +179,12 @@ def blur(a: Matrix, req: BlurRequest) -> FilterResult:
     An exact nonnegative plane is packed once, runs every stage of the
     method packed and is unpacked once (see the module docstring)."""
     a = _coerce_mode(a, req.mode)
-    kernel, work = _extended(a, *req.rect, req.edge)
+    kernel, collapses, work = _extended(a, req)
     # ``work`` stays referenced until the result is unpacked.  Freed before
     # the passes, its buffer shifted glibc's heap placement enough to raise
     # the peak RSS of a 512x512 P6 blur at radius 4 from 44.4 to 45.8 MB.
     plane = _packed_plane(work, kernel)
-    return _unpacked_result(_numerator(req.method, kernel, plane))
+    return _unpacked_result(_numerator(req.method, kernel, collapses, plane))
 
 
 def rect_blur(a: Matrix, h: int, w: int, edge: EdgeMode) -> FilterResult:
@@ -226,12 +237,12 @@ def equivalence_report(a: Matrix, r: int, edge: EdgeMode) -> EquivalenceReport:
     unpacking; a pair that differs is unpacked and measured by
     :func:`deviation` (see the module docstring).
     """
-    kernel, work = _extended(a, *BlurRequest(radius=r).rect, edge)
+    kernel, collapses, work = _extended(a, BlurRequest(radius=r, edge=edge))
     plane = _packed_plane(work, kernel)
     packed = isinstance(plane, _Packed)
     results = {}
     for method in Method:
-        out = _numerator(method, kernel, plane)
+        out = _numerator(method, kernel, collapses, plane)
         if packed:
             # Each packed result's one int128 check, as unpacking runs it.
             _checked(out.numerator)

@@ -6,8 +6,14 @@ import time
 import pytest
 
 from collapsum.cli import main
+from collapsum.kernels import (
+    EdgeMode,
+    box_kernel,
+    convolve,
+    interpolation_kernel,
+)
 from collapsum.matrix import Matrix, ScalarMode
-from collapsum.netpbm import read_netpbm, write_netpbm
+from collapsum.netpbm import merge_color, read_netpbm, split_color, write_netpbm
 from collapsum.pipeline import CSV_HEADER
 
 G5_TABLE = (
@@ -102,6 +108,35 @@ class TestBlurCommand:
         assert main(["blur", "--filter", "box", "-r", "2", src, dst]) == 0
         assert main(["blur", "--filter", "interp", "-r", "2", "--s", "1", src, dst]) == 0
         assert main(["blur", "--filter", "rect", "--a", "2", "--b", "3", src, dst]) == 0
+
+    @pytest.mark.parametrize("edge", [e.value for e in EdgeMode])
+    @pytest.mark.parametrize(
+        "window, kernel",
+        [
+            (["--filter", "box", "-r", "2"], box_kernel(2)),
+            (["--filter", "interp", "-r", "2", "--s", "1"],
+             interpolation_kernel(2, 1)),
+            (["--filter", "interp", "-r", "3", "--s", "4"],
+             interpolation_kernel(3, 4)),
+        ],
+        ids=["box", "interp-2-1", "interp-3-4"],
+    )
+    def test_box_and_interp_bytes_under_every_method(self, window, kernel,
+                                                     edge, tmp_path):
+        # Every method writes the bytes of the window's direct convolution
+        # of each plane, rounded.
+        rng = random.Random(13)
+        raster = bytes(rng.randrange(256) for _ in range(3 * 9 * 8))
+        src = write_pgm(tmp_path / "in.ppm", b"P6\n9 8\n255\n" + raster)
+        img = read_netpbm(open(src, "rb").read())
+        planes = [convolve(kernel, p, EdgeMode(edge)).rounded()
+                  for p in split_color(img)]
+        expected = write_netpbm(merge_color(*planes, maxval=255), "binary")
+        for method in ("direct", "separable", "collapse"):
+            dst = tmp_path / f"{method}.ppm"
+            argv = ["blur", *window, "--edge", edge, "--method", method]
+            assert main([*argv, src, str(dst)]) == 0
+            assert dst.read_bytes() == expected, method
 
     def test_missing_input(self, tmp_path, capsys):
         code = main(["blur", str(tmp_path / "nope.pgm"), str(tmp_path / "out.pgm")])

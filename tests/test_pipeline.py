@@ -24,10 +24,10 @@ from collapsum.collapse import (
 from collapsum.kernels import (
     EdgeMode,
     FilterResult,
-    box_kernel,
     convolve,
     extend_asym,
     gaussian_kernel_rect,
+    interpolation_kernel,
 )
 from collapsum.matrix import (
     INT128_MAX,
@@ -48,6 +48,7 @@ from collapsum.pipeline import (
     rect_blur,
     seeded_image,
 )
+from collapsum.structured import coefficient_matrix, coefficient_sides
 
 ALL_EDGES = (EdgeMode.CROP, EdgeMode.REPLICATE, EdgeMode.MIRROR, EdgeMode.ZERO)
 
@@ -203,7 +204,11 @@ class TestRectBlur:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_methods_agree_on_random_rects(self, data):
+        # Any coefficient window, on planes with negative entries, in
+        # either mode: every method is the window's correlation.
         h, w = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        ca, cb = data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1))
+        mode = data.draw(st.sampled_from(ScalarMode))
         edge = data.draw(st.sampled_from(EdgeMode))
         if edge is EdgeMode.CROP:
             rows = data.draw(st.integers(h, h + 6))
@@ -217,11 +222,24 @@ class TestRectBlur:
         pixels = data.draw(st.lists(st.integers(-(2**60), 2**60),
                                     min_size=rows * cols, max_size=rows * cols))
         a = Matrix(rows, cols, tuple(pixels), ScalarMode.EXACT)
+        expected = per_entry_correlation(extended(a, h, w, edge),
+                                         coefficient_matrix(h, w, ca, cb))
+        divisor = 2 ** (ca + cb) * (h - ca) * (w - cb)
         results = [
-            blur(a, BlurRequest(rect=(h, w), method=m, edge=edge)) for m in Method
+            blur(a, BlurRequest(rect=(h, w), collapses=(ca, cb), method=m,
+                                edge=edge, mode=mode))
+            for m in Method
         ]
-        assert results[0] == results[1] == results[2]
-        assert results[0].divisor == 2 ** (h + w - 2)
+        if mode is ScalarMode.EXACT:
+            assert results[0] == results[1] == results[2]
+            assert results[0].numerator.data == expected
+            assert results[0].divisor == divisor
+            return
+        tolerance = 1e-9 * max(1, *map(abs, pixels))
+        for out in results:
+            assert out.divisor == 1
+            assert all(abs(x - e / divisor) <= tolerance
+                       for x, e in zip(out.numerator.data, expected, strict=True))
 
 
 def extended(a, h, w, edge):
@@ -231,26 +249,28 @@ def extended(a, h, w, edge):
     return extend_asym(a, *gaussian_kernel_rect(h, w).margins(), edge)
 
 
-def per_pass_blur(work, h, w, method):
+def per_pass_blur(work, window, method):
     """Reference: the passes of ``method`` on the extended plane, entry by
-    entry; None when one of them leaves int128, where a scan of each pass
-    would raise."""
+    entry, for the coefficient window (h, w, a, b); None when one of them
+    leaves int128, where a scan of each pass would raise."""
+    h, w, ca, cb = window
+    windows = [coefficient_matrix(*window)]
     if method is Method.COLLAPSE:
-        s = min(h, w) - 1
-        passes = ((collapse_power, s), (collapse_down_power, h - 1 - s),
-                  (collapse_right_power, w - 1 - s))
+        s = min(ca, cb)
+        passes = ((collapse_power, s), (collapse_down_power, ca - s),
+                  (collapse_right_power, cb - s))
         for power, k in passes:
             out = per_pass_powers(work, power, k)
             if out is None:
                 return None
             down, right = POWER_PASSES[power]
             work = Matrix(work.rows - down * k, work.cols - right * k, out)
-        return work.data
-    windows = [gaussian_kernel_rect(h, w)]
+        # The box of the taps left.
+        windows = [Matrix.filled(h - ca, w - cb, 1)]
     if method is Method.SEPARABLE:
-        windows = [gaussian_kernel_rect(1, w), gaussian_kernel_rect(h, 1)]
-    for kernel in windows:
-        k = kernel.weights
+        alpha, beta = coefficient_sides(*window)
+        windows = [Matrix(1, w, tuple(beta)), Matrix(h, 1, tuple(alpha))]
+    for k in windows:
         flipped = Matrix(k.rows, k.cols, k.data[::-1])
         out = per_entry_correlation(work, flipped)
         if max(out) > INT128_MAX:
@@ -262,9 +282,10 @@ def per_pass_blur(work, h, w, method):
 @st.composite
 def nonnegative_blurs(draw):
     """A nonnegative exact plane (all zero one time in eight, else entries
-    up to 2**k with k drawn up to 127), an h x w window and an edge under
-    which the window fits."""
+    up to 2**k with k drawn up to 127), an h x w coefficient window with
+    a x b collapses as (h, w, a, b), and an edge under which it fits."""
     h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    window = (h, w, draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1)))
     m, n = draw(st.integers(h, h + 3)), draw(st.integers(w, w + 3))
     if draw(st.integers(0, 7)):
         entry = nonnegative_entries(draw(WIDE_BITS))
@@ -272,7 +293,7 @@ def nonnegative_blurs(draw):
     else:
         data = [0] * (m * n)
     edge = draw(st.sampled_from(ALL_EDGES))
-    return Matrix(m, n, tuple(data)), h, w, edge
+    return Matrix(m, n, tuple(data)), window, edge
 
 
 @contextlib.contextmanager
@@ -301,20 +322,21 @@ class TestPackedPlane:
     def test_blur_matches_the_per_pass_oracle(self, case):
         # One packed plane per blur: every method equals the per-entry
         # correlation, and raises exactly where a scan of each pass would.
-        a, h, w, edge = case
+        a, (h, w, ca, cb), edge = case
         work = extended(a, h, w, edge)
-        expected = per_entry_correlation(work, gaussian_kernel_rect(h, w).weights)
+        expected = per_entry_correlation(work, coefficient_matrix(h, w, ca, cb))
         for method in Method:
-            per_pass = per_pass_blur(work, h, w, method)
+            per_pass = per_pass_blur(work, (h, w, ca, cb), method)
             assert (per_pass is None) is (max(expected) > INT128_MAX), method
-            req = BlurRequest(rect=(h, w), method=method, edge=edge)
+            req = BlurRequest(rect=(h, w), collapses=(ca, cb), method=method,
+                              edge=edge)
             if per_pass is None:
                 with pytest.raises(ExactOverflowError, match=OUT_OF_RANGE):
                     blur(a, req)
                 continue
             out = blur(a, req)
             assert out.numerator.data == per_pass == expected, method
-            assert out.divisor == 2 ** (h + w - 2)
+            assert out.divisor == 2 ** (ca + cb) * (h - ca) * (w - cb)
             assert out.numerator.span == (min(expected), max(expected))
             assert_bounds(out.numerator)
 
@@ -339,15 +361,18 @@ class TestPackedPlane:
     @given(nonnegative_blurs())
     def test_packed_numerators_are_one_int_once_aligned(self, case):
         # Every method computes each lane from its first kept lane on as
-        # the same window sum, the dropped lanes included, so the aligned
-        # ints are equal whole, whether the kept lanes fit int128 or not.
-        a, h, w, edge = case
-        kernel, work = pipeline._extended(a, h, w, edge)
+        # the same window sum, the dropped lanes included, so the ints
+        # from there on are equal whole, whether the kept lanes fit int128
+        # or not.  (The lanes below differ once the collapse method ends
+        # in a box product, so each is aligned on its own first lane.)
+        a, (h, w, ca, cb), edge = case
+        req = BlurRequest(rect=(h, w), collapses=(ca, cb), edge=edge)
+        kernel, collapses, work = pipeline._extended(a, req)
         plane = pipeline._packed_plane(work, kernel)
         assert isinstance(plane, collapse_module._Packed)
-        nums = [pipeline._numerator(m, kernel, plane).numerator for m in Method]
-        first = min(num.first for num in nums)
-        aligned = {num.value >> num.bits * (num.first - first) for num in nums}
+        nums = [pipeline._numerator(m, kernel, collapses, plane).numerator
+                for m in Method]
+        aligned = {num.value >> num.bits * num.first for num in nums}
         assert len(aligned) == 1
         assert len({(n.rows, n.cols, n.stride, n.bits, n.bound) for n in nums}) == 1
 
@@ -652,10 +677,25 @@ class TestOneProductPerDistinctRow:
         # distinct rows of one lane.
         assert lengths == [(7 + 2 * r) * (6 + 2 * r), k] + [1] * (r + 1)
 
+    @pytest.mark.parametrize("s", [0, 1, 3], ids=["box", "interp-1", "interp-3"])
+    @pytest.mark.parametrize("method", Method, ids=lambda m: m.value)
     @pytest.mark.parametrize("edge", ALL_EDGES)
-    def test_box_convolution_packs_one_row(self, edge):
+    def test_box_and_interp_blurs_pack_each_distinct_row(self, edge, method, s):
+        # A (2r+1)-square window with s x s collapses (s = 0 is the box):
+        # the extended plane is packed once and unpacked once.  Direct packs
+        # each distinct window row, separable its one row and then each
+        # distinct entry of its column side, and collapse runs its passes on
+        # the packed plane and then one product, by the box's one row.
         r, a = 2, random_matrix(random.Random(281), 8, 9)
-        work = extend_asym(a, r, r, r, r, edge) if edge is not EdgeMode.CROP else a
-        with packed_lengths() as lengths:
-            convolve(box_kernel(r), a, edge)
-        assert lengths == [len(work.data), 2 * r + 1]
+        k = 2 * r + 1
+        work = extended(a, k, k, edge)
+        distinct = len(set(coefficient_sides(k, k, s, s)[0]))
+        rows = {Method.DIRECT: [k] * distinct, Method.SEPARABLE: [k] + [1] * distinct,
+                Method.COLLAPSE: [k - s]}[method]
+        req = BlurRequest(radius=r, collapses=(s, s), method=method, edge=edge)
+        with counted_planes(len(work.data)) as (_, unpacks), \
+                packed_lengths() as lengths:
+            out = blur(a, req)
+        assert lengths == [len(work.data), *rows]
+        assert len(unpacks) == 1
+        assert out == convolve(interpolation_kernel(r, s), a, edge)
