@@ -12,6 +12,7 @@ from .kernels import (
     EdgeMode,
     Kernel,
     box_kernel,
+    check_interpolation,
     gaussian_kernel_rect,
     interpolation_kernel,
 )
@@ -106,8 +107,8 @@ def _window(args) -> tuple[int, int]:
         raise ValueError("--filter interp requires --s")
     if args.radius < 0:
         raise ValueError("radius must be nonnegative")
-    if args.filter_name == "interp" and not 0 <= args.s <= 2 * args.radius:
-        raise ValueError(f"interpolation step must satisfy 0 <= s <= 2r, got {args.s}")
+    if args.filter_name == "interp":
+        check_interpolation(args.radius, args.s)
     return 2 * args.radius + 1, 2 * args.radius + 1
 
 

@@ -26,9 +26,9 @@ with no Python code per entry.
 One proof covers every packed operation.  Each lane holds a sum of
 nonnegative terms that uses each window weight at most once, at most B,
 so no lane carries into the next.  In a chain of passes whose weights
-are all at least 1 (collapse passes, and the coefficient windows, their
-sides and boxes in ``pipeline.blur``), every entry of an earlier pass is at most
-some entry of the result, since each pass adds only nonnegative terms
+are all at least 1 (collapse passes, and every window and pass of
+``pipeline.blur``), every entry of an earlier pass is at most some
+entry of the result, since each pass adds only nonnegative terms
 and every entry feeds at least one entry of the next pass.  So the
 result needs one range check: when B > 2**127 - 1, one AND of the packed
 result with a mask of bits 127 and up of every kept lane raises
@@ -358,8 +358,9 @@ def _correlate(p: _Packed, w: Matrix) -> _Packed:
     # The window sums of p as P * W (see generalized_collapse), first kept
     # lane (b1 - 1) * n + b2 - 1 past p's; p's lanes hold every lane of the
     # product and every weight of the nonnegative window w.  Each shifted
-    # product is added alone: summing a row's shifts apart first held one
-    # more plane-sized int, 0.8 MB more peak RSS in a 256x256 r=8 report.
+    # product is added alone, largest shift first: a row's shifts summed
+    # apart held one more plane-sized int (0.8 MB more peak RSS in a 256x256
+    # r=8 report), and smallest first a 601-row box took 3x as long.
     b1, b2, n, x = w.rows, w.cols, p.stride, p.value
     flipped = w.data[::-1]
     shifts = {}
@@ -368,7 +369,7 @@ def _correlate(p: _Packed, w: Matrix) -> _Packed:
     product = 0
     for row, offsets in shifts.items():
         part = x * _pack(row, p.bits // 8, w._bounds[1])
-        for offset in offsets:
+        for offset in reversed(offsets):
             product += part << offset
     return p._replace(rows=p.rows - b1 + 1, cols=p.cols - b2 + 1, value=product,
                       first=p.first + (b1 - 1) * n + b2 - 1)

@@ -227,6 +227,14 @@ def gaussian_kernel_sampled(r: int, s: float) -> Kernel:
     return Kernel(Matrix(size, size, data, ScalarMode.FLOAT), 1, (r + 1, r + 1))
 
 
+def check_interpolation(r: int, s: int) -> None:
+    """Refuse a negative radius or a step s outside 0 <= s <= 2r."""
+    if r < 0:
+        raise ValueError("radius must be nonnegative")
+    if not 0 <= s <= 2 * r:
+        raise ValueError(f"interpolation step must satisfy 0 <= s <= 2r, got {s}")
+
+
 def interpolation_kernel(r: int, s: int) -> Kernel:
     """Blend between the box and binomial-Gaussian windows.
 
@@ -234,10 +242,7 @@ def interpolation_kernel(r: int, s: int) -> Kernel:
     a = b = s, divisor 2^(2s) (2r+1-s)^2; s = 0 is the box kernel and
     s = 2r the Gaussian one.
     """
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    if not 0 <= s <= 2 * r:
-        raise ValueError(f"interpolation step must satisfy 0 <= s <= 2r, got {s}")
+    check_interpolation(r, s)
     return _coefficient_kernel(2 * r + 1, 2 * r + 1, s, s)
 
 

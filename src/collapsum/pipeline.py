@@ -1,22 +1,20 @@
 """Blur execution strategies, their equivalence check, and a benchmark.
 
 Every blur is an h x w coefficient window with a x b collapses
-(``structured.coefficient_matrix``): the binomial (h, w, h-1, w-1), whose
-(2r+1)-square case is radius r, the box (2r+1, 2r+1, 0, 0) and the
-interpolation window (2r+1, 2r+1, s, s).  :func:`blur` checks that the
-window fits before building it, extends the image once by its margins,
-and runs one of three methods on that input: direct 2-D convolution, a
-row and a column pass by the window's two sides, or a collapses down and
-b right, as full collapses over their square part, then the box of the
-(h-a) x (w-b) taps left (none for the binomial).  So a radius-r blur is
-the collapse applied 2r times and divided by 4^(2r).  In exact mode the
-three must agree bit for bit on their (numerator, divisor) pairs; the
-report and benchmark objects record whether they do.
+(``structured.coefficient_matrix``): the binomial (h-1, w-1), radius r
+its (2r+1)-square case, the box (0, 0) and interp (s, s).  :func:`blur`
+checks that the window fits before building it, extends the image once
+by its margins, and runs one of three methods on that: direct 2-D
+convolution, a row and a column pass by the window's sides, or the
+collapses, full ones over their square part, then a row and a column
+pass of ones over the (h-a) x (w-b) taps left.  So radius r is 2r
+collapses over 4^(2r).  In exact mode the three agree bit for bit on
+their (numerator, divisor) pairs, as the report and benchmark record.
 
 An exact plane with no negative entry is packed once, after extension,
 into one int (``collapse._Packed``), which carries the bound its lanes
 hold, and every stage of every method runs on that int: each
-correlation, direct, separable or the box, is one product per distinct
+correlation, direct or a row or column pass, is one product per distinct
 window row, and the collapse passes shift-and-adds.  Each result stays
 packed, with the offset of its first kept lane, until :func:`blur`
 unpacks it once.  One lane width serves all of them: the fewest whole
@@ -65,10 +63,10 @@ from .kernels import (
     separable_convolve,
 )
 
-# Not called here; kept because perfbench/tracing.py wraps these names
-# in this module.
+# Not called here; kept because perfbench/tracing.py wraps them here.
 from .kernels import extend, gaussian_kernel, gaussian_kernel_rect  # noqa: F401
 from .matrix import DimensionError, Matrix, ScalarMode, scale
+from .structured import _check_counts
 
 FLOAT_TOLERANCE = 1e-9
 
@@ -85,9 +83,9 @@ class BlurRequest:
 
     Exactly one of ``radius`` or ``rect`` (an h x w window) must be
     given; a radius r is stored as ``rect`` = (2r+1, 2r+1), so the two
-    forms of one window make equal requests.  ``collapses`` is the (a, b)
-    of its coefficient window, None the binomial (h-1, w-1), (0, 0) the
-    box.  ``mode`` selects exact-integer or float arithmetic.
+    forms of one window make equal requests; so does ``collapses``, the
+    (a, b) of its coefficient window, stored for None as the binomial
+    (h-1, w-1).  ``mode`` selects exact-integer or float arithmetic.
     """
 
     radius: InitVar[int | None] = None
@@ -104,8 +102,11 @@ class BlurRequest:
             if radius < 0:
                 raise ValueError("radius must be nonnegative")
             object.__setattr__(self, "rect", (2 * radius + 1,) * 2)
-        if self.rect[0] < 1 or self.rect[1] < 1:
+        h, w = self.rect
+        if h < 1 or w < 1:
             raise ValueError("rectangle sides must be positive")
+        object.__setattr__(self, "collapses", self.collapses or (h - 1, w - 1))
+        _check_counts(h, w, *self.collapses)
 
 
 def _coerce_mode(a: Matrix, mode: ScalarMode) -> Matrix:
@@ -125,15 +126,12 @@ def _check_crop_fit(rows: int, cols: int, h: int, w: int, edge: EdgeMode) -> Non
 
 
 def _extended(a: Matrix, req: BlurRequest):
-    # The request's coefficient window, its collapses (a, b) and the input
-    # extended by the window's margins.
-    h, w = req.rect
-    collapses = req.collapses or (h - 1, w - 1)
-    _check_crop_fit(a.rows, a.cols, h, w, req.edge)
-    kernel = _coefficient_kernel(h, w, *collapses, a.mode)
+    # The request's coefficient window and the input extended by its margins.
+    _check_crop_fit(a.rows, a.cols, *req.rect, req.edge)
+    kernel = _coefficient_kernel(*req.rect, *req.collapses, a.mode)
     if req.edge is EdgeMode.CROP:
-        return kernel, collapses, a
-    return kernel, collapses, extend_asym(a, *kernel.margins(), req.edge)
+        return kernel, a
+    return kernel, extend_asym(a, *kernel.margins(), req.edge)
 
 
 def _packed_plane(work: Matrix, kernel):
@@ -151,20 +149,16 @@ def _numerator(method: Method, kernel, collapses, plane) -> FilterResult:
         return convolve(kernel, plane, EdgeMode.CROP)
     if method is Method.SEPARABLE:
         return separable_convolve(h, w, plane, EdgeMode.CROP, collapses)
-    # Full collapses over the square part keep a radius-r blur the paper's
-    # C^(2r); the longer side's extra passes, then the box left, follow.
+    # Full collapses over the square part keep radius r the paper's C^(2r);
+    # the longer side's passes, then a row and a column pass of ones, follow.
     s = min(a, b)
     num = collapse_power(plane, s)
     num = collapse_right_power(collapse_down_power(num, a - s), b - s)
-    divisor = 2 ** (a + b)
     if (h - a, w - b) != (1, 1):
-        # The box left; with nothing collapsed, the window itself.
-        box = _coefficient_kernel(h - a, w - b, 0, 0) if a or b else kernel
-        box = convolve(box, num, EdgeMode.CROP)
-        num, divisor = box.numerator, divisor * box.divisor
+        num = separable_convolve(h - a, w - b, num, EdgeMode.CROP, (0, 0)).numerator
     if plane.mode is ScalarMode.FLOAT:
-        return FilterResult(scale(1 / divisor, num), 1)
-    return FilterResult(num, divisor)
+        return FilterResult(scale(1 / 2 ** (a + b), num), 1)
+    return FilterResult(num, kernel.divisor)
 
 
 def _unpacked_result(out: FilterResult) -> FilterResult:
@@ -179,18 +173,17 @@ def blur(a: Matrix, req: BlurRequest) -> FilterResult:
     An exact nonnegative plane is packed once, runs every stage of the
     method packed and is unpacked once (see the module docstring)."""
     a = _coerce_mode(a, req.mode)
-    kernel, collapses, work = _extended(a, req)
+    kernel, work = _extended(a, req)
     # ``work`` stays referenced until the result is unpacked.  Freed before
     # the passes, its buffer shifted glibc's heap placement enough to raise
     # the peak RSS of a 512x512 P6 blur at radius 4 from 44.4 to 45.8 MB.
     plane = _packed_plane(work, kernel)
-    return _unpacked_result(_numerator(req.method, kernel, collapses, plane))
+    return _unpacked_result(_numerator(req.method, kernel, req.collapses, plane))
 
 
 def rect_blur(a: Matrix, h: int, w: int, edge: EdgeMode) -> FilterResult:
     """Rectangular h x w blur via directional collapses."""
-    return blur(a, BlurRequest(rect=(h, w), method=Method.COLLAPSE,
-                               edge=edge, mode=a.mode))
+    return blur(a, BlurRequest(rect=(h, w), edge=edge, mode=a.mode))
 
 
 def deviation(x: FilterResult, y: FilterResult) -> float:
@@ -237,12 +230,13 @@ def equivalence_report(a: Matrix, r: int, edge: EdgeMode) -> EquivalenceReport:
     unpacking; a pair that differs is unpacked and measured by
     :func:`deviation` (see the module docstring).
     """
-    kernel, collapses, work = _extended(a, BlurRequest(radius=r, edge=edge))
+    req = BlurRequest(radius=r, edge=edge)
+    kernel, work = _extended(a, req)
     plane = _packed_plane(work, kernel)
     packed = isinstance(plane, _Packed)
     results = {}
     for method in Method:
-        out = _numerator(method, kernel, collapses, plane)
+        out = _numerator(method, kernel, req.collapses, plane)
         if packed:
             # Each packed result's one int128 check, as unpacking runs it.
             _checked(out.numerator)

@@ -162,6 +162,21 @@ class TestBlurCommand:
         )
 
     @pytest.mark.parametrize("command", ["blur", "kernel"])
+    @pytest.mark.parametrize("radius, s, message", [
+        ("1", "3", "interpolation step must satisfy 0 <= s <= 2r, got 3"),
+        ("2", "-1", "interpolation step must satisfy 0 <= s <= 2r, got -1"),
+        ("-1", "0", "radius must be nonnegative"),
+    ])
+    def test_interp_out_of_range(self, command, radius, s, message, tmp_path,
+                                 capsys):
+        argv = [command, "--filter", "interp", "--radius", radius, "--s", s]
+        if command == "blur":
+            src = write_pgm(tmp_path / "in.pgm", b"P2\n4 4\n255\n" + b"1 " * 16)
+            argv += [src, str(tmp_path / "out.pgm")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["blur", "kernel"])
     def test_huge_radius_fails_fast(self, command, tmp_path, capsys):
         argv = [command, "--radius", "1000000"]
         if command == "blur":

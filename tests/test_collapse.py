@@ -1027,6 +1027,29 @@ class TestRepeatedWindowRows:
                                max_examples=1000))
 
 
+    def test_each_rows_shifts_add_largest_first(self):
+        # The sum has its full size from a row's first add on; smallest
+        # shift first, a 601-row box took 3x as long.
+        class Recorded:
+            # Stands in for the packed int and records each shift of it.
+            def __init__(self):
+                self.shifts = []
+
+            def __mul__(self, other):
+                return self
+
+            def __lshift__(self, offset):
+                self.shifts.append(offset)
+                return 0
+
+        x = Recorded()
+        # Flipped, rows 0, 2 and 3 are (2, 1) and row 1 is (4, 3).
+        w = Matrix.from_rows([[1, 2], [1, 2], [3, 4], [1, 2]])
+        collapse_module._correlate(collapse_module._Packed(6, 4, 4, 8, 255, x), w)
+        row = 8 * 4
+        assert x.shifts == [3 * row, 2 * row, 0, row]
+
+
 class TestPacker:
     @pytest.mark.parametrize("size", range(1, 18))
     def test_round_trip_at_every_lane_width(self, size):

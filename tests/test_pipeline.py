@@ -1,5 +1,6 @@
 import contextlib
 import importlib
+import itertools
 import random
 
 import pytest
@@ -55,6 +56,7 @@ ALL_EDGES = (EdgeMode.CROP, EdgeMode.REPLICATE, EdgeMode.MIRROR, EdgeMode.ZERO)
 
 # The package's ``collapse`` attribute is the function, not this module.
 collapse_module = importlib.import_module("collapsum.collapse")
+kernels_module = importlib.import_module("collapsum.kernels")
 
 
 def random_matrix(rng, rows, cols):
@@ -76,6 +78,18 @@ class TestBlurRequest:
     def test_rejects_negative_radius(self):
         with pytest.raises(ValueError):
             BlurRequest(radius=-1)
+
+    def test_collapses_default_to_the_binomial(self):
+        # None is stored as the binomial's counts, so both forms of one
+        # window make equal requests.
+        assert BlurRequest(rect=(3, 5)).collapses == (2, 4)
+        assert BlurRequest(radius=2) == BlurRequest(rect=(5, 5), collapses=(4, 4))
+        assert BlurRequest(radius=2, collapses=(0, 0)).collapses == (0, 0)
+
+    @pytest.mark.parametrize("collapses", [(-1, 0), (0, -1), (3, 0), (0, 5)])
+    def test_rejects_collapses_outside_the_window(self, collapses):
+        with pytest.raises(DimensionError, match="^need 0 <= "):
+            BlurRequest(rect=(3, 5), collapses=collapses)
 
 
 class TestBlur:
@@ -283,9 +297,12 @@ def per_pass_blur(work, window, method):
 def nonnegative_blurs(draw):
     """A nonnegative exact plane (all zero one time in eight, else entries
     up to 2**k with k drawn up to 127), an h x w coefficient window with
-    a x b collapses as (h, w, a, b), and an edge under which it fits."""
+    a x b collapses as (h, w, a, b), the binomial (h-1, w-1) one time in
+    two, and an edge under which it fits."""
     h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    window = (h, w, draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1)))
+    window = (h, w, h - 1, w - 1)
+    if draw(st.booleans()):
+        window = (h, w, draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1)))
     m, n = draw(st.integers(h, h + 3)), draw(st.integers(w, w + 3))
     if draw(st.integers(0, 7)):
         entry = nonnegative_entries(draw(WIDE_BITS))
@@ -363,16 +380,25 @@ class TestPackedPlane:
         # Every method computes each lane from its first kept lane on as
         # the same window sum, the dropped lanes included, so the ints
         # from there on are equal whole, whether the kept lanes fit int128
-        # or not.  (The lanes below differ once the collapse method ends
-        # in a box product, so each is aligned on its own first lane.)
+        # or not.  For the binomial, the window ``equivalence_report``
+        # compares, that holds from the smallest first kept lane on, as
+        # ``collapse._same`` relies on; once the collapse method ends in
+        # passes of ones, the lanes below its first differ, so each int is
+        # aligned on its own first lane.
         a, (h, w, ca, cb), edge = case
         req = BlurRequest(rect=(h, w), collapses=(ca, cb), edge=edge)
-        kernel, collapses, work = pipeline._extended(a, req)
+        kernel, work = pipeline._extended(a, req)
         plane = pipeline._packed_plane(work, kernel)
         assert isinstance(plane, collapse_module._Packed)
-        nums = [pipeline._numerator(m, kernel, collapses, plane).numerator
+        nums = [pipeline._numerator(m, kernel, req.collapses, plane).numerator
                 for m in Method]
-        aligned = {num.value >> num.bits * num.first for num in nums}
+        if (ca, cb) == (h - 1, w - 1):
+            low = min(num.first for num in nums)
+            aligned = {num.value >> num.bits * (num.first - low) for num in nums}
+            assert all(collapse_module._same(p, q)
+                       for p, q in itertools.combinations(nums, 2))
+        else:
+            aligned = {num.value >> num.bits * num.first for num in nums}
         assert len(aligned) == 1
         assert len({(n.rows, n.cols, n.stride, n.bits, n.bound) for n in nums}) == 1
 
@@ -680,22 +706,35 @@ class TestOneProductPerDistinctRow:
     @pytest.mark.parametrize("s", [0, 1, 3], ids=["box", "interp-1", "interp-3"])
     @pytest.mark.parametrize("method", Method, ids=lambda m: m.value)
     @pytest.mark.parametrize("edge", ALL_EDGES)
-    def test_box_and_interp_blurs_pack_each_distinct_row(self, edge, method, s):
+    def test_box_and_interp_blurs_pack_each_distinct_row(
+            self, edge, method, s, monkeypatch):
         # A (2r+1)-square window with s x s collapses (s = 0 is the box):
         # the extended plane is packed once and unpacked once.  Direct packs
         # each distinct window row, separable its one row and then each
         # distinct entry of its column side, and collapse runs its passes on
-        # the packed plane and then one product, by the box's one row.
+        # the packed plane and then a row and a column pass of ones, one
+        # product each.  No 2-D window is built but the request's.
         r, a = 2, random_matrix(random.Random(281), 8, 9)
         k = 2 * r + 1
         work = extended(a, k, k, edge)
         distinct = len(set(coefficient_sides(k, k, s, s)[0]))
         rows = {Method.DIRECT: [k] * distinct, Method.SEPARABLE: [k] + [1] * distinct,
-                Method.COLLAPSE: [k - s]}[method]
+                Method.COLLAPSE: [k - s, 1]}[method]
+        windows = {Method.DIRECT: [], Method.SEPARABLE: [(1, k), (k, 1)],
+                   Method.COLLAPSE: [(1, k - s), (k - s, 1)]}[method]
+        built = []
+
+        def recorded(m, n, *rest, original=kernels_module._coefficient_kernel):
+            built.append((m, n))
+            return original(m, n, *rest)
+
+        for module in (kernels_module, pipeline):
+            monkeypatch.setattr(module, "_coefficient_kernel", recorded)
         req = BlurRequest(radius=r, collapses=(s, s), method=method, edge=edge)
         with counted_planes(len(work.data)) as (_, unpacks), \
                 packed_lengths() as lengths:
             out = blur(a, req)
         assert lengths == [len(work.data), *rows]
         assert len(unpacks) == 1
+        assert built == [(k, k), *windows]
         assert out == convolve(interpolation_kernel(r, s), a, edge)
