@@ -38,13 +38,14 @@ pass and each result as they build it, would.
 A packed plane (``_Packed``) carries its shape, row stride, lane width,
 the bound B its lanes were sized for and the lane of its first kept
 entry, and flows between stages without being unpacked:
-``collapse_down``, ``collapse_right``, the collapse powers and
-``generalized_collapse`` all take one and return one.  ``pipeline.blur``
-packs its extended plane once, in lanes that hold the bound of its whole
-method, runs the stages on it and unpacks the result once.  Called on a
-``Matrix``, the powers and ``generalized_collapse`` are adapters over
-the same stages: they pack the input in lanes that hold their own
-bound, run the stage and unpack.
+``kernels.extend_asym``, ``collapse_down``, ``collapse_right``, the
+collapse powers and ``generalized_collapse`` all take one and return
+one.  ``pipeline.blur`` packs its input plane once, in lanes that hold
+the bound of its whole method, extends it and runs the stages on it
+packed, and unpacks the result once.  Called on a ``Matrix``, the
+powers and ``generalized_collapse`` are adapters over the same stages:
+they pack the input in lanes that hold their own bound, run the stage
+and unpack.
 
 A collapse power packs entry (i, j) of the plane in lane i*n + j
 (row-major, row stride n = the input's column count, kept through every
@@ -213,13 +214,17 @@ def _checked(p: _Packed) -> int:
     return min(p.bound, INT128_MAX)
 
 
+def _lane_count(p: _Packed) -> int:
+    # The lanes of p's value, at least through its last kept lane.
+    last = p.first + (p.rows - 1) * p.stride + p.cols
+    return max(last, -(-p.value.bit_length() // p.bits))
+
+
 def _unpacked(p: _Packed) -> Matrix:
     # The kept lanes of p as a matrix that carries p's bound clipped to
     # int128; past it the kept lanes are checked first.
     bound = _checked(p)
-    last = p.first + (p.rows - 1) * p.stride + p.cols
-    count = max(last, -(-p.value.bit_length() // p.bits))
-    lanes = _unpack(p.value, p.bits // 8, count, bound)
+    lanes = _unpack(p.value, p.bits // 8, _lane_count(p), bound)
     data = tuple(_rows(lanes, p.first, p.rows, p.cols, p.stride))
     return Matrix._proven(p.rows, p.cols, data, ScalarMode.EXACT,
                           bounds=(0, bound))

@@ -30,7 +30,7 @@ from enum import Enum
 from itertools import chain
 from operator import itemgetter
 
-from .collapse import GammaSpec, generalized_collapse
+from .collapse import GammaSpec, _Packed, _lane_count, generalized_collapse
 from .matrix import (
     DimensionError,
     Matrix,
@@ -258,15 +258,44 @@ def _sources(n: int, before: int, after: int, mode: EdgeMode) -> list[int]:
     return [abs(i) if i < n else 2 * n - 2 - i for i in span]
 
 
+def _extended_lanes(p: _Packed, rows: list[int], cols: list[int],
+                    left: int) -> _Packed:
+    # p extended by the ``_sources`` rows and columns, from one ``to_bytes``:
+    # each source row's lane bytes are cut once, with its margin lanes (the
+    # zero pad is ``bytes(L)``), and the extended rows are joined in ``rows``
+    # order into one ``from_bytes``.  Every lane copies one of p's or is 0.
+    size, n = p.bits // 8, p.cols
+    raw = p.value.to_bytes(size * _lane_count(p), "little")
+    pad = bytes(size)
+    margins = cols[:left] + cols[left + n :]
+    extended = []
+    for i in range(p.rows):
+        start = (p.first + i * p.stride) * size
+        lanes = [raw[start + c * size : start + (c + 1) * size] if c < n else pad
+                 for c in margins]
+        row = raw[start : start + n * size]
+        extended.append(b"".join([*lanes[:left], row, *lanes[left:]]))
+    extended.append(pad * len(cols))
+    value = int.from_bytes(b"".join(map(extended.__getitem__, rows)), "little")
+    return p._replace(rows=len(rows), cols=len(cols), stride=len(cols),
+                      value=value, first=0)
+
+
 def extend_asym(
     a: Matrix, top: int, bottom: int, left: int, right: int, mode: EdgeMode
 ) -> Matrix:
-    """Extend with per-side margins; used for anchored rectangular windows."""
+    """Extend with per-side margins; used for anchored rectangular windows.
+
+    A packed plane (``collapse._Packed``, as ``pipeline.blur`` passes)
+    is extended on its lane bytes and stays packed, in the lanes it has;
+    a matrix is extended entry by entry.  Both take every edge from one
+    definition of the source of each extended row and column.
+    """
     if mode is EdgeMode.CROP:
         raise ValueError("cropping does not extend; pass an extension mode")
     if min(top, bottom, left, right) < 0:
         raise ValueError("margins must be nonnegative")
-    m, n, d = a.rows, a.cols, a.data
+    m, n = a.rows, a.cols
     if mode is EdgeMode.MIRROR and (
         max(top, bottom) >= m or max(left, right) >= n
     ):
@@ -276,8 +305,10 @@ def extend_asym(
         )
     if top == bottom == left == right == 0:
         return a
-    zero = 0.0 if a.mode is ScalarMode.FLOAT else 0
     rows, cols = _sources(m, top, bottom, mode), _sources(n, left, right, mode)
+    if isinstance(a, _Packed):
+        return _extended_lanes(a, rows, cols, left)
+    d, zero = a.data, 0.0 if a.mode is ScalarMode.FLOAT else 0
     # itemgetter of one index returns the entry itself, not a 1-tuple.
     pick = itemgetter(*cols) if len(cols) > 1 else lambda row: (row[cols[0]],)
     # Each source row, and the zero pad row, extended once.

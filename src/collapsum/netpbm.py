@@ -238,7 +238,10 @@ def read_netpbm(data: bytes) -> ImagePlane | ColorImage:
 def write_netpbm(img: ImagePlane | ColorImage, format: str = "binary") -> bytes:
     """Serialize to ASCII (P2/P3) or binary (P5/P6) bytes.
 
-    Reading the output back yields bit-identical samples.
+    A binary raster is built from each plane's bytes (``bytes`` of its
+    samples, or their big-endian 2-byte items above maxval 255), slice
+    assigned into one buffer, channel by channel.  Reading the output
+    back yields bit-identical samples.
     """
     if format not in ("ascii", "binary"):
         raise ValueError("format must be 'ascii' or 'binary'")
@@ -246,20 +249,25 @@ def write_netpbm(img: ImagePlane | ColorImage, format: str = "binary") -> bytes:
     width, height, maxval = img.width, img.height, img.maxval
     if color:
         magic = b"P3" if format == "ascii" else b"P6"
-        grids = (p.samples.data for p in (img.red, img.green, img.blue))
-        flat = tuple(chain.from_iterable(zip(*grids)))
+        planes = (img.red, img.green, img.blue)
     else:
         magic = b"P2" if format == "ascii" else b"P5"
-        flat = img.samples.data
+        planes = (img,)
     header = b"%s\n%d %d\n%d\n" % (magic, width, height, maxval)
     if format == "ascii":
+        grids = (p.samples.data for p in planes)
+        flat = tuple(chain.from_iterable(zip(*grids))) if color else img.samples.data
         # One line of decimal samples per image row, formatted in one pass.
         line = b" ".join([b"%d"] * (width * (3 if color else 1))) + b"\n"
         return (header + line * height) % flat
-    if maxval > 255:
-        raster = _big_endian_16(flat)
-    else:
-        raster = bytes(flat)
+    size = 2 if maxval > 255 else 1
+    encode = _big_endian_16 if size == 2 else bytes
+    step = size * len(planes)
+    raster = bytearray(step * width * height)
+    for c, p in enumerate(planes):
+        raw = encode(p.samples.data)
+        for j in range(size):
+            raster[c * size + j :: step] = raw[j::size]
     return header + raster
 
 

@@ -11,24 +11,26 @@ pass of ones over the (h-a) x (w-b) taps left.  So radius r is 2r
 collapses over 4^(2r).  In exact mode the three agree bit for bit on
 their (numerator, divisor) pairs, as the report and benchmark record.
 
-An exact plane with no negative entry is packed once, after extension,
+An exact plane with no negative entry is packed once, before extension,
 into one int (``collapse._Packed``), which carries the bound its lanes
-hold, and every stage of every method runs on that int: each
-correlation, direct or a row or column pass, is one product per distinct
-window row, and the collapse passes shift-and-adds.  Each result stays
-packed, with the offset of its first kept lane, until :func:`blur`
-unpacks it once.  One lane width serves all of them: the fewest whole
-bytes that hold B = max(a) times the window's divisor, and at least the
-largest window weight.  Every plane and window here is nonnegative, so
-each lane is a sum of nonnegative terms that uses each tap weight at
-most once, the lanes where a window wraps onto the next row included;
-so every lane stays at most B and no lane carries into the next.  Every
-coefficient weight is an integer of at least 1, so every entry of an
-intermediate plane is at most some entry of the result, and one masked
-check of the result's kept lanes against 2^127 raises
-:class:`ExactOverflowError` exactly where a scan of each pass would.
+hold.  ``kernels.extend_asym`` extends it on its lane bytes, and every
+stage of every method runs on that int: each correlation, direct or a
+row or column pass, is one product per distinct window row, and the
+collapse passes shift-and-adds.  Each result stays packed, with the
+offset of its first kept lane, until :func:`blur` unpacks it once.  One
+lane width serves all of them: the fewest whole bytes that hold
+B = max(a) times the window's divisor, and at least the largest window
+weight; an extension copies entries or adds zeros, so it keeps max(a).
+Every plane and window here is nonnegative, so each lane is a sum of
+nonnegative terms that uses each tap weight at most once, the lanes
+where a window wraps onto the next row included; so every lane stays at
+most B and no lane carries into the next.  Every coefficient weight is
+an integer of at least 1, so every entry of an intermediate plane is at
+most some entry of the result, and one masked check of the result's
+kept lanes against 2^127 raises :class:`ExactOverflowError` exactly
+where a scan of each pass would.
 
-:func:`equivalence_report` extends and packs its input once as well, runs
+:func:`equivalence_report` packs and extends its input once as well, runs
 the three methods on that plane and compares their packed numerators,
 whose divisors are all 2^(h+w-2), by one int equality per pair aligned
 on their first kept lanes: each method computes every lane from there
@@ -39,7 +41,6 @@ negative entry, and a float one, runs the same stage calls on matrices.
 
 from __future__ import annotations
 
-import statistics
 import time
 from dataclasses import InitVar, dataclass
 from enum import Enum
@@ -125,21 +126,18 @@ def _check_crop_fit(rows: int, cols: int, h: int, w: int, edge: EdgeMode) -> Non
         )
 
 
-def _extended(a: Matrix, req: BlurRequest):
-    # The request's coefficient window and the input extended by its margins.
+def _plane(a: Matrix, req: BlurRequest):
+    # The request's coefficient window, and the plane every method runs on:
+    # the input packed once when it packs, in lanes that hold
+    # B = max(a) * divisor and every weight (see the module docstring), then
+    # extended by the window's margins.
     _check_crop_fit(a.rows, a.cols, *req.rect, req.edge)
     kernel = _coefficient_kernel(*req.rect, *req.collapses, a.mode)
+    plane = _packed(a, lambda high: max(high * kernel.divisor,
+                                        kernel.weights._bounds[1])) or a
     if req.edge is EdgeMode.CROP:
-        return kernel, a
-    return kernel, extend_asym(a, *kernel.margins(), req.edge)
-
-
-def _packed_plane(work: Matrix, kernel):
-    # The plane that every stage runs on: packed in lanes that hold
-    # B = max(work) * divisor and every weight when it packs (see the
-    # module docstring), else the matrix itself.
-    return _packed(work, lambda high: max(high * kernel.divisor,
-                                          kernel.weights._bounds[1])) or work
+        return kernel, plane
+    return kernel, extend_asym(plane, *kernel.margins(), req.edge)
 
 
 def _numerator(method: Method, kernel, collapses, plane) -> FilterResult:
@@ -172,12 +170,7 @@ def blur(a: Matrix, req: BlurRequest) -> FilterResult:
 
     An exact nonnegative plane is packed once, runs every stage of the
     method packed and is unpacked once (see the module docstring)."""
-    a = _coerce_mode(a, req.mode)
-    kernel, work = _extended(a, req)
-    # ``work`` stays referenced until the result is unpacked.  Freed before
-    # the passes, its buffer shifted glibc's heap placement enough to raise
-    # the peak RSS of a 512x512 P6 blur at radius 4 from 44.4 to 45.8 MB.
-    plane = _packed_plane(work, kernel)
+    kernel, plane = _plane(_coerce_mode(a, req.mode), req)
     return _unpacked_result(_numerator(req.method, kernel, req.collapses, plane))
 
 
@@ -225,14 +218,13 @@ def equivalence_report(a: Matrix, r: int, edge: EdgeMode) -> EquivalenceReport:
 
     The tolerance is 0 for exact-mode images and 1e-9 for float ones;
     failures are recorded in the report, not raised.  An exact
-    nonnegative image is extended and packed once, and one int equality
+    nonnegative image is packed and extended once, and one int equality
     per pair of aligned packed numerators gives deviation 0.0 without
     unpacking; a pair that differs is unpacked and measured by
     :func:`deviation` (see the module docstring).
     """
     req = BlurRequest(radius=r, edge=edge)
-    kernel, work = _extended(a, req)
-    plane = _packed_plane(work, kernel)
+    kernel, plane = _plane(a, req)
     packed = isinstance(plane, _Packed)
     results = {}
     for method in Method:
@@ -360,6 +352,8 @@ def benchmark(
     Each cell reports the median wall time, its accumulation count, and
     the deviation of its result from the direct strategy's.
     """
+    import statistics  # only here: it imports fractions and decimal
+
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
     rows = []

@@ -1,10 +1,15 @@
 import builtins
 import importlib
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import collapsum
 from collapsum.cli import main
 from collapsum.kernels import (
     EdgeMode,
@@ -222,14 +227,14 @@ class TestBlurCommand:
 
     def test_no_plane_scanned_from_read_to_write(self, tmp_path, monkeypatch):
         # A 12x10 plane holds more entries than the 9x9 window, so only the
-        # plane-sized sequences count: each plane is read, extended, blurred
-        # and rounded.  One C-level max over each channel's slice of the
-        # raster is both the maxval check and the read plane's proof; the
-        # extension carries that proof; every method runs packed on the
-        # extended plane and is unpacked once, with its proven bound; and
-        # the rounding carries that bound rounded, which shows the
-        # quantizing clamp idle and the image plane valid.  So no plane
-        # matrix is scanned, by any method.
+        # plane-sized sequences count: each plane is read, blurred and
+        # rounded.  One C-level max over each channel's slice of the raster
+        # is both the maxval check and the read plane's proof; the read
+        # plane is packed and extended packed, so no extended matrix is
+        # built; every method runs packed and is unpacked once, with its
+        # proven bound; and the rounding carries that bound rounded, which
+        # shows the quantizing clamp idle and the image plane valid.  So no
+        # plane matrix is scanned, by any method.
         plane = 12 * 10
         rng = random.Random(9)
         raster = bytes(rng.randrange(256) for _ in range(3 * plane))
@@ -258,8 +263,8 @@ class TestBlurCommand:
             out = str(tmp_path / f"{method}.ppm")
             assert main(["blur", "-r", "4", "--method", method, src, out]) == 0
             monkeypatch.undo()
-            # Read red, green, blue; then extended, blurred, rounded per plane.
-            assert len(built) == 3 + 3 * 3, method
+            # Read red, green, blue; then blurred and rounded per plane.
+            assert len(built) == 3 + 3 * 2, method
             assert not [m for m in built for _, seq in scans if seq is m.data]
             # The only plane-sized scans: one max per channel of the raster.
             assert [(name, type(seq)) for name, seq in scans] == [
@@ -343,6 +348,15 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["polish"])
         assert err.value.code == 2
+
+    def test_start_up_imports_no_statistics(self):
+        # ``statistics`` pulls in fractions, decimal and numbers, about 3 ms
+        # of every CLI process; only the bench command needs it.
+        env = dict(os.environ, PYTHONPATH=str(Path(collapsum.__file__).parents[1]))
+        code = "import sys, collapsum.cli; print('statistics' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=60)
+        assert out.stdout == "False\n"
 
     def test_round_trip_helper(self):
         # write_netpbm/read_netpbm are exercised through the CLI above;

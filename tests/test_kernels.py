@@ -8,6 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collapsum.collapse import (
+    GammaSpec,
+    _Packed,
+    _packed,
+    _unpacked,
+    generalized_collapse,
+)
 from collapsum.kernels import (
     EdgeMode,
     Kernel,
@@ -284,6 +291,39 @@ class TestKernelInvariants:
         assert abs(math.fsum(k.weights.data) - 1.0) <= 1e-12
 
 
+def refusal(extension):
+    """The extension, or the type and message it was refused with."""
+    try:
+        return extension()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def packed_extensions(draw):
+    """A nonnegative exact plane (entries up to 2**k, k up to 127), the same
+    plane packed in lanes with up to 8 spare bits (1 to 17 bytes), both
+    correlated one time in two with a window of ones of up to 2x2 (so the
+    packed one keeps its first lane past 0 and a row stride wider than its
+    columns), every edge, and margins of 0..4 on each side drawn
+    independently, or -1 to be refused."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    b1, b2 = draw(st.integers(1, min(m, 2))), draw(st.integers(1, min(n, 2)))
+    # A correlation multiplies the plane's maximum by up to 4.
+    taps = b1 * b2 if draw(st.booleans()) else 1
+    bits = draw(st.integers(0, 127) | st.just(127))
+    entry = st.integers(0, min(2**bits, INT128_MAX // taps))
+    a = Matrix(m, n, tuple(draw(st.lists(entry, min_size=m * n, max_size=m * n))))
+    spare = draw(st.integers(0, 8))
+    packed = _packed(a, lambda high: high * taps << spare)
+    if taps > 1:
+        window = GammaSpec(Matrix.filled(b1, b2, 1))
+        a = generalized_collapse(a, window)
+        packed = generalized_collapse(packed, window)
+    margins = draw(st.lists(st.integers(-1, 4), min_size=4, max_size=4))
+    return a, packed, margins, draw(st.sampled_from(list(EdgeMode)))
+
+
 class TestExtend:
     def test_zero_radius(self):
         a = Matrix.from_rows([[1, 2], [3, 4]])
@@ -351,6 +391,23 @@ class TestExtend:
                     assert out.to_rows() == [list(x) for x in zip(*cols)]
                     assert all(type(v) is type(zero) for v in out.data)
                     assert out.span == (min(out.data), max(out.data))
+
+    @settings(max_examples=300, deadline=None)
+    @given(packed_extensions())
+    def test_packed_extension_matches_the_matrix_loop(self, case):
+        # A packed plane is extended on its lane bytes: unpacked, it equals
+        # the matrix extension, in the lanes and under the bound it had,
+        # and both operands are refused alike.
+        a, packed, margins, mode = case
+        assert _unpacked(packed) == a
+        expected = refusal(lambda: extend_asym(a, *margins, mode))
+        out = refusal(lambda: extend_asym(packed, *margins, mode))
+        if isinstance(expected, tuple):
+            assert out == expected
+            return
+        assert isinstance(out, _Packed)
+        assert (out.bits, out.bound) == (packed.bits, packed.bound)
+        assert _unpacked(out) == expected
 
 
 class TestConvolveCrop:

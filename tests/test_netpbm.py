@@ -1,6 +1,7 @@
 import random
 import sys
 import time
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from collapsum.netpbm import (
     ColorImage,
     ImagePlane,
     NetpbmError,
+    _big_endian_16,
     _image,
     _quantize,
     _read_binary_samples,
@@ -493,6 +495,35 @@ class TestWrite:
         assert type(out) is bytes
         assert out == header + raster
 
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_binary_raster_equals_the_interleaved_encoding(self, data):
+        # 8- and 16-bit P5 and P6: the raster built plane by plane equals
+        # the samples interleaved pixel by pixel and then encoded whole,
+        # and reads back as the same image.
+        maxval = data.draw(st.sampled_from((1, 255, 256, MAX_MAXVAL))
+                           | st.integers(1, MAX_MAXVAL))
+        width, height = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 5))
+        sample = st.sampled_from((0, maxval)) | st.integers(0, maxval)
+
+        def plane():
+            flat = data.draw(st.lists(sample, min_size=width * height,
+                                      max_size=width * height))
+            return ImagePlane(width, height, maxval,
+                              Matrix(height, width, tuple(flat)))
+
+        if data.draw(st.booleans()):
+            img, magic = ColorImage(plane(), plane(), plane()), b"P6"
+            grids = (p.samples.data for p in (img.red, img.green, img.blue))
+            flat = tuple(chain.from_iterable(zip(*grids)))
+        else:
+            img, magic = plane(), b"P5"
+            flat = img.samples.data
+        raster = _big_endian_16(flat) if maxval > 255 else bytes(flat)
+        out = write_netpbm(img, "binary")
+        assert out == b"%s\n%d %d\n%d\n" % (magic, width, height, maxval) + raster
+        assert read_netpbm(out) == img
 
 class TestPlanes:
     def test_gray_as_color_splits_equal(self):

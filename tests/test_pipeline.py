@@ -315,11 +315,12 @@ def nonnegative_blurs(draw):
 
 @contextlib.contextmanager
 def counted_planes(entries):
-    """Record the packs of ``entries``-lane planes and every unpack."""
+    """Record the packs of planes of ``entries`` lanes or more, and every
+    unpack."""
     packs, unpacks = [], []
 
     def pack(values, *args, original=collapse_module._pack):
-        if len(values) == entries:
+        if len(values) >= entries:
             packs.append(values)
         return original(values, *args)
 
@@ -359,20 +360,41 @@ class TestPackedPlane:
 
     @pytest.mark.parametrize("edge", ALL_EDGES)
     def test_each_blur_packs_once_and_unpacks_once(self, edge):
+        # The input is packed, not its extension: one pack of its rows x
+        # cols lanes and none larger.
         a = random_matrix(random.Random(263), 11, 9)
-        work = extended(a, 5, 4, edge)
         for method in Method:
-            with counted_planes(len(work.data)) as (packs, unpacks):
+            with counted_planes(len(a.data)) as (packs, unpacks):
                 blur(a, BlurRequest(rect=(5, 4), method=method, edge=edge))
             assert (len(packs), len(unpacks)) == (1, 1), method
 
     @pytest.mark.parametrize("edge", ALL_EDGES)
     def test_a_passing_report_packs_once_and_unpacks_nothing(self, edge):
         a = random_matrix(random.Random(269), 12, 12)
-        with counted_planes(len(extended(a, 5, 5, edge).data)) as (packs, unpacks):
+        with counted_planes(len(a.data)) as (packs, unpacks):
             report = equivalence_report(a, 2, edge)
         assert report.passed
         assert (len(packs), len(unpacks)) == (1, 0)
+
+    @pytest.mark.parametrize("edge", ALL_EDGES)
+    def test_a_packable_plane_never_runs_the_matrix_extension(
+            self, edge, monkeypatch):
+        # The matrix loop of ``extend_asym`` picks each extended row's
+        # entries with ``itemgetter``; a plane that packs is extended on its
+        # lane bytes instead, in every method and in the report.  A plane
+        # with a negative entry still reaches the stub.
+        def picking(*cols):
+            raise AssertionError("the matrix extension ran")
+
+        monkeypatch.setattr(kernels_module, "itemgetter", picking)
+        a = random_matrix(random.Random(307), 10, 8)
+        for method in Method:
+            blur(a, BlurRequest(rect=(5, 4), method=method, edge=edge))
+        assert equivalence_report(a, 2, edge).passed
+        if edge is not EdgeMode.CROP:
+            signed = Matrix(10, 8, (-1,) + a.data[1:])
+            with pytest.raises(AssertionError, match="matrix extension"):
+                blur(signed, BlurRequest(rect=(5, 4), edge=edge))
 
     @settings(max_examples=200, deadline=None)
     @given(nonnegative_blurs())
@@ -387,8 +409,7 @@ class TestPackedPlane:
         # aligned on its own first lane.
         a, (h, w, ca, cb), edge = case
         req = BlurRequest(rect=(h, w), collapses=(ca, cb), edge=edge)
-        kernel, work = pipeline._extended(a, req)
-        plane = pipeline._packed_plane(work, kernel)
+        kernel, plane = pipeline._plane(a, req)
         assert isinstance(plane, collapse_module._Packed)
         nums = [pipeline._numerator(m, kernel, req.collapses, plane).numerator
                 for m in Method]
@@ -689,8 +710,8 @@ class TestOneProductPerDistinctRow:
         k, n = 2 * r + 1, 6 + 2 * r
         with packed_lengths() as lengths:
             blur(a, BlurRequest(radius=r, method=Method.DIRECT))
-        # The extended plane, then one pack per distinct row.
-        assert lengths == [(7 + 2 * r) * n] + [k] * (r + 1)
+        # The input plane, then one pack per distinct row.
+        assert lengths == [7 * 6] + [k] * (r + 1)
         assert r == 0 or (k - 1) * n + k not in lengths
 
     @pytest.mark.parametrize("r", [1, 3])
@@ -699,9 +720,9 @@ class TestOneProductPerDistinctRow:
         k = 2 * r + 1
         with packed_lengths() as lengths:
             blur(a, BlurRequest(radius=r, method=Method.SEPARABLE))
-        # The row pass has one row of k lanes, the column pass r + 1
-        # distinct rows of one lane.
-        assert lengths == [(7 + 2 * r) * (6 + 2 * r), k] + [1] * (r + 1)
+        # The input plane; the row pass has one row of k lanes, the column
+        # pass r + 1 distinct rows of one lane.
+        assert lengths == [7 * 6, k] + [1] * (r + 1)
 
     @pytest.mark.parametrize("s", [0, 1, 3], ids=["box", "interp-1", "interp-3"])
     @pytest.mark.parametrize("method", Method, ids=lambda m: m.value)
@@ -709,14 +730,13 @@ class TestOneProductPerDistinctRow:
     def test_box_and_interp_blurs_pack_each_distinct_row(
             self, edge, method, s, monkeypatch):
         # A (2r+1)-square window with s x s collapses (s = 0 is the box):
-        # the extended plane is packed once and unpacked once.  Direct packs
+        # the input plane is packed once and unpacked once.  Direct packs
         # each distinct window row, separable its one row and then each
         # distinct entry of its column side, and collapse runs its passes on
         # the packed plane and then a row and a column pass of ones, one
         # product each.  No 2-D window is built but the request's.
         r, a = 2, random_matrix(random.Random(281), 8, 9)
         k = 2 * r + 1
-        work = extended(a, k, k, edge)
         distinct = len(set(coefficient_sides(k, k, s, s)[0]))
         rows = {Method.DIRECT: [k] * distinct, Method.SEPARABLE: [k] + [1] * distinct,
                 Method.COLLAPSE: [k - s, 1]}[method]
@@ -731,10 +751,10 @@ class TestOneProductPerDistinctRow:
         for module in (kernels_module, pipeline):
             monkeypatch.setattr(module, "_coefficient_kernel", recorded)
         req = BlurRequest(radius=r, collapses=(s, s), method=method, edge=edge)
-        with counted_planes(len(work.data)) as (_, unpacks), \
+        with counted_planes(len(a.data)) as (_, unpacks), \
                 packed_lengths() as lengths:
             out = blur(a, req)
-        assert lengths == [len(work.data), *rows]
+        assert lengths == [len(a.data), *rows]
         assert len(unpacks) == 1
         assert built == [(k, k), *windows]
         assert out == convolve(interpolation_kernel(r, s), a, edge)
