@@ -8,14 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .kernels import (
-    EdgeMode,
-    Kernel,
-    box_kernel,
-    check_interpolation,
-    gaussian_kernel_rect,
-    interpolation_kernel,
-)
+from .kernels import EdgeMode, Kernel, _coefficient_kernel, check_interpolation
 from .matrix import DimensionError, ExactOverflowError, Matrix, ScalarMode
 from .netpbm import (
     ColorImage,
@@ -96,36 +89,29 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",")]
 
 
-def _window(args) -> tuple[int, int]:
-    # Height and width of the requested window; its filter's options must be
-    # set and in range, and a radius must be nonnegative.
+def _window(args) -> tuple[tuple[int, int], tuple[int, int] | None]:
+    # The requested window as ``BlurRequest``'s ``rect`` and ``collapses``;
+    # its filter's options must be set and in range, and a radius must be
+    # nonnegative.
     if args.filter_name == "rect":
         if args.a is None or args.b is None:
             raise ValueError("--filter rect requires --a and --b")
-        return args.a, args.b
+        return (args.a, args.b), None
     if args.filter_name == "interp" and args.s is None:
         raise ValueError("--filter interp requires --s")
     if args.radius < 0:
         raise ValueError("radius must be nonnegative")
     if args.filter_name == "interp":
         check_interpolation(args.radius, args.s)
-    return 2 * args.radius + 1, 2 * args.radius + 1
-
-
-def _pick_kernel(args) -> Kernel:
-    h, w = _window(args)
-    if args.filter_name == "box":
-        return box_kernel(args.radius)
-    if args.filter_name == "interp":
-        return interpolation_kernel(args.radius, args.s)
-    return gaussian_kernel_rect(h, w)
+    collapses = {"box": (0, 0), "interp": (args.s, args.s)}.get(args.filter_name)
+    return (2 * args.radius + 1,) * 2, collapses
 
 
 def _blur_planes(planes: list[Matrix], args) -> list[Matrix]:
     # Rounded blur of each plane by the requested coefficient window.
-    collapses = {"box": (0, 0), "interp": (args.s, args.s)}.get(args.filter_name)
-    req = BlurRequest(rect=_window(args), collapses=collapses,
-                      method=Method(args.method), edge=EdgeMode(args.edge))
+    rect, collapses = _window(args)
+    req = BlurRequest(rect=rect, collapses=collapses, method=Method(args.method),
+                      edge=EdgeMode(args.edge))
     return [blur(p, req).rounded() for p in planes]
 
 
@@ -155,7 +141,9 @@ def format_kernel(kernel: Kernel) -> str:
 
 
 def _cmd_kernel(args) -> int:
-    sys.stdout.write(format_kernel(_pick_kernel(args)))
+    rect, collapses = _window(args)
+    req = BlurRequest(rect=rect, collapses=collapses)
+    sys.stdout.write(format_kernel(_coefficient_kernel(*req.rect, *req.collapses)))
     return 0
 
 

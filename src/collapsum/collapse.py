@@ -35,17 +35,16 @@ result with a mask of bits 127 and up of every kept lane raises
 ``ExactOverflowError`` exactly where the unpacked loops, which scan each
 pass and each result as they build it, would.
 
-A packed plane (``_Packed``) carries its shape, row stride, lane width,
-the bound B its lanes were sized for and the lane of its first kept
-entry, and flows between stages without being unpacked:
-``kernels.extend_asym``, ``collapse_down``, ``collapse_right``, the
-collapse powers and ``generalized_collapse`` all take one and return
-one.  ``pipeline.blur`` packs its input plane once, in lanes that hold
-the bound of its whole method, extends it and runs the stages on it
-packed, and unpacks the result once.  Called on a ``Matrix``, the
-powers and ``generalized_collapse`` are adapters over the same stages:
-they pack the input in lanes that hold their own bound, run the stage
-and unpack.
+A packed plane (``_Packed``) carries its shape, row stride, lane width
+and the bound B its lanes were sized for, and flows between stages
+without being unpacked: ``kernels.extend_asym``, ``collapse_down``,
+``collapse_right``, the collapse powers and ``generalized_collapse`` all
+take one and return one.  ``pipeline.blur`` packs its input plane once,
+in lanes that hold the bound of its whole method, extends it and runs
+the stages on it packed, and unpacks the result once.  Called on a
+``Matrix``, the powers and ``generalized_collapse`` are adapters over
+the same stages: they pack the input in lanes that hold their own bound,
+run the stage and unpack.
 
 A collapse power packs entry (i, j) of the plane in lane i*n + j
 (row-major, row stride n = the input's column count, kept through every
@@ -54,14 +53,22 @@ pass), so a pass down is ``X + (X >> L*n)`` and a pass right is
 The last lanes of each row, where a pass right adds the first lane of the
 next row, and the lanes below the last row are computed and dropped.
 
-The generalized collapse is a correlation, and packed it is a product of
-the input, a lane per entry in row-major order, and the flipped window
-W = sum(R_i << L*n*i), R_i its row i in b2 lanes (Kronecker substitution),
-whose lanes from (b1-1)*n + b2-1 on are the window sums.  W is not built:
-the input times each distinct row is added, shifted, once per equal row.
-Unpacked, a shift-and-add loop adds the flat input, shifted to each
-window tap and scaled by its weight, into one accumulator.  Both keep
-the columns of each row where the whole window fits.
+The generalized collapse is a correlation, and packed it is a sum of
+products (Kronecker substitution): the input, a lane per entry in
+row-major order, times window row i reversed in b2 lanes puts input
+(p+i, q+j) times weight (i, j) in lane p*n + q + n*i + b2 - 1, so the
+product right-shifted by L*(n*i + b2 - 1) holds row i's share of output
+(p, q) in lane p*n + q.  Each distinct row is multiplied once and added,
+so shifted, for every row equal to it.  Unpacked, a shift-and-add loop
+adds the flat input, shifted to each window tap and scaled by its
+weight, into one accumulator.  Both keep the columns of each row where
+the whole window fits.
+
+Every packed stage, passes, correlations and extension alike, writes
+lane k only from lanes k and up, each entry (i, j) of a window adding
+lane k + i*n + j times its weight.  So every plane starts at lane 0,
+and any two chains of stages that compute the same window on one plane
+compute the same int, every lane included.
 
 A packed result carries the range it proved (``Matrix._bounds``, [0, B]
 clipped to int128), so the next operation sizes its lanes without
@@ -159,26 +166,25 @@ def _unpack(x: int, size: int, count: int, top: int):
     return values if isinstance(values, array) else list(values)
 
 
-def _rows(lanes, first: int, rows: int, cols: int, stride: int):
+def _rows(lanes, rows: int, cols: int, stride: int):
     # The entries of a rows x cols block laid out with row stride ``stride``
-    # from lane ``first``, row-major.
+    # from lane 0, row-major.
     return chain.from_iterable(
-        lanes[p : p + cols] for p in range(first, first + rows * stride, stride)
+        lanes[p : p + cols] for p in range(0, rows * stride, stride)
     )
 
 
 class _Packed(NamedTuple):
     # A plane of ``rows`` x ``cols`` exact entries, entry (i, j) in unsigned
-    # ``bits``-bit lane first + i * stride + j of ``value``, every lane at
-    # most ``bound``.  The lanes around the kept ones hold partial sums
-    # that are dropped at the end.
+    # ``bits``-bit lane i * stride + j of ``value``, every lane at most
+    # ``bound``.  The lanes past each kept row hold partial sums that are
+    # dropped at the end.
     rows: int
     cols: int
     stride: int
     bits: int
     bound: int
     value: int
-    first: int = 0
     # Not a field: the mode that stages read off their operand.
     mode = ScalarMode.EXACT
 
@@ -200,7 +206,7 @@ def _kept(p: _Packed, lane: bytes) -> int:
     # The byte pattern ``lane`` in every kept lane of p, zero elsewhere.
     size = p.bits // 8
     row = lane * p.cols + bytes(size * (p.stride - p.cols))
-    return int.from_bytes(bytes(size * p.first) + row * p.rows, "little")
+    return int.from_bytes(row * p.rows, "little")
 
 
 def _checked(p: _Packed) -> int:
@@ -216,7 +222,7 @@ def _checked(p: _Packed) -> int:
 
 def _lane_count(p: _Packed) -> int:
     # The lanes of p's value, at least through its last kept lane.
-    last = p.first + (p.rows - 1) * p.stride + p.cols
+    last = (p.rows - 1) * p.stride + p.cols
     return max(last, -(-p.value.bit_length() // p.bits))
 
 
@@ -225,17 +231,9 @@ def _unpacked(p: _Packed) -> Matrix:
     # int128; past it the kept lanes are checked first.
     bound = _checked(p)
     lanes = _unpack(p.value, p.bits // 8, _lane_count(p), bound)
-    data = tuple(_rows(lanes, p.first, p.rows, p.cols, p.stride))
+    data = tuple(_rows(lanes, p.rows, p.cols, p.stride))
     return Matrix._proven(p.rows, p.cols, data, ScalarMode.EXACT,
                           bounds=(0, bound))
-
-
-def _same(p: _Packed, q: _Packed) -> bool:
-    # Whether two packed planes of one shape and lane width are one int
-    # once aligned on their first kept lanes (see ``pipeline``).
-    if p.first < q.first:
-        p, q = q, p
-    return p.value >> p.bits * (p.first - q.first) == q.value
 
 
 def _pair_sum(data: tuple, outer: int, k: int, inner: int) -> tuple:
@@ -360,24 +358,22 @@ class GammaSpec:
 
 
 def _correlate(p: _Packed, w: Matrix) -> _Packed:
-    # The window sums of p as P * W (see generalized_collapse), first kept
-    # lane (b1 - 1) * n + b2 - 1 past p's; p's lanes hold every lane of the
-    # product and every weight of the nonnegative window w.  Each shifted
-    # product is added alone, largest shift first: a row's shifts summed
-    # apart held one more plane-sized int (0.8 MB more peak RSS in a 256x256
-    # r=8 report), and smallest first a 601-row box took 3x as long.
+    # The window sums of p (see generalized_collapse); p's lanes hold every
+    # lane of each product and every weight of the nonnegative window w.
+    # Each shifted product is added alone: a row's shifts summed apart
+    # held one more plane-sized int (0.8 MB more peak RSS in a 256x256 r=8
+    # report).
     b1, b2, n, x = w.rows, w.cols, p.stride, p.value
-    flipped = w.data[::-1]
     shifts = {}
     for i in range(b1):
-        shifts.setdefault(flipped[i * b2 : (i + 1) * b2], []).append(p.bits * n * i)
-    product = 0
+        row = w.data[i * b2 : (i + 1) * b2][::-1]
+        shifts.setdefault(row, []).append(p.bits * (n * i + b2 - 1))
+    total = 0
     for row, offsets in shifts.items():
         part = x * _pack(row, p.bits // 8, w._bounds[1])
-        for offset in reversed(offsets):
-            product += part << offset
-    return p._replace(rows=p.rows - b1 + 1, cols=p.cols - b2 + 1, value=product,
-                      first=p.first + (b1 - 1) * n + b2 - 1)
+        for offset in offsets:
+            total += part >> offset
+    return p._replace(rows=p.rows - b1 + 1, cols=p.cols - b2 + 1, value=total)
 
 
 def generalized_collapse(a: Matrix, gamma: GammaSpec) -> Matrix:
@@ -389,14 +385,16 @@ def generalized_collapse(a: Matrix, gamma: GammaSpec) -> Matrix:
     with the window flipped.
 
     In exact mode, with a nonnegative input and window, the whole sum is
-    a product of packed ints (Kronecker substitution).  The input packs
-    entry k into L-bit lane k (row-major, row stride n); a window int
-    would hold weight (i, j) in lane (b1-1-i)*n + (b2-1-j).  Lane
-    (p+b1-1)*n + q+b2-1 of the product then collects input (p+i, q+j)
-    times weight (i, j) over every tap, and row p of the output is a
-    slice of n - b2 + 1 lanes from there.  That int, mostly zero lanes,
-    is not built: the input times each distinct window row in b2 lanes
-    is added, shifted by L*n*i bits, for every flipped row i equal to it.
+    a sum of products of packed ints (Kronecker substitution).  The input
+    packs entry k into L-bit lane k (row-major, row stride n), and window
+    row i packs reversed, weight (i, j) in lane b2-1-j.  Lane
+    (p+i)*n + q+b2-1 of their product collects input (p+i, q+j) times
+    weight (i, j) over the row's taps, so the product right-shifted by
+    L*(n*i + b2-1) bits holds them in lane p*n + q, and the sum of these
+    over every row holds output (p, q) there: row p of the output is a
+    slice of n - b2 + 1 lanes from lane p*n, and no lane below lane 0 is
+    formed.  Each distinct window row is multiplied once, and its product
+    is added, so shifted, for every row i equal to it.
 
     Each lane of the product, the lanes where the window wraps onto the
     next row included, adds each weight at most once, so it lies in
@@ -443,7 +441,7 @@ def generalized_collapse(a: Matrix, gamma: GammaSpec) -> Matrix:
         off = k // b2 * n + k % b2
         taps = map(mul, repeat(wk, span), islice(d, off, off + span))
         acc = list(map(add, acc, taps))
-    return Matrix(out_m, out_n, tuple(_rows(acc, 0, out_m, out_n, n)), a.mode)
+    return Matrix(out_m, out_n, tuple(_rows(acc, out_m, out_n, n)), a.mode)
 
 
 def generalized_collapse_power(a: Matrix, gamma: GammaSpec, s: int) -> Matrix:

@@ -270,7 +270,7 @@ def _extended_lanes(p: _Packed, rows: list[int], cols: list[int],
     margins = cols[:left] + cols[left + n :]
     extended = []
     for i in range(p.rows):
-        start = (p.first + i * p.stride) * size
+        start = i * p.stride * size
         lanes = [raw[start + c * size : start + (c + 1) * size] if c < n else pad
                  for c in margins]
         row = raw[start : start + n * size]
@@ -278,7 +278,7 @@ def _extended_lanes(p: _Packed, rows: list[int], cols: list[int],
     extended.append(pad * len(cols))
     value = int.from_bytes(b"".join(map(extended.__getitem__, rows)), "little")
     return p._replace(rows=len(rows), cols=len(cols), stride=len(cols),
-                      value=value, first=0)
+                      value=value)
 
 
 def extend_asym(

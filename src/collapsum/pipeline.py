@@ -16,11 +16,11 @@ into one int (``collapse._Packed``), which carries the bound its lanes
 hold.  ``kernels.extend_asym`` extends it on its lane bytes, and every
 stage of every method runs on that int: each correlation, direct or a
 row or column pass, is one product per distinct window row, and the
-collapse passes shift-and-adds.  Each result stays packed, with the
-offset of its first kept lane, until :func:`blur` unpacks it once.  One
-lane width serves all of them: the fewest whole bytes that hold
-B = max(a) times the window's divisor, and at least the largest window
-weight; an extension copies entries or adds zeros, so it keeps max(a).
+collapse passes shift-and-adds.  Each result stays packed, its entries
+from lane 0 on, until :func:`blur` unpacks it once.  One lane width
+serves all of them: the fewest whole bytes that hold B = max(a) times
+the window's divisor, and at least the largest window weight; an
+extension copies entries or adds zeros, so it keeps max(a).
 Every plane and window here is nonnegative, so each lane is a sum of
 nonnegative terms that uses each tap weight at most once, the lanes
 where a window wraps onto the next row included; so every lane stays at
@@ -32,11 +32,12 @@ where a scan of each pass would.
 
 :func:`equivalence_report` packs and extends its input once as well, runs
 the three methods on that plane and compares their packed numerators,
-whose divisors are all 2^(h+w-2), by one int equality per pair aligned
-on their first kept lanes: each method computes every lane from there
-on, dropped ones too, as the same window sum.  Only a pair that differs
-anywhere is unpacked and measured by :func:`deviation`.  A plane with a
-negative entry, and a float one, runs the same stage calls on matrices.
+whose divisors are all 2^(h+w-2), by one int equality per pair: every
+packed stage writes each lane only from the lanes at and after it, so
+each method computes every lane, dropped ones too, as the same window
+sum of the plane's lanes.  Only a pair that differs anywhere is unpacked
+and measured by :func:`deviation`.  A plane with a negative entry, and a
+float one, runs the same stage calls on matrices.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .collapse import (
     _Packed,
     _checked,
     _packed,
-    _same,
     _unpacked,
     collapse_down_power,
     collapse_power,
@@ -86,7 +86,7 @@ class BlurRequest:
     given; a radius r is stored as ``rect`` = (2r+1, 2r+1), so the two
     forms of one window make equal requests; so does ``collapses``, the
     (a, b) of its coefficient window, stored for None as the binomial
-    (h-1, w-1).  ``mode`` selects exact-integer or float arithmetic.
+    (h-1, w-1).  The blur runs in its input's mode, exact-integer or float.
     """
 
     radius: InitVar[int | None] = None
@@ -94,7 +94,6 @@ class BlurRequest:
     collapses: tuple[int, int] | None = None
     method: Method = Method.COLLAPSE
     edge: EdgeMode = EdgeMode.REPLICATE
-    mode: ScalarMode = ScalarMode.EXACT
 
     def __post_init__(self, radius):
         if (radius is None) == (self.rect is None):
@@ -108,14 +107,6 @@ class BlurRequest:
             raise ValueError("rectangle sides must be positive")
         object.__setattr__(self, "collapses", self.collapses or (h - 1, w - 1))
         _check_counts(h, w, *self.collapses)
-
-
-def _coerce_mode(a: Matrix, mode: ScalarMode) -> Matrix:
-    if a.mode is mode:
-        return a
-    if mode is ScalarMode.FLOAT:
-        return a.to_float()
-    raise ValueError("cannot run an exact pipeline on a float matrix")
 
 
 def _check_crop_fit(rows: int, cols: int, h: int, w: int, edge: EdgeMode) -> None:
@@ -166,17 +157,17 @@ def _unpacked_result(out: FilterResult) -> FilterResult:
 
 
 def blur(a: Matrix, req: BlurRequest) -> FilterResult:
-    """Run one blur request; see :class:`BlurRequest`.
+    """Run one blur request in the mode of ``a``; see :class:`BlurRequest`.
 
     An exact nonnegative plane is packed once, runs every stage of the
     method packed and is unpacked once (see the module docstring)."""
-    kernel, plane = _plane(_coerce_mode(a, req.mode), req)
+    kernel, plane = _plane(a, req)
     return _unpacked_result(_numerator(req.method, kernel, req.collapses, plane))
 
 
 def rect_blur(a: Matrix, h: int, w: int, edge: EdgeMode) -> FilterResult:
     """Rectangular h x w blur via directional collapses."""
-    return blur(a, BlurRequest(rect=(h, w), edge=edge, mode=a.mode))
+    return blur(a, BlurRequest(rect=(h, w), edge=edge))
 
 
 def deviation(x: FilterResult, y: FilterResult) -> float:
@@ -219,7 +210,7 @@ def equivalence_report(a: Matrix, r: int, edge: EdgeMode) -> EquivalenceReport:
     The tolerance is 0 for exact-mode images and 1e-9 for float ones;
     failures are recorded in the report, not raised.  An exact
     nonnegative image is packed and extended once, and one int equality
-    per pair of aligned packed numerators gives deviation 0.0 without
+    per pair of packed numerators gives deviation 0.0 without
     unpacking; a pair that differs is unpacked and measured by
     :func:`deviation` (see the module docstring).
     """
@@ -239,7 +230,7 @@ def equivalence_report(a: Matrix, r: int, edge: EdgeMode) -> EquivalenceReport:
         for second in names[i + 1 :]:
             x, y = results[first], results[second]
             if (packed and x.divisor == y.divisor
-                    and _same(x.numerator, y.numerator)):
+                    and x.numerator.value == y.numerator.value):
                 devs[(first, second)] = 0.0
             else:
                 devs[(first, second)] = deviation(_unpacked_result(x),
@@ -358,11 +349,13 @@ def benchmark(
         raise ValueError("repetitions must be at least 1")
     rows = []
     for size in sizes:
-        image = _coerce_mode(seeded_image(size, size), mode)
+        image = seeded_image(size, size)
+        if mode is ScalarMode.FLOAT:
+            image = image.to_float()
         for r in radii:
             reference = None
             for method in Method:
-                req = BlurRequest(radius=r, method=method, edge=edge, mode=mode)
+                req = BlurRequest(radius=r, method=method, edge=edge)
                 times = []
                 result = None
                 for _ in range(repetitions):

@@ -10,11 +10,13 @@ from pathlib import Path
 import pytest
 
 import collapsum
-from collapsum.cli import main
+from collapsum.cli import format_kernel, main
 from collapsum.kernels import (
     EdgeMode,
     box_kernel,
     convolve,
+    gaussian_kernel,
+    gaussian_kernel_rect,
     interpolation_kernel,
 )
 from collapsum.matrix import Matrix, ScalarMode
@@ -53,6 +55,41 @@ class TestKernelCommand:
         code = main(["kernel", "--filter", "rect", "--a", "2", "--b", "3"])
         assert code == 0
         assert capsys.readouterr().out == "divisor 8\n1 2 1\n1 2 1\n"
+
+
+class TestWindowResolution:
+    @pytest.mark.parametrize("window, message", [
+        (["--filter", "rect", "--a", "0", "--b", "3"],
+         "rectangle sides must be positive"),
+        (["--filter", "rect", "--a", "3", "--b", "-1"],
+         "rectangle sides must be positive"),
+        (["--filter", "rect", "--a", "3"], "--filter rect requires --a and --b"),
+        (["--filter", "interp", "--radius", "2"], "--filter interp requires --s"),
+        (["--filter", "box", "--radius", "-1"], "radius must be nonnegative"),
+        (["--radius", "-2"], "radius must be nonnegative"),
+        (["--filter", "interp", "--radius", "2", "--s", "5"],
+         "interpolation step must satisfy 0 <= s <= 2r, got 5"),
+        (["--filter", "rect", "--a", "200", "--b", "3"],
+         "200x3 binomial window exceeds the signed 128-bit range"),
+    ])
+    def test_a_bad_window_gets_one_message_from_both_commands(
+            self, window, message, tmp_path, capsys):
+        src = write_pgm(tmp_path / "in.pgm", b"P2\n4 4\n255\n" + b"1 " * 16)
+        for argv in (["kernel", *window],
+                     ["blur", *window, src, str(tmp_path / "out.pgm")]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("window, kernel", [
+        (["--radius", "3"], gaussian_kernel(3)),
+        (["--filter", "box", "--radius", "2"], box_kernel(2)),
+        (["--filter", "interp", "--radius", "3", "--s", "2"],
+         interpolation_kernel(3, 2)),
+        (["--filter", "rect", "--a", "4", "--b", "1"], gaussian_kernel_rect(4, 1)),
+    ], ids=["gauss", "box", "interp", "rect"])
+    def test_kernel_prints_its_filters_window(self, window, kernel, capsys):
+        assert main(["kernel", *window]) == 0
+        assert capsys.readouterr().out == format_kernel(kernel)
 
 
 class TestBlurCommand:

@@ -1027,27 +1027,36 @@ class TestRepeatedWindowRows:
                                max_examples=1000))
 
 
-    def test_each_rows_shifts_add_largest_first(self):
-        # The sum has its full size from a row's first add on; smallest
-        # shift first, a 601-row box took 3x as long.
+    def test_each_distinct_row_is_multiplied_once_and_shifted_right(self):
+        # Row i reversed, times the plane, holds row i's share of output
+        # (p, q) in lane p*n + q + n*i + b2 - 1; shifted right by that much,
+        # no lane below the plane's lane 0 is ever formed.
         class Recorded:
-            # Stands in for the packed int and records each shift of it.
+            # Stands in for the packed int and records each use of it.
             def __init__(self):
-                self.shifts = []
+                self.factors, self.shifts = [], []
 
             def __mul__(self, other):
+                self.factors.append(other)
                 return self
 
-            def __lshift__(self, offset):
+            def __rshift__(self, offset):
                 self.shifts.append(offset)
                 return 0
 
+            def __lshift__(self, offset):
+                raise AssertionError("a product was shifted left")
+
         x = Recorded()
-        # Flipped, rows 0, 2 and 3 are (2, 1) and row 1 is (4, 3).
+        # Rows 0, 1 and 3 are (1, 2) and row 2 is (3, 4).
         w = Matrix.from_rows([[1, 2], [1, 2], [3, 4], [1, 2]])
-        collapse_module._correlate(collapse_module._Packed(6, 4, 4, 8, 255, x), w)
-        row = 8 * 4
-        assert x.shifts == [3 * row, 2 * row, 0, row]
+        out = collapse_module._correlate(
+            collapse_module._Packed(6, 4, 4, 8, 255, x), w)
+        # Each row packs reversed: (2, 1) and (4, 3) in 1-byte lanes.
+        assert x.factors == [2 + (1 << 8), 4 + (3 << 8)]
+        # L * (n*i + b2 - 1) for rows 0, 1 and 3, then row 2.
+        assert x.shifts == [8 * (4 * i + 1) for i in (0, 1, 3, 2)]
+        assert (out.rows, out.cols, out.stride) == (3, 3, 4)
 
 
 class TestPacker:

@@ -304,9 +304,9 @@ def packed_extensions(draw):
     """A nonnegative exact plane (entries up to 2**k, k up to 127), the same
     plane packed in lanes with up to 8 spare bits (1 to 17 bytes), both
     correlated one time in two with a window of ones of up to 2x2 (so the
-    packed one keeps its first lane past 0 and a row stride wider than its
-    columns), every edge, and margins of 0..4 on each side drawn
-    independently, or -1 to be refused."""
+    packed one has a row stride wider than its columns), every edge, and
+    margins of 0..4 on each side drawn independently, or -1 to be
+    refused."""
     m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     b1, b2 = draw(st.integers(1, min(m, 2))), draw(st.integers(1, min(n, 2)))
     # A correlation multiplies the plane's maximum by up to 4.
