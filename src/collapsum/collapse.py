@@ -12,39 +12,49 @@ data to itself shifted by one step.
 In exact mode a plane with no negative entry, correlated with a window
 with none, is packed into one Python int; a plane or window with a
 negative entry, and float mode, runs the unpacked loops: the pair-sum
-passes and a shift-and-add correlation.  One gate, ``_packed``, decides
-whether a plane packs and in which lanes.  The packed values sit in
-unsigned lanes of L bits, a whole number of bytes: the narrowest L >= 8
-with B < 2**L for a bound B on every value a lane holds, with no upper
-limit.  So an 8-bit image blurred at radius 4 (B = 255 * 4**8 < 2**24)
-packs in 3-byte lanes, and a 16-bit one at radius 12
-(B = 65535 * 4**24 < 2**64) in 8-byte lanes.  One packer serves every
+passes and a shift-and-add correlation.  One gate, ``_packed_lanes``,
+decides whether a plane or an image packs and in which lanes.  The
+packed values sit in unsigned lanes of L bits, a whole number of bytes:
+the narrowest L >= 8 with B < 2**L for a bound B on every value a lane
+holds, with no upper limit.  So an 8-bit image blurred at radius 4
+(B = 255 * 4**8 < 2**24) packs in 3-byte lanes, and a 16-bit one at
+radius 12 (B = 65535 * 4**24 < 2**64) in 8-byte lanes.  One packer serves every
 width: it scatters and gathers the bytes of native ``array`` items with
 slice assignment, and lanes wider than 8 bytes do so per 64-bit digit,
 with no Python code per entry.
 
-One proof covers every packed operation.  Each lane holds a sum of
-nonnegative terms that uses each window weight at most once, at most B,
-so no lane carries into the next.  In a chain of passes whose weights
-are all at least 1 (collapse passes, and every window and pass of
-``pipeline.blur``), every entry of an earlier pass is at most some
+An image of several channels packs as one int of pixel lanes: pixel k
+in lane k and its channel c in sublane c, of L bits each, so a lane is
+``channels`` x L bits and a pixel step is one lane, as with one channel.
+Every pass, correlation and extension moves whole lanes, and a window
+weight packs in the low sublane of its lane, so a product adds each
+channel's taps in that channel's sublane: an entry only ever meets
+entries of its own channel.
+
+One proof covers every packed operation, sublane by sublane.  Each
+sublane holds a sum of nonnegative terms that uses each window weight at
+most once, at most B < 2**L, so no sublane carries into the next, nor
+a lane's last sublane into the next lane.  In a chain of passes whose
+weights are all at least 1 (collapse passes, and every window and pass
+of ``pipeline.blur``), every entry of an earlier pass is at most some
 entry of the result, since each pass adds only nonnegative terms
 and every entry feeds at least one entry of the next pass.  So the
 result needs one range check: when B > 2**127 - 1, one AND of the packed
-result with a mask of bits 127 and up of every kept lane raises
+result with a mask of bits 127 and up of every kept sublane raises
 ``ExactOverflowError`` exactly where the unpacked loops, which scan each
 pass and each result as they build it, would.
 
-A packed plane (``_Packed``) carries its shape, row stride, lane width
-and the bound B its lanes were sized for, and flows between stages
-without being unpacked: ``kernels.extend_asym``, ``collapse_down``,
-``collapse_right``, the collapse powers and ``generalized_collapse`` all
-take one and return one.  ``pipeline.blur`` packs its input plane once,
-in lanes that hold the bound of its whole method, extends it and runs
-the stages on it packed, and unpacks the result once.  Called on a
-``Matrix``, the powers and ``generalized_collapse`` are adapters over
-the same stages: they pack the input in lanes that hold their own bound,
-run the stage and unpack.
+A packed plane (``_Packed``) carries its shape, row stride, lane width,
+channel count and the bound B its sublanes were sized for, and flows
+between stages without being unpacked: ``kernels.extend_asym``,
+``collapse_down``, ``collapse_right``, the collapse powers and
+``generalized_collapse`` all take one and return one.
+``pipeline.blur_raster`` packs a whole image once, and ``pipeline.blur``
+one plane, in lanes that hold the bound of the whole method; each
+extends it, runs the stages on it packed and unpacks the result once.
+Called on a ``Matrix``, the powers and ``generalized_collapse`` are
+adapters over the same stages: they pack the input in lanes that hold
+their own bound, run the stage and unpack.
 
 A collapse power packs entry (i, j) of the plane in lane i*n + j
 (row-major, row stride n = the input's column count, kept through every
@@ -175,46 +185,61 @@ def _rows(lanes, rows: int, cols: int, stride: int):
 
 
 class _Packed(NamedTuple):
-    # A plane of ``rows`` x ``cols`` exact entries, entry (i, j) in unsigned
-    # ``bits``-bit lane i * stride + j of ``value``, every lane at most
-    # ``bound``.  The lanes past each kept row hold partial sums that are
-    # dropped at the end.
+    # A plane of ``rows`` x ``cols`` pixels of ``channels`` exact entries
+    # each, pixel (i, j) in unsigned ``bits``-bit lane i * stride + j of
+    # ``value`` and its channel c in sublane c of ``bits // channels`` bits
+    # of that lane, every sublane at most ``bound``.  The lanes past each
+    # kept row hold partial sums that are dropped at the end.
     rows: int
     cols: int
     stride: int
     bits: int
     bound: int
     value: int
+    channels: int = 1
     # Not a field: the mode that stages read off their operand.
     mode = ScalarMode.EXACT
 
 
 def _packed(a: Matrix, bound: Callable[[int], int]) -> _Packed | None:
-    # The one packing gate: an exact plane a with no negative entry, on a
-    # host that can pack, as entry k in lane k of the fewest whole bytes
-    # that hold B = bound(max(a)); else None.  The bound is a function of
-    # the maximum so that a plane that does not pack never computes it.
-    if not (_PACKABLE and a.mode is ScalarMode.EXACT and a._bounds[0] >= 0):
+    # An exact plane a with no negative entry, packed by ``_packed_lanes``
+    # with B = bound(max(a)); else None.
+    if a.mode is ScalarMode.EXACT and a._bounds[0] >= 0:
+        return _packed_lanes(a.rows, a.cols, 1, a.data, a._bounds[1], bound)
+    return None
+
+
+def _packed_lanes(rows: int, cols: int, channels: int, samples, high: int,
+                  bound: Callable[[int], int]) -> _Packed | None:
+    # The one packing gate: on a host that can pack, the rows x cols pixels
+    # of ``channels`` interleaved samples each, row-major, every sample in
+    # [0, high], with pixel k in lane k and its sample c in sublane c of the
+    # fewest whole bytes that hold B = bound(high); else None.  Sample k of
+    # ``samples`` is sublane k either way, so one ``_pack`` lays them out.
+    # The bound is a function of the maximum so that a plane that does not
+    # pack never computes it.
+    if not _PACKABLE:
         return None
-    high = a._bounds[1]
     b = bound(high)
     size = _size(b)
-    return _Packed(a.rows, a.cols, a.cols, 8 * size, b, _pack(a.data, size, high))
+    return _Packed(rows, cols, cols, 8 * size * channels, b,
+                   _pack(samples, size, high), channels)
 
 
-def _kept(p: _Packed, lane: bytes) -> int:
-    # The byte pattern ``lane`` in every kept lane of p, zero elsewhere.
-    size = p.bits // 8
-    row = lane * p.cols + bytes(size * (p.stride - p.cols))
-    return int.from_bytes(row * p.rows, "little")
+def _kept(p: _Packed, sublane: bytes) -> int:
+    # The byte pattern ``sublane`` in every sublane of every kept lane of p,
+    # zero elsewhere.
+    gap = bytes(p.bits // 8 * (p.stride - p.cols))
+    return int.from_bytes((sublane * (p.channels * p.cols) + gap) * p.rows,
+                          "little")
 
 
 def _checked(p: _Packed) -> int:
     # The bound a result carries: p's bound clipped to int128.  Past int128,
-    # one AND over the kept lanes of p: bits 127 and up of every kept lane
-    # must be clear.
+    # one AND over the kept sublanes of p: bits 127 and up of every kept
+    # sublane must be clear.
     if p.bound > INT128_MAX:
-        size = p.bits // 8
+        size = p.bits // 8 // p.channels
         if p.value & _kept(p, bytes(15) + b"\x80" + b"\xff" * (size - 16)):
             raise ExactOverflowError(OUT_OF_RANGE)
     return min(p.bound, INT128_MAX)
@@ -226,13 +251,21 @@ def _lane_count(p: _Packed) -> int:
     return max(last, -(-p.value.bit_length() // p.bits))
 
 
-def _unpacked(p: _Packed) -> Matrix:
-    # The kept lanes of p as a matrix that carries p's bound clipped to
-    # int128; past it the kept lanes are checked first.
+def _sublanes(p: _Packed):
+    # The kept sublanes of p, pixel by pixel in row-major order and channel
+    # by channel within a pixel, and the bound they carry: p's bound clipped
+    # to int128, past which they are checked first.
     bound = _checked(p)
-    lanes = _unpack(p.value, p.bits // 8, _lane_count(p), bound)
-    data = tuple(_rows(lanes, p.rows, p.cols, p.stride))
-    return Matrix._proven(p.rows, p.cols, data, ScalarMode.EXACT,
+    c = p.channels
+    lanes = _unpack(p.value, p.bits // 8 // c, c * _lane_count(p), bound)
+    return _rows(lanes, p.rows, c * p.cols, c * p.stride), bound
+
+
+def _unpacked(p: _Packed) -> Matrix:
+    # The kept lanes of a one-channel p as a matrix that carries p's bound
+    # clipped to int128; past it the kept lanes are checked first.
+    data, bound = _sublanes(p)
+    return Matrix._proven(p.rows, p.cols, tuple(data), ScalarMode.EXACT,
                           bounds=(0, bound))
 
 
@@ -358,8 +391,9 @@ class GammaSpec:
 
 
 def _correlate(p: _Packed, w: Matrix) -> _Packed:
-    # The window sums of p (see generalized_collapse); p's lanes hold every
-    # lane of each product and every weight of the nonnegative window w.
+    # The window sums of p (see generalized_collapse); p's sublanes hold
+    # every sublane of each product and every weight of the nonnegative
+    # window w, which packs in the low sublane of each lane.
     # Each shifted product is added alone: a row's shifts summed apart
     # held one more plane-sized int (0.8 MB more peak RSS in a 256x256 r=8
     # report).

@@ -8,10 +8,15 @@ exactly one separator byte after maxval. Every failure is a
 :class:`NetpbmError` carrying the byte offset where parsing stopped.
 Binary samples are 1 byte up to maxval 255 and big-endian 2 bytes above.
 
-Each plane crosses this boundary with its proof (``Matrix._bounds``): one
-C-level ``max`` per channel of a raster read is its maxval check and its
-bounds (0, max), and a blurred plane is written with the bounds its
-rounding proved, so no plane is scanned between the read and the write.
+An image crosses this boundary as one :class:`Raster`: its samples
+interleaved pixel by pixel, as the file holds them, with a bound on
+them.  One C-level ``max`` over a raster read is its bound and, for a
+binary raster, its maxval check; ASCII samples are checked as they are
+read.  :func:`read_netpbm` and :func:`write_netpbm` are adapters over
+:func:`read_raster` and :func:`write_raster`: a read plane is one
+channel's slice of the raster, carrying one C-level ``max`` of it as its
+proof (``Matrix._bounds``), and written planes are interleaved into one
+raster by slice assignment.
 """
 
 from __future__ import annotations
@@ -20,9 +25,8 @@ import re
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import chain
 from operator import attrgetter
-from typing import Iterator
+from typing import Iterator, NamedTuple, Sequence
 
 from .matrix import DimensionError, Matrix, ScalarMode, round_half_away
 
@@ -96,6 +100,21 @@ class ColorImage:
         return self.red.maxval
 
 
+class Raster(NamedTuple):
+    """``height`` rows of ``width`` pixels of ``channels`` samples each (1
+    gray, 3 red, green and blue), interleaved pixel by pixel in row-major
+    order, as a netpbm raster holds them; every sample lies in
+    [0, ``high``] and ``high`` <= ``maxval``.  The samples are ``bytes``
+    or a list of ints."""
+
+    width: int
+    height: int
+    channels: int
+    maxval: int
+    samples: Sequence[int]
+    high: int
+
+
 # One tokenizer for the whole grammar: a comment runs from "#" up to, not
 # including, the next newline, and a token (group 1) is a maximal run of
 # bytes that are neither a separator nor "#". Separators are skipped by
@@ -149,7 +168,7 @@ def _read_ascii_samples(
 
 def _read_binary_samples(
     data: bytes, pos: int, count: int, maxval: int
-) -> bytes | array:
+) -> bytes | list[int]:
     # Exactly one whitespace byte separates maxval from the raster.
     if pos >= len(data) or data[pos] not in _WHITESPACE:
         raise NetpbmError("missing raster separator", pos)
@@ -164,14 +183,12 @@ def _read_binary_samples(
     raster = data[pos : pos + needed]
     if width_bytes == 1:
         return raster
-    return _wide(array("H", raster))
-
-
-def _wide(samples: array) -> array:
-    # 16-bit samples, converted between this host's order and big-endian.
+    # A list, not the array: ``bytes`` of an ``array('H')`` is its buffer,
+    # not its items.
+    samples = array("H", raster)
     if sys.byteorder == "little":
         samples.byteswap()
-    return samples
+    return samples.tolist()
 
 
 def _big_endian_16(samples) -> bytearray:
@@ -189,32 +206,23 @@ def _big_endian_16(samples) -> bytearray:
     return out
 
 
-def _image(
-    width: int, height: int, maxval: int, flat, raster: int
-) -> ImagePlane | ColorImage:
-    # The image of the channel-interleaved samples ``flat``: one C-level
-    # ``max`` per channel is its maxval check and its plane's proof (0, max).
-    # ASCII samples are checked as they are read, so a sample above maxval
-    # comes from a binary raster whose first byte is at offset ``raster``.
-    channels = len(flat) // (width * height)
-    planes = []
-    for c in range(channels):
-        samples = flat[c::channels]
-        high = max(samples)
-        if high > maxval:
-            k = next(k for k, value in enumerate(flat) if value > maxval)
-            raise NetpbmError(
-                f"sample {flat[k]} exceeds maxval {maxval}",
-                raster + k * (2 if maxval > 255 else 1),
-            )
-        planes.append(ImagePlane(width, height, maxval, Matrix._proven(
-            height, width, tuple(samples), ScalarMode.EXACT, bounds=(0, high))))
-    return planes[0] if channels == 1 else ColorImage(*planes)
+def _raster(width: int, height: int, maxval: int, flat, offset: int) -> Raster:
+    # The raster of the channel-interleaved samples ``flat``: one C-level
+    # ``max`` is its bound and its maxval check.  ASCII samples are checked
+    # as they are read, so a sample above maxval comes from a binary raster
+    # whose first byte is at offset ``offset``.
+    high = max(flat)
+    if high > maxval:
+        k = next(k for k, value in enumerate(flat) if value > maxval)
+        raise NetpbmError(
+            f"sample {flat[k]} exceeds maxval {maxval}",
+            offset + k * (2 if maxval > 255 else 1),
+        )
+    return Raster(width, height, len(flat) // (width * height), maxval, flat, high)
 
 
-def read_netpbm(data: bytes) -> ImagePlane | ColorImage:
-    """Parse P2/P5 into an :class:`ImagePlane`, P3/P6 into a
-    :class:`ColorImage`."""
+def read_raster(data: bytes) -> Raster:
+    """Parse a P2, P3, P5 or P6 image into its :class:`Raster`."""
     size = len(data)
     tokens = filter(attrgetter("lastindex"), _TOKEN.finditer(data))  # skip comments
     # The magic starts at byte 0: anything before its token belongs to it.
@@ -232,43 +240,64 @@ def read_netpbm(data: bytes) -> ImagePlane | ColorImage:
         flat = _read_ascii_samples(tokens, count, maxval, size)
     else:
         flat = _read_binary_samples(data, end, count, maxval)
-    return _image(width, height, maxval, flat, end + 1)
+    return _raster(width, height, maxval, flat, end + 1)
 
 
-def write_netpbm(img: ImagePlane | ColorImage, format: str = "binary") -> bytes:
+def _image(raster: Raster) -> ImagePlane | ColorImage:
+    # One plane per channel of ``raster``: its slice of the samples, with
+    # one C-level ``max`` of that slice as its proof (0, max).
+    width, height, c = raster.width, raster.height, raster.channels
+    planes = []
+    for k in range(c):
+        samples = raster.samples[k::c]
+        planes.append(ImagePlane(width, height, raster.maxval, Matrix._proven(
+            height, width, tuple(samples), ScalarMode.EXACT,
+            bounds=(0, max(samples)))))
+    return planes[0] if c == 1 else ColorImage(*planes)
+
+
+def read_netpbm(data: bytes) -> ImagePlane | ColorImage:
+    """Parse P2/P5 into an :class:`ImagePlane`, P3/P6 into a
+    :class:`ColorImage`: the planes of :func:`read_raster`."""
+    return _image(read_raster(data))
+
+
+def write_raster(raster: Raster, format: str = "binary") -> bytes:
     """Serialize to ASCII (P2/P3) or binary (P5/P6) bytes.
 
-    A binary raster is built from each plane's bytes (``bytes`` of its
-    samples, or their big-endian 2-byte items above maxval 255), slice
-    assigned into one buffer, channel by channel.  Reading the output
-    back yields bit-identical samples.
+    A binary raster is the ``bytes`` of the samples, or their big-endian
+    2-byte items above maxval 255; an ASCII one is one line of decimal
+    samples per image row.  Reading the output back yields the same
+    samples.
     """
     if format not in ("ascii", "binary"):
         raise ValueError("format must be 'ascii' or 'binary'")
-    color = isinstance(img, ColorImage)
-    width, height, maxval = img.width, img.height, img.maxval
-    if color:
-        magic = b"P3" if format == "ascii" else b"P6"
-        planes = (img.red, img.green, img.blue)
-    else:
-        magic = b"P2" if format == "ascii" else b"P5"
-        planes = (img,)
+    width, height, channels, maxval, samples, _ = raster
+    magic = {(1, "ascii"): b"P2", (3, "ascii"): b"P3",
+             (1, "binary"): b"P5", (3, "binary"): b"P6"}[channels, format]
     header = b"%s\n%d %d\n%d\n" % (magic, width, height, maxval)
     if format == "ascii":
-        grids = (p.samples.data for p in planes)
-        flat = tuple(chain.from_iterable(zip(*grids))) if color else img.samples.data
         # One line of decimal samples per image row, formatted in one pass.
-        line = b" ".join([b"%d"] * (width * (3 if color else 1))) + b"\n"
-        return (header + line * height) % flat
-    size = 2 if maxval > 255 else 1
-    encode = _big_endian_16 if size == 2 else bytes
-    step = size * len(planes)
-    raster = bytearray(step * width * height)
-    for c, p in enumerate(planes):
-        raw = encode(p.samples.data)
-        for j in range(size):
-            raster[c * size + j :: step] = raw[j::size]
-    return header + raster
+        line = b" ".join([b"%d"] * (width * channels)) + b"\n"
+        return (header + line * height) % tuple(samples)
+    return header + (_big_endian_16(samples) if maxval > 255 else bytes(samples))
+
+
+def write_netpbm(img: ImagePlane | ColorImage, format: str = "binary") -> bytes:
+    """Serialize to ASCII (P2/P3) or binary (P5/P6) bytes by
+    :func:`write_raster`: a color image's planes are interleaved into one
+    list by slice assignment.  Reading the output back yields
+    bit-identical samples.
+    """
+    if isinstance(img, ColorImage):
+        channels, samples = 3, [0] * (3 * img.width * img.height)
+        for c, plane in enumerate((img.red, img.green, img.blue)):
+            samples[c::3] = plane.samples.data
+    else:
+        channels, samples = 1, img.samples.data
+    raster = Raster(img.width, img.height, channels, img.maxval, samples,
+                    img.maxval)
+    return write_raster(raster, format)
 
 
 def split_color(img: ColorImage) -> tuple[Matrix, Matrix, Matrix]:

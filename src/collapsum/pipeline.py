@@ -2,7 +2,7 @@
 
 Every blur is an h x w coefficient window with a x b collapses
 (``structured.coefficient_matrix``): the binomial (h-1, w-1), radius r
-its (2r+1)-square case, the box (0, 0) and interp (s, s).  :func:`blur`
+its (2r+1)-square case, the box (0, 0) and interp (s, s).  A blur
 checks that the window fits before building it, extends the image once
 by its margins, and runs one of three methods on that: direct 2-D
 convolution, a row and a column pass by the window's sides, or the
@@ -11,24 +11,29 @@ pass of ones over the (h-a) x (w-b) taps left.  So radius r is 2r
 collapses over 4^(2r).  In exact mode the three agree bit for bit on
 their (numerator, divisor) pairs, as the report and benchmark record.
 
-An exact plane with no negative entry is packed once, before extension,
-into one int (``collapse._Packed``), which carries the bound its lanes
-hold.  ``kernels.extend_asym`` extends it on its lane bytes, and every
-stage of every method runs on that int: each correlation, direct or a
-row or column pass, is one product per distinct window row, and the
-collapse passes shift-and-adds.  Each result stays packed, its entries
-from lane 0 on, until :func:`blur` unpacks it once.  One lane width
-serves all of them: the fewest whole bytes that hold B = max(a) times
-the window's divisor, and at least the largest window weight; an
-extension copies entries or adds zeros, so it keeps max(a).
-Every plane and window here is nonnegative, so each lane is a sum of
-nonnegative terms that uses each tap weight at most once, the lanes
-where a window wraps onto the next row included; so every lane stays at
-most B and no lane carries into the next.  Every coefficient weight is
-an integer of at least 1, so every entry of an intermediate plane is at
-most some entry of the result, and one masked check of the result's
-kept lanes against 2^127 raises :class:`ExactOverflowError` exactly
-where a scan of each pass would.
+:func:`blur_raster` blurs a whole netpbm raster, raster to raster: the
+image is packed once, before extension, into one int
+(``collapse._Packed``) of pixel lanes, a pixel per lane and its channel
+c in sublane c, and the packed int carries the bound its sublanes hold.
+``kernels.extend_asym`` extends it on its lane bytes, and every stage of
+every method runs on that int: each correlation, direct or a row or
+column pass, is one product per distinct window row, and the collapse
+passes shift-and-adds, each moving whole pixel lanes.  The result stays
+packed, its entries from lane 0 on, until it is unpacked once, its kept
+sublanes already interleaved as a raster, and rounded once.  An exact
+plane with no negative entry runs in :func:`blur` as the one-channel
+case of the same stages.  One sublane width serves all of them: the
+fewest whole bytes that hold B = max(a) times the window's divisor, and
+at least the largest window weight; an extension copies entries or adds
+zeros, so it keeps max(a).  Every image and window here is nonnegative,
+so each sublane is a sum of nonnegative terms of its own channel that
+uses each tap weight at most once, the lanes where a window wraps onto
+the next row included; so every sublane stays at most B and none
+carries into the next.  Every coefficient weight is an integer of at
+least 1, so every entry of an intermediate plane is at most some entry
+of the result, and one masked check of the result's kept sublanes
+against 2^127 raises :class:`ExactOverflowError` exactly where a scan of
+each pass would.
 
 :func:`equivalence_report` packs and extends its input once as well, runs
 the three methods on that plane and compares their packed numerators,
@@ -50,6 +55,8 @@ from .collapse import (
     _Packed,
     _checked,
     _packed,
+    _packed_lanes,
+    _sublanes,
     _unpacked,
     collapse_down_power,
     collapse_power,
@@ -66,7 +73,8 @@ from .kernels import (
 
 # Not called here; kept because perfbench/tracing.py wraps them here.
 from .kernels import extend, gaussian_kernel, gaussian_kernel_rect  # noqa: F401
-from .matrix import DimensionError, Matrix, ScalarMode, scale
+from .matrix import DimensionError, Matrix, ScalarMode, _rounded, scale
+from .netpbm import Raster
 from .structured import _check_counts
 
 FLOAT_TOLERANCE = 1e-9
@@ -117,18 +125,31 @@ def _check_crop_fit(rows: int, cols: int, h: int, w: int, edge: EdgeMode) -> Non
         )
 
 
+def _kernel(rows: int, cols: int, req: BlurRequest, mode: ScalarMode):
+    # The request's coefficient window, once it fits a rows x cols image.
+    _check_crop_fit(rows, cols, *req.rect, req.edge)
+    return _coefficient_kernel(*req.rect, *req.collapses, mode)
+
+
+def _lane_bound(kernel):
+    # The bound B of every lane of every method's stages, from the input's
+    # maximum (see the module docstring).
+    return lambda high: max(high * kernel.divisor, kernel.weights._bounds[1])
+
+
+def _extended(kernel, plane, edge: EdgeMode):
+    # ``plane``, packed or not, extended by the window's margins.
+    if edge is EdgeMode.CROP:
+        return plane
+    return extend_asym(plane, *kernel.margins(), edge)
+
+
 def _plane(a: Matrix, req: BlurRequest):
     # The request's coefficient window, and the plane every method runs on:
-    # the input packed once when it packs, in lanes that hold
-    # B = max(a) * divisor and every weight (see the module docstring), then
-    # extended by the window's margins.
-    _check_crop_fit(a.rows, a.cols, *req.rect, req.edge)
-    kernel = _coefficient_kernel(*req.rect, *req.collapses, a.mode)
-    plane = _packed(a, lambda high: max(high * kernel.divisor,
-                                        kernel.weights._bounds[1])) or a
-    if req.edge is EdgeMode.CROP:
-        return kernel, plane
-    return kernel, extend_asym(plane, *kernel.margins(), req.edge)
+    # a packed once when it packs, then extended.
+    kernel = _kernel(a.rows, a.cols, req, a.mode)
+    return kernel, _extended(kernel, _packed(a, _lane_bound(kernel)) or a,
+                             req.edge)
 
 
 def _numerator(method: Method, kernel, collapses, plane) -> FilterResult:
@@ -159,10 +180,55 @@ def _unpacked_result(out: FilterResult) -> FilterResult:
 def blur(a: Matrix, req: BlurRequest) -> FilterResult:
     """Run one blur request in the mode of ``a``; see :class:`BlurRequest`.
 
-    An exact nonnegative plane is packed once, runs every stage of the
-    method packed and is unpacked once (see the module docstring)."""
+    An exact nonnegative plane runs as the one-channel case of
+    :func:`blur_raster`: packed once, every stage of the method packed,
+    and unpacked once (see the module docstring)."""
     kernel, plane = _plane(a, req)
     return _unpacked_result(_numerator(req.method, kernel, req.collapses, plane))
+
+
+def blur_raster(image: Raster, req: BlurRequest) -> Raster:
+    """``image`` blurred by ``req``, every channel rounded half away from
+    zero and clamped into [0, maxval]: raster to raster.
+
+    The raster is packed once into one int, a pixel per lane and a
+    channel per sublane, extended, run through every stage of the method
+    and unpacked once; its kept sublanes, already interleaved as a raster,
+    are rounded once.  The rounded bound shows the clamp idle unless the
+    lane bound went past int128.  On a host that does not pack, each
+    channel runs through :func:`blur` as a matrix.
+    """
+    rows, cols, maxval = image.height, image.width, image.maxval
+    kernel = _kernel(rows, cols, req, ScalarMode.EXACT)
+    plane = _packed_lanes(rows, cols, image.channels, image.samples, image.high,
+                          _lane_bound(kernel))
+    if plane is None:
+        out = _blur_planes(image, req)
+    else:
+        num = _numerator(req.method, kernel, req.collapses,
+                         _extended(kernel, plane, req.edge))
+        values, bound = _sublanes(num.numerator)
+        (high,) = _rounded((bound,), num.divisor)
+        out = image._replace(width=num.numerator.cols, height=num.numerator.rows,
+                             samples=_rounded(values, num.divisor), high=high)
+    if out.high > maxval:
+        out = out._replace(samples=[min(v, maxval) for v in out.samples],
+                           high=maxval)
+    return out
+
+
+def _blur_planes(image: Raster, req: BlurRequest) -> Raster:
+    # Each channel of ``image`` blurred and rounded as a matrix, then
+    # interleaved again, with a bound on the rounded samples.
+    c = image.channels
+    planes = [blur(Matrix(image.height, image.width, tuple(image.samples[k::c])),
+                   req).rounded() for k in range(c)]
+    samples = [0] * (c * len(planes[0].data))
+    for k, plane in enumerate(planes):
+        samples[k::c] = plane.data
+    return image._replace(width=planes[0].cols, height=planes[0].rows,
+                          samples=samples,
+                          high=max(p._bounds[1] for p in planes))
 
 
 def rect_blur(a: Matrix, h: int, w: int, edge: EdgeMode) -> FilterResult:

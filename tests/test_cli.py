@@ -8,6 +8,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import collapsum
 from collapsum.cli import format_kernel, main
@@ -22,6 +24,7 @@ from collapsum.kernels import (
 from collapsum.matrix import Matrix, ScalarMode
 from collapsum.netpbm import merge_color, read_netpbm, split_color, write_netpbm
 from collapsum.pipeline import CSV_HEADER
+from collapsum.structured import coefficient_matrix
 
 G5_TABLE = (
     "divisor 256\n"
@@ -263,15 +266,13 @@ class TestBlurCommand:
         )
 
     def test_no_plane_scanned_from_read_to_write(self, tmp_path, monkeypatch):
-        # A 12x10 plane holds more entries than the 9x9 window, so only the
-        # plane-sized sequences count: each plane is read, blurred and
-        # rounded.  One C-level max over each channel's slice of the raster
-        # is both the maxval check and the read plane's proof; the read
-        # plane is packed and extended packed, so no extended matrix is
-        # built; every method runs packed and is unpacked once, with its
-        # proven bound; and the rounding carries that bound rounded, which
-        # shows the quantizing clamp idle and the image plane valid.  So no
-        # plane matrix is scanned, by any method.
+        # A 12x10 image holds more entries than the 9x9 window, so only the
+        # plane-sized sequences count.  One C-level max over the raster is
+        # both the maxval check and the bound its packed lanes are sized
+        # for; the raster is packed once, extended and blurred packed and
+        # unpacked once, and the rounding carries the lane bound rounded,
+        # which shows the quantizing clamp idle.  So no plane is scanned, and no
+        # plane-sized matrix is built, by any method.
         plane = 12 * 10
         rng = random.Random(9)
         raster = bytes(rng.randrange(256) for _ in range(3 * plane))
@@ -300,18 +301,202 @@ class TestBlurCommand:
             out = str(tmp_path / f"{method}.ppm")
             assert main(["blur", "-r", "4", "--method", method, src, out]) == 0
             monkeypatch.undo()
-            # Read red, green, blue; then blurred and rounded per plane.
-            assert len(built) == 3 + 3 * 2, method
-            assert not [m for m in built for _, seq in scans if seq is m.data]
-            # The only plane-sized scans: one max per channel of the raster.
-            assert [(name, type(seq)) for name, seq in scans] == [
-                ("max", bytes)
-            ] * 3, method
+            assert built == [], method
+            # The only plane-sized scan: one max over the whole raster.
+            assert scans == [("max", raster)], method
+
+    @pytest.mark.parametrize("method", ["collapse", "direct", "separable"])
+    def test_color_blur_packs_once_without_planes(self, method, tmp_path,
+                                                  monkeypatch):
+        # The whole image is one packed int from read to write: one raster
+        # packed, one result unpacked, and no channel split into a plane or
+        # merged from one.
+        collapse = importlib.import_module("collapsum.collapse")
+        netpbm = importlib.import_module("collapsum.netpbm")
+        cli = importlib.import_module("collapsum.cli")
+        rng = random.Random(17)
+        raster = bytes(rng.randrange(256) for _ in range(3 * 7 * 6))
+        src = write_pgm(tmp_path / "in.ppm", b"P6\n7 6\n255\n" + raster)
+        expected = tmp_path / "expected.ppm"
+        assert main(["blur", "-r", "2", "--method", method, src, str(expected)]) == 0
+        calls = []
+        pack, unpack = collapse._pack, collapse._unpack
+
+        def packing(values, *args):
+            # Window rows are packed too; only the image counts.
+            if len(values) >= len(raster):
+                calls.append("pack")
+            return pack(values, *args)
+
+        def unpacking(*args):
+            calls.append("unpack")
+            return unpack(*args)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a channel plane was split or merged")
+
+        monkeypatch.setattr(collapse, "_pack", packing)
+        monkeypatch.setattr(collapse, "_unpack", unpacking)
+        for module in (netpbm, cli):
+            for name in ("split_color", "merge_color", "plane_from_matrix"):
+                monkeypatch.setattr(module, name, refused)
+        out = tmp_path / "out.ppm"
+        assert main(["blur", "-r", "2", "--method", method, src, str(out)]) == 0
+        assert calls == ["pack", "unpack"]
+        assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("magic, channels", [(b"P6", 3), (b"P5", 1)])
+    def test_a_host_that_does_not_pack_blurs_each_plane(self, magic, channels,
+                                                        tmp_path, monkeypatch):
+        # Where packing declines, each channel runs through pipeline.blur as
+        # a matrix, and the bytes are the same.
+        collapse = importlib.import_module("collapsum.collapse")
+        pipeline = importlib.import_module("collapsum.pipeline")
+        rng = random.Random(19)
+        for maxval in (255, 1000):
+            size = 2 if maxval > 255 else 1
+            raster = b"".join(rng.randrange(maxval + 1).to_bytes(size, "big")
+                              for _ in range(channels * 40))
+            body = b"%s\n8 5\n%d\n" % (magic, maxval) + raster
+            src = write_pgm(tmp_path / "in.ppm", body)
+            for method in ("collapse", "direct", "separable"):
+                argv = ["blur", "-r", "1", "--edge", "mirror", "--method", method]
+                packed = tmp_path / f"packed.{method}.ppm"
+                assert main([*argv, src, str(packed)]) == 0
+                planes = []
+                blur = pipeline.blur
+
+                def per_plane(a, req):
+                    planes.append(a)
+                    return blur(a, req)
+
+                monkeypatch.setattr(collapse, "_PACKABLE", False)
+                monkeypatch.setattr(pipeline, "blur", per_plane)
+                loops = tmp_path / f"loops.{method}.ppm"
+                assert main([*argv, src, str(loops)]) == 0
+                monkeypatch.undo()
+                assert len(planes) == channels
+                assert loops.read_bytes() == packed.read_bytes(), (maxval, method)
 
     def test_crop_radius_too_large(self, tmp_path, capsys):
         src = write_pgm(tmp_path / "in.pgm", b"P2\n3 3\n255\n" + b"1 " * 9)
         code = main(["blur", "-r", "2", "--edge", "crop", src, str(tmp_path / "o.pgm")])
         assert code == 2
+
+
+@st.composite
+def blur_cases(draw):
+    """A small P2, P3, P5 or P6 image (8- or 16-bit, any maxval), a gauss,
+    box, interp or rect window with its CLI options and its (h, w, a, b),
+    an edge and a method."""
+    magic = draw(st.sampled_from([b"P2", b"P3", b"P5", b"P6"]))
+    maxval = draw(st.sampled_from((1, 77, 200, 255, 256, 65535))
+                  | st.integers(1, 65535))
+    width, height = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    channels = 3 if magic in (b"P3", b"P6") else 1
+    count = width * height * channels
+    sample = st.sampled_from((0, maxval)) | st.integers(0, maxval)
+    samples = draw(st.lists(sample, min_size=count, max_size=count))
+    name = draw(st.sampled_from(["gauss", "box", "interp", "rect"]))
+    if name == "rect":
+        h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        options, window = ["--a", str(h), "--b", str(w)], (h, w, h - 1, w - 1)
+    else:
+        r = draw(st.integers(0, 2))
+        options = ["--radius", str(r)]
+        if name == "interp":
+            s = draw(st.integers(0, 2 * r))
+            options += ["--s", str(s)]
+        else:
+            s = 2 * r if name == "gauss" else 0
+        window = (2 * r + 1, 2 * r + 1, s, s)
+    edge = draw(st.sampled_from([e.value for e in EdgeMode]))
+    method = draw(st.sampled_from(["direct", "separable", "collapse"]))
+    image = (magic, width, height, channels, maxval, samples)
+    return image, ["--filter", name, *options], window, edge, method
+
+
+def encode(magic, width, height, maxval, samples):
+    header = b"%s\n%d %d\n%d\n" % (magic, width, height, maxval)
+    if magic in (b"P2", b"P3"):
+        per_row = len(samples) // height
+        rows = (samples[i : i + per_row] for i in range(0, len(samples), per_row))
+        return header + b"".join(b" ".join(b"%d" % v for v in row) + b"\n"
+                                 for row in rows)
+    size = 2 if maxval > 255 else 1
+    return header + b"".join(v.to_bytes(size, "big") for v in samples)
+
+
+def reference_blur(image, window, edge):
+    """The blurred samples entry by entry, with their width and height, or
+    None where the window does not fit: each output sample sums the
+    coefficient weights times the samples under them, found by index
+    arithmetic, and rounds half away from zero by divmod, then clamps."""
+    magic, width, height, channels, maxval, samples = image
+    h, w, a, b = window
+    weights = coefficient_matrix(h, w, a, b).data
+    divisor = sum(weights)
+    top, left = (h + 1) // 2 - 1, (w + 1) // 2 - 1
+    bottom, right = h - 1 - top, w - 1 - left
+    if edge == "crop":
+        if height < h or width < w:
+            return None
+        out_h, out_w, top, left = height - h + 1, width - w + 1, 0, 0
+    elif edge == "mirror" and (max(top, bottom) >= height
+                               or max(left, right) >= width):
+        return None
+    else:
+        out_h, out_w = height, width
+
+    def source(k, n):
+        if 0 <= k < n:
+            return k
+        if edge == "replicate":
+            return min(max(k, 0), n - 1)
+        if edge == "mirror":
+            return -k if k < 0 else 2 * (n - 1) - k
+        return None
+
+    out = []
+    for p in range(out_h):
+        for q in range(out_w):
+            for c in range(channels):
+                total = 0
+                for i in range(h):
+                    y = source(p + i - top, height)
+                    for j in range(w):
+                        x = source(q + j - left, width)
+                        if y is not None and x is not None:
+                            value = samples[(y * width + x) * channels + c]
+                            total += weights[i * w + j] * value
+                quotient, remainder = divmod(total, divisor)
+                rounded = quotient + (2 * remainder >= divisor)
+                out.append(min(max(rounded, 0), maxval))
+    return out_w, out_h, out
+
+
+class TestBlurMatchesPerEntryReference:
+    # Every method runs the same pixel-lane core, so comparing methods with
+    # one another cannot catch a fault in it; this compares the CLI's bytes
+    # with a blur computed entry by entry.
+    @settings(max_examples=300, deadline=None)
+    @given(blur_cases())
+    def test_cli_bytes_equal_the_reference(self, tmp_path_factory, case):
+        image, window_options, window, edge, method = case
+        magic, width, height, channels, maxval, samples = image
+        tmp = tmp_path_factory.mktemp("blur")
+        src, dst = tmp / "in.pnm", tmp / "out.pnm"
+        src.write_bytes(encode(magic, width, height, maxval, samples))
+        argv = ["blur", *window_options, "--edge", edge, "--method", method,
+                str(src), str(dst)]
+        expected = reference_blur(image, window, edge)
+        if expected is None:
+            assert main(argv) == 2
+            assert not dst.exists()
+            return
+        assert main(argv) == 0
+        out_w, out_h, out = expected
+        assert dst.read_bytes() == encode(magic, out_w, out_h, maxval, out)
 
 
 class TestVerifyCommand:

@@ -1069,3 +1069,59 @@ class TestPacker:
         x = collapse_module._pack(values, size, top)
         assert x == sum(v << 8 * size * k for k, v in enumerate(values))
         assert list(collapse_module._unpack(x, size, len(values), top)) == values
+
+
+class TestPixelLanes:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_each_channel_is_its_own_plane(self, data):
+        # An image of 1 to 4 interleaved channels, packed as pixel lanes,
+        # correlated with a nonnegative window and then collapsed down and
+        # right: each channel's kept sublanes equal that channel's sums
+        # entry by entry, at sublane widths up to past int128, and one
+        # entry past int128 in any channel raises.
+        c = data.draw(st.integers(1, 4))
+        m, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        b1, b2 = data.draw(st.integers(1, m)), data.draw(st.integers(1, n))
+        downs = data.draw(st.integers(0, m - b1))
+        rights = data.draw(st.integers(0, n - b2))
+        bits = data.draw(st.sampled_from((8, 16, 120, 124, 127)) | st.integers(0, 130))
+        entry = st.sampled_from((0, 2**bits)) | st.integers(0, 2**bits)
+        samples = data.draw(st.lists(entry, min_size=m * n * c, max_size=m * n * c))
+        weights = data.draw(st.lists(st.integers(0, 9), min_size=b1 * b2,
+                                     max_size=b1 * b2))
+        plane = collapse_module._packed_lanes(
+            m, n, c, samples, max(samples),
+            lambda high: max(high * sum(weights), high, max(weights))
+            << downs + rights)
+        out = generalized_collapse(plane, GammaSpec(Matrix(b1, b2, tuple(weights))))
+        for _ in range(downs):
+            out = collapse_down(out)
+        for _ in range(rights):
+            out = collapse_right(out)
+
+        def at(p, q, k):
+            return samples[(p * n + q) * c + k]
+
+        def window_sum(p, q, k):
+            return sum(weights[i * b2 + j] * at(p + i, q + j, k)
+                       for i in range(b1) for j in range(b2))
+
+        def summed(p, q, k):
+            # downs + 1 rows and rights + 1 columns of window sums, each
+            # taken binomial(downs, i) * binomial(rights, j) times.
+            return sum(math.comb(downs, i) * math.comb(rights, j)
+                       * window_sum(p + i, q + j, k)
+                       for i in range(downs + 1) for j in range(rights + 1))
+
+        rows, cols = m - b1 + 1 - downs, n - b2 + 1 - rights
+        assert (out.rows, out.cols, out.channels) == (rows, cols, c)
+        expected = [summed(p, q, k) for p in range(rows) for q in range(cols)
+                    for k in range(c)]
+        if max(expected) > INT128_MAX:
+            with pytest.raises(ExactOverflowError):
+                collapse_module._sublanes(out)
+            return
+        values, bound = collapse_module._sublanes(out)
+        assert list(values) == expected
+        assert max(expected) <= bound <= INT128_MAX

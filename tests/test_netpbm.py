@@ -18,6 +18,7 @@ from collapsum.netpbm import (
     _big_endian_16,
     _image,
     _quantize,
+    _raster,
     _read_binary_samples,
     merge_color,
     read_netpbm,
@@ -117,7 +118,7 @@ def reference_read(data):
             if value > maxval:
                 raise NetpbmError(f"sample {value} exceeds maxval {maxval}", at)
             flat.append(value)
-    return _image(width, height, maxval, flat, scanner.pos + 1)
+    return _image(_raster(width, height, maxval, flat, scanner.pos + 1))
 
 
 def outcome(read, data):
