@@ -48,14 +48,11 @@ from .netpbm import (
     ColorImage,
     ImagePlane,
     NetpbmError,
-    Raster,
     merge_color,
     plane_from_matrix,
     read_netpbm,
-    read_raster,
     split_color,
     write_netpbm,
-    write_raster,
 )
 from .pipeline import (
     BenchReport,
@@ -65,7 +62,6 @@ from .pipeline import (
     Method,
     benchmark,
     blur,
-    blur_raster,
     deviation,
     entry_ops,
     equivalence_report,

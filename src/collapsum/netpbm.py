@@ -13,10 +13,11 @@ interleaved pixel by pixel, as the file holds them, with a bound on
 them.  One C-level ``max`` over a raster read is its bound and, for a
 binary raster, its maxval check; ASCII samples are checked as they are
 read.  :func:`read_netpbm` and :func:`write_netpbm` are adapters over
-:func:`read_raster` and :func:`write_raster`: a read plane is one
-channel's slice of the raster, carrying one C-level ``max`` of it as its
-proof (``Matrix._bounds``), and written planes are interleaved into one
-raster by slice assignment.
+the same parse and :func:`write_raster`: a read plane is one channel's
+slice of the raster, carrying one C-level ``max`` of it as its proof
+(``Matrix._bounds``), and the largest of those maxes is the maxval
+check, so each sample is scanned once; written planes are interleaved
+into one raster by slice assignment.
 """
 
 from __future__ import annotations
@@ -206,23 +207,10 @@ def _big_endian_16(samples) -> bytearray:
     return out
 
 
-def _raster(width: int, height: int, maxval: int, flat, offset: int) -> Raster:
-    # The raster of the channel-interleaved samples ``flat``: one C-level
-    # ``max`` is its bound and its maxval check.  ASCII samples are checked
-    # as they are read, so a sample above maxval comes from a binary raster
-    # whose first byte is at offset ``offset``.
-    high = max(flat)
-    if high > maxval:
-        k = next(k for k, value in enumerate(flat) if value > maxval)
-        raise NetpbmError(
-            f"sample {flat[k]} exceeds maxval {maxval}",
-            offset + k * (2 if maxval > 255 else 1),
-        )
-    return Raster(width, height, len(flat) // (width * height), maxval, flat, high)
-
-
-def read_raster(data: bytes) -> Raster:
-    """Parse a P2, P3, P5 or P6 image into its :class:`Raster`."""
+def _parse(data: bytes) -> tuple[int, int, int, Sequence[int], int]:
+    # Width, height, maxval, the channel-interleaved samples and the offset
+    # of a binary raster's first byte.  ASCII samples are checked against
+    # maxval as they are read; binary ones are not yet.
     size = len(data)
     tokens = filter(attrgetter("lastindex"), _TOKEN.finditer(data))  # skip comments
     # The magic starts at byte 0: anything before its token belongs to it.
@@ -234,32 +222,75 @@ def read_raster(data: bytes) -> Raster:
     if magic not in (b"P2", b"P3", b"P5", b"P6"):
         raise NetpbmError(f"malformed magic {magic[:8]!r}", 0)
     width, height, maxval, end = _read_header(tokens, size)
-    channels = 3 if magic in (b"P3", b"P6") else 1
-    count = width * height * channels
+    count = width * height * (3 if magic in (b"P3", b"P6") else 1)
     if magic in (b"P2", b"P3"):
         flat = _read_ascii_samples(tokens, count, maxval, size)
     else:
         flat = _read_binary_samples(data, end, count, maxval)
-    return _raster(width, height, maxval, flat, end + 1)
+    return width, height, maxval, flat, end + 1
 
 
-def _image(raster: Raster) -> ImagePlane | ColorImage:
-    # One plane per channel of ``raster``: its slice of the samples, with
-    # one C-level ``max`` of that slice as its proof (0, max).
-    width, height, c = raster.width, raster.height, raster.channels
+def _check(flat, maxval: int, high: int, offset: int) -> None:
+    # ``high``, the maximum of the samples ``flat``, is their maxval check.
+    # ASCII samples were checked as they were read, so a sample above
+    # maxval comes from a binary raster whose first byte is at ``offset``.
+    if high > maxval:
+        k = next(k for k, value in enumerate(flat) if value > maxval)
+        raise NetpbmError(
+            f"sample {flat[k]} exceeds maxval {maxval}",
+            offset + k * (2 if maxval > 255 else 1),
+        )
+
+
+def read_raster(data: bytes) -> Raster:
+    """Parse a P2, P3, P5 or P6 image into its :class:`Raster`."""
+    width, height, maxval, flat, offset = _parse(data)
+    high = max(flat)
+    _check(flat, maxval, high, offset)
+    return Raster(width, height, len(flat) // (width * height), maxval, flat, high)
+
+
+def _planes(width: int, height: int, flat, high: int | None = None) -> list[Matrix]:
+    # Each channel of the interleaved samples ``flat`` as a height x width
+    # plane, proven within (0, high), or, for ``high`` None, within (0, one
+    # C-level ``max`` of its own samples).
+    c = len(flat) // (width * height)
     planes = []
     for k in range(c):
-        samples = raster.samples[k::c]
-        planes.append(ImagePlane(width, height, raster.maxval, Matrix._proven(
-            height, width, tuple(samples), ScalarMode.EXACT,
-            bounds=(0, max(samples)))))
-    return planes[0] if c == 1 else ColorImage(*planes)
+        samples = flat[k::c]
+        bound = max(samples) if high is None else high
+        planes.append(Matrix._proven(height, width, tuple(samples),
+                                     ScalarMode.EXACT, bounds=(0, bound)))
+    return planes
+
+
+def _interleave(planes: Sequence[Matrix]) -> Sequence[int]:
+    # The samples of equal-shaped ``planes`` interleaved pixel by pixel, by
+    # slice assignment: the inverse of :func:`_planes`.
+    if len(planes) == 1:
+        return planes[0].data
+    c = len(planes)
+    samples = [0] * (c * len(planes[0].data))
+    for k, plane in enumerate(planes):
+        samples[k::c] = plane.data
+    return samples
+
+
+def _image(width: int, height: int, maxval: int, flat,
+           offset: int) -> ImagePlane | ColorImage:
+    # The image of the samples ``flat`` that :func:`_parse` returns: one
+    # plane per channel, and the largest plane bound as the maxval check.
+    planes = _planes(width, height, flat)
+    _check(flat, maxval, max(p._bounds[1] for p in planes), offset)
+    images = [ImagePlane(width, height, maxval, p) for p in planes]
+    return images[0] if len(images) == 1 else ColorImage(*images)
 
 
 def read_netpbm(data: bytes) -> ImagePlane | ColorImage:
     """Parse P2/P5 into an :class:`ImagePlane`, P3/P6 into a
-    :class:`ColorImage`: the planes of :func:`read_raster`."""
-    return _image(read_raster(data))
+    :class:`ColorImage`: the channels of the raster :func:`read_raster`
+    reads, each proven within (0, its maximum)."""
+    return _image(*_parse(data))
 
 
 def write_raster(raster: Raster, format: str = "binary") -> bytes:
@@ -289,14 +320,9 @@ def write_netpbm(img: ImagePlane | ColorImage, format: str = "binary") -> bytes:
     list by slice assignment.  Reading the output back yields
     bit-identical samples.
     """
-    if isinstance(img, ColorImage):
-        channels, samples = 3, [0] * (3 * img.width * img.height)
-        for c, plane in enumerate((img.red, img.green, img.blue)):
-            samples[c::3] = plane.samples.data
-    else:
-        channels, samples = 1, img.samples.data
-    raster = Raster(img.width, img.height, channels, img.maxval, samples,
-                    img.maxval)
+    planes = split_color(img) if isinstance(img, ColorImage) else (img.samples,)
+    raster = Raster(img.width, img.height, len(planes), img.maxval,
+                    _interleave(planes), img.maxval)
     return write_raster(raster, format)
 
 

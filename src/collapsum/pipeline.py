@@ -74,7 +74,7 @@ from .kernels import (
 # Not called here; kept because perfbench/tracing.py wraps them here.
 from .kernels import extend, gaussian_kernel, gaussian_kernel_rect  # noqa: F401
 from .matrix import DimensionError, Matrix, ScalarMode, _rounded, scale
-from .netpbm import Raster
+from .netpbm import Raster, _interleave, _planes
 from .structured import _check_counts
 
 FLOAT_TOLERANCE = 1e-9
@@ -220,14 +220,11 @@ def blur_raster(image: Raster, req: BlurRequest) -> Raster:
 def _blur_planes(image: Raster, req: BlurRequest) -> Raster:
     # Each channel of ``image`` blurred and rounded as a matrix, then
     # interleaved again, with a bound on the rounded samples.
-    c = image.channels
-    planes = [blur(Matrix(image.height, image.width, tuple(image.samples[k::c])),
-                   req).rounded() for k in range(c)]
-    samples = [0] * (c * len(planes[0].data))
-    for k, plane in enumerate(planes):
-        samples[k::c] = plane.data
+    planes = [blur(p, req).rounded()
+              for p in _planes(image.width, image.height, image.samples,
+                               image.high)]
     return image._replace(width=planes[0].cols, height=planes[0].rows,
-                          samples=samples,
+                          samples=_interleave(planes),
                           high=max(p._bounds[1] for p in planes))
 
 

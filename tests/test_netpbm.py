@@ -1,3 +1,4 @@
+import builtins
 import random
 import sys
 import time
@@ -18,7 +19,6 @@ from collapsum.netpbm import (
     _big_endian_16,
     _image,
     _quantize,
-    _raster,
     _read_binary_samples,
     merge_color,
     read_netpbm,
@@ -118,7 +118,7 @@ def reference_read(data):
             if value > maxval:
                 raise NetpbmError(f"sample {value} exceeds maxval {maxval}", at)
             flat.append(value)
-    return _image(_raster(width, height, maxval, flat, scanner.pos + 1))
+    return _image(width, height, maxval, flat, scanner.pos + 1)
 
 
 def outcome(read, data):
@@ -236,7 +236,9 @@ class TestParse:
         # Every format, 8- and 16-bit, any maxval: each plane read equals the
         # one the public constructor builds, carries (0, max) as its proof
         # with its span unmeasured, and one sample above maxval is refused
-        # at its own byte offset.
+        # at its own byte offset.  One C-level max per channel slice is the
+        # only scan: the largest of them is the maxval check, so no max runs
+        # over the whole raster.
         magic = data.draw(st.sampled_from(MAGICS))
         maxval = data.draw(
             st.sampled_from((1, 200, 255, 256, MAX_MAXVAL)) | st.integers(1, MAX_MAXVAL)
@@ -254,7 +256,17 @@ class TestParse:
                 return header + b" ".join(b"%d" % v for v in values)
             return header + b"".join(v.to_bytes(1 + wide, "big") for v in values)
 
-        img = read_netpbm(encoded(flat))
+        scans, real_max = [], max
+
+        def counting_max(*args, **kwargs):
+            if len(args) == 1 and isinstance(args[0], (bytes, list)):
+                scans.append(list(args[0]))
+            return real_max(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(builtins, "max", counting_max)
+            img = read_netpbm(encoded(flat))
+        assert scans == [flat[c::channels] for c in range(channels)]
         planes = [img] if channels == 1 else [img.red, img.green, img.blue]
         for c, plane in enumerate(planes):
             samples = flat[c::channels]
