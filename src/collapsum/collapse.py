@@ -12,16 +12,17 @@ data to itself shifted by one step.
 In exact mode a plane with no negative entry, correlated with a window
 with none, is packed into one Python int; a plane or window with a
 negative entry, and float mode, runs the unpacked loops: the pair-sum
-passes and a shift-and-add correlation.  One gate, ``_packed_lanes``,
-decides whether a plane or an image packs and in which lanes.  The
-packed values sit in unsigned lanes of L bits, a whole number of bytes:
-the narrowest L >= 8 with B < 2**L for a bound B on every value a lane
-holds, with no upper limit.  So an 8-bit image blurred at radius 4
-(B = 255 * 4**8 < 2**24) packs in 3-byte lanes, and a 16-bit one at
-radius 12 (B = 65535 * 4**24 < 2**64) in 8-byte lanes.  One packer serves every
-width: it scatters and gathers the bytes of native ``array`` items with
-slice assignment, and lanes wider than 8 bytes do so per 64-bit digit,
-with no Python code per entry.
+passes and a shift-and-add correlation.  ``_packed`` decides whether a
+plane packs, and ``_packed_lanes`` lays out a plane or an image in its
+lanes, on every host.  The packed values sit in unsigned lanes of L
+bits, a whole number of bytes: the narrowest L >= 8 with B < 2**L for a
+bound B on every value a lane holds, with no upper limit.  So an 8-bit
+image blurred at radius 4 (B = 255 * 4**8 < 2**24) packs in 3-byte
+lanes, and a 16-bit one at radius 12 (B = 65535 * 4**24 < 2**64) in
+8-byte lanes.  One packer, ``_pack``, serves every width: it scatters
+and gathers the bytes of native ``array`` items, byte-swapped on a
+big-endian host, with slice assignment, and lanes wider than 8 bytes do
+so per 64-bit digit, with no Python code per entry.
 
 An image of several channels packs as one int of pixel lanes: pixel k
 in lane k and its channel c in sublane c, of L bits each, so a lane is
@@ -109,13 +110,9 @@ MAX_AXES = 8
 
 # The unsigned ``array`` typecode of each item size in bytes that packing
 # converts through; 2-byte items are left out, since ``array('H')`` builds
-# from ints as slowly as 'B', about three times slower than 'I'.  Packing
-# reads ``array`` bytes as little-endian, so on a big-endian host, or one
-# whose item sizes differ, only the unpacked loops run.
-_NATIVE = {1: "B", 4: "I", 8: "Q"}
-_PACKABLE = sys.byteorder == "little" and all(
-    array(code).itemsize == size for size, code in _NATIVE.items()
-)
+# from ints as slowly as 'B', about three times slower than 'I'.  Packed
+# ints are little-endian, so a big-endian host byte-swaps the items.
+_NATIVE = {array(code).itemsize: code for code in "BIQ"}
 _DIGIT = 2**64 - 1
 
 
@@ -146,7 +143,13 @@ def _pack(values, size: int, top: int) -> int:
             digit = map(and_, map(rshift, values, repeat(8 * lo)), repeat(_DIGIT))
         # ``bytes`` builds 1-byte items about four times as fast as
         # ``array('B')`` does.
-        src = bytes(digit) if step == 1 else array(_NATIVE[step], digit).tobytes()
+        if step == 1:
+            src = bytes(digit)
+        else:
+            items = array(_NATIVE[step], digit)
+            if sys.byteorder == "big":
+                items.byteswap()
+            src = items.tobytes()
         if buf is None:
             buf = bytearray(size * (len(src) // step))
         for j in range(k):
@@ -170,6 +173,8 @@ def _unpack(x: int, size: int, count: int, top: int):
         for j in range(k):
             buf[j::step] = raw[lo + j :: size]
         digit = array(_NATIVE[step], buf)
+        if sys.byteorder == "big":
+            digit.byteswap()
         values = digit if values is None else map(
             add, map(lshift, values, repeat(64)), digit
         )
@@ -210,16 +215,12 @@ def _packed(a: Matrix, bound: Callable[[int], int]) -> _Packed | None:
 
 
 def _packed_lanes(rows: int, cols: int, channels: int, samples, high: int,
-                  bound: Callable[[int], int]) -> _Packed | None:
-    # The one packing gate: on a host that can pack, the rows x cols pixels
-    # of ``channels`` interleaved samples each, row-major, every sample in
+                  bound: Callable[[int], int]) -> _Packed:
+    # The one packer of a plane or an image: the rows x cols pixels of
+    # ``channels`` interleaved samples each, row-major, every sample in
     # [0, high], with pixel k in lane k and its sample c in sublane c of the
-    # fewest whole bytes that hold B = bound(high); else None.  Sample k of
-    # ``samples`` is sublane k either way, so one ``_pack`` lays them out.
-    # The bound is a function of the maximum so that a plane that does not
-    # pack never computes it.
-    if not _PACKABLE:
-        return None
+    # fewest whole bytes that hold B = bound(high).  Sample k of ``samples``
+    # is sublane k either way, so one ``_pack`` lays them out.
     b = bound(high)
     size = _size(b)
     return _Packed(rows, cols, cols, 8 * size * channels, b,

@@ -9,15 +9,15 @@ exactly one separator byte after maxval. Every failure is a
 Binary samples are 1 byte up to maxval 255 and big-endian 2 bytes above.
 
 An image crosses this boundary as one :class:`Raster`: its samples
-interleaved pixel by pixel, as the file holds them, with a bound on
-them.  One C-level ``max`` over a raster read is its bound and, for a
-binary raster, its maxval check; ASCII samples are checked as they are
-read.  :func:`read_netpbm` and :func:`write_netpbm` are adapters over
+interleaved pixel by pixel, as the file holds them, each in
+[0, maxval].  ASCII samples are checked as they are read.  A binary
+sample holds at most 255 or 65535, so only a binary raster whose maxval
+is below that is scanned: one C-level ``max`` over it is its maxval
+check.  :func:`read_netpbm` and :func:`write_netpbm` are adapters over
 the same parse and :func:`write_raster`: a read plane is one channel's
-slice of the raster, carrying one C-level ``max`` of it as its proof
-(``Matrix._bounds``), and the largest of those maxes is the maxval
-check, so each sample is scanned once; written planes are interleaved
-into one raster by slice assignment.
+slice of the raster, carrying (0, maxval) as its proof
+(``Matrix._bounds``); written planes are interleaved into one raster by
+slice assignment.
 """
 
 from __future__ import annotations
@@ -105,15 +105,13 @@ class Raster(NamedTuple):
     """``height`` rows of ``width`` pixels of ``channels`` samples each (1
     gray, 3 red, green and blue), interleaved pixel by pixel in row-major
     order, as a netpbm raster holds them; every sample lies in
-    [0, ``high``] and ``high`` <= ``maxval``.  The samples are ``bytes``
-    or a list of ints."""
+    [0, ``maxval``].  The samples are ``bytes`` or a list of ints."""
 
     width: int
     height: int
     channels: int
     maxval: int
     samples: Sequence[int]
-    high: int
 
 
 # One tokenizer for the whole grammar: a comment runs from "#" up to, not
@@ -181,15 +179,21 @@ def _read_binary_samples(
             f"truncated raster: need {needed} bytes, have {len(data) - pos}",
             len(data),
         )
-    raster = data[pos : pos + needed]
-    if width_bytes == 1:
-        return raster
-    # A list, not the array: ``bytes`` of an ``array('H')`` is its buffer,
-    # not its items.
-    samples = array("H", raster)
-    if sys.byteorder == "little":
-        samples.byteswap()
-    return samples.tolist()
+    samples = data[pos : pos + needed]
+    if width_bytes == 2:
+        # A list, not the array: ``bytes`` of an ``array('H')`` is its
+        # buffer, not its items.
+        items = array("H", samples)
+        if sys.byteorder == "little":
+            items.byteswap()
+        samples = items.tolist()
+    # A sample holds at most 255 or 65535, so only a smaller maxval needs
+    # a check: one C-level max, and a search for the first sample above.
+    if maxval < 256**width_bytes - 1 and max(samples) > maxval:
+        k = next(k for k, value in enumerate(samples) if value > maxval)
+        raise NetpbmError(f"sample {samples[k]} exceeds maxval {maxval}",
+                          pos + k * width_bytes)
+    return samples
 
 
 def _big_endian_16(samples) -> bytearray:
@@ -207,10 +211,9 @@ def _big_endian_16(samples) -> bytearray:
     return out
 
 
-def _parse(data: bytes) -> tuple[int, int, int, Sequence[int], int]:
-    # Width, height, maxval, the channel-interleaved samples and the offset
-    # of a binary raster's first byte.  ASCII samples are checked against
-    # maxval as they are read; binary ones are not yet.
+def _parse(data: bytes) -> tuple[int, int, int, Sequence[int]]:
+    # Width, height, maxval and the channel-interleaved samples, each
+    # checked against maxval.
     size = len(data)
     tokens = filter(attrgetter("lastindex"), _TOKEN.finditer(data))  # skip comments
     # The magic starts at byte 0: anything before its token belongs to it.
@@ -227,69 +230,33 @@ def _parse(data: bytes) -> tuple[int, int, int, Sequence[int], int]:
         flat = _read_ascii_samples(tokens, count, maxval, size)
     else:
         flat = _read_binary_samples(data, end, count, maxval)
-    return width, height, maxval, flat, end + 1
-
-
-def _check(flat, maxval: int, high: int, offset: int) -> None:
-    # ``high``, the maximum of the samples ``flat``, is their maxval check.
-    # ASCII samples were checked as they were read, so a sample above
-    # maxval comes from a binary raster whose first byte is at ``offset``.
-    if high > maxval:
-        k = next(k for k, value in enumerate(flat) if value > maxval)
-        raise NetpbmError(
-            f"sample {flat[k]} exceeds maxval {maxval}",
-            offset + k * (2 if maxval > 255 else 1),
-        )
+    return width, height, maxval, flat
 
 
 def read_raster(data: bytes) -> Raster:
     """Parse a P2, P3, P5 or P6 image into its :class:`Raster`."""
-    width, height, maxval, flat, offset = _parse(data)
-    high = max(flat)
-    _check(flat, maxval, high, offset)
-    return Raster(width, height, len(flat) // (width * height), maxval, flat, high)
+    width, height, maxval, flat = _parse(data)
+    return Raster(width, height, len(flat) // (width * height), maxval, flat)
 
 
-def _planes(width: int, height: int, flat, high: int | None = None) -> list[Matrix]:
-    # Each channel of the interleaved samples ``flat`` as a height x width
-    # plane, proven within (0, high), or, for ``high`` None, within (0, one
-    # C-level ``max`` of its own samples).
+def _image(width: int, height: int, maxval: int,
+           flat) -> ImagePlane | ColorImage:
+    # The image of the checked samples ``flat`` that :func:`_parse`
+    # returns: each channel's slice as a plane proven within (0, maxval).
     c = len(flat) // (width * height)
-    planes = []
-    for k in range(c):
-        samples = flat[k::c]
-        bound = max(samples) if high is None else high
-        planes.append(Matrix._proven(height, width, tuple(samples),
-                                     ScalarMode.EXACT, bounds=(0, bound)))
-    return planes
-
-
-def _interleave(planes: Sequence[Matrix]) -> Sequence[int]:
-    # The samples of equal-shaped ``planes`` interleaved pixel by pixel, by
-    # slice assignment: the inverse of :func:`_planes`.
-    if len(planes) == 1:
-        return planes[0].data
-    c = len(planes)
-    samples = [0] * (c * len(planes[0].data))
-    for k, plane in enumerate(planes):
-        samples[k::c] = plane.data
-    return samples
-
-
-def _image(width: int, height: int, maxval: int, flat,
-           offset: int) -> ImagePlane | ColorImage:
-    # The image of the samples ``flat`` that :func:`_parse` returns: one
-    # plane per channel, and the largest plane bound as the maxval check.
-    planes = _planes(width, height, flat)
-    _check(flat, maxval, max(p._bounds[1] for p in planes), offset)
-    images = [ImagePlane(width, height, maxval, p) for p in planes]
-    return images[0] if len(images) == 1 else ColorImage(*images)
+    images = [
+        ImagePlane(width, height, maxval,
+                   Matrix._proven(height, width, tuple(flat[k::c]),
+                                  ScalarMode.EXACT, bounds=(0, maxval)))
+        for k in range(c)
+    ]
+    return images[0] if c == 1 else ColorImage(*images)
 
 
 def read_netpbm(data: bytes) -> ImagePlane | ColorImage:
     """Parse P2/P5 into an :class:`ImagePlane`, P3/P6 into a
     :class:`ColorImage`: the channels of the raster :func:`read_raster`
-    reads, each proven within (0, its maximum)."""
+    reads, each proven within (0, maxval)."""
     return _image(*_parse(data))
 
 
@@ -303,7 +270,7 @@ def write_raster(raster: Raster, format: str = "binary") -> bytes:
     """
     if format not in ("ascii", "binary"):
         raise ValueError("format must be 'ascii' or 'binary'")
-    width, height, channels, maxval, samples, _ = raster
+    width, height, channels, maxval, samples = raster
     magic = {(1, "ascii"): b"P2", (3, "ascii"): b"P3",
              (1, "binary"): b"P5", (3, "binary"): b"P6"}[channels, format]
     header = b"%s\n%d %d\n%d\n" % (magic, width, height, maxval)
@@ -321,9 +288,12 @@ def write_netpbm(img: ImagePlane | ColorImage, format: str = "binary") -> bytes:
     bit-identical samples.
     """
     planes = split_color(img) if isinstance(img, ColorImage) else (img.samples,)
-    raster = Raster(img.width, img.height, len(planes), img.maxval,
-                    _interleave(planes), img.maxval)
-    return write_raster(raster, format)
+    c = len(planes)
+    samples = [0] * (c * img.width * img.height)
+    for k, plane in enumerate(planes):
+        samples[k::c] = plane.data
+    return write_raster(Raster(img.width, img.height, c, img.maxval, samples),
+                        format)
 
 
 def split_color(img: ColorImage) -> tuple[Matrix, Matrix, Matrix]:

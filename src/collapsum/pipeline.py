@@ -23,9 +23,10 @@ packed, its entries from lane 0 on, until it is unpacked once, its kept
 sublanes already interleaved as a raster, and rounded once.  An exact
 plane with no negative entry runs in :func:`blur` as the one-channel
 case of the same stages.  One sublane width serves all of them: the
-fewest whole bytes that hold B = max(a) times the window's divisor, and
-at least the largest window weight; an extension copies entries or adds
-zeros, so it keeps max(a).  Every image and window here is nonnegative,
+fewest whole bytes that hold B = m times the window's divisor, and at
+least the largest window weight, where m bounds the input: a raster's
+maxval, a plane's proven max(a); an extension copies entries or adds
+zeros, so it keeps m.  Every image and window here is nonnegative,
 so each sublane is a sum of nonnegative terms of its own channel that
 uses each tap weight at most once, the lanes where a window wraps onto
 the next row included; so every sublane stays at most B and none
@@ -74,7 +75,7 @@ from .kernels import (
 # Not called here; kept because perfbench/tracing.py wraps them here.
 from .kernels import extend, gaussian_kernel, gaussian_kernel_rect  # noqa: F401
 from .matrix import DimensionError, Matrix, ScalarMode, _rounded, scale
-from .netpbm import Raster, _interleave, _planes
+from .netpbm import Raster
 from .structured import _check_counts
 
 FLOAT_TOLERANCE = 1e-9
@@ -189,43 +190,23 @@ def blur(a: Matrix, req: BlurRequest) -> FilterResult:
 
 def blur_raster(image: Raster, req: BlurRequest) -> Raster:
     """``image`` blurred by ``req``, every channel rounded half away from
-    zero and clamped into [0, maxval]: raster to raster.
+    zero: raster to raster.
 
     The raster is packed once into one int, a pixel per lane and a
-    channel per sublane, extended, run through every stage of the method
-    and unpacked once; its kept sublanes, already interleaved as a raster,
-    are rounded once.  The rounded bound shows the clamp idle unless the
-    lane bound went past int128.  On a host that does not pack, each
-    channel runs through :func:`blur` as a matrix.
+    channel per sublane, in lanes sized for samples up to maxval,
+    extended, run through every stage of the method and unpacked once;
+    its kept sublanes, already interleaved as a raster, are rounded once.
+    The window's weights are nonnegative integers that sum to its
+    divisor, so every rounded sample lies in [0, maxval] with no clamp.
     """
-    rows, cols, maxval = image.height, image.width, image.maxval
-    kernel = _kernel(rows, cols, req, ScalarMode.EXACT)
-    plane = _packed_lanes(rows, cols, image.channels, image.samples, image.high,
-                          _lane_bound(kernel))
-    if plane is None:
-        out = _blur_planes(image, req)
-    else:
-        num = _numerator(req.method, kernel, req.collapses,
-                         _extended(kernel, plane, req.edge))
-        values, bound = _sublanes(num.numerator)
-        (high,) = _rounded((bound,), num.divisor)
-        out = image._replace(width=num.numerator.cols, height=num.numerator.rows,
-                             samples=_rounded(values, num.divisor), high=high)
-    if out.high > maxval:
-        out = out._replace(samples=[min(v, maxval) for v in out.samples],
-                           high=maxval)
-    return out
-
-
-def _blur_planes(image: Raster, req: BlurRequest) -> Raster:
-    # Each channel of ``image`` blurred and rounded as a matrix, then
-    # interleaved again, with a bound on the rounded samples.
-    planes = [blur(p, req).rounded()
-              for p in _planes(image.width, image.height, image.samples,
-                               image.high)]
-    return image._replace(width=planes[0].cols, height=planes[0].rows,
-                          samples=_interleave(planes),
-                          high=max(p._bounds[1] for p in planes))
+    kernel = _kernel(image.height, image.width, req, ScalarMode.EXACT)
+    plane = _packed_lanes(image.height, image.width, image.channels,
+                          image.samples, image.maxval, _lane_bound(kernel))
+    num = _numerator(req.method, kernel, req.collapses,
+                     _extended(kernel, plane, req.edge))
+    values, _ = _sublanes(num.numerator)
+    return image._replace(width=num.numerator.cols, height=num.numerator.rows,
+                          samples=_rounded(values, num.divisor))
 
 
 def rect_blur(a: Matrix, h: int, w: int, edge: EdgeMode) -> FilterResult:

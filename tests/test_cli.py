@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -267,43 +268,45 @@ class TestBlurCommand:
 
     def test_no_plane_scanned_from_read_to_write(self, tmp_path, monkeypatch):
         # A 12x10 image holds more entries than the 9x9 window, so only the
-        # plane-sized sequences count.  One C-level max over the raster is
-        # both the maxval check and the bound its packed lanes are sized
-        # for; the raster is packed once, extended and blurred packed and
-        # unpacked once, and the rounding carries the lane bound rounded,
-        # which shows the quantizing clamp idle.  So no plane is scanned, and no
-        # plane-sized matrix is built, by any method.
+        # plane-sized sequences count.  A read sample's bound is maxval, so
+        # the raster is packed in lanes sized for it, extended, blurred
+        # packed and unpacked once, and rounded with no clamp.  An 8-bit
+        # sample holds at most 255, so a maxval-255 raster is never
+        # scanned; below that, one C-level max over the whole raster is the
+        # maxval check.  No plane-sized matrix is built, by any method.
         plane = 12 * 10
         rng = random.Random(9)
-        raster = bytes(rng.randrange(256) for _ in range(3 * plane))
-        src = write_pgm(tmp_path / "in.ppm", b"P6\n12 10\n255\n" + raster)
         check_shape = Matrix._check_shape
-        for method in ("collapse", "direct", "separable"):
-            scans, built = [], []
+        for maxval in (255, 200):
+            raster = bytes(rng.randrange(maxval + 1) for _ in range(3 * plane))
+            src = write_pgm(tmp_path / "in.ppm",
+                            b"P6\n12 10\n%d\n" % maxval + raster)
+            expected = [] if maxval == 255 else [("max", raster)]
+            for method in ("collapse", "direct", "separable"):
+                scans, built = [], []
 
-            def counting(scan):
-                def counted(*args, **kwargs):
-                    seq = args[0] if len(args) == 1 else None
-                    if hasattr(seq, "__len__") and len(seq) >= plane:
-                        scans.append((scan.__name__, seq))
-                    return scan(*args, **kwargs)
-                return counted
+                def counting(scan):
+                    def counted(*args, **kwargs):
+                        seq = args[0] if len(args) == 1 else None
+                        if hasattr(seq, "__len__") and len(seq) >= plane:
+                            scans.append((scan.__name__, seq))
+                        return scan(*args, **kwargs)
+                    return counted
 
-            def building(self):
-                # Every constructor, public or proven, checks the shape.
-                if self.mode is ScalarMode.EXACT and len(self.data) >= plane:
-                    built.append(self)
-                check_shape(self)
+                def building(self):
+                    # Every constructor, public or proven, checks the shape.
+                    if self.mode is ScalarMode.EXACT and len(self.data) >= plane:
+                        built.append(self)
+                    check_shape(self)
 
-            monkeypatch.setattr(Matrix, "_check_shape", building)
-            monkeypatch.setattr(builtins, "min", counting(min))
-            monkeypatch.setattr(builtins, "max", counting(max))
-            out = str(tmp_path / f"{method}.ppm")
-            assert main(["blur", "-r", "4", "--method", method, src, out]) == 0
-            monkeypatch.undo()
-            assert built == [], method
-            # The only plane-sized scan: one max over the whole raster.
-            assert scans == [("max", raster)], method
+                monkeypatch.setattr(Matrix, "_check_shape", building)
+                monkeypatch.setattr(builtins, "min", counting(min))
+                monkeypatch.setattr(builtins, "max", counting(max))
+                out = str(tmp_path / f"{method}.ppm")
+                assert main(["blur", "-r", "4", "--method", method, src, out]) == 0
+                monkeypatch.undo()
+                assert built == [], (maxval, method)
+                assert scans == expected, (maxval, method)
 
     @pytest.mark.parametrize("method", ["collapse", "direct", "separable"])
     def test_color_blur_packs_once_without_planes(self, method, tmp_path,
@@ -346,37 +349,68 @@ class TestBlurCommand:
         assert out.read_bytes() == expected.read_bytes()
 
     @pytest.mark.parametrize("magic, channels", [(b"P6", 3), (b"P5", 1)])
-    def test_a_host_that_does_not_pack_blurs_each_plane(self, magic, channels,
-                                                        tmp_path, monkeypatch):
-        # Where packing declines, each channel runs through pipeline.blur as
-        # a matrix, and the bytes are the same.
+    def test_a_big_endian_host_writes_the_same_bytes(self, magic, channels,
+                                                     tmp_path, monkeypatch):
+        # Packing runs on every host.  A big-endian host is emulated inside
+        # collapse: ``array`` items sit big-endian in their buffer and
+        # sys.byteorder reads "big".  The packer's byte swaps give the
+        # native bytes; the same emulation with no swap fails or writes
+        # other bytes, so the swapped items are the ones that ran.
         collapse = importlib.import_module("collapsum.collapse")
-        pipeline = importlib.import_module("collapsum.pipeline")
+        native = collapse.array
+
+        class BigEndianArray:
+            def __init__(self, code, init=()):
+                self.items = native(code, init)
+                if isinstance(init, (bytes, bytearray)):
+                    self.items.byteswap()
+
+            def byteswap(self):
+                self.items.byteswap()
+
+            def tobytes(self):
+                swapped = native(self.items.typecode, self.items)
+                swapped.byteswap()
+                return swapped.tobytes()
+
+            def __getitem__(self, k):
+                return self.items[k]
+
+            def __iter__(self):
+                return iter(self.items)
+
+            def __len__(self):
+                return len(self.items)
+
         rng = random.Random(19)
-        for maxval in (255, 1000):
+        # Sublanes of 2, 3 and 10 bytes: one native item, or two 64-bit digits.
+        for maxval, radius, edge in ((255, 1, "mirror"), (1000, 2, "mirror"),
+                                     (65535, 14, "replicate")):
             size = 2 if maxval > 255 else 1
             raster = b"".join(rng.randrange(maxval + 1).to_bytes(size, "big")
                               for _ in range(channels * 40))
             body = b"%s\n8 5\n%d\n" % (magic, maxval) + raster
             src = write_pgm(tmp_path / "in.ppm", body)
             for method in ("collapse", "direct", "separable"):
-                argv = ["blur", "-r", "1", "--edge", "mirror", "--method", method]
-                packed = tmp_path / f"packed.{method}.ppm"
-                assert main([*argv, src, str(packed)]) == 0
-                planes = []
-                blur = pipeline.blur
-
-                def per_plane(a, req):
-                    planes.append(a)
-                    return blur(a, req)
-
-                monkeypatch.setattr(collapse, "_PACKABLE", False)
-                monkeypatch.setattr(pipeline, "blur", per_plane)
-                loops = tmp_path / f"loops.{method}.ppm"
-                assert main([*argv, src, str(loops)]) == 0
-                monkeypatch.undo()
-                assert len(planes) == channels
-                assert loops.read_bytes() == packed.read_bytes(), (maxval, method)
+                argv = ["blur", "-r", str(radius), "--edge", edge,
+                        "--method", method, src]
+                native_out = tmp_path / f"native.{method}.ppm"
+                assert main([*argv, str(native_out)]) == 0
+                expected = (0, native_out.read_bytes())
+                written = {}
+                for byteorder in ("big", "little"):
+                    monkeypatch.setattr(collapse, "array", BigEndianArray)
+                    monkeypatch.setattr(
+                        collapse, "sys", types.SimpleNamespace(byteorder=byteorder))
+                    out = tmp_path / f"emulated.{method}.ppm"
+                    code = main([*argv, str(out)])
+                    monkeypatch.undo()
+                    written[byteorder] = (code, out.read_bytes() if code == 0
+                                          else None)
+                    out.unlink(missing_ok=True)
+                key = (maxval, method)
+                assert written["big"] == expected, key
+                assert written["little"] != expected, key
 
     def test_crop_radius_too_large(self, tmp_path, capsys):
         src = write_pgm(tmp_path / "in.pgm", b"P2\n3 3\n255\n" + b"1 " * 9)

@@ -118,7 +118,7 @@ def reference_read(data):
             if value > maxval:
                 raise NetpbmError(f"sample {value} exceeds maxval {maxval}", at)
             flat.append(value)
-    return _image(width, height, maxval, flat, scanner.pos + 1)
+    return _image(width, height, maxval, flat)
 
 
 def outcome(read, data):
@@ -234,11 +234,12 @@ class TestParse:
     @given(st.data())
     def test_read_planes_carry_their_proof(self, data):
         # Every format, 8- and 16-bit, any maxval: each plane read equals the
-        # one the public constructor builds, carries (0, max) as its proof
+        # one the public constructor builds, carries (0, maxval) as its proof
         # with its span unmeasured, and one sample above maxval is refused
-        # at its own byte offset.  One C-level max per channel slice is the
-        # only scan: the largest of them is the maxval check, so no max runs
-        # over the whole raster.
+        # at its own byte offset.  ASCII samples are checked as they are
+        # read, and a binary sample holds at most 255 or 65535, so only a
+        # binary raster whose maxval is below that is scanned: one C-level
+        # max over the whole raster is its maxval check.
         magic = data.draw(st.sampled_from(MAGICS))
         maxval = data.draw(
             st.sampled_from((1, 200, 255, 256, MAX_MAXVAL)) | st.integers(1, MAX_MAXVAL)
@@ -266,15 +267,15 @@ class TestParse:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(builtins, "max", counting_max)
             img = read_netpbm(encoded(flat))
-        assert scans == [flat[c::channels] for c in range(channels)]
+        # Binary samples hold at most 255 or 65535.
+        top = maxval + 10 if text else 65535 if wide else 255
+        assert scans == ([] if text or maxval == top else [flat])
         planes = [img] if channels == 1 else [img.red, img.green, img.blue]
         for c, plane in enumerate(planes):
             samples = flat[c::channels]
             assert plane.samples == Matrix(height, width, tuple(samples))
-            assert plane.samples._bounds == (0, max(samples))
+            assert plane.samples._bounds == (0, maxval)
             assert "span" not in plane.samples.__dict__
-        # Binary samples hold at most 255 or 65535.
-        top = maxval + 10 if text else 65535 if wide else 255
         if maxval < top:
             k = data.draw(st.integers(0, count - 1))
             value = data.draw(st.integers(maxval + 1, top))
