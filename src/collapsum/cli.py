@@ -35,6 +35,12 @@ EDGE_CHOICES = [e.value for e in EdgeMode]
 METHOD_CHOICES = [m.value for m in Method]
 
 
+def integer(text: str) -> int:
+    """An int literal, 0x/0o/0b prefixes allowed; argparse names this type
+    by the function's name when it refuses a value."""
+    return int(text, 0)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="collapsum",
@@ -72,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--size", type=int, default=16)
     p_verify.add_argument("--edge", choices=EDGE_CHOICES, default="replicate")
     p_verify.add_argument("--mode", choices=["exact", "float"], default="exact")
-    p_verify.add_argument("--seed", type=lambda s: int(s, 0), default=0x5EED)
+    p_verify.add_argument("--seed", type=integer, default=0x5EED)
 
     p_bench = sub.add_parser("bench", help="time the three strategies")
     p_bench.add_argument("--sizes", default="64,128,256",

@@ -91,7 +91,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, islice, repeat
 from operator import add, and_, lshift, mul, rshift
 from typing import Callable, NamedTuple
@@ -103,6 +103,7 @@ from .matrix import (
     ExactOverflowError,
     Matrix,
     ScalarMode,
+    _Record,
     multiply,
 )
 
@@ -320,11 +321,13 @@ def _repeat(step, a: Matrix, s: int, room: int, what: str, passes: int) -> Matri
     if s >= room:
         raise DimensionError(f"cannot collapse {what} {s} times")
     # A packed plane runs the loop as it is, since its lanes already hold
-    # the bound of the caller's whole method; a matrix that packs here runs
-    # it packed and is unpacked at the end.  ``packed`` stays referenced
-    # until then on purpose: freed after the first pass, its buffer left
-    # glibc's heap holding about 2 MB more at the write of a 512x512 P6
-    # blur (peak RSS 46.2 against 44.3 MB at radius 4).
+    # the bound of the caller's whole method.  A matrix, as the public
+    # collapse_power and its down and right forms are given, packs here,
+    # runs it packed and is unpacked at the end.  ``packed`` stays
+    # referenced until then on purpose: freed after the first pass, its
+    # buffer left glibc's heap about 2 MB larger at peak (46.2 against
+    # 44.3 MB, measured when a 512x512 P6 blur at radius 4 ran its planes
+    # through here as matrices).
     packed = None
     if s and isinstance(a, Matrix):
         packed = _packed(a, lambda high: high << passes)
@@ -359,8 +362,8 @@ def collapse_right_power(a: Matrix, s: int) -> Matrix:
     return _repeat(collapse_right, a, s, a.cols, f"{a.cols} columns right", s)
 
 
-@dataclass(frozen=True)
-class GammaSpec:
+class GammaSpec(_Record, namedtuple("GammaSpec", "weights rho phi",
+                                     defaults=(None, None))):
     """Weight window of the generalized collapse.
 
     ``rho``/``phi`` optionally record a rank-1 factorization: ``rho`` is a
@@ -368,11 +371,9 @@ class GammaSpec:
     reproduce ``weights`` exactly.
     """
 
-    weights: Matrix
-    rho: Matrix | None = None
-    phi: Matrix | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if (self.rho is None) != (self.phi is None):
             raise ValueError("rank-1 factorization needs both rho and phi")
         if self.rho is not None:
@@ -494,14 +495,12 @@ def generalized_collapse_power(a: Matrix, gamma: GammaSpec, s: int) -> Matrix:
     return a
 
 
-@dataclass(frozen=True)
-class NdArray:
+class NdArray(_Record, namedtuple("NdArray", "shape data")):
     """Flat row-major n-dimensional array, up to 8 axes."""
 
-    shape: tuple[int, ...]
-    data: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not 1 <= len(self.shape) <= MAX_AXES:
             raise DimensionError(f"1 to {MAX_AXES} axes supported")
         if any(e < 1 for e in self.shape):

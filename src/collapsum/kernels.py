@@ -25,7 +25,7 @@ coefficient window into a row and a column pass by its two sides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from itertools import chain
 from operator import itemgetter
@@ -35,6 +35,7 @@ from .matrix import (
     DimensionError,
     Matrix,
     ScalarMode,
+    _Record,
     round_half_away,
 )
 from .structured import (
@@ -55,18 +56,16 @@ class EdgeMode(Enum):
     ZERO = "zero"
 
 
-@dataclass(frozen=True)
-class FilterResult:
+class FilterResult(_Record, namedtuple("FilterResult", "numerator divisor")):
     """Filter output as a (numerator, divisor) pair.
 
     Float pipelines always carry divisor 1.  Exact pipelines keep the
     kernel divisor so equality checks can run on integers.
     """
 
-    numerator: Matrix
-    divisor: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.divisor < 1:
             raise ValueError("divisor must be a positive integer")
 
@@ -103,8 +102,7 @@ class FilterResult:
         return round_half_away(self.numerator, self.divisor)
 
 
-@dataclass(frozen=True)
-class Kernel:
+class Kernel(_Record, namedtuple("Kernel", "weights divisor anchor")):
     """Filter weight window.
 
     ``weights`` is either an exact integer matrix paired with a positive
@@ -113,11 +111,9 @@ class Kernel:
     the 1-based position aligned over the output pixel.
     """
 
-    weights: Matrix
-    divisor: int
-    anchor: tuple[int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.divisor < 1:
             raise ValueError("divisor must be a positive integer")
         if self.weights.mode is ScalarMode.EXACT:

@@ -34,7 +34,6 @@ Entries are addressed 1-based: ``at(1, 1)`` is the top-left corner.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Sequence
@@ -59,28 +58,65 @@ class ExactOverflowError(OverflowError):
     """An exact-mode entry left the signed 128-bit range."""
 
 
-@dataclass(frozen=True)
+class _Record:
+    """Base of the package's checked records, each a ``collections.namedtuple``
+    subclass whose ``_check`` refuses bad fields whenever one is made: by
+    the constructor, by ``_make`` (so by ``_replace``) and by unpickling."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        self = super()._make(iterable)
+        self._check()
+        return self
+
+
 class Matrix:
     """Immutable matrix stored row-major as a flat tuple.
 
     ``data[(i - 1) * cols + (j - 1)]`` holds the 1-based entry (i, j);
-    use :meth:`at` rather than relying on the internal layout.
+    use :meth:`at` rather than relying on the internal layout.  Fields are
+    read-only; matrices of equal fields are equal.
     """
 
-    rows: int
-    cols: int
-    data: tuple
-    mode: ScalarMode = ScalarMode.EXACT
-
-    def __post_init__(self):
+    def __init__(self, rows: int, cols: int, data: tuple,
+                 mode: ScalarMode = ScalarMode.EXACT):
+        self.__dict__.update(rows=rows, cols=cols, data=data, mode=mode)
         self._check_shape()
-        if self.mode is ScalarMode.EXACT:
+        if mode is ScalarMode.EXACT:
             # Measuring ``span`` doubles as the overflow check for every
             # operation that has not proved its result in range, since
             # results only exist once they are constructed.
             low, high = self.span
             if low < INT128_MIN or high > INT128_MAX:
                 raise ExactOverflowError(OUT_OF_RANGE)
+
+    def _asdict(self) -> dict:
+        return dict(rows=self.rows, cols=self.cols, data=self.data, mode=self.mode)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._asdict() == other._asdict()
+
+    def __hash__(self):
+        return hash(tuple(self._asdict().values()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _replace(self, **changes) -> "Matrix":
+        """A copy with ``changes`` to its fields, checked as a new matrix."""
+        return Matrix(**{**self._asdict(), **changes})
 
     def _check_shape(self):
         if not isinstance(self.data, tuple):

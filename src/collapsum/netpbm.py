@@ -25,11 +25,11 @@ from __future__ import annotations
 import re
 import sys
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import attrgetter
 from typing import Iterator, NamedTuple, Sequence
 
-from .matrix import DimensionError, Matrix, ScalarMode, round_half_away
+from .matrix import DimensionError, Matrix, ScalarMode, _Record, round_half_away
 
 MAX_MAXVAL = 65535
 
@@ -44,18 +44,14 @@ class NetpbmError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class ImagePlane:
+class ImagePlane(_Record, namedtuple("ImagePlane", "width height maxval samples")):
     """One grayscale channel: height x width samples in [0, maxval],
     checked on the proof they carry (``Matrix._bounds``), and on their
     span only when that proof is wider."""
 
-    width: int
-    height: int
-    maxval: int
-    samples: Matrix
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.width < 1 or self.height < 1:
             raise DimensionError("image dimensions must be positive")
         if not 1 <= self.maxval <= MAX_MAXVAL:
@@ -73,15 +69,12 @@ def _within(bounds: tuple, maxval: int) -> bool:
     return 0 <= bounds[0] and bounds[1] <= maxval
 
 
-@dataclass(frozen=True)
-class ColorImage:
+class ColorImage(_Record, namedtuple("ColorImage", "red green blue")):
     """Red, green and blue planes of equal shape and maxval."""
 
-    red: ImagePlane
-    green: ImagePlane
-    blue: ImagePlane
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         r, g, b = self.red, self.green, self.blue
         if not (r.width == g.width == b.width and r.height == g.height == b.height):
             raise DimensionError("color planes must share dimensions")

@@ -49,7 +49,7 @@ float one, runs the same stage calls on matrices.
 from __future__ import annotations
 
 import time
-from dataclasses import InitVar, dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .collapse import (
@@ -74,7 +74,7 @@ from .kernels import (
 
 # Not called here; kept because perfbench/tracing.py wraps them here.
 from .kernels import extend, gaussian_kernel, gaussian_kernel_rect  # noqa: F401
-from .matrix import DimensionError, Matrix, ScalarMode, _rounded, scale
+from .matrix import DimensionError, Matrix, ScalarMode, _Record, _rounded, scale
 from .netpbm import Raster
 from .structured import _check_counts
 
@@ -87,8 +87,7 @@ class Method(Enum):
     COLLAPSE = "collapse"
 
 
-@dataclass(frozen=True)
-class BlurRequest:
+class BlurRequest(_Record, namedtuple("BlurRequest", "rect collapses method edge")):
     """Parameters of one blur run.
 
     Exactly one of ``radius`` or ``rect`` (an h x w window) must be
@@ -98,23 +97,27 @@ class BlurRequest:
     (h-1, w-1).  The blur runs in its input's mode, exact-integer or float.
     """
 
-    radius: InitVar[int | None] = None
-    rect: tuple[int, int] | None = None
-    collapses: tuple[int, int] | None = None
-    method: Method = Method.COLLAPSE
-    edge: EdgeMode = EdgeMode.REPLICATE
+    __slots__ = ()
 
-    def __post_init__(self, radius):
-        if (radius is None) == (self.rect is None):
+    def __new__(cls, radius=None, rect=None, collapses=None,
+                method=Method.COLLAPSE, edge=EdgeMode.REPLICATE):
+        if (radius is None) == (rect is None):
             raise ValueError("set exactly one of radius and rect")
         if radius is not None:
             if radius < 0:
                 raise ValueError("radius must be nonnegative")
-            object.__setattr__(self, "rect", (2 * radius + 1,) * 2)
+            rect = (2 * radius + 1,) * 2
+        h, w = rect
+        collapses = collapses or (h - 1, w - 1)
+        return super().__new__(cls, rect, collapses, method, edge)
+
+    def __getnewargs__(self):  # unpickled from the stored rect, no radius
+        return (None, *self)
+
+    def _check(self):
         h, w = self.rect
         if h < 1 or w < 1:
             raise ValueError("rectangle sides must be positive")
-        object.__setattr__(self, "collapses", self.collapses or (h - 1, w - 1))
         _check_counts(h, w, *self.collapses)
 
 
@@ -237,15 +240,8 @@ def deviation(x: FilterResult, y: FilterResult) -> float:
     )
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    radius: int
-    edge: EdgeMode
-    mode: ScalarMode
-    deviations: dict[tuple[str, str], float]
-    max_deviation: float
-    tolerance: float
-    passed: bool
+EquivalenceReport = namedtuple("EquivalenceReport", "radius edge mode deviations "
+                               "max_deviation tolerance passed")
 
 
 def equivalence_report(a: Matrix, r: int, edge: EdgeMode) -> EquivalenceReport:
@@ -342,14 +338,7 @@ def entry_ops(method: Method, rows: int, cols: int, r: int, edge: EdgeMode) -> i
     return total
 
 
-@dataclass(frozen=True)
-class BenchRow:
-    size: int
-    radius: int
-    method: str
-    median_ns: int
-    entry_ops: int
-    max_deviation: float
+BenchRow = namedtuple("BenchRow", "size radius method median_ns entry_ops max_deviation")
 
 
 CSV_HEADER = "size,radius,method,median_ns,entry_ops,max_deviation"
@@ -360,10 +349,9 @@ TIMING_CONTRACT = (
 )
 
 
-@dataclass(frozen=True)
-class BenchReport:
-    rows: tuple[BenchRow, ...]
-    timing_contract: str = TIMING_CONTRACT
+class BenchReport(namedtuple("BenchReport", "rows timing_contract",
+                             defaults=(TIMING_CONTRACT,))):
+    __slots__ = ()
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]

@@ -14,7 +14,7 @@ separate vector type.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, repeat
 
 from .matrix import (
@@ -23,6 +23,7 @@ from .matrix import (
     ExactOverflowError,
     Matrix,
     ScalarMode,
+    _Record,
     multiply,
 )
 
@@ -180,8 +181,7 @@ def coefficient_matrix_entry_sum(m: int, n: int, a: int, b: int) -> int:
     return 2 ** (a + b) * (m - a) * (n - b)
 
 
-@dataclass(frozen=True)
-class ToeplitzSpec:
+class ToeplitzSpec(_Record, namedtuple("ToeplitzSpec", "values rows cols")):
     """Diagonal values of a rows x cols Toeplitz matrix.
 
     ``values[idx]`` is the constant on diagonal i - j = idx - (cols - 1),
@@ -189,11 +189,9 @@ class ToeplitzSpec:
     and must number rows + cols - 1.
     """
 
-    values: tuple
-    rows: int
-    cols: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.rows < 1 or self.cols < 1:
             raise DimensionError("Toeplitz dimensions must be positive")
         if len(self.values) != self.rows + self.cols - 1:

@@ -614,6 +614,36 @@ class TestUsage:
                              capture_output=True, text=True, timeout=60)
         assert out.stdout == "False\n"
 
+    @pytest.mark.parametrize("command", ["blur", "import"])
+    def test_start_up_imports_no_dataclasses_or_inspect(self, tmp_path, command):
+        # Importing ``dataclasses`` (with the ``inspect`` it imports) and
+        # decorating the records cost about 18 ms of every process; the
+        # records are namedtuples, so neither module is loaded.  -S keeps
+        # out what site imports.
+        env = dict(os.environ, PYTHONPATH=str(Path(collapsum.__file__).parents[1]))
+        image = tmp_path / "in.ppm"
+        image.write_bytes(b"P6\n4 3\n255\n" + bytes(range(36)))
+        argv = {
+            "blur": ["-m", "collapsum", "blur", "--radius", "1", str(image),
+                     str(tmp_path / "out.ppm")],
+            "import": ["-c", "import collapsum"],
+        }[command]
+        out = subprocess.run([sys.executable, "-S", "-X", "importtime", *argv],
+                             env=env, check=True, capture_output=True,
+                             text=True, timeout=60)
+        loaded = {line.rsplit("|", 1)[1].strip()
+                  for line in out.stderr.splitlines()
+                  if line.startswith("import time:")}
+        assert "collapsum.pipeline" in loaded
+        assert not loaded & {"dataclasses", "inspect"}
+
+    def test_seed_refusal_names_an_integer(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--seed", "0xZZ"])
+        assert err.value.code == 2
+        assert ("argument --seed: invalid integer value: '0xZZ'"
+                in capsys.readouterr().err)
+
     def test_round_trip_helper(self):
         # write_netpbm/read_netpbm are exercised through the CLI above;
         # keep one direct sanity check close to the command tests.

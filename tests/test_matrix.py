@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import pickle
 import random
@@ -114,12 +113,12 @@ class TestSpan:
         restored = pickle.loads(pickle.dumps(a))
         assert restored == twin and restored.span == a.span
         first = a.data[0]
-        replaced = dataclasses.replace(a, data=(first,) * len(a.data))
+        replaced = a._replace(data=(first,) * len(a.data))
         assert replaced.span == (first, first)
 
     def test_span_is_read_only(self):
         a = Matrix.from_rows([[1, 2]])
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             a.span = (0, 0)
 
 
