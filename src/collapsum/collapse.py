@@ -81,9 +81,10 @@ lane k + i*n + j times its weight.  So every plane starts at lane 0,
 and any two chains of stages that compute the same window on one plane
 compute the same int, every lane included.
 
-A packed result carries the range it proved (``Matrix._bounds``, [0, B]
-clipped to int128), so the next operation sizes its lanes without
-scanning it.
+A packed plane has one range, its ``bound``; an exact ``Matrix`` has
+one, its ``span``, which its constructor measures.  A matrix packs in
+lanes sized from its span, and a packed result unpacks, after its one
+check, into a matrix that measures its own.
 """
 
 from __future__ import annotations
@@ -158,17 +159,15 @@ def _pack(values, size: int, top: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-def _unpack(x: int, size: int, count: int, top: int):
-    # Lanes 0 .. count-1 of x (``size`` bytes each) as a sequence of ints,
-    # each read from its low bytes that hold 0..top: exact for every lane
-    # in [0, top].  The inverse of ``_pack``: the bytes are gathered into
-    # the next wider native array, and beyond 8 bytes the 64-bit digits
-    # combine by C-level ``map``.
+def _unpack(x: int, size: int, count: int):
+    # Lanes 0 .. count-1 of x (``size`` bytes each) as a sequence of ints.
+    # The inverse of ``_pack``: the bytes are gathered into the next wider
+    # native array, and beyond 8 bytes the 64-bit digits combine by C-level
+    # ``map``.
     raw = x.to_bytes(size * count, "little")
-    width = min(_size(top), size)
     values = None
-    for lo in reversed(range(0, width, 8)):
-        k = min(8, width - lo)
+    for lo in reversed(range(0, size, 8)):
+        k = min(8, size - lo)
         step = _native(k)
         buf = bytearray(step * count)
         for j in range(k):
@@ -210,8 +209,8 @@ class _Packed(NamedTuple):
 def _packed(a: Matrix, bound: Callable[[int], int]) -> _Packed | None:
     # An exact plane a with no negative entry, packed by ``_packed_lanes``
     # with B = bound(max(a)); else None.
-    if a.mode is ScalarMode.EXACT and a._bounds[0] >= 0:
-        return _packed_lanes(a.rows, a.cols, 1, a.data, a._bounds[1], bound)
+    if a.mode is ScalarMode.EXACT and a.span[0] >= 0:
+        return _packed_lanes(a.rows, a.cols, 1, a.data, a.span[1], bound)
     return None
 
 
@@ -236,15 +235,13 @@ def _kept(p: _Packed, sublane: bytes) -> int:
                           "little")
 
 
-def _checked(p: _Packed) -> int:
-    # The bound a result carries: p's bound clipped to int128.  Past int128,
-    # one AND over the kept sublanes of p: bits 127 and up of every kept
-    # sublane must be clear.
+def _checked(p: _Packed) -> None:
+    # p's int128 check: past int128, one AND over the kept sublanes of p,
+    # whose bits 127 and up must all be clear.
     if p.bound > INT128_MAX:
         size = p.bits // 8 // p.channels
         if p.value & _kept(p, bytes(15) + b"\x80" + b"\xff" * (size - 16)):
             raise ExactOverflowError(OUT_OF_RANGE)
-    return min(p.bound, INT128_MAX)
 
 
 def _lane_count(p: _Packed) -> int:
@@ -255,20 +252,16 @@ def _lane_count(p: _Packed) -> int:
 
 def _sublanes(p: _Packed):
     # The kept sublanes of p, pixel by pixel in row-major order and channel
-    # by channel within a pixel, and the bound they carry: p's bound clipped
-    # to int128, past which they are checked first.
-    bound = _checked(p)
+    # by channel within a pixel, once p passes its int128 check.
+    _checked(p)
     c = p.channels
-    lanes = _unpack(p.value, p.bits // 8 // c, c * _lane_count(p), bound)
-    return _rows(lanes, p.rows, c * p.cols, c * p.stride), bound
+    lanes = _unpack(p.value, p.bits // 8 // c, c * _lane_count(p))
+    return _rows(lanes, p.rows, c * p.cols, c * p.stride)
 
 
 def _unpacked(p: _Packed) -> Matrix:
-    # The kept lanes of a one-channel p as a matrix that carries p's bound
-    # clipped to int128; past it the kept lanes are checked first.
-    data, bound = _sublanes(p)
-    return Matrix._proven(p.rows, p.cols, tuple(data), ScalarMode.EXACT,
-                          bounds=(0, bound))
+    # The kept lanes of a one-channel p as a matrix.
+    return Matrix(p.rows, p.cols, tuple(_sublanes(p)), ScalarMode.EXACT)
 
 
 def _pair_sum(data: tuple, outer: int, k: int, inner: int) -> tuple:
@@ -406,7 +399,7 @@ def _correlate(p: _Packed, w: Matrix) -> _Packed:
         shifts.setdefault(row, []).append(p.bits * (n * i + b2 - 1))
     total = 0
     for row, offsets in shifts.items():
-        part = x * _pack(row, p.bits // 8, w._bounds[1])
+        part = x * _pack(row, p.bits // 8, w.span[1])
         for offset in offsets:
             total += part >> offset
     return p._replace(rows=p.rows - b1 + 1, cols=p.cols - b2 + 1, value=total)
@@ -438,10 +431,9 @@ def generalized_collapse(a: Matrix, gamma: GammaSpec) -> Matrix:
     lane of the operands.  The lanes are the fewest whole bytes with
     B < 2**L, for any B, and when B > 2**127 - 1 one AND of the product
     with a mask of bits 127 and up of every kept lane raises
-    ``ExactOverflowError`` exactly where the entry scan would.  The
-    result skips that scan and carries [0, B] clipped to int128.  A
-    packed plane, as ``pipeline.blur`` passes, is multiplied in the lanes
-    its caller sized, and the product stays packed.
+    ``ExactOverflowError`` exactly where the entry scan would.  A packed
+    plane, as ``pipeline.blur`` passes, is multiplied in the lanes its
+    caller sized, and the product stays packed.
 
     When the input or the window has a negative entry, and in float
     mode, the sum runs as shift-and-add over the flat input: window tap
@@ -463,10 +455,10 @@ def generalized_collapse(a: Matrix, gamma: GammaSpec) -> Matrix:
         )
     if isinstance(a, _Packed):
         return _correlate(a, w)
-    if w._bounds[0] >= 0:
+    if w.span[0] >= 0:
         # B bounds every lane of the product and of its operands.
         plane = _packed(a, lambda high: max(high * sum(w.data), high,
-                                            w._bounds[1]))
+                                            w.span[1]))
         if plane is not None:
             return _unpacked(_correlate(plane, w))
     d, zero = a.data, 0 if a.mode is ScalarMode.EXACT else 0.0

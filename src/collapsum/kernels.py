@@ -283,9 +283,10 @@ def extend_asym(
     """Extend with per-side margins; used for anchored rectangular windows.
 
     A packed plane (``collapse._Packed``, as ``pipeline.blur`` passes)
-    is extended on its lane bytes and stays packed, in the lanes it has;
-    a matrix is extended entry by entry.  Both take every edge from one
-    definition of the source of each extended row and column.
+    is extended on its lane bytes and stays packed, in the lanes it has
+    and with its bound, since every extended lane copies one of its lanes
+    or is 0; a matrix is extended entry by entry.  Both take every edge
+    from one definition of the source of each extended row and column.
     """
     if mode is EdgeMode.CROP:
         raise ValueError("cropping does not extend; pass an extension mode")
@@ -311,13 +312,7 @@ def extend_asym(
     extended = [pick(d[i * n : i * n + n] + (zero,)) for i in range(m)]
     extended.append((zero,) * len(cols))
     out = tuple(chain.from_iterable(map(extended.__getitem__, rows)))
-    bounds = None
-    if a.mode is ScalarMode.EXACT:
-        # The central block is the input and every other entry copies one
-        # of its entries or, under zero padding, is 0: the input's proof.
-        low, high = a._bounds
-        bounds = (min(low, 0), max(high, 0)) if mode is EdgeMode.ZERO else (low, high)
-    return Matrix._proven(len(rows), len(cols), out, a.mode, bounds=bounds)
+    return Matrix(len(rows), len(cols), out, a.mode)
 
 
 def extend(a: Matrix, r: int, mode: EdgeMode) -> Matrix:

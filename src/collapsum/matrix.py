@@ -2,22 +2,11 @@
 
 Exact mode models a signed 128-bit integer: every constructed entry must
 lie in [-2**127, 2**127 - 1], and anything outside that range raises
-:class:`ExactOverflowError` instead of wrapping.  ``Matrix(...)`` and
-every public constructor check it by measuring :attr:`Matrix.span`, the
-exact (min, max) of the entries, when they build an exact matrix.
-
-An operation that proves its result in range from its operands builds
-it without that scan, through a constructor private to the package that
-takes one proof: ``bounds``, a (low, high) around every entry, which the
-next operation reads to size its packed lanes.  A netpbm plane read
-passes (0, its max); edge extension passes its input's proof (with 0
-added under zero padding); a packed collapse power or correlation passes
-[0, B] for its lane bound B, clipped to int128 after a check on the
-packed int when B goes beyond it.  Exact rounding by a divisor >= 2,
-which never grows a magnitude, passes its input's bounds rounded the
-same way, since rounding is monotone.  Without a proof the bounds are
-the span.  So only the public constructors measure the span; on every
-other matrix, float ones included, it is measured if and when first read.
+:class:`ExactOverflowError` instead of wrapping.  Every exact matrix is
+checked the same way, whatever builds it: its constructor measures
+:attr:`Matrix.span`, the exact (min, max) of the entries, which is also
+the one range that later operations read, to size packed lanes or to
+check image samples.  A float matrix measures its span when first asked.
 
 Float mode is plain IEEE-754 binary64.  All operator identities in this
 package are verified in exact mode; image pipelines may use either.
@@ -90,9 +79,8 @@ class Matrix:
         self.__dict__.update(rows=rows, cols=cols, data=data, mode=mode)
         self._check_shape()
         if mode is ScalarMode.EXACT:
-            # Measuring ``span`` doubles as the overflow check for every
-            # operation that has not proved its result in range, since
-            # results only exist once they are constructed.
+            # Measuring ``span`` doubles as the overflow check of every
+            # operation, since results only exist once they are constructed.
             low, high = self.span
             if low < INT128_MIN or high > INT128_MAX:
                 raise ExactOverflowError(OUT_OF_RANGE)
@@ -130,35 +118,11 @@ class Matrix:
                 f"data length {len(self.data)} != {self.rows}x{self.cols}"
             )
 
-    @classmethod
-    def _proven(
-        cls, rows: int, cols: int, data: tuple, mode: ScalarMode, bounds=None
-    ) -> "Matrix":
-        """For this package's operations only: a matrix whose entries the
-        calling operation has proved to lie in range, built without the
-        int128 scan.  ``bounds`` is the proof, a (low, high) around every
-        entry, kept as :attr:`_bounds` for the next operation's lane
-        sizing; :attr:`span` is measured if and when it is read.
-        """
-        m = object.__new__(cls)
-        m.__dict__.update(rows=rows, cols=cols, data=data, mode=mode)
-        m._check_shape()
-        if bounds is not None:
-            m.__dict__["_bounds"] = bounds
-        return m
-
     @cached_property
     def span(self) -> tuple:
-        """``(min(data), max(data))``, measured once: when a public
-        constructor builds an exact matrix (its int128 check), or else
-        when it is first asked."""
+        """``(min(data), max(data))``, measured once: when an exact matrix
+        is built (its int128 check), or when a float one is first asked."""
         return min(self.data), max(self.data)
-
-    @cached_property
-    def _bounds(self) -> tuple:
-        # A proven (low, high) with low <= every entry <= high: what the
-        # operation that built the matrix proved, else the span.
-        return self.span
 
     @classmethod
     def from_rows(
@@ -305,13 +269,6 @@ def round_half_away(a: Matrix, divisor: int = 1) -> Matrix:
         if divisor == 1:
             return a
         data = _rounded(a.data, divisor)
-        if divisor > 1:
-            # |round(x / d)| <= |x| when d >= 2, so the result stays in
-            # range, and rounding is monotone, so the rounded bounds of the
-            # input bound the result.
-            bounds = tuple(_rounded(a._bounds, divisor))
-            return Matrix._proven(a.rows, a.cols, tuple(data),
-                                  ScalarMode.EXACT, bounds=bounds)
     else:
         data = [
             math.floor(v + 0.5) if v >= 0 else math.ceil(v - 0.5)

@@ -15,9 +15,8 @@ sample holds at most 255 or 65535, so only a binary raster whose maxval
 is below that is scanned: one C-level ``max`` over it is its maxval
 check.  :func:`read_netpbm` and :func:`write_netpbm` are adapters over
 the same parse and :func:`write_raster`: a read plane is one channel's
-slice of the raster, carrying (0, maxval) as its proof
-(``Matrix._bounds``); written planes are interleaved into one raster by
-slice assignment.
+slice of the raster, an exact matrix that measures its span when built;
+written planes are interleaved into one raster by slice assignment.
 """
 
 from __future__ import annotations
@@ -46,8 +45,7 @@ class NetpbmError(ValueError):
 
 class ImagePlane(_Record, namedtuple("ImagePlane", "width height maxval samples")):
     """One grayscale channel: height x width samples in [0, maxval],
-    checked on the proof they carry (``Matrix._bounds``), and on their
-    span only when that proof is wider."""
+    checked on their span (``Matrix.span``)."""
 
     __slots__ = ()
 
@@ -60,13 +58,12 @@ class ImagePlane(_Record, namedtuple("ImagePlane", "width height maxval samples"
             raise ValueError("image samples must be exact integers")
         if self.samples.rows != self.height or self.samples.cols != self.width:
             raise DimensionError("sample matrix shape must match width/height")
-        s = self.samples
-        if not (_within(s._bounds, self.maxval) or _within(s.span, self.maxval)):
+        if not _within(self.samples.span, self.maxval):
             raise ValueError(f"samples must lie in [0, {self.maxval}]")
 
 
-def _within(bounds: tuple, maxval: int) -> bool:
-    return 0 <= bounds[0] and bounds[1] <= maxval
+def _within(span: tuple, maxval: int) -> bool:
+    return 0 <= span[0] and span[1] <= maxval
 
 
 class ColorImage(_Record, namedtuple("ColorImage", "red green blue")):
@@ -235,12 +232,11 @@ def read_raster(data: bytes) -> Raster:
 def _image(width: int, height: int, maxval: int,
            flat) -> ImagePlane | ColorImage:
     # The image of the checked samples ``flat`` that :func:`_parse`
-    # returns: each channel's slice as a plane proven within (0, maxval).
+    # returns: each channel's slice as a plane.
     c = len(flat) // (width * height)
     images = [
         ImagePlane(width, height, maxval,
-                   Matrix._proven(height, width, tuple(flat[k::c]),
-                                  ScalarMode.EXACT, bounds=(0, maxval)))
+                   Matrix(height, width, tuple(flat[k::c]), ScalarMode.EXACT))
         for k in range(c)
     ]
     return images[0] if c == 1 else ColorImage(*images)
@@ -249,7 +245,7 @@ def _image(width: int, height: int, maxval: int,
 def read_netpbm(data: bytes) -> ImagePlane | ColorImage:
     """Parse P2/P5 into an :class:`ImagePlane`, P3/P6 into a
     :class:`ColorImage`: the channels of the raster :func:`read_raster`
-    reads, each proven within (0, maxval)."""
+    reads."""
     return _image(*_parse(data))
 
 
@@ -295,10 +291,9 @@ def split_color(img: ColorImage) -> tuple[Matrix, Matrix, Matrix]:
 
 
 def _quantize(m: Matrix, maxval: int) -> Matrix:
-    # A rounded blur carries bounds that prove the clamp idle, and the plane
-    # it becomes valid, without a scan.
+    # The rounded matrix, clamped only when its span leaves [0, maxval].
     q = round_half_away(m)
-    if _within(q._bounds, maxval):
+    if _within(q.span, maxval):
         return q
     data = tuple(min(max(v, 0), maxval) for v in q.data)
     return Matrix(q.rows, q.cols, data, ScalarMode.EXACT)

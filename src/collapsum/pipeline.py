@@ -25,25 +25,25 @@ plane with no negative entry runs in :func:`blur` as the one-channel
 case of the same stages.  One sublane width serves all of them: the
 fewest whole bytes that hold B = m times the window's divisor, and at
 least the largest window weight, where m bounds the input: a raster's
-maxval, a plane's proven max(a); an extension copies entries or adds
-zeros, so it keeps m.  Every image and window here is nonnegative,
-so each sublane is a sum of nonnegative terms of its own channel that
-uses each tap weight at most once, the lanes where a window wraps onto
-the next row included; so every sublane stays at most B and none
-carries into the next.  Every coefficient weight is an integer of at
+maxval, a plane's max(a), read off its span; an extension copies
+entries or adds zeros, so it keeps m.  Every image and window here is
+nonnegative, so each sublane is a sum of nonnegative terms of its own
+channel that uses each tap weight at most once, the lanes where a window
+wraps onto the next row included; so every sublane stays at most B and
+none carries into the next.  Every coefficient weight is an integer of at
 least 1, so every entry of an intermediate plane is at most some entry
 of the result, and one masked check of the result's kept sublanes
 against 2^127 raises :class:`ExactOverflowError` exactly where a scan of
 each pass would.
 
 :func:`equivalence_report` packs and extends its input once as well, runs
-the three methods on that plane and compares their packed numerators,
-whose divisors are all 2^(h+w-2), by one int equality per pair: every
-packed stage writes each lane only from the lanes at and after it, so
-each method computes every lane, dropped ones too, as the same window
-sum of the plane's lanes.  Only a pair that differs anywhere is unpacked
-and measured by :func:`deviation`.  A plane with a negative entry, and a
-float one, runs the same stage calls on matrices.
+the three methods on that plane and compares their results, packed
+numerators or matrices, by record equality, one per pair: every packed
+stage writes each lane only from the lanes at and after it, so each
+method computes every lane, dropped ones too, as the same window sum of
+the plane's lanes, in the same lanes.  Only a pair that differs is
+unpacked and measured by :func:`deviation`.  A plane with a negative
+entry, and a float one, runs the same stage calls on matrices.
 """
 
 from __future__ import annotations
@@ -114,6 +114,15 @@ class BlurRequest(_Record, namedtuple("BlurRequest", "rect collapses method edge
     def __getnewargs__(self):  # unpickled from the stored rect, no radius
         return (None, *self)
 
+    def _replace(self, **changes):
+        # A binomial request stays binomial on a new rect; explicit box and
+        # interp collapses are kept, and refused when they do not fit it.
+        h, w = self.rect
+        if "collapses" not in changes and self.collapses == (h - 1, w - 1):
+            h, w = changes.get("rect", self.rect)
+            changes["collapses"] = (h - 1, w - 1)
+        return super()._replace(**changes)
+
     def _check(self):
         h, w = self.rect
         if h < 1 or w < 1:
@@ -138,7 +147,7 @@ def _kernel(rows: int, cols: int, req: BlurRequest, mode: ScalarMode):
 def _lane_bound(kernel):
     # The bound B of every lane of every method's stages, from the input's
     # maximum (see the module docstring).
-    return lambda high: max(high * kernel.divisor, kernel.weights._bounds[1])
+    return lambda high: max(high * kernel.divisor, kernel.weights.span[1])
 
 
 def _extended(kernel, plane, edge: EdgeMode):
@@ -207,9 +216,9 @@ def blur_raster(image: Raster, req: BlurRequest) -> Raster:
                           image.samples, image.maxval, _lane_bound(kernel))
     num = _numerator(req.method, kernel, req.collapses,
                      _extended(kernel, plane, req.edge))
-    values, _ = _sublanes(num.numerator)
-    return image._replace(width=num.numerator.cols, height=num.numerator.rows,
-                          samples=_rounded(values, num.divisor))
+    out = num.numerator
+    return image._replace(width=out.cols, height=out.rows,
+                          samples=_rounded(_sublanes(out), num.divisor))
 
 
 def rect_blur(a: Matrix, h: int, w: int, edge: EdgeMode) -> FilterResult:
@@ -249,18 +258,17 @@ def equivalence_report(a: Matrix, r: int, edge: EdgeMode) -> EquivalenceReport:
 
     The tolerance is 0 for exact-mode images and 1e-9 for float ones;
     failures are recorded in the report, not raised.  An exact
-    nonnegative image is packed and extended once, and one int equality
-    per pair of packed numerators gives deviation 0.0 without
-    unpacking; a pair that differs is unpacked and measured by
-    :func:`deviation` (see the module docstring).
+    nonnegative image is packed and extended once; a pair of equal
+    results, packed or not, gives deviation 0.0 without unpacking, and a
+    pair that differs is unpacked and measured by :func:`deviation` (see
+    the module docstring).
     """
     req = BlurRequest(radius=r, edge=edge)
     kernel, plane = _plane(a, req)
-    packed = isinstance(plane, _Packed)
     results = {}
     for method in Method:
         out = _numerator(method, kernel, req.collapses, plane)
-        if packed:
+        if isinstance(out.numerator, _Packed):
             # Each packed result's one int128 check, as unpacking runs it.
             _checked(out.numerator)
         results[method.value] = out
@@ -269,8 +277,7 @@ def equivalence_report(a: Matrix, r: int, edge: EdgeMode) -> EquivalenceReport:
     for i, first in enumerate(names):
         for second in names[i + 1 :]:
             x, y = results[first], results[second]
-            if (packed and x.divisor == y.divisor
-                    and x.numerator.value == y.numerator.value):
+            if x == y:
                 devs[(first, second)] = 0.0
             else:
                 devs[(first, second)] = deviation(_unpacked_result(x),

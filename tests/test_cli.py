@@ -294,7 +294,7 @@ class TestBlurCommand:
                     return counted
 
                 def building(self):
-                    # Every constructor, public or proven, checks the shape.
+                    # Every matrix constructor checks the shape.
                     if self.mode is ScalarMode.EXACT and len(self.data) >= plane:
                         built.append(self)
                     check_shape(self)

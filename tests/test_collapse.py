@@ -132,18 +132,10 @@ def correlation_cases(draw, bits=st.integers(0, 100), nonnegative=st.booleans())
     return Matrix(m, n, entries(m * n, entry), mode), w
 
 
-def assert_bounds(out):
-    """The bound that an exact result carries for the next operation's
-    lanes encloses its entries and lies in int128."""
-    low, high = out._bounds
-    assert INT128_MIN <= low <= min(out.data)
-    assert max(out.data) <= high <= INT128_MAX
-
-
 def assert_entries(run, expected, mode):
     # repr shows the value types and the sign of zero; exact results that
-    # leave int128 must raise instead.  A result's span, carried or
-    # measured when read, is its exact (min, max).
+    # leave int128 must raise instead.  A result's span is its exact
+    # (min, max).
     if mode is ScalarMode.EXACT and not (
         INT128_MIN <= min(expected) and max(expected) <= INT128_MAX
     ):
@@ -153,8 +145,6 @@ def assert_entries(run, expected, mode):
         out = run()
         assert repr(out.data) == repr(expected)
         assert out.span == (min(expected), max(expected))
-        if mode is ScalarMode.EXACT:
-            assert_bounds(out)
 
 
 def basis(rows, cols, p, q):
@@ -753,10 +743,10 @@ OUT_OF_RANGE = "^entry outside the signed 128-bit range in exact mode$"
 
 
 class TestProvenSpans:
-    """Results that the package builds without an int128 scan, for entries
-    up to +-2**127: a span read from them is their exact (min, max), and
-    ExactOverflowError comes exactly where the per-pass or per-entry
-    references leave int128."""
+    """Results of the packed and the unpacked paths, for entries up to
+    +-2**127: each span is the exact (min, max), and ExactOverflowError
+    comes exactly where the per-pass or per-entry references leave
+    int128."""
 
     @settings(max_examples=200, deadline=None)
     @given(power_cases(WIDE_BITS))
@@ -770,7 +760,6 @@ class TestProvenSpans:
             out = power(a, s)
             assert out.data == expected
             assert out.span == (min(expected), max(expected))
-            assert_bounds(out)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -811,7 +800,6 @@ class TestProvenSpans:
                 out = power(a, s)
                 assert out.data == expected
                 assert out.span == (min(expected), max(expected))
-                assert_bounds(out)
         assert len(calls) == (1 if s else 0)
         a, w = correlation_case
         expected = per_entry_correlation(a, w)
@@ -1068,7 +1056,7 @@ class TestPacker:
         values = [0, 1, top, 1, 0, top]
         x = collapse_module._pack(values, size, top)
         assert x == sum(v << 8 * size * k for k, v in enumerate(values))
-        assert list(collapse_module._unpack(x, size, len(values), top)) == values
+        assert list(collapse_module._unpack(x, size, len(values))) == values
 
 
 class TestPixelLanes:
@@ -1122,6 +1110,4 @@ class TestPixelLanes:
             with pytest.raises(ExactOverflowError):
                 collapse_module._sublanes(out)
             return
-        values, bound = collapse_module._sublanes(out)
-        assert list(values) == expected
-        assert max(expected) <= bound <= INT128_MAX
+        assert list(collapse_module._sublanes(out)) == expected

@@ -299,25 +299,3 @@ class TestRoundHalfAway:
         out = round_half_away(Matrix(1, 1, (x,)), d)
         assert out.data == (expected,)
         assert out.span == (expected, expected)
-
-    @given(st.lists(quotients(), min_size=1, max_size=6), st.data())
-    def test_carried_bounds_enclose_the_result(self, cases, data):
-        # Rounding is monotone, so the input's bounds rounded the same way
-        # bound the result; a proven input bound wider than the span is
-        # rounded as it is.
-        values = [x for x, _ in cases]
-        d = cases[0][1]
-        low = data.draw(st.integers(INT128_MIN, min(values)))
-        high = data.draw(st.integers(max(values), INT128_MAX))
-        a = Matrix._proven(1, len(values), tuple(values), ScalarMode.EXACT,
-                           bounds=(low, high))
-        out = round_half_away(a, d)
-        expected = tuple(round_half_away(Matrix(1, 1, (x,)), d).data[0]
-                         for x in values)
-        assert out.data == expected
-        if d > 1:
-            rounded = [round_half_away(Matrix(1, 1, (x,)), d).data[0]
-                       for x in (low, high)]
-            assert out._bounds == tuple(rounded)
-        assert out._bounds[0] <= min(expected)
-        assert max(expected) <= out._bounds[1]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from collapsum.collapse import collapse_power
 from collapsum.kernels import EdgeMode
-from collapsum.matrix import DimensionError, Matrix, ScalarMode
+from collapsum.matrix import DimensionError, Matrix
 from collapsum.netpbm import (
     MAX_MAXVAL,
     ColorImage,
@@ -232,14 +232,14 @@ class TestParse:
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
-    def test_read_planes_carry_their_proof(self, data):
+    def test_read_planes_measure_their_span(self, data):
         # Every format, 8- and 16-bit, any maxval: each plane read equals the
-        # one the public constructor builds, carries (0, maxval) as its proof
-        # with its span unmeasured, and one sample above maxval is refused
-        # at its own byte offset.  ASCII samples are checked as they are
-        # read, and a binary sample holds at most 255 or 65535, so only a
-        # binary raster whose maxval is below that is scanned: one C-level
-        # max over the whole raster is its maxval check.
+        # one the public constructor builds, has its exact (min, max) as its
+        # span, and one sample above maxval is refused at its own byte
+        # offset.  ASCII samples are checked as they are read, and a binary
+        # sample holds at most 255 or 65535, so only a binary raster whose
+        # maxval is below that is scanned: one C-level max over the whole
+        # raster is its maxval check.
         magic = data.draw(st.sampled_from(MAGICS))
         maxval = data.draw(
             st.sampled_from((1, 200, 255, 256, MAX_MAXVAL)) | st.integers(1, MAX_MAXVAL)
@@ -274,8 +274,7 @@ class TestParse:
         for c, plane in enumerate(planes):
             samples = flat[c::channels]
             assert plane.samples == Matrix(height, width, tuple(samples))
-            assert plane.samples._bounds == (0, maxval)
-            assert "span" not in plane.samples.__dict__
+            assert plane.samples.span == (min(samples), max(samples))
         if maxval < top:
             k = data.draw(st.integers(0, count - 1))
             value = data.draw(st.integers(maxval + 1, top))
@@ -552,19 +551,14 @@ class TestPlanes:
         img = merge_color(m, m, m, 255)
         assert img.red.samples.to_rows() == [[255, 0], [0, 255]]
 
-    def test_proven_bounds_skip_the_clamp_and_its_scan(self):
-        # A rounded blur carries bounds inside [0, maxval]: quantizing
-        # keeps the rounded matrix and leaves its span unmeasured.
+    def test_a_blur_within_maxval_skips_the_clamp(self):
+        # A rounded blur's span lies inside [0, maxval]: quantizing keeps
+        # the rounded matrix.
         rng = random.Random(243)
         for plane in split_color(random_color(rng, 9, 7, 255)):
             for edge in (EdgeMode.MIRROR, EdgeMode.ZERO):
                 rounded = blur(plane, BlurRequest(radius=2, edge=edge)).rounded()
                 assert _quantize(rounded, 255) is rounded
-                assert "span" not in rounded.__dict__
-        # A proven bound beyond maxval still clamps.
-        loose = Matrix._proven(1, 3, (255, 0, 256), ScalarMode.EXACT,
-                               bounds=(0, 300))
-        assert _quantize(loose, 255).data == (255, 0, 255)
 
     def test_merge_rounds_half_away_from_zero(self):
         m = Matrix.from_rows([[0.5, 1.4], [2.5, 3.6]])

@@ -9,7 +9,6 @@ from test_collapse import (
     OUT_OF_RANGE,
     POWER_PASSES,
     WIDE_BITS,
-    assert_bounds,
     nonnegative_entries,
     per_entry_correlation,
     per_pass_powers,
@@ -36,12 +35,14 @@ from collapsum.matrix import (
     Matrix,
     ScalarMode,
 )
+from collapsum.netpbm import Raster
 from collapsum.pipeline import (
     CSV_HEADER,
     BlurRequest,
     Method,
     benchmark,
     blur,
+    blur_raster,
     deviation,
     entry_ops,
     equivalence_report,
@@ -365,7 +366,6 @@ class TestPackedPlane:
             assert out.numerator.data == per_pass == expected, method
             assert out.divisor == 2 ** (ca + cb) * (h - ca) * (w - cb)
             assert out.numerator.span == (min(expected), max(expected))
-            assert_bounds(out.numerator)
 
     @pytest.mark.parametrize("edge", ALL_EDGES)
     def test_each_blur_packs_once_and_unpacks_once(self, edge):
@@ -420,6 +420,27 @@ class TestPackedPlane:
         nums = [pipeline._numerator(m, kernel, req.collapses, plane).numerator
                 for m in Method]
         assert len(set(nums)) == 1
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_samples_far_below_maxval_past_the_int128_lane_bound(self, method):
+        # A 16-bit 21x16 plane at maxval 65535 whose samples are at most
+        # 1000, at radius 28.  The raster's lanes are sized for maxval, so
+        # their bound 65535 * 4**56 passes 2**127 - 1 and the masked check
+        # runs, yet every result entry is at most 1000 * 4**56 < 2**127: the
+        # per-plane path, whose lanes are sized from the plane's span, gives
+        # the raster core's samples.  An all-65535 plane leaves int128 on
+        # both.
+        rng = random.Random(6)
+        req = BlurRequest(radius=28, method=method)
+        low = [rng.randrange(1001) for _ in range(21 * 16)]
+        raster = Raster(21, 16, 1, 65535, low)
+        plane = Matrix(16, 21, tuple(low))
+        assert blur(plane, req).rounded().data == tuple(
+            blur_raster(raster, req).samples)
+        with pytest.raises(ExactOverflowError, match=OUT_OF_RANGE):
+            blur(Matrix.filled(16, 21, 65535), req)
+        with pytest.raises(ExactOverflowError, match=OUT_OF_RANGE):
+            blur_raster(raster._replace(samples=[65535] * (21 * 16)), req)
 
     @pytest.mark.parametrize("edge", ALL_EDGES)
     def test_a_dropped_lane_difference_passes_through_the_fallback(

@@ -146,7 +146,17 @@ def test_blur_request_forms_of_one_window_are_one_record():
         rect=(5, 5), collapses=(4, 4))
     assert by_radius.collapses == (4, 4)
     assert pickle.loads(pickle.dumps(by_radius)) == by_radius
-    assert by_radius._replace(rect=(5, 7)).rect == (5, 7)
+    # A binomial request takes the binomial of its new rect; explicit box
+    # and interp collapses are kept, and refused when they do not fit.
+    wider = by_radius._replace(rect=(5, 7))
+    assert wider.rect == (5, 7) and wider.collapses == (4, 6)
+    assert BlurRequest(radius=1)._replace(rect=(5, 5)) == BlurRequest(rect=(5, 5))
+    box = BlurRequest(radius=1, collapses=(0, 0))._replace(rect=(5, 7))
+    assert box.collapses == (0, 0)
+    with pytest.raises(DimensionError, match="need 0 <= a < m, got a=2, m=2"):
+        BlurRequest(rect=(3, 3), collapses=(2, 1))._replace(rect=(2, 3))
+    for request in (wider, box):
+        assert pickle.loads(pickle.dumps(request)) == request
 
 
 def test_matrix_is_a_plain_class_that_keeps_its_span():
