@@ -40,16 +40,16 @@ weights are all at least 1 (collapse passes, and every window and pass
 of ``pipeline.blur``), every entry of an earlier pass is at most some
 entry of the result, since each pass adds only nonnegative terms
 and every entry feeds at least one entry of the next pass.  So the
-result needs one range check: when B > 2**127 - 1, one AND of the packed
-result with a mask of bits 127 and up of every kept sublane raises
+result needs one range check: when its sublanes are 16 bytes or wider,
+as they are whenever B > 2**127 - 1, one AND of the packed result with
+a mask of bits 127 and up of every kept sublane raises
 ``ExactOverflowError`` exactly where the unpacked loops, which scan each
 pass and each result as they build it, would.
 
-A packed plane (``_Packed``) carries its shape, row stride, lane width,
-channel count and the bound B its sublanes were sized for, and flows
-between stages without being unpacked: ``kernels.extend_asym``,
-``collapse_down``, ``collapse_right``, the collapse powers and
-``generalized_collapse`` all take one and return one.
+A packed plane (``_Packed``) carries its shape, row stride, lane width
+and channel count, and flows between stages without being unpacked:
+``kernels.extend_asym``, ``collapse_down``, ``collapse_right``, the
+collapse powers and ``generalized_collapse`` all take one and return one.
 ``pipeline.blur_raster`` packs a whole image once, and ``pipeline.blur``
 one plane, in lanes that hold the bound of the whole method; each
 extends it, runs the stages on it packed and unpacks the result once.
@@ -81,10 +81,14 @@ lane k + i*n + j times its weight.  So every plane starts at lane 0,
 and any two chains of stages that compute the same window on one plane
 compute the same int, every lane included.
 
-A packed plane has one range, its ``bound``; an exact ``Matrix`` has
-one, its ``span``, which its constructor measures.  A matrix packs in
-lanes sized from its span, and a packed result unpacks, after its one
-check, into a matrix that measures its own.
+A packed plane stores no range: its sublane width, sized from B when it
+is packed, is all its one check reads.  A sublane under 16 bytes holds
+less than 2**120, so only a sublane of 16 bytes or more is masked.  An
+exact ``Matrix`` has one range, its ``span``, which its constructor
+measures.  A matrix packs in lanes sized from its span, and a packed
+result unpacks, after its one check, into a matrix that measures its
+own.  Only this module reads the lane bytes: it packs, extends and
+unpacks them.
 """
 
 from __future__ import annotations
@@ -93,12 +97,11 @@ import math
 import sys
 from array import array
 from collections import namedtuple
+from collections.abc import Callable
 from itertools import chain, islice, repeat
 from operator import add, and_, lshift, mul, rshift
-from typing import Callable, NamedTuple
 
 from .matrix import (
-    INT128_MAX,
     OUT_OF_RANGE,
     DimensionError,
     ExactOverflowError,
@@ -189,19 +192,14 @@ def _rows(lanes, rows: int, cols: int, stride: int):
     )
 
 
-class _Packed(NamedTuple):
+class _Packed(namedtuple("_Packed", "rows cols stride bits value channels",
+                         defaults=(1,))):
     # A plane of ``rows`` x ``cols`` pixels of ``channels`` exact entries
     # each, pixel (i, j) in unsigned ``bits``-bit lane i * stride + j of
     # ``value`` and its channel c in sublane c of ``bits // channels`` bits
-    # of that lane, every sublane at most ``bound``.  The lanes past each
-    # kept row hold partial sums that are dropped at the end.
-    rows: int
-    cols: int
-    stride: int
-    bits: int
-    bound: int
-    value: int
-    channels: int = 1
+    # of that lane, every sublane below 2**(bits // channels).  The lanes
+    # past each kept row hold partial sums that are dropped at the end.
+    __slots__ = ()
     # Not a field: the mode that stages read off their operand.
     mode = ScalarMode.EXACT
 
@@ -221,9 +219,8 @@ def _packed_lanes(rows: int, cols: int, channels: int, samples, high: int,
     # [0, high], with pixel k in lane k and its sample c in sublane c of the
     # fewest whole bytes that hold B = bound(high).  Sample k of ``samples``
     # is sublane k either way, so one ``_pack`` lays them out.
-    b = bound(high)
-    size = _size(b)
-    return _Packed(rows, cols, cols, 8 * size * channels, b,
+    size = _size(bound(high))
+    return _Packed(rows, cols, cols, 8 * size * channels,
                    _pack(samples, size, high), channels)
 
 
@@ -236,12 +233,12 @@ def _kept(p: _Packed, sublane: bytes) -> int:
 
 
 def _checked(p: _Packed) -> None:
-    # p's int128 check: past int128, one AND over the kept sublanes of p,
-    # whose bits 127 and up must all be clear.
-    if p.bound > INT128_MAX:
-        size = p.bits // 8 // p.channels
-        if p.value & _kept(p, bytes(15) + b"\x80" + b"\xff" * (size - 16)):
-            raise ExactOverflowError(OUT_OF_RANGE)
+    # p's int128 check: in sublanes of 16 bytes or more, one AND over the
+    # kept sublanes of p, whose bits 127 and up must all be clear.
+    size = p.bits // 8 // p.channels
+    if size >= 16 and p.value & _kept(p, bytes(15) + b"\x80"
+                                      + b"\xff" * (size - 16)):
+        raise ExactOverflowError(OUT_OF_RANGE)
 
 
 def _lane_count(p: _Packed) -> int:
@@ -262,6 +259,31 @@ def _sublanes(p: _Packed):
 def _unpacked(p: _Packed) -> Matrix:
     # The kept lanes of a one-channel p as a matrix.
     return Matrix(p.rows, p.cols, tuple(_sublanes(p)), ScalarMode.EXACT)
+
+
+def _extended_lanes(p: _Packed, rows: list[int], cols: list[int],
+                    left: int) -> _Packed:
+    # p extended by the source rows and columns of ``kernels.extend_asym``,
+    # index p.rows or p.cols standing for the zero pad, from one
+    # ``to_bytes``: each source row's lane bytes are cut once, with its
+    # margin lanes (the zero pad is ``bytes(L)``), and the extended rows are
+    # joined in ``rows`` order into one ``from_bytes``.  Every lane copies
+    # one of p's or is 0.
+    size, n = p.bits // 8, p.cols
+    raw = p.value.to_bytes(size * _lane_count(p), "little")
+    pad = bytes(size)
+    margins = cols[:left] + cols[left + n :]
+    extended = []
+    for i in range(p.rows):
+        start = i * p.stride * size
+        lanes = [raw[start + c * size : start + (c + 1) * size] if c < n else pad
+                 for c in margins]
+        row = raw[start : start + n * size]
+        extended.append(b"".join([*lanes[:left], row, *lanes[left:]]))
+    extended.append(pad * len(cols))
+    value = int.from_bytes(b"".join(map(extended.__getitem__, rows)), "little")
+    return p._replace(rows=len(rows), cols=len(cols), stride=len(cols),
+                      value=value)
 
 
 def _pair_sum(data: tuple, outer: int, k: int, inner: int) -> tuple:
@@ -316,11 +338,8 @@ def _repeat(step, a: Matrix, s: int, room: int, what: str, passes: int) -> Matri
     # A packed plane runs the loop as it is, since its lanes already hold
     # the bound of the caller's whole method.  A matrix, as the public
     # collapse_power and its down and right forms are given, packs here,
-    # runs it packed and is unpacked at the end.  ``packed`` stays
-    # referenced until then on purpose: freed after the first pass, its
-    # buffer left glibc's heap about 2 MB larger at peak (46.2 against
-    # 44.3 MB, measured when a 512x512 P6 blur at radius 4 ran its planes
-    # through here as matrices).
+    # runs it packed and is unpacked at the end; ``packed`` is None when
+    # the result is returned as the loop leaves it.
     packed = None
     if s and isinstance(a, Matrix):
         packed = _packed(a, lambda high: high << passes)
@@ -338,10 +357,11 @@ def collapse_power(a: Matrix, s: int) -> Matrix:
     the fewest whole bytes that hold B = max(a) * 4**s, and the lanes
     where a pass right wraps onto the next row are dropped at the end.
     Every entry of an earlier pass is at most some entry of the result,
-    so one check of the result, one masked AND when B > 2**127 - 1,
-    raises exactly where the scan of each pass would.  A packed plane
-    runs its passes in the lanes it has and stays packed.  A plane with a
-    negative entry, and a float one, runs each pass as the pair-sum loop.
+    so one check of the result, one masked AND when the lanes are 16
+    bytes or wider, raises exactly where the scan of each pass would.  A
+    packed plane runs its passes in the lanes it has and stays packed.  A
+    plane with a negative entry, and a float one, runs each pass as the
+    pair-sum loop.
     """
     room = min(a.rows, a.cols)
     return _repeat(collapse, a, s, room, f"a {a.rows}x{a.cols} matrix", 2 * s)
@@ -429,8 +449,8 @@ def generalized_collapse(a: Matrix, gamma: GammaSpec) -> Matrix:
     next row included, adds each weight at most once, so it lies in
     [0, B] with B = max(max(a) * sum(w), max(a), max(w)), as does every
     lane of the operands.  The lanes are the fewest whole bytes with
-    B < 2**L, for any B, and when B > 2**127 - 1 one AND of the product
-    with a mask of bits 127 and up of every kept lane raises
+    B < 2**L, for any B, and when they are 16 bytes or wider one AND of
+    the product with a mask of bits 127 and up of every kept lane raises
     ``ExactOverflowError`` exactly where the entry scan would.  A packed
     plane, as ``pipeline.blur`` passes, is multiplied in the lanes its
     caller sized, and the product stays packed.

@@ -30,7 +30,7 @@ from enum import Enum
 from itertools import chain
 from operator import itemgetter
 
-from .collapse import GammaSpec, _Packed, _lane_count, generalized_collapse
+from .collapse import GammaSpec, _Packed, _extended_lanes, generalized_collapse
 from .matrix import (
     DimensionError,
     Matrix,
@@ -254,38 +254,15 @@ def _sources(n: int, before: int, after: int, mode: EdgeMode) -> list[int]:
     return [abs(i) if i < n else 2 * n - 2 - i for i in span]
 
 
-def _extended_lanes(p: _Packed, rows: list[int], cols: list[int],
-                    left: int) -> _Packed:
-    # p extended by the ``_sources`` rows and columns, from one ``to_bytes``:
-    # each source row's lane bytes are cut once, with its margin lanes (the
-    # zero pad is ``bytes(L)``), and the extended rows are joined in ``rows``
-    # order into one ``from_bytes``.  Every lane copies one of p's or is 0.
-    size, n = p.bits // 8, p.cols
-    raw = p.value.to_bytes(size * _lane_count(p), "little")
-    pad = bytes(size)
-    margins = cols[:left] + cols[left + n :]
-    extended = []
-    for i in range(p.rows):
-        start = i * p.stride * size
-        lanes = [raw[start + c * size : start + (c + 1) * size] if c < n else pad
-                 for c in margins]
-        row = raw[start : start + n * size]
-        extended.append(b"".join([*lanes[:left], row, *lanes[left:]]))
-    extended.append(pad * len(cols))
-    value = int.from_bytes(b"".join(map(extended.__getitem__, rows)), "little")
-    return p._replace(rows=len(rows), cols=len(cols), stride=len(cols),
-                      value=value)
-
-
 def extend_asym(
     a: Matrix, top: int, bottom: int, left: int, right: int, mode: EdgeMode
 ) -> Matrix:
     """Extend with per-side margins; used for anchored rectangular windows.
 
     A packed plane (``collapse._Packed``, as ``pipeline.blur`` passes)
-    is extended on its lane bytes and stays packed, in the lanes it has
-    and with its bound, since every extended lane copies one of its lanes
-    or is 0; a matrix is extended entry by entry.  Both take every edge
+    is extended on its lane bytes by ``collapse._extended_lanes`` and
+    stays packed, in the lanes it has, since every extended lane copies
+    one of its lanes or is 0; a matrix is extended entry by entry.  Both take every edge
     from one definition of the source of each extended row and column.
     """
     if mode is EdgeMode.CROP:

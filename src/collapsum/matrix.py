@@ -23,9 +23,9 @@ Entries are addressed 1-based: ``at(1, 1)`` is the top-left corner.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from enum import Enum
 from functools import cached_property
-from typing import Sequence
 
 INT128_MIN = -(2**127)
 INT128_MAX = 2**127 - 1

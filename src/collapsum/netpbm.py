@@ -25,8 +25,8 @@ import re
 import sys
 from array import array
 from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from operator import attrgetter
-from typing import Iterator, NamedTuple, Sequence
 
 from .matrix import DimensionError, Matrix, ScalarMode, _Record, round_half_away
 
@@ -91,17 +91,13 @@ class ColorImage(_Record, namedtuple("ColorImage", "red green blue")):
         return self.red.maxval
 
 
-class Raster(NamedTuple):
+class Raster(namedtuple("Raster", "width height channels maxval samples")):
     """``height`` rows of ``width`` pixels of ``channels`` samples each (1
     gray, 3 red, green and blue), interleaved pixel by pixel in row-major
     order, as a netpbm raster holds them; every sample lies in
     [0, ``maxval``].  The samples are ``bytes`` or a list of ints."""
 
-    width: int
-    height: int
-    channels: int
-    maxval: int
-    samples: Sequence[int]
+    __slots__ = ()
 
 
 # One tokenizer for the whole grammar: a comment runs from "#" up to, not

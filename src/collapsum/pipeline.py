@@ -14,7 +14,7 @@ their (numerator, divisor) pairs, as the report and benchmark record.
 :func:`blur_raster` blurs a whole netpbm raster, raster to raster: the
 image is packed once, before extension, into one int
 (``collapse._Packed``) of pixel lanes, a pixel per lane and its channel
-c in sublane c, and the packed int carries the bound its sublanes hold.
+c in sublane c, each sublane as wide as the bound B below needs.
 ``kernels.extend_asym`` extends it on its lane bytes, and every stage of
 every method runs on that int: each correlation, direct or a row or
 column pass, is one product per distinct window row, and the collapse
@@ -370,14 +370,9 @@ class BenchReport(namedtuple("BenchReport", "rows timing_contract",
         return "\n".join(lines) + "\n"
 
 
-def benchmark(
-    sizes: list[int],
-    radii: list[int],
-    repetitions: int,
-    edge: EdgeMode = EdgeMode.REPLICATE,
-    mode: ScalarMode = ScalarMode.EXACT,
-) -> BenchReport:
-    """Time every (size, radius, method) cell on a seeded image.
+def benchmark(sizes: list[int], radii: list[int], repetitions: int) -> BenchReport:
+    """Time every (size, radius, method) cell on a seeded exact image,
+    blurred under ``EdgeMode.REPLICATE``.
 
     Each cell reports the median wall time, its accumulation count, and
     the deviation of its result from the direct strategy's.
@@ -389,12 +384,10 @@ def benchmark(
     rows = []
     for size in sizes:
         image = seeded_image(size, size)
-        if mode is ScalarMode.FLOAT:
-            image = image.to_float()
         for r in radii:
             reference = None
             for method in Method:
-                req = BlurRequest(radius=r, method=method, edge=edge)
+                req = BlurRequest(radius=r, method=method)
                 times = []
                 result = None
                 for _ in range(repetitions):
@@ -409,7 +402,8 @@ def benchmark(
                         radius=r,
                         method=method.value,
                         median_ns=int(statistics.median(times)),
-                        entry_ops=entry_ops(method, size, size, r, edge),
+                        entry_ops=entry_ops(method, size, size, r,
+                                            EdgeMode.REPLICATE),
                         max_deviation=deviation(result, reference),
                     )
                 )

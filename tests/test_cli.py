@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_pipeline import perturbed
 
 import collapsum
 from collapsum.cli import format_kernel, main
@@ -576,6 +577,18 @@ class TestVerifyCommand:
         for edge in ("crop", "replicate", "mirror", "zero"):
             assert main(["verify", "--radius", "2", "--size", "10", "--edge", edge]) == 0
 
+    def test_a_differing_method_fails_with_exit_1(self, capsys, monkeypatch):
+        # Direct convolution off by 3 in one entry of numerators over
+        # 4**4: it differs from the other two methods by 3/256.
+        monkeypatch.setattr(importlib.import_module("collapsum.pipeline"),
+                            "convolve", perturbed("convolve", 0, 3))
+        assert main(["verify", "--radius", "2", "--size", "16"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "deviation 1.17e-02 (exact)\n"
+        assert captured.err == (
+            "FAIL: max deviation 1.17e-02 exceeds tolerance 0.00e+00\n"
+        )
+
 
 class TestBenchCommand:
     def test_csv_to_stdout(self, capsys):
@@ -618,8 +631,9 @@ class TestUsage:
     def test_start_up_imports_no_dataclasses_or_inspect(self, tmp_path, command):
         # Importing ``dataclasses`` (with the ``inspect`` it imports) and
         # decorating the records cost about 18 ms of every process; the
-        # records are namedtuples, so neither module is loaded.  -S keeps
-        # out what site imports.
+        # records are namedtuples, so neither module is loaded.  Nor is
+        # ``typing``: the annotations take their names from
+        # ``collections.abc``.  -S keeps out what site imports.
         env = dict(os.environ, PYTHONPATH=str(Path(collapsum.__file__).parents[1]))
         image = tmp_path / "in.ppm"
         image.write_bytes(b"P6\n4 3\n255\n" + bytes(range(36)))
@@ -635,7 +649,7 @@ class TestUsage:
                   for line in out.stderr.splitlines()
                   if line.startswith("import time:")}
         assert "collapsum.pipeline" in loaded
-        assert not loaded & {"dataclasses", "inspect"}
+        assert not loaded & {"dataclasses", "inspect", "typing"}
 
     def test_seed_refusal_names_an_integer(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -467,8 +467,8 @@ class TestPowers:
         for bits in LANE_WIDTHS if packed else (None,):
             find(power_cases(nonnegative=MOSTLY_NONNEGATIVE),
                  lambda case: width(case) == bits,
-                 settings=settings(database=None, phases=[Phase.generate],
-                                   max_examples=1000))
+                 settings=settings(database=None, derandomize=True,
+                                   phases=[Phase.generate], max_examples=1000))
 
     # B = max|a| * 2**passes.  A nonnegative plane packs at any B, in
     # lanes that hold B, when s >= 1; a plane with a negative entry runs
@@ -619,8 +619,8 @@ class TestGeneralized:
 
         for bits in LANE_WIDTHS if packed else (None,):
             find(correlation_cases(), lambda case: width(case) == bits,
-                 settings=settings(database=None, phases=[Phase.generate],
-                                   max_examples=1000))
+                 settings=settings(database=None, derandomize=True,
+                                   phases=[Phase.generate], max_examples=1000))
 
     # Entries and weights around the lane bound B = max(max|a| * sum|w|,
     # max|a|, max|w|).  A nonnegative input and window pack at any B; a
@@ -816,7 +816,8 @@ class TestProvenSpans:
     def test_cases_reach_the_int128_edge(self, overflows):
         # The properties above draw results in range and beyond it, the
         # nonnegative ones included.
-        drawn = settings(database=None, phases=[Phase.generate], max_examples=1000)
+        drawn = settings(database=None, derandomize=True, phases=[Phase.generate],
+                         max_examples=1000)
         for nonnegative in (st.booleans(), st.just(True)):
             find(power_cases(WIDE_BITS, nonnegative),
                  lambda case: (per_pass_powers(*case) is None) is overflows,
@@ -1003,7 +1004,8 @@ class TestRepeatedWindowRows:
             return len(rows[0]) > 1 and rows != rows[::-1] and distinct < len(rows)
 
         find(repeated_row_cases(), drawn, settings=settings(
-            database=None, phases=[Phase.generate], max_examples=1000))
+            database=None, derandomize=True, phases=[Phase.generate],
+            max_examples=1000))
 
     @pytest.mark.parametrize("overflows", [True, False])
     def test_cases_reach_wide_lanes_and_the_int128_edge(self, overflows):
@@ -1011,8 +1013,8 @@ class TestRepeatedWindowRows:
         find(repeated_row_cases(),
              lambda case: correlation_bits(*case) > 128
              and correlation_overflows(case) is overflows,
-             settings=settings(database=None, phases=[Phase.generate],
-                               max_examples=1000))
+             settings=settings(database=None, derandomize=True,
+                               phases=[Phase.generate], max_examples=1000))
 
 
     def test_each_distinct_row_is_multiplied_once_and_shifted_right(self):
@@ -1039,7 +1041,7 @@ class TestRepeatedWindowRows:
         # Rows 0, 1 and 3 are (1, 2) and row 2 is (3, 4).
         w = Matrix.from_rows([[1, 2], [1, 2], [3, 4], [1, 2]])
         out = collapse_module._correlate(
-            collapse_module._Packed(6, 4, 4, 8, 255, x), w)
+            collapse_module._Packed(6, 4, 4, 8, x), w)
         # Each row packs reversed: (2, 1) and (4, 3) in 1-byte lanes.
         assert x.factors == [2 + (1 << 8), 4 + (3 << 8)]
         # L * (n*i + b2 - 1) for rows 0, 1 and 3, then row 2.

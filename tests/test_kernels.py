@@ -17,6 +17,7 @@ from collapsum.collapse import (
 )
 from collapsum.kernels import (
     EdgeMode,
+    FilterResult,
     Kernel,
     box_kernel,
     convolve,
@@ -406,8 +407,29 @@ class TestExtend:
             assert out == expected
             return
         assert isinstance(out, _Packed)
-        assert (out.bits, out.bound) == (packed.bits, packed.bound)
+        assert out.bits == packed.bits
         assert _unpacked(out) == expected
+
+
+class TestFilterResult:
+    def test_to_matrix_divides_an_exact_numerator(self):
+        out = FilterResult(Matrix.from_rows([[1, 2], [3, -4]]), 4).to_matrix()
+        assert out.mode is ScalarMode.FLOAT
+        assert out.data == (0.25, 0.5, 0.75, -1.0)
+
+    def test_exact_refuses_a_float_numerator(self):
+        result = FilterResult(Matrix.from_rows([[1.0, 2.0]]), 1)
+        with pytest.raises(ValueError) as err:
+            result.exact()
+        assert type(err.value) is ValueError
+        assert str(err.value) == "exact() requires an exact-mode numerator"
+
+    def test_exact_refuses_an_entry_with_a_remainder(self):
+        result = FilterResult(Matrix.from_rows([[4, 6, 7, 8]]), 2)
+        with pytest.raises(ValueError) as err:
+            result.exact()
+        assert type(err.value) is ValueError
+        assert str(err.value) == "entry 7 is not divisible by 2"
 
 
 class TestConvolveCrop:

@@ -219,6 +219,14 @@ class TestMultiply:
         with pytest.raises(DimensionError):
             multiply(Matrix.from_rows([[1, 2]]), Matrix.from_rows([[1, 2]]))
 
+    def test_float_matrices_give_a_float_product(self):
+        row = Matrix.from_rows([[0.5, 1.5]])
+        col = Matrix.from_rows([[2.0], [4.0]])
+        out = multiply(col, row)
+        assert out.mode is ScalarMode.FLOAT
+        assert out.data == (1.0, 3.0, 2.0, 6.0)
+        assert all(type(x) is float for x in out.data)
+
     def test_associative(self):
         rng = random.Random(13)
         for _ in range(10):

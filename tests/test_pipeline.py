@@ -572,6 +572,14 @@ class TestDeviation:
         assert expected == 1 / dy
         assert deviation(x, y) == expected
 
+    def test_results_of_different_shapes_are_refused(self):
+        x = FilterResult(Matrix(1, 3, (3, 10, -1)), 4)
+        y = FilterResult(Matrix(3, 1, (3, 10, -1)), 4)
+        with pytest.raises(DimensionError) as err:
+            deviation(x, y)
+        assert type(err.value) is DimensionError
+        assert str(err.value) == "results have different shapes"
+
 
 class TestSeededImage:
     def test_deterministic(self):
