@@ -98,31 +98,26 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",")]
 
 
-def _window(args) -> tuple[tuple[int, int], tuple[int, int] | None]:
-    # The requested window as ``BlurRequest``'s ``rect`` and ``collapses``;
-    # its filter's options must be set and in range, and a radius must be
-    # nonnegative.
+def _request(args, **fields) -> BlurRequest:
+    # The request of the window the options name, with ``fields``; its
+    # filter's options must be set, and an interp step in range.
     if args.filter_name == "rect":
         if args.a is None or args.b is None:
             raise ValueError("--filter rect requires --a and --b")
-        return (args.a, args.b), None
-    if args.filter_name == "interp" and args.s is None:
-        raise ValueError("--filter interp requires --s")
-    if args.radius < 0:
-        raise ValueError("radius must be nonnegative")
+        return BlurRequest(rect=(args.a, args.b), **fields)
     if args.filter_name == "interp":
+        if args.s is None:
+            raise ValueError("--filter interp requires --s")
         check_interpolation(args.radius, args.s)
     collapses = {"box": (0, 0), "interp": (args.s, args.s)}.get(args.filter_name)
-    return (2 * args.radius + 1,) * 2, collapses
+    return BlurRequest(radius=args.radius, collapses=collapses, **fields)
 
 
 def _cmd_blur(args) -> int:
     with open(args.input, "rb") as fh:
         raw = fh.read()
     image = read_raster(raw)
-    rect, collapses = _window(args)
-    req = BlurRequest(rect=rect, collapses=collapses, method=Method(args.method),
-                      edge=EdgeMode(args.edge))
+    req = _request(args, method=Method(args.method), edge=EdgeMode(args.edge))
     encoding = "ascii" if raw[:2] in (b"P2", b"P3") else "binary"
     out = write_raster(blur_raster(image, req), encoding)
     with open(args.output, "wb") as fh:
@@ -141,8 +136,7 @@ def format_kernel(kernel: Kernel) -> str:
 
 
 def _cmd_kernel(args) -> int:
-    rect, collapses = _window(args)
-    req = BlurRequest(rect=rect, collapses=collapses)
+    req = _request(args)
     sys.stdout.write(format_kernel(_coefficient_kernel(*req.rect, *req.collapses)))
     return 0
 

@@ -15,14 +15,14 @@ negative entry, and float mode, runs the unpacked loops: the pair-sum
 passes and a shift-and-add correlation.  ``_packed`` decides whether a
 plane packs, and ``_packed_lanes`` lays out a plane or an image in its
 lanes, on every host.  The packed values sit in unsigned lanes of L
-bits, a whole number of bytes: the narrowest L >= 8 with B < 2**L for a
-bound B on every value a lane holds, with no upper limit.  So an 8-bit
-image blurred at radius 4 (B = 255 * 4**8 < 2**24) packs in 3-byte
-lanes, and a 16-bit one at radius 12 (B = 65535 * 4**24 < 2**64) in
-8-byte lanes.  One packer, ``_pack``, serves every width: it scatters
-and gathers the bytes of native ``array`` items, byte-swapped on a
-big-endian host, with slice assignment, and lanes wider than 8 bytes do
-so per 64-bit digit, with no Python code per entry.
+bits, a whole number of bytes: the narrowest L >= 8 with B < 2**L for
+the bound B below, with no upper limit.  So an 8-bit image blurred at
+radius 4 (B = 255 * 4**8 < 2**24) packs in 3-byte lanes, and a 16-bit
+one at radius 12 (B = 65535 * 4**24 < 2**64) in 8-byte lanes.  One
+packer, ``_pack``, serves every width: it scatters and gathers the
+bytes of native ``array`` items, byte-swapped on a big-endian host,
+with slice assignment, and lanes wider than 8 bytes do so per 64-bit
+digit, with no Python code per entry.
 
 An image of several channels packs as one int of pixel lanes: pixel k
 in lane k and its channel c in sublane c, of L bits each, so a lane is
@@ -32,19 +32,32 @@ weight packs in the low sublane of its lane, so a product adds each
 channel's taps in that channel's sublane: an entry only ever meets
 entries of its own channel.
 
-One proof covers every packed operation, sublane by sublane.  Each
-sublane holds a sum of nonnegative terms that uses each window weight at
-most once, at most B < 2**L, so no sublane carries into the next, nor
-a lane's last sublane into the next lane.  In a chain of passes whose
-weights are all at least 1 (collapse passes, and every window and pass
-of ``pipeline.blur``), every entry of an earlier pass is at most some
-entry of the result, since each pass adds only nonnegative terms
-and every entry feeds at least one entry of the next pass.  So the
-result needs one range check: when its sublanes are 16 bytes or wider,
-as they are whenever B > 2**127 - 1, one AND of the packed result with
-a mask of bits 127 and up of every kept sublane raises
-``ExactOverflowError`` exactly where the unpacked loops, which scan each
-pass and each result as they build it, would.
+The lane rule.  A plane whose entries lie in [0, high] is packed for the
+chain of stages it will run, whose weights are nonnegative and multiply
+out to a window of weight total ``total`` and largest weight ``top``: a
+collapse power's passes have total 2**passes, a generalized collapse
+the sum and the largest weight of its window, and a blur the divisor and
+the largest weight of its coefficient window.  Every sublane is sized
+from one expression, in ``_packed_lanes``: B = max(high * total, high,
+top).  Two proofs rest on it, sublane by sublane:
+
+- No carry.  Each sublane holds an entry (at most high), a weight (at
+  most top), or a sum of nonnegative terms of its own channel that uses
+  each window weight at most once (at most high * total), the lanes
+  where a window wraps onto the next row included; so it is at most
+  B < 2**L, and no sublane carries into the next, nor a lane's last
+  sublane into the next lane.
+- One check.  In a chain of passes whose weights are all at least 1
+  (collapse passes, and every window and pass of ``pipeline.blur``),
+  every entry of an earlier pass is at most some entry of the result,
+  since each pass adds only nonnegative terms and every entry feeds at
+  least one entry of the next pass.  So the result needs one range
+  check, ``_checked``.  A sublane under 16 bytes holds less than
+  2**120; when they are 16 bytes or wider, as they are whenever
+  B > 2**127 - 1, one AND of the packed result with a mask of bits 127
+  and up of every kept sublane raises ``ExactOverflowError``
+  exactly where the unpacked loops, which scan each pass and each result
+  as they build it, would.
 
 A packed plane (``_Packed``) carries its shape, row stride, lane width
 and channel count, and flows between stages without being unpacked:
@@ -82,12 +95,10 @@ and any two chains of stages that compute the same window on one plane
 compute the same int, every lane included.
 
 A packed plane stores no range: its sublane width, sized from B when it
-is packed, is all its one check reads.  A sublane under 16 bytes holds
-less than 2**120, so only a sublane of 16 bytes or more is masked.  An
-exact ``Matrix`` has one range, its ``span``, which its constructor
-measures.  A matrix packs in lanes sized from its span, and a packed
-result unpacks, after its one check, into a matrix that measures its
-own.  Only this module reads the lane bytes: it packs, extends and
+is packed, is all its one check reads.  An exact ``Matrix`` has one
+range, its ``span``, which its constructor measures.  A matrix packs in
+lanes sized from its span, and a packed result unpacks, after its one
+check, into a matrix that measures its own.  Only this module reads the lane bytes: it packs, extends and
 unpacks them.
 """
 
@@ -97,7 +108,6 @@ import math
 import sys
 from array import array
 from collections import namedtuple
-from collections.abc import Callable
 from itertools import chain, islice, repeat
 from operator import add, and_, lshift, mul, rshift
 
@@ -204,41 +214,37 @@ class _Packed(namedtuple("_Packed", "rows cols stride bits value channels",
     mode = ScalarMode.EXACT
 
 
-def _packed(a: Matrix, bound: Callable[[int], int]) -> _Packed | None:
+def _packed(a: Matrix, total: int, top: int = 0) -> _Packed | None:
     # An exact plane a with no negative entry, packed by ``_packed_lanes``
-    # with B = bound(max(a)); else None.
+    # with high = max(a); else None.
     if a.mode is ScalarMode.EXACT and a.span[0] >= 0:
-        return _packed_lanes(a.rows, a.cols, 1, a.data, a.span[1], bound)
+        return _packed_lanes(a.rows, a.cols, 1, a.data, a.span[1], total, top)
     return None
 
 
 def _packed_lanes(rows: int, cols: int, channels: int, samples, high: int,
-                  bound: Callable[[int], int]) -> _Packed:
+                  total: int, top: int = 0) -> _Packed:
     # The one packer of a plane or an image: the rows x cols pixels of
     # ``channels`` interleaved samples each, row-major, every sample in
     # [0, high], with pixel k in lane k and its sample c in sublane c of the
-    # fewest whole bytes that hold B = bound(high).  Sample k of ``samples``
-    # is sublane k either way, so one ``_pack`` lays them out.
-    size = _size(bound(high))
+    # fewest whole bytes that hold B, the module docstring's lane rule for a
+    # window of weight total ``total`` and largest weight ``top``.  Sample k
+    # of ``samples`` is sublane k either way, so one ``_pack`` lays them out.
+    size = _size(max(high * total, high, top))
     return _Packed(rows, cols, cols, 8 * size * channels,
                    _pack(samples, size, high), channels)
-
-
-def _kept(p: _Packed, sublane: bytes) -> int:
-    # The byte pattern ``sublane`` in every sublane of every kept lane of p,
-    # zero elsewhere.
-    gap = bytes(p.bits // 8 * (p.stride - p.cols))
-    return int.from_bytes((sublane * (p.channels * p.cols) + gap) * p.rows,
-                          "little")
 
 
 def _checked(p: _Packed) -> None:
     # p's int128 check: in sublanes of 16 bytes or more, one AND over the
     # kept sublanes of p, whose bits 127 and up must all be clear.
     size = p.bits // 8 // p.channels
-    if size >= 16 and p.value & _kept(p, bytes(15) + b"\x80"
-                                      + b"\xff" * (size - 16)):
-        raise ExactOverflowError(OUT_OF_RANGE)
+    if size >= 16:
+        sublane = bytes(15) + b"\x80" + b"\xff" * (size - 16)
+        gap = bytes(p.bits // 8 * (p.stride - p.cols))
+        mask = (sublane * (p.channels * p.cols) + gap) * p.rows
+        if p.value & int.from_bytes(mask, "little"):
+            raise ExactOverflowError(OUT_OF_RANGE)
 
 
 def _lane_count(p: _Packed) -> int:
@@ -342,7 +348,7 @@ def _repeat(step, a: Matrix, s: int, room: int, what: str, passes: int) -> Matri
     # the result is returned as the loop leaves it.
     packed = None
     if s and isinstance(a, Matrix):
-        packed = _packed(a, lambda high: high << passes)
+        packed = _packed(a, 1 << passes)
     plane = packed or a
     for _ in range(s):
         plane = step(plane)
@@ -352,16 +358,14 @@ def _repeat(step, a: Matrix, s: int, room: int, what: str, passes: int) -> Matri
 def collapse_power(a: Matrix, s: int) -> Matrix:
     """s-fold collapse; s = 0 returns the input unchanged.
 
-    An exact nonnegative plane runs its passes on one packed int (see
-    the module docstring): entry (i, j) sits in unsigned lane i*n + j of
-    the fewest whole bytes that hold B = max(a) * 4**s, and the lanes
-    where a pass right wraps onto the next row are dropped at the end.
-    Every entry of an earlier pass is at most some entry of the result,
-    so one check of the result, one masked AND when the lanes are 16
-    bytes or wider, raises exactly where the scan of each pass would.  A
-    packed plane runs its passes in the lanes it has and stays packed.  A
-    plane with a negative entry, and a float one, runs each pass as the
-    pair-sum loop.
+    An exact nonnegative plane runs its passes on one packed int: entry
+    (i, j) sits in unsigned lane i*n + j of the fewest whole bytes that
+    hold B = max(a) * 4**s, and the lanes where a pass right wraps onto
+    the next row are dropped at the end.  The module docstring's lane rule
+    gives that B, and its one check of the result refuses where a scan of
+    each pass would.  A packed plane runs its passes in the lanes it has
+    and stays packed.  A plane with a negative entry, and a float one,
+    runs each pass as the pair-sum loop.
     """
     room = min(a.rows, a.cols)
     return _repeat(collapse, a, s, room, f"a {a.rows}x{a.cols} matrix", 2 * s)
@@ -445,15 +449,12 @@ def generalized_collapse(a: Matrix, gamma: GammaSpec) -> Matrix:
     formed.  Each distinct window row is multiplied once, and its product
     is added, so shifted, for every row i equal to it.
 
-    Each lane of the product, the lanes where the window wraps onto the
-    next row included, adds each weight at most once, so it lies in
-    [0, B] with B = max(max(a) * sum(w), max(a), max(w)), as does every
-    lane of the operands.  The lanes are the fewest whole bytes with
-    B < 2**L, for any B, and when they are 16 bytes or wider one AND of
-    the product with a mask of bits 127 and up of every kept lane raises
-    ``ExactOverflowError`` exactly where the entry scan would.  A packed
-    plane, as ``pipeline.blur`` passes, is multiplied in the lanes its
-    caller sized, and the product stays packed.
+    The lanes hold B = max(max(a) * sum(w), max(a), max(w)), the module
+    docstring's lane rule for the window w, so no lane of the product or
+    its operands carries, and the product's one check refuses where the
+    entry scan would.  A packed plane, as ``pipeline.blur`` passes, is
+    multiplied in the lanes its caller sized, and the product stays
+    packed.
 
     When the input or the window has a negative entry, and in float
     mode, the sum runs as shift-and-add over the flat input: window tap
@@ -476,9 +477,7 @@ def generalized_collapse(a: Matrix, gamma: GammaSpec) -> Matrix:
     if isinstance(a, _Packed):
         return _correlate(a, w)
     if w.span[0] >= 0:
-        # B bounds every lane of the product and of its operands.
-        plane = _packed(a, lambda high: max(high * sum(w.data), high,
-                                            w.span[1]))
+        plane = _packed(a, sum(w.data), w.span[1])
         if plane is not None:
             return _unpacked(_correlate(plane, w))
     d, zero = a.data, 0 if a.mode is ScalarMode.EXACT else 0.0

@@ -35,6 +35,28 @@ MAX_MAXVAL = 65535
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 
 
+# A message quotes at most this many bytes of a token, or digits of a
+# number, and marks a cut with "...".
+_SHOWN = 32
+# The most digits a number may have: Python 3.11's default limit for int()
+# of a string, held on every version, so that no token costs a quadratic
+# conversion before it is refused.
+_DIGITS = 4300
+
+
+def _quoted(token: bytes) -> str:
+    return f"{token[:_SHOWN]!r}{'...' * (len(token) > _SHOWN)}"
+
+
+def _number(n: int) -> str:
+    # A nonnegative n in decimal, cut.  A longer n first drops all but 32
+    # or more leading digits by one division, since ``str`` refuses an int
+    # of more than 4300 digits: n has n.bit_length() * 3 // 10 or more.
+    if n < 10**_SHOWN:
+        return str(n)
+    return str(n // 10 ** (n.bit_length() * 3 // 10 - _SHOWN))[:_SHOWN] + "..."
+
+
 class NetpbmError(ValueError):
     """Image parse failure; ``offset`` is the byte position."""
 
@@ -118,13 +140,14 @@ def _token(tokens: Iterator[re.Match], what: str, size: int) -> re.Match:
 def _int(tokens: Iterator[re.Match], what: str, size: int) -> tuple[int, re.Match]:
     """The next token as a number, with its match."""
     m = _token(tokens, what, size)
+    token = m[1]
     try:
         # Digits only: int() alone also takes "+5", "-0" and "1_0".
-        if m[1].isdigit():
-            return int(m[1]), m
+        if token.isdigit() and len(token) <= _DIGITS:
+            return int(token), m
     except ValueError:  # more digits than int() converts
         pass
-    raise NetpbmError(f"invalid {what} {m[1]!r}", m.start())
+    raise NetpbmError(f"invalid {what} {_quoted(token)}", m.start())
 
 
 def _read_header(tokens: Iterator[re.Match], size: int) -> tuple[int, int, int, int]:
@@ -133,9 +156,10 @@ def _read_header(tokens: Iterator[re.Match], size: int) -> tuple[int, int, int, 
         _int(tokens, what, size) for what in ("width", "height", "maxval")
     )
     if width < 1 or height < 1:
-        raise NetpbmError(f"bad dimensions {width}x{height}", last.end())
+        raise NetpbmError(f"bad dimensions {_number(width)}x{_number(height)}",
+                          last.end())
     if not 1 <= maxval <= MAX_MAXVAL:
-        raise NetpbmError(f"maxval {maxval} out of range", last.end())
+        raise NetpbmError(f"maxval {_number(maxval)} out of range", last.end())
     return width, height, maxval, last.end()
 
 
@@ -146,7 +170,8 @@ def _read_ascii_samples(
     for _ in range(count):
         value, m = _int(tokens, "sample", size)
         if value > maxval:
-            raise NetpbmError(f"sample {value} exceeds maxval {maxval}", m.start())
+            raise NetpbmError(f"sample {_number(value)} exceeds maxval {maxval}",
+                              m.start())
         out.append(value)
     return out
 
@@ -162,7 +187,8 @@ def _read_binary_samples(
     needed = count * width_bytes
     if len(data) - pos < needed:
         raise NetpbmError(
-            f"truncated raster: need {needed} bytes, have {len(data) - pos}",
+            f"truncated raster: need {_number(needed)} bytes, "
+            f"have {len(data) - pos}",
             len(data),
         )
     samples = data[pos : pos + needed]

@@ -22,19 +22,14 @@ passes shift-and-adds, each moving whole pixel lanes.  The result stays
 packed, its entries from lane 0 on, until it is unpacked once, its kept
 sublanes already interleaved as a raster, and rounded once.  An exact
 plane with no negative entry runs in :func:`blur` as the one-channel
-case of the same stages.  One sublane width serves all of them: the
-fewest whole bytes that hold B = m times the window's divisor, and at
-least the largest window weight, where m bounds the input: a raster's
-maxval, a plane's max(a), read off its span; an extension copies
-entries or adds zeros, so it keeps m.  Every image and window here is
-nonnegative, so each sublane is a sum of nonnegative terms of its own
-channel that uses each tap weight at most once, the lanes where a window
-wraps onto the next row included; so every sublane stays at most B and
-none carries into the next.  Every coefficient weight is an integer of at
-least 1, so every entry of an intermediate plane is at most some entry
-of the result, and one masked check of the result's kept sublanes
-against 2^127 raises :class:`ExactOverflowError` exactly where a scan of
-each pass would.
+case of the same stages.  One sublane width serves all of them: the lane
+rule of the ``collapse`` module docstring, for the window's divisor as
+its weight total and its largest weight, with the input bounded by a
+raster's maxval or a plane's max(a), read off its span; an extension
+copies entries or adds zeros, so it keeps that bound.  Every coefficient
+weight is an integer of at least 1, so by that docstring's proofs no
+sublane carries, and one masked check of the result refuses where a scan
+of each pass would, with :class:`ExactOverflowError`.
 
 :func:`equivalence_report` packs and extends its input once as well, runs
 the three methods on that plane and compares their results, packed
@@ -51,6 +46,7 @@ from __future__ import annotations
 import time
 from collections import namedtuple
 from enum import Enum
+from itertools import combinations
 
 from .collapse import (
     _Packed,
@@ -144,12 +140,6 @@ def _kernel(rows: int, cols: int, req: BlurRequest, mode: ScalarMode):
     return _coefficient_kernel(*req.rect, *req.collapses, mode)
 
 
-def _lane_bound(kernel):
-    # The bound B of every lane of every method's stages, from the input's
-    # maximum (see the module docstring).
-    return lambda high: max(high * kernel.divisor, kernel.weights.span[1])
-
-
 def _extended(kernel, plane, edge: EdgeMode):
     # ``plane``, packed or not, extended by the window's margins.
     if edge is EdgeMode.CROP:
@@ -161,8 +151,8 @@ def _plane(a: Matrix, req: BlurRequest):
     # The request's coefficient window, and the plane every method runs on:
     # a packed once when it packs, then extended.
     kernel = _kernel(a.rows, a.cols, req, a.mode)
-    return kernel, _extended(kernel, _packed(a, _lane_bound(kernel)) or a,
-                             req.edge)
+    packed = _packed(a, kernel.divisor, kernel.weights.span[1])
+    return kernel, _extended(kernel, packed or a, req.edge)
 
 
 def _numerator(method: Method, kernel, collapses, plane) -> FilterResult:
@@ -205,15 +195,17 @@ def blur_raster(image: Raster, req: BlurRequest) -> Raster:
     zero: raster to raster.
 
     The raster is packed once into one int, a pixel per lane and a
-    channel per sublane, in lanes sized for samples up to maxval,
-    extended, run through every stage of the method and unpacked once;
-    its kept sublanes, already interleaved as a raster, are rounded once.
+    channel per sublane, in lanes sized by the ``collapse`` module
+    docstring's lane rule for samples up to maxval, extended, run through
+    every stage of the method and unpacked once; its kept sublanes,
+    already interleaved as a raster, are rounded once.
     The window's weights are nonnegative integers that sum to its
     divisor, so every rounded sample lies in [0, maxval] with no clamp.
     """
     kernel = _kernel(image.height, image.width, req, ScalarMode.EXACT)
     plane = _packed_lanes(image.height, image.width, image.channels,
-                          image.samples, image.maxval, _lane_bound(kernel))
+                          image.samples, image.maxval, kernel.divisor,
+                          kernel.weights.span[1])
     num = _numerator(req.method, kernel, req.collapses,
                      _extended(kernel, plane, req.edge))
     out = num.numerator
@@ -272,16 +264,11 @@ def equivalence_report(a: Matrix, r: int, edge: EdgeMode) -> EquivalenceReport:
             # Each packed result's one int128 check, as unpacking runs it.
             _checked(out.numerator)
         results[method.value] = out
-    names = [m.value for m in Method]
     devs = {}
-    for i, first in enumerate(names):
-        for second in names[i + 1 :]:
-            x, y = results[first], results[second]
-            if x == y:
-                devs[(first, second)] = 0.0
-            else:
-                devs[(first, second)] = deviation(_unpacked_result(x),
-                                                  _unpacked_result(y))
+    for first, second in combinations(results, 2):
+        x, y = results[first], results[second]
+        devs[(first, second)] = 0.0 if x == y else deviation(
+            _unpacked_result(x), _unpacked_result(y))
     worst = max(devs.values())
     tol = 0.0 if a.mode is ScalarMode.EXACT else FLOAT_TOLERANCE
     return EquivalenceReport(
@@ -381,30 +368,29 @@ def benchmark(sizes: list[int], radii: list[int], repetitions: int) -> BenchRepo
 
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
+    # Every image and request is built, in loop order, before any is
+    # timed, so a bad size or radius is refused before the first blur.
+    cells = [(size, image, r, BlurRequest(radius=r, method=method))
+             for size in sizes for image in [seeded_image(size, size)]
+             for r in radii for method in Method]
     rows = []
-    for size in sizes:
-        image = seeded_image(size, size)
-        for r in radii:
-            reference = None
-            for method in Method:
-                req = BlurRequest(radius=r, method=method)
-                times = []
-                result = None
-                for _ in range(repetitions):
-                    start = time.perf_counter_ns()
-                    result = blur(image, req)
-                    times.append(time.perf_counter_ns() - start)
-                if method is Method.DIRECT:
-                    reference = result
-                rows.append(
-                    BenchRow(
-                        size=size,
-                        radius=r,
-                        method=method.value,
-                        median_ns=int(statistics.median(times)),
-                        entry_ops=entry_ops(method, size, size, r,
-                                            EdgeMode.REPLICATE),
-                        max_deviation=deviation(result, reference),
-                    )
-                )
+    for size, image, r, req in cells:
+        times = []
+        for _ in range(repetitions):
+            start = time.perf_counter_ns()
+            result = blur(image, req)
+            times.append(time.perf_counter_ns() - start)
+        if req.method is Method.DIRECT:
+            reference = result
+        rows.append(
+            BenchRow(
+                size=size,
+                radius=r,
+                method=req.method.value,
+                median_ns=int(statistics.median(times)),
+                entry_ops=entry_ops(req.method, size, size, r,
+                                    EdgeMode.REPLICATE),
+                max_deviation=deviation(result, reference),
+            )
+        )
     return BenchReport(tuple(rows))

@@ -197,6 +197,32 @@ class TestBlurCommand:
             assert main(["blur", src, str(tmp_path / "out.pgm")]) == 2
             assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body, message", [
+        (b"P2\n1 1\n255\n" + b"1" * 1_000_000 + b"\n",
+         "invalid sample b'" + "1" * 32 + "'... (byte 11)"),
+        (b"P2\n" + b"9" * 5000 + b" 1\n255\n0\n",
+         "invalid width b'" + "9" * 32 + "'... (byte 3)"),
+        # int() takes 4000 digits, and the sample is above maxval.
+        (b"P2\n1 1\n255\n" + b"9" * 4000 + b"\n",
+         "sample " + "9" * 32 + "... exceeds maxval 255 (byte 11)"),
+        # The dimensions are refused at the end of the maxval token.
+        (b"P2\n0 " + b"9" * 4000 + b"\n255\n0\n",
+         "bad dimensions 0x" + "9" * 32 + "... (byte 4009)"),
+        # A raster size of 8000 digits, more than str() converts.
+        (b"P5\n" + b"9" * 4000 + b" " + b"9" * 4000 + b"\n255\n\0",
+         "truncated raster: need " + "9" * 32 + "... bytes, have 1 (byte 8010)"),
+    ], ids=["1mb-sample", "5000-digit-width", "4000-digit-sample",
+            "4000-digit-height", "8000-digit-raster-size"])
+    def test_a_long_token_gets_a_short_message(self, body, message, tmp_path,
+                                               capsys):
+        # A message quotes at most 32 bytes of a token or digits of a number
+        # and keeps the byte offset.
+        src = write_pgm(tmp_path / "long.pgm", body)
+        assert main(["blur", src, str(tmp_path / "out.pgm")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert len(err.encode()) < 200
+
     @pytest.mark.parametrize("command", ["blur", "kernel"])
     def test_interp_overflow_fails_fast(self, command, tmp_path, capsys):
         argv = [command, "--filter", "interp", "--radius", "40", "--s", "80"]

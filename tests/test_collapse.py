@@ -1080,10 +1080,10 @@ class TestPixelLanes:
         samples = data.draw(st.lists(entry, min_size=m * n * c, max_size=m * n * c))
         weights = data.draw(st.lists(st.integers(0, 9), min_size=b1 * b2,
                                      max_size=b1 * b2))
+        k = downs + rights
         plane = collapse_module._packed_lanes(
-            m, n, c, samples, max(samples),
-            lambda high: max(high * sum(weights), high, max(weights))
-            << downs + rights)
+            m, n, c, samples, max(samples), max(sum(weights), 1) << k,
+            max(weights) << k)
         out = generalized_collapse(plane, GammaSpec(Matrix(b1, b2, tuple(weights))))
         for _ in range(downs):
             out = collapse_down(out)

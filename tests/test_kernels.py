@@ -316,7 +316,7 @@ def packed_extensions(draw):
     entry = st.integers(0, min(2**bits, INT128_MAX // taps))
     a = Matrix(m, n, tuple(draw(st.lists(entry, min_size=m * n, max_size=m * n))))
     spare = draw(st.integers(0, 8))
-    packed = _packed(a, lambda high: high * taps << spare)
+    packed = _packed(a, taps << spare)
     if taps > 1:
         window = GammaSpec(Matrix.filled(b1, b2, 1))
         a = generalized_collapse(a, window)

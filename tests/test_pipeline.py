@@ -699,6 +699,22 @@ class TestBenchmark:
         with pytest.raises(ValueError):
             benchmark([8], [1], repetitions=0)
 
+    @pytest.mark.parametrize("sizes, radii, error, message", [
+        ([8, 0], [1], DimensionError, "matrix dimensions must be positive, got 0x0"),
+        ([8], [1, -1], ValueError, "radius must be nonnegative"),
+    ])
+    def test_bad_cell_refused_before_any_blur(self, sizes, radii, error,
+                                              message, monkeypatch):
+        # A bad size or radius after a good one is refused with the message
+        # its own cell gives, before the good cells are timed.
+        def unreached(image, req):
+            raise AssertionError("a blur was timed before the refusal")
+
+        monkeypatch.setattr(pipeline, "blur", unreached)
+        with pytest.raises(error) as info:
+            benchmark(sizes, radii, repetitions=1)
+        assert str(info.value) == message
+
     def test_csv_format(self):
         report = benchmark([8], [1], repetitions=1)
         text = report.to_csv()
