@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # Window options, shared by blur and kernel.
     window = argparse.ArgumentParser(add_help=False)
-    window.add_argument("--radius", "-r", type=int, default=1,
+    window.add_argument("--radius", "-r", type=int, default=None,
                         help="window radius (default 1)")
     window.add_argument("--filter", choices=["gauss", "box", "interp", "rect"],
                         default="gauss", dest="filter_name",
@@ -100,17 +100,24 @@ def _int_list(text: str) -> list[int]:
 
 def _request(args, **fields) -> BlurRequest:
     # The request of the window the options name, with ``fields``; its
-    # filter's options must be set, and an interp step in range.
-    if args.filter_name == "rect":
+    # filter's options must be set, no other window option given, and an
+    # interp step in range.
+    name = args.filter_name
+    takes = {"rect": ("a", "b"), "interp": ("radius", "s")}.get(name, ("radius",))
+    for option in ("radius", "s", "a", "b"):
+        if getattr(args, option) is not None and option not in takes:
+            raise ValueError(f"--filter {name} does not take --{option}")
+    if name == "rect":
         if args.a is None or args.b is None:
             raise ValueError("--filter rect requires --a and --b")
         return BlurRequest(rect=(args.a, args.b), **fields)
-    if args.filter_name == "interp":
+    radius = 1 if args.radius is None else args.radius
+    if name == "interp":
         if args.s is None:
             raise ValueError("--filter interp requires --s")
-        check_interpolation(args.radius, args.s)
-    collapses = {"box": (0, 0), "interp": (args.s, args.s)}.get(args.filter_name)
-    return BlurRequest(radius=args.radius, collapses=collapses, **fields)
+        check_interpolation(radius, args.s)
+    collapses = {"box": (0, 0), "interp": (args.s, args.s)}.get(name)
+    return BlurRequest(radius=radius, collapses=collapses, **fields)
 
 
 def _cmd_blur(args) -> int:

@@ -34,15 +34,16 @@ entries of its own channel.
 
 The lane rule.  A plane whose entries lie in [0, high] is packed for the
 chain of stages it will run, whose weights are nonnegative and multiply
-out to a window of weight total ``total`` and largest weight ``top``: a
-collapse power's passes have total 2**passes, a generalized collapse
-the sum and the largest weight of its window, and a blur the divisor and
-the largest weight of its coefficient window.  Every sublane is sized
+out to a window of weight total ``total``: a collapse power's passes
+have total 2**passes, a generalized collapse the sum of its window, and
+a blur the divisor of its coefficient window.  Every sublane is sized
 from one expression, in ``_packed_lanes``: B = max(high * total, high,
-top).  Two proofs rest on it, sublane by sublane:
+total), which is high * total unless the plane or the window is all
+zero.  Two proofs rest on it, sublane by sublane:
 
 - No carry.  Each sublane holds an entry (at most high), a weight (at
-  most top), or a sum of nonnegative terms of its own channel that uses
+  most total: a weight is at most the total, since no weight is
+  negative), or a sum of nonnegative terms of its own channel that uses
   each window weight at most once (at most high * total), the lanes
   where a window wraps onto the next row included; so it is at most
   B < 2**L, and no sublane carries into the next, nor a lane's last
@@ -73,7 +74,8 @@ their own bound, run the stage and unpack.
 A collapse power packs entry (i, j) of the plane in lane i*n + j
 (row-major, row stride n = the input's column count, kept through every
 pass), so a pass down is ``X + (X >> L*n)`` and a pass right is
-``X + (X >> L)``: one bigint addition each, with B = max(a) * 2**passes.
+``X + (X >> L)``: one bigint addition each, in lanes sized for the
+total 2**passes.
 The last lanes of each row, where a pass right adds the first lane of the
 next row, and the lanes below the last row are computed and dropped.
 
@@ -214,23 +216,23 @@ class _Packed(namedtuple("_Packed", "rows cols stride bits value channels",
     mode = ScalarMode.EXACT
 
 
-def _packed(a: Matrix, total: int, top: int = 0) -> _Packed | None:
+def _packed(a: Matrix, total: int) -> _Packed | None:
     # An exact plane a with no negative entry, packed by ``_packed_lanes``
     # with high = max(a); else None.
     if a.mode is ScalarMode.EXACT and a.span[0] >= 0:
-        return _packed_lanes(a.rows, a.cols, 1, a.data, a.span[1], total, top)
+        return _packed_lanes(a.rows, a.cols, 1, a.data, a.span[1], total)
     return None
 
 
 def _packed_lanes(rows: int, cols: int, channels: int, samples, high: int,
-                  total: int, top: int = 0) -> _Packed:
+                  total: int) -> _Packed:
     # The one packer of a plane or an image: the rows x cols pixels of
     # ``channels`` interleaved samples each, row-major, every sample in
     # [0, high], with pixel k in lane k and its sample c in sublane c of the
     # fewest whole bytes that hold B, the module docstring's lane rule for a
-    # window of weight total ``total`` and largest weight ``top``.  Sample k
-    # of ``samples`` is sublane k either way, so one ``_pack`` lays them out.
-    size = _size(max(high * total, high, top))
+    # window of weight total ``total``.  Sample k of ``samples`` is sublane
+    # k either way, so one ``_pack`` lays them out.
+    size = _size(max(high * total, high, total))
     return _Packed(rows, cols, cols, 8 * size * channels,
                    _pack(samples, size, high), channels)
 
@@ -360,10 +362,10 @@ def collapse_power(a: Matrix, s: int) -> Matrix:
 
     An exact nonnegative plane runs its passes on one packed int: entry
     (i, j) sits in unsigned lane i*n + j of the fewest whole bytes that
-    hold B = max(a) * 4**s, and the lanes where a pass right wraps onto
-    the next row are dropped at the end.  The module docstring's lane rule
-    gives that B, and its one check of the result refuses where a scan of
-    each pass would.  A packed plane runs its passes in the lanes it has
+    hold the module docstring's lane rule for the total 4**s, and the
+    lanes where a pass right wraps onto the next row are dropped at the
+    end.  That docstring's one check of the result refuses where a scan
+    of each pass would.  A packed plane runs its passes in the lanes it has
     and stays packed.  A plane with a negative entry, and a float one,
     runs each pass as the pair-sum loop.
     """
@@ -438,23 +440,13 @@ def generalized_collapse(a: Matrix, gamma: GammaSpec) -> Matrix:
     with the window flipped.
 
     In exact mode, with a nonnegative input and window, the whole sum is
-    a sum of products of packed ints (Kronecker substitution).  The input
-    packs entry k into L-bit lane k (row-major, row stride n), and window
-    row i packs reversed, weight (i, j) in lane b2-1-j.  Lane
-    (p+i)*n + q+b2-1 of their product collects input (p+i, q+j) times
-    weight (i, j) over the row's taps, so the product right-shifted by
-    L*(n*i + b2-1) bits holds them in lane p*n + q, and the sum of these
-    over every row holds output (p, q) there: row p of the output is a
-    slice of n - b2 + 1 lanes from lane p*n, and no lane below lane 0 is
-    formed.  Each distinct window row is multiplied once, and its product
-    is added, so shifted, for every row i equal to it.
-
-    The lanes hold B = max(max(a) * sum(w), max(a), max(w)), the module
-    docstring's lane rule for the window w, so no lane of the product or
-    its operands carries, and the product's one check refuses where the
-    entry scan would.  A packed plane, as ``pipeline.blur`` passes, is
-    multiplied in the lanes its caller sized, and the product stays
-    packed.
+    a sum of products of packed ints (Kronecker substitution, as the
+    module docstring lays out), one product per distinct window row, in
+    lanes sized by that docstring's lane rule for the total sum(w): no
+    lane of the product or its operands carries, and the product's one
+    check refuses where the entry scan would.  A packed plane, as
+    ``pipeline.blur`` passes, is multiplied in the lanes its caller sized,
+    and the product stays packed.
 
     When the input or the window has a negative entry, and in float
     mode, the sum runs as shift-and-add over the flat input: window tap
@@ -477,7 +469,7 @@ def generalized_collapse(a: Matrix, gamma: GammaSpec) -> Matrix:
     if isinstance(a, _Packed):
         return _correlate(a, w)
     if w.span[0] >= 0:
-        plane = _packed(a, sum(w.data), w.span[1])
+        plane = _packed(a, sum(w.data))
         if plane is not None:
             return _unpacked(_correlate(plane, w))
     d, zero = a.data, 0 if a.mode is ScalarMode.EXACT else 0.0

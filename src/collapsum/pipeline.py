@@ -24,12 +24,12 @@ sublanes already interleaved as a raster, and rounded once.  An exact
 plane with no negative entry runs in :func:`blur` as the one-channel
 case of the same stages.  One sublane width serves all of them: the lane
 rule of the ``collapse`` module docstring, for the window's divisor as
-its weight total and its largest weight, with the input bounded by a
-raster's maxval or a plane's max(a), read off its span; an extension
-copies entries or adds zeros, so it keeps that bound.  Every coefficient
-weight is an integer of at least 1, so by that docstring's proofs no
-sublane carries, and one masked check of the result refuses where a scan
-of each pass would, with :class:`ExactOverflowError`.
+its weight total, with the input bounded by a raster's maxval or a
+plane's max(a), read off its span; an extension copies entries or adds
+zeros, so it keeps that bound.  Every coefficient weight is an integer
+of at least 1, so by that docstring's proofs no sublane carries, and one
+masked check of the result refuses where a scan of each pass would, with
+:class:`ExactOverflowError`.
 
 :func:`equivalence_report` packs and extends its input once as well, runs
 the three methods on that plane and compares their results, packed
@@ -151,7 +151,7 @@ def _plane(a: Matrix, req: BlurRequest):
     # The request's coefficient window, and the plane every method runs on:
     # a packed once when it packs, then extended.
     kernel = _kernel(a.rows, a.cols, req, a.mode)
-    packed = _packed(a, kernel.divisor, kernel.weights.span[1])
+    packed = _packed(a, kernel.divisor)
     return kernel, _extended(kernel, packed or a, req.edge)
 
 
@@ -194,18 +194,14 @@ def blur_raster(image: Raster, req: BlurRequest) -> Raster:
     """``image`` blurred by ``req``, every channel rounded half away from
     zero: raster to raster.
 
-    The raster is packed once into one int, a pixel per lane and a
-    channel per sublane, in lanes sized by the ``collapse`` module
-    docstring's lane rule for samples up to maxval, extended, run through
-    every stage of the method and unpacked once; its kept sublanes,
-    already interleaved as a raster, are rounded once.
-    The window's weights are nonnegative integers that sum to its
-    divisor, so every rounded sample lies in [0, maxval] with no clamp.
+    The raster is packed once, a pixel per lane, extended, run through
+    every stage of the method, unpacked once and rounded once (see the
+    module docstring).  The window's weights are nonnegative integers that
+    sum to its divisor, so every rounded sample lies in [0, maxval].
     """
     kernel = _kernel(image.height, image.width, req, ScalarMode.EXACT)
     plane = _packed_lanes(image.height, image.width, image.channels,
-                          image.samples, image.maxval, kernel.divisor,
-                          kernel.weights.span[1])
+                          image.samples, image.maxval, kernel.divisor)
     num = _numerator(req.method, kernel, req.collapses,
                      _extended(kernel, plane, req.edge))
     out = num.numerator
@@ -368,11 +364,14 @@ def benchmark(sizes: list[int], radii: list[int], repetitions: int) -> BenchRepo
 
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
-    # Every image and request is built, in loop order, before any is
-    # timed, so a bad size or radius is refused before the first blur.
+    # Every image and request is built, in loop order, and then every
+    # cell's window, before any is timed, so a bad size or radius, or a
+    # window that cannot be built, is refused before the first blur.
     cells = [(size, image, r, BlurRequest(radius=r, method=method))
              for size in sizes for image in [seeded_image(size, size)]
              for r in radii for method in Method]
+    for size, _, _, req in cells:
+        _kernel(size, size, req, ScalarMode.EXACT)
     rows = []
     for size, image, r, req in cells:
         times = []

@@ -76,6 +76,14 @@ class TestWindowResolution:
          "interpolation step must satisfy 0 <= s <= 2r, got 5"),
         (["--filter", "rect", "--a", "200", "--b", "3"],
          "200x3 binomial window exceeds the signed 128-bit range"),
+        # A window option the filter does not take is refused, not ignored.
+        (["--filter", "rect", "--a", "2", "--b", "3", "--radius", "-5", "--s", "9"],
+         "--filter rect does not take --radius"),
+        (["--radius", "1", "--s", "9", "--a", "4"],
+         "--filter gauss does not take --s"),
+        (["--filter", "box", "--s", "0"], "--filter box does not take --s"),
+        (["--filter", "interp", "--radius", "2", "--s", "1", "--b", "3"],
+         "--filter interp does not take --b"),
     ])
     def test_a_bad_window_gets_one_message_from_both_commands(
             self, window, message, tmp_path, capsys):

@@ -94,10 +94,9 @@ def nonnegative_entries(bits):
 
 
 def lane_bound(a, w):
-    """B = max(max|a| * sum|w|, max|a|, max|w|), by the definition."""
-    top = max(abs(x) for x in a.data)
-    return max(top * sum(abs(x) for x in w.data), top,
-               max(abs(x) for x in w.data))
+    """B = max(max|a| * sum|w|, max|a|, sum|w|), by the definition."""
+    top, total = max(abs(x) for x in a.data), sum(abs(x) for x in w.data)
+    return max(top * total, top, total)
 
 
 def correlation_bits(a, w):
@@ -674,6 +673,10 @@ class TestGeneralized:
             # Negative minima: -(2**31 - 1), then -(2**31).
             ([[-NARROW_MAX, -1]], [[1]], True),
             ([[-(2**31), 5]], [[1]], True),
+            # An all-zero plane takes lanes that hold the window's total,
+            # 256 in 2-byte lanes; an all-zero window lanes that hold max(a).
+            ([[0, 0]], [[255, 1]], True),
+            ([[7, 3]], [[0, 0]], True),
             *nonnegative_correlation_edges(),
         ],
     )
@@ -1082,8 +1085,7 @@ class TestPixelLanes:
                                      max_size=b1 * b2))
         k = downs + rights
         plane = collapse_module._packed_lanes(
-            m, n, c, samples, max(samples), max(sum(weights), 1) << k,
-            max(weights) << k)
+            m, n, c, samples, max(samples), max(sum(weights), 1) << k)
         out = generalized_collapse(plane, GammaSpec(Matrix(b1, b2, tuple(weights))))
         for _ in range(downs):
             out = collapse_down(out)

@@ -702,11 +702,14 @@ class TestBenchmark:
     @pytest.mark.parametrize("sizes, radii, error, message", [
         ([8, 0], [1], DimensionError, "matrix dimensions must be positive, got 0x0"),
         ([8], [1, -1], ValueError, "radius must be nonnegative"),
+        ([64], [8, 40], ExactOverflowError,
+         "81x81 binomial window exceeds the signed 128-bit range"),
     ])
     def test_bad_cell_refused_before_any_blur(self, sizes, radii, error,
                                               message, monkeypatch):
-        # A bad size or radius after a good one is refused with the message
-        # its own cell gives, before the good cells are timed.
+        # A bad size or radius, or a window that cannot be built, after a
+        # good one is refused with the message its own cell gives, before
+        # the good cells are timed.
         def unreached(image, req):
             raise AssertionError("a blur was timed before the refusal")
 
