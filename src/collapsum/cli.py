@@ -19,6 +19,7 @@ from .pipeline import (
     equivalence_report,
     seeded_image,
 )
+from .structured import _check_window
 
 # Not called here: blur requests no longer pass through them.  Kept only so
 # that the wrap points perfbench/tracing.py names here still resolve.
@@ -121,10 +122,13 @@ def _request(args, **fields) -> BlurRequest:
 
 
 def _cmd_blur(args) -> int:
+    # A bad window, one whose exact weights leave int128 included, is
+    # refused before the input is opened and before any weight is built.
+    req = _request(args, method=Method(args.method), edge=EdgeMode(args.edge))
+    _check_window(*req.rect, *req.collapses)
     with open(args.input, "rb") as fh:
         raw = fh.read()
     image = read_raster(raw)
-    req = _request(args, method=Method(args.method), edge=EdgeMode(args.edge))
     encoding = "ascii" if raw[:2] in (b"P2", b"P3") else "binary"
     out = write_raster(blur_raster(image, req), encoding)
     with open(args.output, "wb") as fh:

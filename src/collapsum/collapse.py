@@ -19,10 +19,15 @@ bits, a whole number of bytes: the narrowest L >= 8 with B < 2**L for
 the bound B below, with no upper limit.  So an 8-bit image blurred at
 radius 4 (B = 255 * 4**8 < 2**24) packs in 3-byte lanes, and a 16-bit
 one at radius 12 (B = 65535 * 4**24 < 2**64) in 8-byte lanes.  One
-packer, ``_pack``, serves every width: it scatters and gathers the
+packer, ``_pack``, and one unpacker, ``_unpack``, serve every width.
+Values of at most 8 bytes, every raster sample among them, move as the
 bytes of native ``array`` items, byte-swapped on a big-endian host,
-with slice assignment, and lanes wider than 8 bytes do so per 64-bit
-digit, with no Python code per entry.
+scattered into and gathered from their lanes by slice assignment, with
+no Python code per entry.  The packer converts wider values one at a
+time, since only the weights of large windows and matrix entries of
+2**64 or more are that wide.  The unpacker gathers wider sublanes per
+64-bit digit, since every blur of an 8-bit image at radius 15 or more
+(13 or more for 16 bits) unpacks sublanes wider than 8 bytes.
 
 An image of several channels packs as one int of pixel lanes: pixel k
 in lane k and its channel c in sublane c, of L bits each, so a lane is
@@ -111,7 +116,7 @@ import sys
 from array import array
 from collections import namedtuple
 from itertools import chain, islice, repeat
-from operator import add, and_, lshift, mul, rshift
+from operator import add, lshift, mul
 
 from .matrix import (
     OUT_OF_RANGE,
@@ -130,7 +135,6 @@ MAX_AXES = 8
 # from ints as slowly as 'B', about three times slower than 'I'.  Packed
 # ints are little-endian, so a big-endian host byte-swaps the items.
 _NATIVE = {array(code).itemsize: code for code in "BIQ"}
-_DIGIT = 2**64 - 1
 
 
 def _size(bound: int) -> int:
@@ -145,32 +149,31 @@ def _native(size: int) -> int:
 
 def _pack(values, size: int, top: int) -> int:
     # One int whose ``size``-byte lane k holds values[k], each in [0, top]
-    # with top < 2**(8 * size): the bytes of the narrowest native items
-    # that hold the values, taken 64 bits at a time beyond 8 bytes, are
-    # scattered into their lanes.
+    # with top < 2**(8 * size).  Values of at most 8 bytes, every raster
+    # sample among them, scatter the bytes of the narrowest native items
+    # that hold them into their lanes.  Wider values, the weights of large
+    # binomial windows (radius 18 and up) and matrix entries of 2**64 or
+    # more, are converted one at a time: no native item holds them, and a
+    # scatter per 64-bit digit timed slower than this on 67 values and on
+    # 65,536.
     width = _size(top)
     if width > 8:
-        values = tuple(values)
-    buf = None
-    for lo in range(0, width, 8):
-        k = min(8, width - lo)
-        step = _native(k)
-        digit = values
-        if width > 8:
-            digit = map(and_, map(rshift, values, repeat(8 * lo)), repeat(_DIGIT))
-        # ``bytes`` builds 1-byte items about four times as fast as
-        # ``array('B')`` does.
-        if step == 1:
-            src = bytes(digit)
-        else:
-            items = array(_NATIVE[step], digit)
-            if sys.byteorder == "big":
-                items.byteswap()
-            src = items.tobytes()
-        if buf is None:
-            buf = bytearray(size * (len(src) // step))
-        for j in range(k):
-            buf[lo + j :: size] = src[j::step]
+        return int.from_bytes(
+            b"".join(v.to_bytes(size, "little") for v in values), "little"
+        )
+    step = _native(width)
+    # ``bytes`` builds 1-byte items about four times as fast as
+    # ``array('B')`` does.
+    if step == 1:
+        src = bytes(values)
+    else:
+        items = array(_NATIVE[step], values)
+        if sys.byteorder == "big":
+            items.byteswap()
+        src = items.tobytes()
+    buf = bytearray(size * (len(src) // step))
+    for j in range(width):
+        buf[j::size] = src[j::step]
     return int.from_bytes(buf, "little")
 
 

@@ -71,7 +71,6 @@ from .kernels import (
 # Not called here; kept because perfbench/tracing.py wraps them here.
 from .kernels import extend, gaussian_kernel, gaussian_kernel_rect  # noqa: F401
 from .matrix import DimensionError, Matrix, ScalarMode, _Record, _rounded, scale
-from .netpbm import Raster
 from .structured import _check_counts
 
 FLOAT_TOLERANCE = 1e-9
@@ -111,10 +110,12 @@ class BlurRequest(_Record, namedtuple("BlurRequest", "rect collapses method edge
         return (None, *self)
 
     def _replace(self, **changes):
-        # A binomial request stays binomial on a new rect; explicit box and
-        # interp collapses are kept, and refused when they do not fit it.
+        # A binomial request stays binomial on a new rect, and collapses=None
+        # means its binomial, as in the constructor; explicit box and interp
+        # collapses are kept, and refused when they do not fit it.
         h, w = self.rect
-        if "collapses" not in changes and self.collapses == (h - 1, w - 1):
+        kept = None if self.collapses == (h - 1, w - 1) else self.collapses
+        if changes.setdefault("collapses", kept) is None:
             h, w = changes.get("rect", self.rect)
             changes["collapses"] = (h - 1, w - 1)
         return super()._replace(**changes)

@@ -153,6 +153,18 @@ def coefficient_sides(m: int, n: int, a: int, b: int) -> tuple[list, list]:
     return _side(m, a), _side(n, b)
 
 
+def _check_window(m: int, n: int, a: int, b: int) -> None:
+    # Refuses the counts, and an exact window whose largest entry leaves the
+    # signed 128-bit range, before any entry is computed.  The middle window
+    # holds C(a, a//2) >= 2^a / (a+1), so a + b past MAX_COLLAPSES always
+    # overflows; only smaller counts need the peak computed.
+    _check_counts(m, n, a, b)
+    if a + b > MAX_COLLAPSES or _peak(m, a) * _peak(n, b) > INT128_MAX:
+        raise ExactOverflowError(
+            f"{m}x{n} binomial window exceeds the signed 128-bit range"
+        )
+
+
 def coefficient_matrix(m: int, n: int, a: int, b: int) -> Matrix:
     """m x n matrix whose (i, j) entry counts how often input entry
     (i, j) contributes to the summed total of a vertical^a horizontal^b
@@ -163,14 +175,7 @@ def coefficient_matrix(m: int, n: int, a: int, b: int) -> Matrix:
     entry leaves the signed 128-bit range is refused before any entry is
     computed.
     """
-    _check_counts(m, n, a, b)
-    # The middle window holds C(a, a//2) >= 2^a / (a+1), so a + b past
-    # MAX_COLLAPSES always overflows; only smaller counts need the peak
-    # computed.
-    if a + b > MAX_COLLAPSES or _peak(m, a) * _peak(n, b) > INT128_MAX:
-        raise ExactOverflowError(
-            f"{m}x{n} binomial window exceeds the signed 128-bit range"
-        )
+    _check_window(m, n, a, b)
     beta = _side(n, b)
     return Matrix(m, n, tuple(x * y for x in _side(m, a) for y in beta))
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import types
+from array import array
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,41 @@ G5_TABLE = (
 def write_pgm(path, body):
     path.write_bytes(body)
     return str(path)
+
+
+class BigEndianArray:
+    """``array.array`` as a big-endian host has it: items sit big-endian in
+    their buffer, so items built from bytes, and the bytes of items, are
+    big-endian."""
+
+    def __init__(self, code, init=()):
+        self.items = array(code, init)
+        if isinstance(init, (bytes, bytearray)):
+            self.items.byteswap()
+
+    @property
+    def itemsize(self):
+        return self.items.itemsize
+
+    def byteswap(self):
+        self.items.byteswap()
+
+    def tobytes(self):
+        swapped = array(self.items.typecode, self.items)
+        swapped.byteswap()
+        return swapped.tobytes()
+
+    def tolist(self):
+        return self.items.tolist()
+
+    def __getitem__(self, k):
+        return self.items[k]
+
+    def __iter__(self):
+        return iter(self.items)
+
+    def __len__(self):
+        return len(self.items)
 
 
 class TestKernelCommand:
@@ -86,12 +122,22 @@ class TestWindowResolution:
          "--filter interp does not take --b"),
     ])
     def test_a_bad_window_gets_one_message_from_both_commands(
-            self, window, message, tmp_path, capsys):
+            self, window, message, tmp_path, capsys, monkeypatch):
+        # blur refuses the window before it reads the input: no raster is
+        # parsed, and a missing input gets the window's message.
+        def unread(data):
+            raise AssertionError("the input was read")
+
+        cli = importlib.import_module("collapsum.cli")
+        monkeypatch.setattr(cli, "read_raster", unread)
         src = write_pgm(tmp_path / "in.pgm", b"P2\n4 4\n255\n" + b"1 " * 16)
         for argv in (["kernel", *window],
-                     ["blur", *window, src, str(tmp_path / "out.pgm")]):
+                     ["blur", *window, src, str(tmp_path / "out.pgm")],
+                     ["blur", *window, str(tmp_path / "missing.pgm"),
+                      str(tmp_path / "out.pgm")]):
             assert main(argv) == 2
             assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out.pgm").exists()
 
     @pytest.mark.parametrize("window, kernel", [
         (["--radius", "3"], gaussian_kernel(3)),
@@ -392,31 +438,6 @@ class TestBlurCommand:
         # native bytes; the same emulation with no swap fails or writes
         # other bytes, so the swapped items are the ones that ran.
         collapse = importlib.import_module("collapsum.collapse")
-        native = collapse.array
-
-        class BigEndianArray:
-            def __init__(self, code, init=()):
-                self.items = native(code, init)
-                if isinstance(init, (bytes, bytearray)):
-                    self.items.byteswap()
-
-            def byteswap(self):
-                self.items.byteswap()
-
-            def tobytes(self):
-                swapped = native(self.items.typecode, self.items)
-                swapped.byteswap()
-                return swapped.tobytes()
-
-            def __getitem__(self, k):
-                return self.items[k]
-
-            def __iter__(self):
-                return iter(self.items)
-
-            def __len__(self):
-                return len(self.items)
-
         rng = random.Random(19)
         # Sublanes of 2, 3 and 10 bytes: one native item, or two 64-bit digits.
         for maxval, radius, edge in ((255, 1, "mirror"), (1000, 2, "mirror"),
@@ -446,6 +467,28 @@ class TestBlurCommand:
                 key = (maxval, method)
                 assert written["big"] == expected, key
                 assert written["little"] != expected, key
+
+    @pytest.mark.parametrize("magic, channels", [(b"P6", 3), (b"P5", 1)])
+    def test_a_big_endian_host_reads_and_writes_16_bit_samples(
+            self, magic, channels, monkeypatch):
+        # The same emulation inside netpbm: a 16-bit raster reads back its
+        # native samples and writes its own bytes, through the byte swaps
+        # of the binary reader and ``_big_endian_16``; with no swap, the
+        # samples and the bytes differ.
+        netpbm = importlib.import_module("collapsum.netpbm")
+        rng = random.Random(23)
+        data = b"%s\n8 5\n65535\n" % magic + bytes(
+            rng.randrange(256) for _ in range(2 * channels * 40))
+        samples = netpbm.read_raster(data).samples
+        for byteorder in ("big", "little"):
+            monkeypatch.setattr(netpbm, "array", BigEndianArray)
+            monkeypatch.setattr(
+                netpbm, "sys", types.SimpleNamespace(byteorder=byteorder))
+            raster = netpbm.read_raster(data)
+            written = netpbm.write_raster(raster._replace(samples=samples))
+            monkeypatch.undo()
+            assert (raster.samples == samples) == (byteorder == "big")
+            assert (written == data) == (byteorder == "big")
 
     def test_crop_radius_too_large(self, tmp_path, capsys):
         src = write_pgm(tmp_path / "in.pgm", b"P2\n3 3\n255\n" + b"1 " * 9)
@@ -644,6 +687,10 @@ class TestBenchCommand:
         assert text.startswith(CSV_HEADER + "\n")
         assert len(text.splitlines()) == 1 + 2 * 2 * 3
         assert capsys.readouterr().out == ""
+
+    def test_an_empty_list_times_nothing(self, capsys):
+        assert main(["bench", "--sizes", "8", "--radii", ""]) == 0
+        assert capsys.readouterr().out == CSV_HEADER + "\n"
 
 
 class TestUsage:

@@ -334,6 +334,23 @@ class TestParse:
         assert str(err.value).startswith("invalid width b'1111")
         assert err.value.offset == 3
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"),
+        reason="int() converts any number of digits on this interpreter",
+    )
+    def test_a_number_past_a_lowered_int_limit_is_invalid(self):
+        # Under 4300 digits, yet past the interpreter's own limit: int()
+        # refuses it, and the message is the short one of any bad token.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(NetpbmError) as err:
+                read_netpbm(b"P2\n1 1\n" + b"1" * 700 + b"\n1")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert str(err.value) == f"invalid maxval {b'1' * 32!r}... (byte 7)"
+        assert len(str(err.value)) == 62
+
     @pytest.mark.parametrize(
         "tail",
         [b" " * 2_000_000, b"#" + b"c" * 2_000_000, b"# c\n" * 500_000],

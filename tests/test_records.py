@@ -155,6 +155,11 @@ def test_blur_request_forms_of_one_window_are_one_record():
     assert box.collapses == (0, 0)
     with pytest.raises(DimensionError, match="need 0 <= a < m, got a=2, m=2"):
         BlurRequest(rect=(3, 3), collapses=(2, 1))._replace(rect=(2, 3))
+    # collapses=None means the binomial of the resulting rect, as it does in
+    # the constructor; explicit collapses are taken as given.
+    assert box._replace(collapses=None) == BlurRequest(rect=(5, 7))
+    assert box._replace(rect=(3, 3), collapses=None) == BlurRequest(radius=1)
+    assert wider._replace(rect=(3, 5), collapses=(1, 1)).collapses == (1, 1)
     for request in (wider, box):
         assert pickle.loads(pickle.dumps(request)) == request
 
