@@ -414,13 +414,36 @@ class GammaSpec(_Record, namedtuple("GammaSpec", "weights rho phi",
         return cls(multiply(rho, phi.transpose()), rho, phi)
 
 
+def _add_shifted(total, part, offsets: list[int]):
+    # total plus part >> offset for each of the ascending ``offsets``, each
+    # a whole number of lanes.  Three or more offsets spaced evenly by d, as
+    # the rows of a box window or an interp plateau are, are summed by
+    # doubling: with P = part >> offsets[0] and S(j) the sum of P >> t*d
+    # for t < j, S(2j) = S(j) + (S(j) >> j*d) and S(j+1) = P + (S(j) >> d),
+    # at most 2*log2(k) additions for k offsets.  No sublane of any partial
+    # sum carries (the lane rule), so a shift of a sum is the sum of the
+    # shifts, and the int is the one that adding each shift builds.  Other
+    # offsets, the symmetric pairs of binomial rows among them, are added
+    # one by one: summed apart, a pair held one more plane-sized int (0.8 MB
+    # more peak RSS in a 256x256 r=8 report).
+    first, k = offsets[0], len(offsets)
+    if k < 3 or offsets != [*range(first, offsets[-1] + 1, offsets[1] - first)]:
+        for offset in offsets:
+            total += part >> offset
+        return total
+    d, head = offsets[1] - first, part >> first
+    s, j = head, 1
+    for bit in bin(k)[3:]:
+        s, j = s + (s >> j * d), 2 * j
+        if bit == "1":
+            s, j = head + (s >> d), j + 1
+    return total + s
+
+
 def _correlate(p: _Packed, w: Matrix) -> _Packed:
     # The window sums of p (see generalized_collapse); p's sublanes hold
     # every sublane of each product and every weight of the nonnegative
     # window w, which packs in the low sublane of each lane.
-    # Each shifted product is added alone: a row's shifts summed apart
-    # held one more plane-sized int (0.8 MB more peak RSS in a 256x256 r=8
-    # report).
     b1, b2, n, x = w.rows, w.cols, p.stride, p.value
     shifts = {}
     for i in range(b1):
@@ -428,9 +451,8 @@ def _correlate(p: _Packed, w: Matrix) -> _Packed:
         shifts.setdefault(row, []).append(p.bits * (n * i + b2 - 1))
     total = 0
     for row, offsets in shifts.items():
-        part = x * _pack(row, p.bits // 8, w.span[1])
-        for offset in offsets:
-            total += part >> offset
+        total = _add_shifted(total, x * _pack(row, p.bits // 8, w.span[1]),
+                             offsets)
     return p._replace(rows=p.rows - b1 + 1, cols=p.cols - b2 + 1, value=total)
 
 

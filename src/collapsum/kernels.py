@@ -168,11 +168,17 @@ def _coefficient_kernel(
     return Kernel(Matrix(m, n, data, ScalarMode.FLOAT), 1, anchor)
 
 
-def box_kernel(r: int) -> Kernel:
-    """Uniform (2r+1)-square window, divisor (2r+1)^2."""
+def _diameter(r: int) -> int:
+    # The side 2r+1 of a radius-r window; a negative r is refused.
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    return _coefficient_kernel(2 * r + 1, 2 * r + 1, 0, 0)
+    return 2 * r + 1
+
+
+def box_kernel(r: int) -> Kernel:
+    """Uniform (2r+1)-square window, divisor (2r+1)^2."""
+    k = _diameter(r)
+    return _coefficient_kernel(k, k, 0, 0)
 
 
 def gaussian_kernel(r: int) -> Kernel:
@@ -182,9 +188,8 @@ def gaussian_kernel(r: int) -> Kernel:
     Weight (i, j), indexed from the center, is
     binomial(2r, i+r) * binomial(2r, j+r); the divisor is 4^(2r).
     """
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    return gaussian_kernel_rect(2 * r + 1, 2 * r + 1)
+    k = _diameter(r)
+    return gaussian_kernel_rect(k, k)
 
 
 def gaussian_kernel_rect(
@@ -208,11 +213,9 @@ def gaussian_kernel_rect(
 def gaussian_kernel_sampled(r: int, s: float) -> Kernel:
     """(2r+1)-square kernel sampled from the 2-D Gaussian density with
     standard deviation ``s``, renormalized to unit sum."""
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
+    size = _diameter(r)
     if s <= 0:
         raise ValueError("standard deviation must be positive")
-    size = 2 * r + 1
     raw = [
         math.exp(-(x * x + y * y) / (2.0 * s * s))
         for x in range(-r, r + 1)
@@ -225,9 +228,7 @@ def gaussian_kernel_sampled(r: int, s: float) -> Kernel:
 
 def check_interpolation(r: int, s: int) -> None:
     """Refuse a negative radius or a step s outside 0 <= s <= 2r."""
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    if not 0 <= s <= 2 * r:
+    if not 0 <= s <= _diameter(r) - 1:
         raise ValueError(f"interpolation step must satisfy 0 <= s <= 2r, got {s}")
 
 
@@ -239,7 +240,8 @@ def interpolation_kernel(r: int, s: int) -> Kernel:
     s = 2r the Gaussian one.
     """
     check_interpolation(r, s)
-    return _coefficient_kernel(2 * r + 1, 2 * r + 1, s, s)
+    k = _diameter(r)
+    return _coefficient_kernel(k, k, s, s)
 
 
 def _sources(n: int, before: int, after: int, mode: EdgeMode) -> list[int]:

@@ -223,9 +223,10 @@ def _big_endian_16(samples) -> bytearray:
     return out
 
 
-def _parse(data: bytes) -> tuple[int, int, int, Sequence[int]]:
-    # Width, height, maxval and the channel-interleaved samples, each
-    # checked against maxval.
+def _parse(data: bytes) -> tuple[int, int, int, int, Sequence[int]]:
+    # Width, height, the channel count the magic implies, maxval and the
+    # channel-interleaved samples, each checked against maxval: the fields
+    # of a :class:`Raster`.
     size = len(data)
     tokens = filter(attrgetter("lastindex"), _TOKEN.finditer(data))  # skip comments
     # The magic starts at byte 0: anything before its token belongs to it.
@@ -237,31 +238,30 @@ def _parse(data: bytes) -> tuple[int, int, int, Sequence[int]]:
     if magic not in (b"P2", b"P3", b"P5", b"P6"):
         raise NetpbmError(f"malformed magic {magic[:8]!r}", 0)
     width, height, maxval, end = _read_header(tokens, size)
-    count = width * height * (3 if magic in (b"P3", b"P6") else 1)
+    channels = 3 if magic in (b"P3", b"P6") else 1
+    count = width * height * channels
     if magic in (b"P2", b"P3"):
         flat = _read_ascii_samples(tokens, count, maxval, size)
     else:
         flat = _read_binary_samples(data, end, count, maxval)
-    return width, height, maxval, flat
+    return width, height, channels, maxval, flat
 
 
 def read_raster(data: bytes) -> Raster:
     """Parse a P2, P3, P5 or P6 image into its :class:`Raster`."""
-    width, height, maxval, flat = _parse(data)
-    return Raster(width, height, len(flat) // (width * height), maxval, flat)
+    return Raster(*_parse(data))
 
 
-def _image(width: int, height: int, maxval: int,
+def _image(width: int, height: int, channels: int, maxval: int,
            flat) -> ImagePlane | ColorImage:
     # The image of the checked samples ``flat`` that :func:`_parse`
     # returns: each channel's slice as a plane.
-    c = len(flat) // (width * height)
     images = [
-        ImagePlane(width, height, maxval,
-                   Matrix(height, width, tuple(flat[k::c]), ScalarMode.EXACT))
-        for k in range(c)
+        ImagePlane(width, height, maxval, Matrix(
+            height, width, tuple(flat[k::channels]), ScalarMode.EXACT))
+        for k in range(channels)
     ]
-    return images[0] if c == 1 else ColorImage(*images)
+    return images[0] if channels == 1 else ColorImage(*images)
 
 
 def read_netpbm(data: bytes) -> ImagePlane | ColorImage:

@@ -251,6 +251,14 @@ class TestBlurCommand:
             assert main(["blur", src, str(tmp_path / "out.pgm")]) == 2
             assert "error" in capsys.readouterr().err
 
+    def test_a_binary_raster_needs_its_separator(self, tmp_path, capsys):
+        # The file ends where the separator byte after maxval belongs.
+        src = write_pgm(tmp_path / "short.pgm", b"P5\n1 1\n255")
+        assert main(["blur", src, str(tmp_path / "out.pgm")]) == 2
+        assert capsys.readouterr().err == (
+            "error: missing raster separator (byte 10)\n")
+        assert not (tmp_path / "out.pgm").exists()
+
     @pytest.mark.parametrize("body, message", [
         (b"P2\n1 1\n255\n" + b"1" * 1_000_000 + b"\n",
          "invalid sample b'" + "1" * 32 + "'... (byte 11)"),

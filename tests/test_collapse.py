@@ -34,7 +34,7 @@ from collapsum.matrix import (
     multiply,
     scale,
 )
-from collapsum.structured import r_falling, r_phi_falling
+from collapsum.structured import coefficient_matrix, r_falling, r_phi_falling
 
 
 def random_matrix(rng, rows, cols, lo=-50, hi=50):
@@ -1050,6 +1050,104 @@ class TestRepeatedWindowRows:
         # L * (n*i + b2 - 1) for rows 0, 1 and 3, then row 2.
         assert x.shifts == [8 * (4 * i + 1) for i in (0, 1, 3, 2)]
         assert (out.rows, out.cols, out.stride) == (3, 3, 4)
+
+
+# Windows whose rows recur at offsets spaced evenly, which a packed
+# correlation sums by doubling, and at uneven ones, which it adds one by one.
+EVEN_ROWS = ("box", "interp", "pool")
+
+
+@st.composite
+def even_row_cases(draw):
+    """A packed plane of 1 to 3 channels and a window of a shape drawn from
+    EVEN_ROWS: a box, an interp window (its plateau rows recur evenly,
+    its ramp rows in mirrored pairs), or up to 12 rows each drawn from a
+    pool of two, which recur at even and uneven spacings.  Samples are
+    drawn up to 2**k, k up to 127, so sublanes go past 16 bytes."""
+    shape = draw(st.sampled_from(EVEN_ROWS))
+    b1, b2 = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    if shape == "pool":
+        weight = st.integers(0, 2**draw(st.integers(0, 40)))
+        pool = [draw(st.lists(weight, min_size=b2, max_size=b2)) for _ in "ab"]
+        w = Matrix.from_rows([draw(st.sampled_from(pool)) for _ in range(b1)])
+    else:
+        a = 0 if shape == "box" else draw(st.integers(0, b1 - 1))
+        b = 0 if shape == "box" else draw(st.integers(0, b2 - 1))
+        w = coefficient_matrix(b1, b2, a, b)
+    c = draw(st.integers(1, 3))
+    m, n = draw(st.integers(b1, b1 + 3)), draw(st.integers(b2, b2 + 3))
+    entry = nonnegative_entries(draw(WIDE_BITS))
+    samples = draw(st.lists(entry, min_size=m * n * c, max_size=m * n * c))
+    plane = collapse_module._packed_lanes(m, n, c, samples, max(samples),
+                                          sum(w.data))
+    return plane, w
+
+
+def recurring_rows(w):
+    """The indices of each row of w that recurs three or more times."""
+    indices = {}
+    for i, row in enumerate(w.to_rows()):
+        indices.setdefault(tuple(row), []).append(i)
+    return [rows for rows in indices.values() if len(rows) > 2]
+
+
+def evenly_spaced(rows):
+    return len({j - i for i, j in zip(rows, rows[1:])}) == 1
+
+
+class TestEvenlySpacedRows:
+    """Recurring window rows summed by doubling, against adding each row's
+    shifted product alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(even_row_cases())
+    def test_matches_a_sum_per_row(self, case):
+        p, w = case
+        b2, size = w.cols, p.bits // 8
+        expected = 0
+        for i, row in enumerate(w.to_rows()):
+            product = p.value * collapse_module._pack(row[::-1], size, w.span[1])
+            expected += product >> p.bits * (p.stride * i + b2 - 1)
+        out = collapse_module._correlate(p, w)
+        assert out.value == expected
+        assert (out.rows, out.cols) == (p.rows - w.rows + 1, p.cols - b2 + 1)
+
+    @pytest.mark.parametrize("spacing", ["even", "uneven"])
+    def test_cases_cover_both_spacings(self, spacing):
+        # Three or more evenly spaced rows take the doubling, and a row that
+        # recurs three or more times unevenly the one-by-one sum.
+        def drawn(case):
+            even = list(map(evenly_spaced, recurring_rows(case[1])))
+            return any(even) if spacing == "even" else not all(even)
+
+        find(even_row_cases(), drawn, settings=settings(
+            database=None, derandomize=True, phases=[Phase.generate],
+            max_examples=1000))
+
+    def test_a_row_repeated_k_times_takes_logarithmic_additions(self):
+        # A 1201 x 1 box window, the column pass of a radius-600 box:
+        # 1201 equal rows take at most 2 * ceil(log2 1201) + 1 additions of
+        # plane-sized ints, not one per row.
+        class Counted:
+            # Stands in for the packed int and its product; counts additions.
+            adds = 0
+
+            def __mul__(self, other):
+                return self
+
+            def __add__(self, other):
+                Counted.adds += 1
+                return self
+
+            __radd__ = __add__
+
+            def __rshift__(self, offset):
+                return self
+
+        k = 1201
+        plane = collapse_module._Packed(k + 3, 4, 4, 8, Counted())
+        collapse_module._correlate(plane, Matrix(k, 1, (1,) * k))
+        assert 0 < Counted.adds <= 2 * math.ceil(math.log2(k)) + 1
 
 
 class TestPacker:

@@ -22,6 +22,7 @@ from collapsum.netpbm import (
     _read_binary_samples,
     merge_color,
     read_netpbm,
+    read_raster,
     split_color,
     write_netpbm,
 )
@@ -118,7 +119,7 @@ def reference_read(data):
             if value > maxval:
                 raise NetpbmError(f"sample {value} exceeds maxval {maxval}", at)
             flat.append(value)
-    return _image(width, height, maxval, flat)
+    return _image(width, height, channels, maxval, flat)
 
 
 def outcome(read, data):
@@ -173,6 +174,13 @@ class TestParse:
         with pytest.raises(NetpbmError) as err:
             read_netpbm(data)
         assert err.value.offset == len(data)
+
+    def test_binary_raster_needs_its_separator(self):
+        # The input ends where the one separator byte after maxval belongs.
+        with pytest.raises(NetpbmError) as err:
+            read_raster(b"P5\n1 1\n255")
+        assert str(err.value) == "missing raster separator (byte 10)"
+        assert err.value.offset == 10
 
     def test_comments_in_header(self):
         img = read_netpbm(b"P2 # magic\n# a comment line\n2 1 # dims\n9\n3 4")

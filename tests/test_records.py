@@ -17,6 +17,7 @@ from collapsum.matrix import (
 )
 from collapsum.netpbm import ColorImage, ImagePlane
 from collapsum.pipeline import (
+    TIMING_CONTRACT,
     BenchReport,
     BenchRow,
     BlurRequest,
@@ -138,6 +139,14 @@ def test_record_contract(name):
         setattr(record, field, getattr(record, field))
     restored = pickle.loads(pickle.dumps(record))
     assert type(restored) is type(record) and restored == record
+
+
+def test_bench_report_holds_only_its_rows():
+    # Every report is timed under the one contract, so it is not a field.
+    report = BenchReport((ROW,))
+    assert BenchReport._fields == ("rows",)
+    assert report.timing_contract == TIMING_CONTRACT
+    assert report == ((ROW,),)
 
 
 def test_blur_request_forms_of_one_window_are_one_record():
