@@ -125,7 +125,7 @@ def _cmd_blur(args) -> int:
     # A bad window, one whose exact weights leave int128 included, is
     # refused before the input is opened and before any weight is built.
     req = _request(args, method=Method(args.method), edge=EdgeMode(args.edge))
-    _check_window(*req.rect, *req.collapses)
+    _check_window(*req.rect, *req.collapses, ScalarMode.EXACT)
     with open(args.input, "rb") as fh:
         raw = fh.read()
     image = read_raster(raw)

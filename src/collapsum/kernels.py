@@ -10,10 +10,11 @@ Every exact window is the m x n coefficient matrix with a x b collapses
 (:func:`structured.coefficient_matrix`) over its entry sum, anchored at
 (ceil(m/2), ceil(n/2)): the binomial :func:`gaussian_kernel_rect` is
 (h, w, h-1, w-1), the radius-r Gaussian its (2r+1)-square case, the box
-(2r+1, 2r+1, 0, 0) and the interpolation window (2r+1, 2r+1, s, s).  An
-exact window whose largest weight leaves the signed 128-bit range is
-refused before any weight is built; a float binomial window is refused
-only past 400 collapses (a + b), where no exact one builds either.
+(2r+1, 2r+1, 0, 0) and the interpolation window (2r+1, 2r+1, s, s).  One
+check, ``structured._check_window``, decides whether a window builds,
+before any weight is: an exact window whose largest weight leaves the
+signed 128-bit range is refused, and a float binomial window only past
+400 collapses (a + b), where no exact one builds either.
 Convolution uses flipped kernel indexing (output (p, q) sums
 weight(i, j) * input(p - i, q - j) over window offsets), which matters
 only for asymmetric kernels; it runs as the
@@ -151,16 +152,23 @@ class Kernel(_Record, namedtuple("Kernel", "weights divisor anchor")):
         return Kernel(Matrix(w.rows, w.cols, data, ScalarMode.FLOAT), 1, self.anchor)
 
 
+def _margins(m: int, n: int) -> tuple[int, int, int, int]:
+    # (top, bottom, left, right) reach of an m x n coefficient window around
+    # its anchor, (ceil(m/2), ceil(n/2)): the margins a blur extends by.
+    return (m - 1) // 2, m // 2, (n - 1) // 2, n // 2
+
+
 def _coefficient_kernel(
     m: int, n: int, a: int, b: int, mode: ScalarMode = ScalarMode.EXACT
 ) -> Kernel:
     # The m x n coefficient matrix with a x b collapses, over its entry
-    # sum, anchored at (ceil(m/2), ceil(n/2)).  A float window divides
+    # sum, anchored where ``_margins`` puts it.  A float window divides
     # each exact weight by that sum in one correctly rounded int division,
     # as ``as_float`` does, so it needs no exact window and passes the
     # int128 range, up to 400 collapses.
     divisor = coefficient_matrix_entry_sum(m, n, a, b)
-    anchor = ((m + 1) // 2, (n + 1) // 2)
+    top, _, left, _ = _margins(m, n)
+    anchor = (top + 1, left + 1)
     if mode is ScalarMode.EXACT:
         return Kernel(coefficient_matrix(m, n, a, b), divisor, anchor)
     alpha, beta = coefficient_sides(m, n, a, b)
@@ -345,7 +353,7 @@ def separable_convolve(h: int, w: int, a: Matrix, mode: EdgeMode,
     row_k = _coefficient_kernel(1, w, 0, right, a.mode)
     col_k = _coefficient_kernel(h, 1, down, 0, a.mode)
     if mode is not EdgeMode.CROP:
-        a = extend_asym(a, *col_k.margins()[:2], *row_k.margins()[2:], mode)
+        a = extend_asym(a, *_margins(h, w), mode)
     first = convolve_crop(row_k, a)
     second = convolve_crop(col_k, first.numerator)
     return FilterResult(second.numerator, first.divisor * second.divisor)

@@ -3,11 +3,13 @@
 Every blur is an h x w coefficient window with a x b collapses
 (``structured.coefficient_matrix``): the binomial (h-1, w-1), radius r
 its (2r+1)-square case, the box (0, 0) and interp (s, s).  A blur
-checks that the window fits before building it, extends the image once
-by its margins, and runs one of three methods on that: direct 2-D
-convolution, a row and a column pass by the window's sides, or the
-collapses, full ones over their square part, then a row and a column
-pass of ones over the (h-a) x (w-b) taps left.  So radius r is 2r
+checks that the window fits and builds (``structured._check_window``),
+reads its divisor and margins, which need no weight, extends the image
+once by those margins, and runs one of three methods on that: direct
+2-D convolution by the whole window, the only method that builds it; a
+row and a column pass by the window's two sides; or the collapses, full
+ones over their square part, then a row and a column pass of ones over
+the (h-a) x (w-b) taps left.  So radius r is 2r
 collapses over 4^(2r).  In exact mode the three agree bit for bit on
 their (numerator, divisor) pairs, as the report and benchmark record.
 
@@ -64,6 +66,7 @@ from .kernels import (
     FilterResult,
     _coefficient_kernel,
     _diameter,
+    _margins,
     convolve,
     extend_asym,
     separable_convolve,
@@ -72,7 +75,11 @@ from .kernels import (
 # Not called here; kept because perfbench/tracing.py wraps them here.
 from .kernels import extend, gaussian_kernel, gaussian_kernel_rect  # noqa: F401
 from .matrix import DimensionError, Matrix, ScalarMode, _Record, _rounded, scale
-from .structured import _check_counts
+from .structured import (
+    _check_counts,
+    _check_window,
+    coefficient_matrix_entry_sum,
+)
 
 FLOAT_TOLERANCE = 1e-9
 
@@ -134,34 +141,39 @@ def _check_crop_fit(rows: int, cols: int, h: int, w: int, edge: EdgeMode) -> Non
         )
 
 
-def _kernel(rows: int, cols: int, req: BlurRequest, mode: ScalarMode):
-    # The request's coefficient window, once it fits a rows x cols image.
+def _divisor(rows: int, cols: int, req: BlurRequest, mode: ScalarMode) -> int:
+    # The request's divisor, once its window fits a rows x cols image and
+    # builds in ``mode``; no weight is computed.
     _check_crop_fit(rows, cols, *req.rect, req.edge)
-    return _coefficient_kernel(*req.rect, *req.collapses, mode)
+    _check_window(*req.rect, *req.collapses, mode)
+    return coefficient_matrix_entry_sum(*req.rect, *req.collapses)
 
 
-def _extended(kernel, plane, edge: EdgeMode):
+def _extended(plane, req: BlurRequest):
     # ``plane``, packed or not, extended by the window's margins.
-    if edge is EdgeMode.CROP:
+    if req.edge is EdgeMode.CROP:
         return plane
-    return extend_asym(plane, *kernel.margins(), edge)
+    return extend_asym(plane, *_margins(*req.rect), req.edge)
 
 
 def _plane(a: Matrix, req: BlurRequest):
-    # The request's coefficient window, and the plane every method runs on:
-    # a packed once when it packs, then extended.
-    kernel = _kernel(a.rows, a.cols, req, a.mode)
-    packed = _packed(a, kernel.divisor)
-    return kernel, _extended(kernel, packed or a, req.edge)
+    # The request's divisor, and the plane every method runs on: a packed
+    # once when it packs, then extended.
+    divisor = _divisor(a.rows, a.cols, req, a.mode)
+    return divisor, _extended(_packed(a, divisor) or a, req)
 
 
-def _numerator(method: Method, kernel, collapses, plane) -> FilterResult:
-    # One method's stages on the prepared plane, packed or not.
-    (h, w), (a, b) = (kernel.height, kernel.width), collapses
+def _numerator(method: Method, req: BlurRequest, divisor: int,
+               plane) -> FilterResult:
+    # One method's stages on the prepared plane, packed or not.  Only
+    # direct builds the h x w window; separable builds its two sides, and
+    # collapse the rows of ones in its tail.
+    (h, w), (a, b) = req.rect, req.collapses
     if method is Method.DIRECT:
-        return convolve(kernel, plane, EdgeMode.CROP)
+        return convolve(_coefficient_kernel(h, w, a, b, plane.mode), plane,
+                        EdgeMode.CROP)
     if method is Method.SEPARABLE:
-        return separable_convolve(h, w, plane, EdgeMode.CROP, collapses)
+        return separable_convolve(h, w, plane, EdgeMode.CROP, req.collapses)
     # Full collapses over the square part keep radius r the paper's C^(2r);
     # the longer side's passes, then a row and a column pass of ones, follow.
     s = min(a, b)
@@ -171,7 +183,7 @@ def _numerator(method: Method, kernel, collapses, plane) -> FilterResult:
         num = separable_convolve(h - a, w - b, num, EdgeMode.CROP, (0, 0)).numerator
     if plane.mode is ScalarMode.FLOAT:
         return FilterResult(scale(1 / 2 ** (a + b), num), 1)
-    return FilterResult(num, kernel.divisor)
+    return FilterResult(num, divisor)
 
 
 def _unpacked_result(out: FilterResult) -> FilterResult:
@@ -186,8 +198,8 @@ def blur(a: Matrix, req: BlurRequest) -> FilterResult:
     An exact nonnegative plane runs as the one-channel case of
     :func:`blur_raster`: packed once, every stage of the method packed,
     and unpacked once (see the module docstring)."""
-    kernel, plane = _plane(a, req)
-    return _unpacked_result(_numerator(req.method, kernel, req.collapses, plane))
+    divisor, plane = _plane(a, req)
+    return _unpacked_result(_numerator(req.method, req, divisor, plane))
 
 
 def blur_raster(image: Raster, req: BlurRequest) -> Raster:
@@ -208,11 +220,10 @@ def blur_raster(image: Raster, req: BlurRequest) -> Raster:
     below maxval must still pass, as the CI step "Samples far below maxval
     past the int128 lane bound" checks.
     """
-    kernel = _kernel(image.height, image.width, req, ScalarMode.EXACT)
+    divisor = _divisor(image.height, image.width, req, ScalarMode.EXACT)
     plane = _packed_lanes(image.height, image.width, image.channels,
-                          image.samples, image.maxval, kernel.divisor)
-    num = _numerator(req.method, kernel, req.collapses,
-                     _extended(kernel, plane, req.edge))
+                          image.samples, image.maxval, divisor)
+    num = _numerator(req.method, req, divisor, _extended(plane, req))
     out = num.numerator
     return image._replace(width=out.cols, height=out.rows,
                           samples=_rounded(_sublanes(out), num.divisor))
@@ -261,10 +272,10 @@ def equivalence_report(a: Matrix, r: int, edge: EdgeMode) -> EquivalenceReport:
     the module docstring).
     """
     req = BlurRequest(radius=r, edge=edge)
-    kernel, plane = _plane(a, req)
+    divisor, plane = _plane(a, req)
     results = {}
     for method in Method:
-        out = _numerator(method, kernel, req.collapses, plane)
+        out = _numerator(method, req, divisor, plane)
         if isinstance(out.numerator, _Packed):
             # Each packed result's one int128 check, as unpacking runs it.
             _checked(out.numerator)
@@ -375,13 +386,14 @@ def benchmark(sizes: list[int], radii: list[int], repetitions: int) -> BenchRepo
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
     # Every image and request is built, in loop order, and then every
-    # cell's window, before any is timed, so a bad size or radius, or a
-    # window that cannot be built, is refused before the first blur.
+    # cell's window is checked, before any is timed, so a bad size or
+    # radius, or a window that cannot be built, is refused before the first
+    # blur; no weight is built until a direct cell runs.
     cells = [(size, image, r, BlurRequest(radius=r, method=method))
              for size in sizes for image in [seeded_image(size, size)]
              for r in radii for method in Method]
     for size, _, _, req in cells:
-        _kernel(size, size, req, ScalarMode.EXACT)
+        _divisor(size, size, req, ScalarMode.EXACT)
     rows = []
     for size, image, r, req in cells:
         times = []

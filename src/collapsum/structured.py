@@ -145,23 +145,27 @@ def coefficient_sides(m: int, n: int, a: int, b: int) -> tuple[list, list]:
     whose outer product is :func:`coefficient_matrix`, past the int128
     range too.  Past :data:`MAX_COLLAPSES` collapses they are refused,
     before any is computed, as no exact window builds there either."""
-    _check_counts(m, n, a, b)
-    if a + b > MAX_COLLAPSES:
-        raise DimensionError(
-            f"{m}x{n} binomial window needs more than {MAX_COLLAPSES} collapses"
-        )
+    _check_window(m, n, a, b, ScalarMode.FLOAT)
     return _side(m, a), _side(n, b)
 
 
-def _check_window(m: int, n: int, a: int, b: int) -> None:
-    # Refuses the counts, and an exact window whose largest entry leaves the
-    # signed 128-bit range, before any entry is computed.  The middle window
-    # holds C(a, a//2) >= 2^a / (a+1), so a + b past MAX_COLLAPSES always
-    # overflows; only smaller counts need the peak computed.
+def _check_window(m: int, n: int, a: int, b: int, mode: ScalarMode) -> None:
+    # The one check of whether an m x n window with a x b collapses builds in
+    # ``mode``, made before any entry is computed: it refuses the counts, an
+    # exact window whose largest entry leaves the signed 128-bit range, and a
+    # float one past MAX_COLLAPSES collapses, where no exact one builds
+    # either.  The middle window holds C(a, a//2) >= 2^a / (a+1), so an exact
+    # a + b past MAX_COLLAPSES always overflows; only smaller counts need the
+    # peak computed.
     _check_counts(m, n, a, b)
-    if a + b > MAX_COLLAPSES or _peak(m, a) * _peak(n, b) > INT128_MAX:
+    if mode is ScalarMode.EXACT and (
+            a + b > MAX_COLLAPSES or _peak(m, a) * _peak(n, b) > INT128_MAX):
         raise ExactOverflowError(
             f"{m}x{n} binomial window exceeds the signed 128-bit range"
+        )
+    if a + b > MAX_COLLAPSES:
+        raise DimensionError(
+            f"{m}x{n} binomial window needs more than {MAX_COLLAPSES} collapses"
         )
 
 
@@ -175,7 +179,7 @@ def coefficient_matrix(m: int, n: int, a: int, b: int) -> Matrix:
     entry leaves the signed 128-bit range is refused before any entry is
     computed.
     """
-    _check_window(m, n, a, b)
+    _check_window(m, n, a, b, ScalarMode.EXACT)
     beta = _side(n, b)
     return Matrix(m, n, tuple(x * y for x in _side(m, a) for y in beta))
 

@@ -57,6 +57,7 @@ ALL_EDGES = (EdgeMode.CROP, EdgeMode.REPLICATE, EdgeMode.MIRROR, EdgeMode.ZERO)
 # The package's ``collapse`` attribute is the function, not this module.
 collapse_module = importlib.import_module("collapsum.collapse")
 kernels_module = importlib.import_module("collapsum.kernels")
+structured_module = importlib.import_module("collapsum.structured")
 
 
 def random_matrix(rng, rows, cols):
@@ -415,9 +416,9 @@ class TestPackedPlane:
         # in planes of one shape, stride, lane width and bound.
         a, (h, w, ca, cb), edge = case
         req = BlurRequest(rect=(h, w), collapses=(ca, cb), edge=edge)
-        kernel, plane = pipeline._plane(a, req)
+        divisor, plane = pipeline._plane(a, req)
         assert isinstance(plane, collapse_module._Packed)
-        nums = [pipeline._numerator(m, kernel, req.collapses, plane).numerator
+        nums = [pipeline._numerator(m, req, divisor, plane).numerator
                 for m in Method]
         assert len(set(nums)) == 1
 
@@ -780,13 +781,14 @@ class TestOneProductPerDistinctRow:
         # each distinct window row, separable its one row and then each
         # distinct entry of its column side, and collapse runs its passes on
         # the packed plane and then a row and a column pass of ones, one
-        # product each.  No 2-D window is built but the request's.
+        # product each.  No 2-D window is built but the request's, and
+        # only direct builds that.
         r, a = 2, random_matrix(random.Random(281), 8, 9)
         k = 2 * r + 1
         distinct = len(set(coefficient_sides(k, k, s, s)[0]))
         rows = {Method.DIRECT: [k] * distinct, Method.SEPARABLE: [k] + [1] * distinct,
                 Method.COLLAPSE: [k - s, 1]}[method]
-        windows = {Method.DIRECT: [], Method.SEPARABLE: [(1, k), (k, 1)],
+        windows = {Method.DIRECT: [(k, k)], Method.SEPARABLE: [(1, k), (k, 1)],
                    Method.COLLAPSE: [(1, k - s), (k - s, 1)]}[method]
         built = []
 
@@ -802,5 +804,76 @@ class TestOneProductPerDistinctRow:
             out = blur(a, req)
         assert lengths == [len(a.data), *rows]
         assert len(unpacks) == 1
-        assert built == [(k, k), *windows]
+        assert built == windows
         assert out == convolve(interpolation_kernel(r, s), a, edge)
+
+
+@contextlib.contextmanager
+def asked_windows():
+    """Record the (m, n) of every coefficient window asked for: exact ones
+    from ``coefficient_matrix``, float ones from the ``coefficient_sides``
+    they are built from."""
+    asked = []
+
+    def recorder(original):
+        def recorded(m, n, *rest):
+            asked.append((m, n))
+            return original(m, n, *rest)
+        return recorded
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("coefficient_matrix", "coefficient_sides"):
+            stub = recorder(getattr(structured_module, name))
+            # kernels calls the names it imported.
+            for module in (structured_module, kernels_module):
+                patch.setattr(module, name, stub)
+        yield asked
+
+
+# Request fields of a gauss, box, interp and rect window, each with sides of
+# at least 2, so that no side or row of ones is the whole window.
+WINDOWS = {"gauss": {"radius": 2}, "box": {"radius": 2, "collapses": (0, 0)},
+           "interp": {"radius": 2, "collapses": (1, 1)}, "rect": {"rect": (4, 3)}}
+
+
+class TestOnlyDirectBuildsTheWindow:
+    """Separable and collapse read only the window's divisor and margins,
+    which need no weight: direct alone asks for the h x w window."""
+
+    @pytest.mark.parametrize("mode", list(ScalarMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("edge", ALL_EDGES, ids=lambda e: e.value)
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_direct_asks_once_per_blur(self, window, edge, mode):
+        a = random_matrix(random.Random(311), 8, 9)
+        blurs = [(blur, a), (blur_raster, Raster(9, 8, 1, 255, a.data))]
+        if mode is ScalarMode.FLOAT:
+            blurs = [(blur, a.to_float())]
+        for method in Method:
+            req = BlurRequest(**WINDOWS[window], method=method, edge=edge)
+            for run, image in blurs:
+                with asked_windows() as asked:
+                    run(image, req)
+                assert asked.count(req.rect) == (method is Method.DIRECT), method
+
+    @pytest.mark.parametrize("mode", list(ScalarMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("edge", ALL_EDGES, ids=lambda e: e.value)
+    def test_a_report_asks_once(self, edge, mode):
+        a = random_matrix(random.Random(313), 9, 9)
+        if mode is ScalarMode.FLOAT:
+            a = a.to_float()
+        with asked_windows() as asked:
+            assert equivalence_report(a, 2, edge).passed
+        assert asked.count((5, 5)) == 1
+
+    def test_benchmark_builds_no_window_before_its_first_blur(
+            self, monkeypatch):
+        with asked_windows() as log:
+            def timed(*args, original=pipeline.blur):
+                log.append("blur")
+                return original(*args)
+
+            monkeypatch.setattr(pipeline, "blur", timed)
+            benchmark([6], [1, 2], repetitions=2)
+        assert log[0] == "blur"
+        # Each radius's window only in its two direct repetitions.
+        assert (log.count((3, 3)), log.count((5, 5))) == (2, 2)

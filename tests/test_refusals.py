@@ -1,8 +1,11 @@
 """The public functions' refusals of bad arguments, each with its exception
 type and exact message."""
 
+import importlib
+
 import pytest
 
+from collapsum.cli import main
 from collapsum.collapse import GammaSpec, generalized_collapse_power
 from collapsum.kernels import (
     EdgeMode,
@@ -13,7 +16,21 @@ from collapsum.kernels import (
     gaussian_kernel_rect,
     gaussian_kernel_sampled,
 )
-from collapsum.matrix import DimensionError, Matrix, ScalarMode, approx_equal
+from collapsum.matrix import (
+    DimensionError,
+    ExactOverflowError,
+    Matrix,
+    ScalarMode,
+    approx_equal,
+)
+from collapsum.netpbm import Raster
+from collapsum.pipeline import (
+    BlurRequest,
+    Method,
+    blur,
+    blur_raster,
+    equivalence_report,
+)
 from collapsum.structured import (
     collapsed_coefficient_square,
     r_falling,
@@ -65,3 +82,66 @@ def test_refusal(name, thunk, error, message):
     with pytest.raises(error) as err:
         thunk()
     assert type(err.value) is error and str(err.value) == message
+
+
+# The module, where the callers of ``_side`` look it up.
+structured_module = importlib.import_module("collapsum.structured")
+
+# (name, request fields or None, image mode, CLI blur options or None,
+#  exception type, message).  A request of a radius alone, with its edge,
+# is also run as an equivalence report.
+WINDOW_REFUSALS = [
+    ("crop misfit", {"radius": 3, "edge": EdgeMode.CROP}, ScalarMode.EXACT,
+     ["--radius", "3", "--edge", "crop"], DimensionError,
+     "4x4 image too small for a 7x7 window under cropping"),
+    ("gauss past int128", {"radius": 34}, ScalarMode.EXACT, ["--radius", "34"],
+     ExactOverflowError, "69x69 binomial window exceeds the signed 128-bit range"),
+    ("interp past int128", {"radius": 40, "collapses": (80, 80)}, ScalarMode.EXACT,
+     ["--filter", "interp", "--radius", "40", "--s", "80"], ExactOverflowError,
+     "81x81 binomial window exceeds the signed 128-bit range"),
+    ("float past 400 collapses", {"radius": 101}, ScalarMode.FLOAT, None,
+     DimensionError, "203x203 binomial window needs more than 400 collapses"),
+    ("bad interp s", None, ScalarMode.EXACT,
+     ["--filter", "interp", "--radius", "2", "--s", "5"], ValueError,
+     "interpolation step must satisfy 0 <= s <= 2r, got 5"),
+]
+
+
+@pytest.mark.parametrize("name, fields, mode, options, error, message",
+                         WINDOW_REFUSALS, ids=[case[0] for case in WINDOW_REFUSALS])
+def test_a_window_is_refused_before_any_side(name, fields, mode, options, error,
+                                              message, tmp_path, capsys,
+                                              monkeypatch):
+    # Every method, the raster blur, the report and the CLI refuse the window
+    # with one type and message before any side of it is computed.
+    def unreached(*args):
+        raise AssertionError("a window side was computed")
+
+    def refused(run, *args):
+        with pytest.raises(error) as err:
+            run(*args)
+        assert type(err.value) is error and str(err.value) == message
+
+    monkeypatch.setattr(structured_module, "_side", unreached)
+    image = Matrix.filled(4, 4, 1)
+    blurs = [(blur, image), (blur_raster, Raster(4, 4, 1, 255, image.data))]
+    if mode is ScalarMode.FLOAT:
+        image = image.to_float()
+        blurs = [(blur, image)]
+    if fields is not None:
+        if set(fields) <= {"radius", "edge"}:
+            refused(equivalence_report, image, fields["radius"],
+                    fields.get("edge", EdgeMode.REPLICATE))
+        for method in Method:
+            for run, arg in blurs:
+                refused(run, arg, BlurRequest(**fields, method=method))
+    if options is None:
+        return
+    src = tmp_path / "in.pgm"
+    src.write_bytes(b"P2\n4 4\n255\n" + b"1 " * 16)
+    for method in Method:
+        argv = ["blur", *options, "--method", method.value, str(src),
+                str(tmp_path / "out.pgm")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out.pgm").exists()
