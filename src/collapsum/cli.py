@@ -1,6 +1,10 @@
 """Command-line interface: blur, kernel, verify, bench.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse errors.
+
+Every command runs ``kernels`` and ``pipeline``, which this module
+imports; a handler imports what only its command runs, so ``netpbm``
+loads only for blur and ``bench`` only for bench.
 """
 
 from __future__ import annotations
@@ -8,29 +12,29 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .kernels import EdgeMode, Kernel, _coefficient_kernel, check_interpolation
-from .matrix import DimensionError, ExactOverflowError, ScalarMode
-from .netpbm import NetpbmError, read_raster, write_raster
+from .kernels import (
+    EdgeMode,
+    Kernel,
+    _check_window,
+    _coefficient_kernel,
+    check_interpolation,
+)
+from .matrix import ExactOverflowError, ScalarMode, _lazy
 from .pipeline import (
     BlurRequest,
     Method,
-    benchmark,
     blur_raster,
     equivalence_report,
     seeded_image,
 )
-from .structured import _check_window
 
-# Not called here: blur requests no longer pass through them.  Kept only so
-# that the wrap points perfbench/tracing.py names here still resolve.
-from .netpbm import (  # noqa: F401
-    merge_color,
-    plane_from_matrix,
-    read_netpbm,
-    split_color,
-    write_netpbm,
-)
-from .pipeline import blur  # noqa: F401
+# Not called here: blur requests no longer pass through them.  Served by
+# name only so that the wrap points that tracers name here still resolve.
+__getattr__ = _lazy(globals(), {
+    "netpbm": "merge_color plane_from_matrix read_netpbm split_color "
+              "write_netpbm",
+    "pipeline": "blur",
+})
 
 EDGE_CHOICES = [e.value for e in EdgeMode]
 METHOD_CHOICES = [m.value for m in Method]
@@ -126,6 +130,8 @@ def _cmd_blur(args) -> int:
     # refused before the input is opened and before any weight is built.
     req = _request(args, method=Method(args.method), edge=EdgeMode(args.edge))
     _check_window(*req.rect, *req.collapses, ScalarMode.EXACT)
+    from .netpbm import read_raster, write_raster
+
     with open(args.input, "rb") as fh:
         raw = fh.read()
     image = read_raster(raw)
@@ -172,6 +178,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import benchmark
+
     report = benchmark(_int_list(args.sizes), _int_list(args.radii), args.reps)
     print(f"# {report.timing_contract}", file=sys.stderr)
     if args.csv:
@@ -195,7 +203,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (NetpbmError, DimensionError, ExactOverflowError, ValueError, OSError) as exc:
+    # NetpbmError and DimensionError are ValueErrors.
+    except (ExactOverflowError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,10 +4,11 @@
 horizontally adjacent ones, and ``collapse`` composes both (each 2x2
 block of the input contributes its total to one output entry).  The
 generalized form slides an arbitrary weight window instead of the
-all-ones 2x2 window, and the n-dimensional form collapses a flat array
-along any axis.  One pair-sum loop serves all three directional
-collapses: down, right and along an axis each add a slab of the flat
-data to itself shifted by one step.
+all-ones 2x2 window.  One pair-sum loop, ``_pair_sum``, serves every
+directional collapse: down, right, and along an axis of an n-dimensional
+array (``collapsum.nd``, which no command imports and this module serves
+by name), each add a slab of the flat data to itself shifted by one
+step.
 
 In exact mode a plane with no negative entry, correlated with a window
 with none, is packed into one Python int; a plane or window with a
@@ -90,7 +91,10 @@ row-major order, times window row i reversed in b2 lanes puts input
 (p+i, q+j) times weight (i, j) in lane p*n + q + n*i + b2 - 1, so the
 product right-shifted by L*(n*i + b2 - 1) holds row i's share of output
 (p, q) in lane p*n + q.  Each distinct row is multiplied once and added,
-so shifted, for every row equal to it.  Unpacked, a shift-and-add loop
+so shifted, for every row equal to it; a row of three or more equal
+weights c is not multiplied at all: the product, shifted by b2 - 1
+lanes, is c times the sum of the input shifted right by 0 .. b2 - 1
+lanes, which ``_add_shifted`` adds by doubling.  Unpacked, a shift-and-add loop
 adds the flat input, shifted to each window tap and scaled by its
 weight, into one accumulator.  Both keep the columns of each row where
 the whole window fits.
@@ -111,7 +115,6 @@ unpacks them.
 
 from __future__ import annotations
 
-import math
 import sys
 from array import array
 from collections import namedtuple
@@ -125,10 +128,12 @@ from .matrix import (
     Matrix,
     ScalarMode,
     _Record,
-    multiply,
+    _lazy,
 )
 
-MAX_AXES = 8
+# The n-dimensional collapse, in the module no command imports.
+__getattr__ = _lazy(globals(), {
+    "nd": "MAX_AXES NdArray collapse_all collapse_axis"})
 
 # The unsigned ``array`` typecode of each item size in bytes that packing
 # converts through; 2-byte items are left out, since ``array('H')`` builds
@@ -406,11 +411,16 @@ class GammaSpec(_Record, namedtuple("GammaSpec", "weights rho phi",
                 or self.phi.rows != self.weights.cols
             ):
                 raise DimensionError("factor lengths must match the weight window")
+            # Only a rank-1 window needs the product, off every command's path.
+            from .algebra import multiply
+
             if multiply(self.rho, self.phi.transpose()) != self.weights:
                 raise ValueError("rho * phi^T does not reproduce the weights")
 
     @classmethod
     def rank_one(cls, rho: Matrix, phi: Matrix) -> "GammaSpec":
+        from .algebra import multiply
+
         return cls(multiply(rho, phi.transpose()), rho, phi)
 
 
@@ -444,15 +454,26 @@ def _correlate(p: _Packed, w: Matrix) -> _Packed:
     # The window sums of p (see generalized_collapse); p's sublanes hold
     # every sublane of each product and every weight of the nonnegative
     # window w, which packs in the low sublane of each lane.
-    b1, b2, n, x = w.rows, w.cols, p.stride, p.value
-    shifts = {}
+    b1, b2, n, x, lane = w.rows, w.cols, p.stride, p.value, p.bits
+    rows = {}
     for i in range(b1):
-        row = w.data[i * b2 : (i + 1) * b2][::-1]
-        shifts.setdefault(row, []).append(p.bits * (n * i + b2 - 1))
+        rows.setdefault(w.data[i * b2 : (i + 1) * b2][::-1], []).append(i)
+    # Each row's plane-sized part is passed on, not kept in a local, so
+    # that it is freed before the next one is computed.
     total = 0
-    for row, offsets in shifts.items():
-        total = _add_shifted(total, x * _pack(row, p.bits // 8, w.span[1]),
-                             offsets)
+    for row, found in rows.items():
+        if b2 >= 3 and row.count(row[0]) == b2:
+            # b2 equal weights c, as in a box or a row of ones: x times the
+            # row, shifted right by b2 - 1 lanes, is c times the sum of
+            # x >> t*L for t < b2, which doubling adds with no product and
+            # no left shift; that sum is already shifted, so row i's offset
+            # is its n*i lanes.
+            total = _add_shifted(
+                total, row[0] * _add_shifted(0, x, [*range(0, b2 * lane, lane)]),
+                [lane * n * i for i in found])
+        else:
+            total = _add_shifted(total, x * _pack(row, lane // 8, w.span[1]),
+                                 [lane * (n * i + b2 - 1) for i in found])
     return p._replace(rows=p.rows - b1 + 1, cols=p.cols - b2 + 1, value=total)
 
 
@@ -521,43 +542,3 @@ def generalized_collapse_power(a: Matrix, gamma: GammaSpec, s: int) -> Matrix:
     for _ in range(s):
         a = generalized_collapse(a, gamma)
     return a
-
-
-class NdArray(_Record, namedtuple("NdArray", "shape data")):
-    """Flat row-major n-dimensional array, up to 8 axes."""
-
-    __slots__ = ()
-
-    def _check(self):
-        if not 1 <= len(self.shape) <= MAX_AXES:
-            raise DimensionError(f"1 to {MAX_AXES} axes supported")
-        if any(e < 1 for e in self.shape):
-            raise DimensionError("all extents must be positive")
-        if len(self.data) != math.prod(self.shape):
-            raise DimensionError("data length must equal the product of extents")
-
-    @classmethod
-    def filled(cls, shape: tuple[int, ...], value) -> "NdArray":
-        return cls(tuple(shape), (value,) * math.prod(shape))
-
-
-def collapse_axis(arr: NdArray, axis: int) -> NdArray:
-    """Sum adjacent pairs along one axis; that extent shrinks by 1."""
-    if not 0 <= axis < len(arr.shape):
-        raise IndexError(f"axis {axis} out of range for shape {arr.shape}")
-    shape = arr.shape
-    k = shape[axis]
-    if k < 2:
-        raise DimensionError(f"axis {axis} has extent {k}, need at least 2")
-    before, after = shape[:axis], shape[axis + 1 :]
-    data = _pair_sum(arr.data, math.prod(before), k, math.prod(after))
-    return NdArray(before + (k - 1,) + after, data)
-
-
-def collapse_all(arr: NdArray) -> NdArray:
-    """One pair-sum collapse along every axis; axis order is immaterial."""
-    if any(e < 2 for e in arr.shape):
-        raise DimensionError("every extent must be at least 2")
-    for axis in range(len(arr.shape)):
-        arr = collapse_axis(arr, axis)
-    return arr

@@ -1,4 +1,4 @@
-"""Filter kernels, edge handling, and convolution.
+"""Coefficient windows, filter kernels, edge handling, and convolution.
 
 Exact kernels carry integer weights plus a divisor so that pipelines can
 defer the normalizing division; convolution therefore returns a
@@ -7,14 +7,17 @@ once, at the caller's chosen boundary, which keeps integer pipelines
 bit-exact; rounding the quotient is :func:`matrix.round_half_away`.
 
 Every exact window is the m x n coefficient matrix with a x b collapses
-(:func:`structured.coefficient_matrix`) over its entry sum, anchored at
-(ceil(m/2), ceil(n/2)): the binomial :func:`gaussian_kernel_rect` is
-(h, w, h-1, w-1), the radius-r Gaussian its (2r+1)-square case, the box
-(2r+1, 2r+1, 0, 0) and the interpolation window (2r+1, 2r+1, s, s).  One
-check, ``structured._check_window``, decides whether a window builds,
-before any weight is: an exact window whose largest weight leaves the
-signed 128-bit range is refused, and a float binomial window only past
-400 collapses (a + b), where no exact one builds either.
+(:func:`coefficient_matrix`, which this module owns) over its entry sum,
+anchored at (ceil(m/2), ceil(n/2)): the binomial (h, w, h-1, w-1), the
+radius-r Gaussian its (2r+1)-square case, the box (2r+1, 2r+1, 0, 0) and
+the interpolation window (2r+1, 2r+1, s, s).  One check,
+``_check_window``, decides whether a window builds, before any weight
+is: an exact window whose largest weight leaves the signed 128-bit range
+is refused, and a float binomial window only past 400 collapses
+(a + b), where no exact one builds either.  The named builders of the
+Matrix API (``box_kernel``, ``gaussian_kernel`` and the others) live in
+``collapsum.windows``, which no command imports; this module still
+serves them by name.
 Convolution uses flipped kernel indexing (output (p, q) sums
 weight(i, j) * input(p - i, q - j) over window offsets), which matters
 only for asymmetric kernels; it runs as the
@@ -28,24 +31,109 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from enum import Enum
-from itertools import chain
+from itertools import accumulate, chain, repeat
 from operator import itemgetter
 
 from .collapse import GammaSpec, _Packed, _extended_lanes, generalized_collapse
 from .matrix import (
+    INT128_MAX,
     DimensionError,
+    ExactOverflowError,
     Matrix,
     ScalarMode,
     _Record,
+    _lazy,
     round_half_away,
 )
-from .structured import (
-    coefficient_matrix,
-    coefficient_matrix_entry_sum,
-    coefficient_sides,
-)
+
+# The named window builders, in the module no command imports.
+__getattr__ = _lazy(globals(), {
+    "windows": "box_kernel gaussian_kernel gaussian_kernel_rect "
+               "gaussian_kernel_sampled interpolation_kernel"})
 
 FLOAT_KERNEL_TOL = 1e-12
+
+
+def binomial(n: int, r: int) -> int:
+    """Exact binomial coefficient, 0 whenever r < 0 or r > n."""
+    if n < 0:
+        raise ValueError("binomial requires a nonnegative upper index")
+    return math.comb(n, r) if 0 <= r else 0
+
+
+# The most collapses a + b that a coefficient window takes.
+MAX_COLLAPSES = 400
+
+
+def _check_counts(m: int, n: int, a: int, b: int) -> None:
+    if not 0 <= a < m:
+        raise DimensionError(f"need 0 <= a < m, got a={a}, m={m}")
+    if not 0 <= b < n:
+        raise DimensionError(f"need 0 <= b < n, got b={b}, n={n}")
+
+
+def _side(m: int, a: int) -> list[int]:
+    # Column sums of r_falling(m, a): entry j sums the m - a binomials
+    # C(a, k) ending at k = j, a difference of the row's prefix sums.
+    p = [0, *accumulate(map(binomial, repeat(a), range(a + 1)))]
+    return [p[min(j, a) + 1] - p[max(j - m + a + 1, 0)] for j in range(m)]
+
+
+def _peak(m: int, a: int) -> int:
+    # Middle entry of _side(m, a), summed alone; the side is symmetric and
+    # unimodal, so it is the largest.
+    j = (m - 1) // 2
+    return sum(math.comb(a, k) for k in range(max(j - m + a + 1, 0), min(j, a) + 1))
+
+
+def coefficient_sides(m: int, n: int, a: int, b: int) -> tuple[list, list]:
+    """The column sums of ``r_falling(m, a)`` and ``r_falling(n, b)``,
+    whose outer product is :func:`coefficient_matrix`, past the int128
+    range too.  Past :data:`MAX_COLLAPSES` collapses they are refused,
+    before any is computed, as no exact window builds there either."""
+    _check_window(m, n, a, b, ScalarMode.FLOAT)
+    return _side(m, a), _side(n, b)
+
+
+def _check_window(m: int, n: int, a: int, b: int, mode: ScalarMode) -> None:
+    # The one check of whether an m x n window with a x b collapses builds in
+    # ``mode``, made before any entry is computed: it refuses the counts, an
+    # exact window whose largest entry leaves the signed 128-bit range, and a
+    # float one past MAX_COLLAPSES collapses, where no exact one builds
+    # either.  The middle window holds C(a, a//2) >= 2^a / (a+1), so an exact
+    # a + b past MAX_COLLAPSES always overflows; only smaller counts need the
+    # peak computed.
+    _check_counts(m, n, a, b)
+    if mode is ScalarMode.EXACT and (
+            a + b > MAX_COLLAPSES or _peak(m, a) * _peak(n, b) > INT128_MAX):
+        raise ExactOverflowError(
+            f"{m}x{n} binomial window exceeds the signed 128-bit range"
+        )
+    if a + b > MAX_COLLAPSES:
+        raise DimensionError(
+            f"{m}x{n} binomial window needs more than {MAX_COLLAPSES} collapses"
+        )
+
+
+def coefficient_matrix(m: int, n: int, a: int, b: int) -> Matrix:
+    """m x n matrix whose (i, j) entry counts how often input entry
+    (i, j) contributes to the summed total of a vertical^a horizontal^b
+    collapse.
+
+    The outer product of the column sums of ``r_falling(m, a)`` and
+    ``r_falling(n, b)``, each in closed form.  A window whose largest
+    entry leaves the signed 128-bit range is refused before any entry is
+    computed.
+    """
+    _check_window(m, n, a, b, ScalarMode.EXACT)
+    beta = _side(n, b)
+    return Matrix(m, n, tuple(x * y for x in _side(m, a) for y in beta))
+
+
+def coefficient_matrix_entry_sum(m: int, n: int, a: int, b: int) -> int:
+    """Total of all coefficient-matrix entries: 2^(a+b) (m-a)(n-b)."""
+    _check_counts(m, n, a, b)
+    return 2 ** (a + b) * (m - a) * (n - b)
 
 
 class EdgeMode(Enum):
@@ -183,73 +271,10 @@ def _diameter(r: int) -> int:
     return 2 * r + 1
 
 
-def box_kernel(r: int) -> Kernel:
-    """Uniform (2r+1)-square window, divisor (2r+1)^2."""
-    k = _diameter(r)
-    return _coefficient_kernel(k, k, 0, 0)
-
-
-def gaussian_kernel(r: int) -> Kernel:
-    """Binomial approximation to the Gaussian, radius r: the
-    (2r+1)-square :func:`gaussian_kernel_rect`.
-
-    Weight (i, j), indexed from the center, is
-    binomial(2r, i+r) * binomial(2r, j+r); the divisor is 4^(2r).
-    """
-    k = _diameter(r)
-    return gaussian_kernel_rect(k, k)
-
-
-def gaussian_kernel_rect(
-    a: int, b: int, mode: ScalarMode = ScalarMode.EXACT
-) -> Kernel:
-    """Rectangular a x b binomial kernel, divisor 2^(a+b-2).
-
-    Weight (i, j), indexed from the top-left corner, is
-    binomial(a-1, i-1) * binomial(b-1, j-1).  Even sides have no central
-    entry, so the anchor sits at (ceil(a/2), ceil(b/2)).  An exact window
-    whose largest weight leaves the signed 128-bit range is refused
-    before any weight is built.  In float ``mode`` each weight is that
-    quotient correctly rounded, with divisor 1, for sides with
-    a + b <= 402; longer ones are refused first.
-    """
-    if a < 1 or b < 1:
-        raise ValueError("kernel sides must be positive")
-    return _coefficient_kernel(a, b, a - 1, b - 1, mode)
-
-
-def gaussian_kernel_sampled(r: int, s: float) -> Kernel:
-    """(2r+1)-square kernel sampled from the 2-D Gaussian density with
-    standard deviation ``s``, renormalized to unit sum."""
-    size = _diameter(r)
-    if s <= 0:
-        raise ValueError("standard deviation must be positive")
-    raw = [
-        math.exp(-(x * x + y * y) / (2.0 * s * s))
-        for x in range(-r, r + 1)
-        for y in range(-r, r + 1)
-    ]
-    total = math.fsum(raw)
-    data = tuple(v / total for v in raw)
-    return Kernel(Matrix(size, size, data, ScalarMode.FLOAT), 1, (r + 1, r + 1))
-
-
 def check_interpolation(r: int, s: int) -> None:
     """Refuse a negative radius or a step s outside 0 <= s <= 2r."""
     if not 0 <= s <= _diameter(r) - 1:
         raise ValueError(f"interpolation step must satisfy 0 <= s <= 2r, got {s}")
-
-
-def interpolation_kernel(r: int, s: int) -> Kernel:
-    """Blend between the box and binomial-Gaussian windows.
-
-    The weights are the coefficient matrix of a (2r+1)-square with
-    a = b = s, divisor 2^(2s) (2r+1-s)^2; s = 0 is the box kernel and
-    s = 2r the Gaussian one.
-    """
-    check_interpolation(r, s)
-    k = _diameter(r)
-    return _coefficient_kernel(k, k, s, s)
 
 
 def _sources(n: int, before: int, after: int, mode: EdgeMode) -> list[int]:

@@ -66,6 +66,33 @@ class _Record:
         return self
 
 
+def _lazy(namespace: dict, exports: dict):
+    """A module ``__getattr__`` (PEP 562) for the module whose globals are
+    ``namespace``: ``exports`` maps a collapsum module to the names, space
+    separated, that are imported from it on first use and then bound in
+    ``namespace``; a name that is its module's own name is that module."""
+    homes = {name: home for home, names in exports.items()
+             for name in names.split()}
+
+    def __getattr__(name):
+        home = homes.get(name)
+        if home is None:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}")
+        # The import statement's own machinery, so that -X importtime
+        # logs the import as it logs the others.
+        module = __import__(f"collapsum.{home}", fromlist=[name])
+        value = namespace[name] = module if home == name else getattr(module, name)
+        return value
+
+    return __getattr__
+
+
+# The matrix algebra of the Matrix API, in the module no command imports.
+__getattr__ = _lazy(globals(), {
+    "algebra": "_require_same_mode add approx_equal multiply"})
+
+
 class Matrix:
     """Immutable matrix stored row-major as a flat tuple.
 
@@ -215,26 +242,6 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} {self.mode.value}: [{body}])"
 
 
-def _require_same_mode(a: Matrix, b: Matrix) -> ScalarMode:
-    if a.mode is not b.mode:
-        raise ValueError(
-            f"scalar mode mismatch: {a.mode.value} vs {b.mode.value}"
-            " (convert with to_float() first)"
-        )
-    return a.mode
-
-
-def add(a: Matrix, b: Matrix) -> Matrix:
-    """Entrywise sum of two equal-shaped matrices."""
-    mode = _require_same_mode(a, b)
-    if a.rows != b.rows or a.cols != b.cols:
-        raise DimensionError(
-            f"cannot add {a.rows}x{a.cols} and {b.rows}x{b.cols} matrices"
-        )
-    data = tuple(x + y for x, y in zip(a.data, b.data))
-    return Matrix(a.rows, a.cols, data, mode)
-
-
 def scale(c, a: Matrix) -> Matrix:
     """Entrywise product by the scalar ``c``.
 
@@ -275,39 +282,3 @@ def round_half_away(a: Matrix, divisor: int = 1) -> Matrix:
             for v in (x / divisor for x in a.data)
         ]
     return Matrix(a.rows, a.cols, tuple(data), ScalarMode.EXACT)
-
-
-def multiply(a: Matrix, b: Matrix) -> Matrix:
-    """Standard matrix product."""
-    mode = _require_same_mode(a, b)
-    if a.cols != b.rows:
-        raise DimensionError(
-            f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}"
-        )
-    m, k, n = a.rows, a.cols, b.cols
-    da, db = a.data, b.data
-    out = []
-    for i in range(m):
-        arow = da[i * k : (i + 1) * k]
-        for j in range(n):
-            acc = 0
-            for t in range(k):
-                acc += arow[t] * db[t * n + j]
-            out.append(acc)
-    if mode is ScalarMode.FLOAT:
-        out = [float(x) for x in out]
-    return Matrix(m, n, tuple(out), mode)
-
-
-def approx_equal(a: Matrix, b: Matrix, tol: float) -> bool:
-    """True iff the max entrywise absolute difference is at most ``tol``.
-
-    ``tol = 0`` demands exact equality.
-    """
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    if a.rows != b.rows or a.cols != b.cols:
-        raise DimensionError(
-            f"cannot compare {a.rows}x{a.cols} and {b.rows}x{b.cols} matrices"
-        )
-    return all(abs(x - y) <= tol for x, y in zip(a.data, b.data))

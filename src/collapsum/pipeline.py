@@ -1,9 +1,9 @@
-"""Blur execution strategies, their equivalence check, and a benchmark.
+"""Blur execution strategies and their equivalence check.
 
 Every blur is an h x w coefficient window with a x b collapses
-(``structured.coefficient_matrix``): the binomial (h-1, w-1), radius r
+(``kernels.coefficient_matrix``): the binomial (h-1, w-1), radius r
 its (2r+1)-square case, the box (0, 0) and interp (s, s).  A blur
-checks that the window fits and builds (``structured._check_window``),
+checks that the window fits and builds (``kernels._check_window``),
 reads its divisor and margins, which need no weight, extends the image
 once by those margins, and runs one of three methods on that: direct
 2-D convolution by the whole window, the only method that builds it; a
@@ -11,7 +11,8 @@ row and a column pass by the window's two sides; or the collapses, full
 ones over their square part, then a row and a column pass of ones over
 the (h-a) x (w-b) taps left.  So radius r is 2r
 collapses over 4^(2r).  In exact mode the three agree bit for bit on
-their (numerator, divisor) pairs, as the report and benchmark record.
+their (numerator, divisor) pairs, as the report and the benchmark
+(``collapsum.bench``, which only the bench command imports) record.
 
 :func:`blur_raster` blurs a whole netpbm raster, raster to raster: the
 image is packed once, before extension, into one int
@@ -45,7 +46,6 @@ entry, and a float one, runs the same stage calls on matrices.
 
 from __future__ import annotations
 
-import time
 from collections import namedtuple
 from enum import Enum
 from itertools import combinations
@@ -64,22 +64,35 @@ from .collapse import (
 from .kernels import (
     EdgeMode,
     FilterResult,
+    _check_counts,
+    _check_window,
     _coefficient_kernel,
     _diameter,
     _margins,
+    coefficient_matrix_entry_sum,
     convolve,
     extend_asym,
     separable_convolve,
 )
-
-# Not called here; kept because perfbench/tracing.py wraps them here.
-from .kernels import extend, gaussian_kernel, gaussian_kernel_rect  # noqa: F401
-from .matrix import DimensionError, Matrix, ScalarMode, _Record, _rounded, scale
-from .structured import (
-    _check_counts,
-    _check_window,
-    coefficient_matrix_entry_sum,
+from .matrix import (
+    DimensionError,
+    Matrix,
+    ScalarMode,
+    _Record,
+    _lazy,
+    _rounded,
+    scale,
 )
+
+# The benchmark and its cost model, which only the bench command runs, and
+# the kernel builders and extension that tracers wrap here, which no blur
+# calls.
+__getattr__ = _lazy(globals(), {
+    "bench": "BenchReport BenchRow CSV_HEADER TIMING_CONTRACT benchmark "
+             "entry_ops",
+    "windows": "gaussian_kernel gaussian_kernel_rect",
+    "kernels": "extend",
+})
 
 FLOAT_TOLERANCE = 1e-9
 
@@ -314,104 +327,3 @@ def seeded_image(rows: int, cols: int, seed: int = LCG_SEED) -> Matrix:
         state = (state * _LCG_MULT + _LCG_INC) & _LCG_MASK
         data.append(state >> 56)
     return Matrix(rows, cols, tuple(data), ScalarMode.EXACT)
-
-
-def entry_ops(method: Method, rows: int, cols: int, r: int, edge: EdgeMode) -> int:
-    """Accumulation count of one strategy in the paper's cost model.
-
-    Direct counts one multiply-accumulate per window tap; separable the
-    same across both 1-D passes; collapse one addition per produced
-    entry of every directional pass.  These are the operations each
-    strategy is defined by, not the steps the code runs: an exact
-    correlation is a packed bigint product per distinct window row, so
-    the wall time of direct and separable no longer follows these counts.
-
-    A negative radius, or a window larger than a cropped image, raises
-    what :func:`blur` raises.
-    """
-    k = _diameter(r)
-    _check_crop_fit(rows, cols, k, k, edge)
-    if edge is EdgeMode.CROP:
-        me, ne = rows, cols
-    else:
-        me, ne = rows + 2 * r, cols + 2 * r
-    out_m, out_n = me - 2 * r, ne - 2 * r
-    if method is Method.DIRECT:
-        return out_m * out_n * k * k
-    if method is Method.SEPARABLE:
-        return me * out_n * k + out_m * out_n * k
-    total = 0
-    m, n = me, ne
-    for _ in range(2 * r):
-        total += (m - 1) * n + (m - 1) * (n - 1)
-        m, n = m - 1, n - 1
-    return total
-
-
-BenchRow = namedtuple("BenchRow", "size radius method median_ns entry_ops max_deviation")
-
-
-CSV_HEADER = "size,radius,method,median_ns,entry_ops,max_deviation"
-
-TIMING_CONTRACT = (
-    "timed sections run sequentially on a single thread; "
-    "wall times are medians over the requested repetitions"
-)
-
-
-class BenchReport(namedtuple("BenchReport", "rows")):
-    __slots__ = ()
-    # Not a field: every report is timed under the one contract.
-    timing_contract = TIMING_CONTRACT
-
-    def to_csv(self) -> str:
-        lines = [CSV_HEADER]
-        for row in self.rows:
-            lines.append(
-                f"{row.size},{row.radius},{row.method},{row.median_ns},"
-                f"{row.entry_ops},{row.max_deviation:.2e}"
-            )
-        return "\n".join(lines) + "\n"
-
-
-def benchmark(sizes: list[int], radii: list[int], repetitions: int) -> BenchReport:
-    """Time every (size, radius, method) cell on a seeded exact image,
-    blurred under ``EdgeMode.REPLICATE``.
-
-    Each cell reports the median wall time, its accumulation count, and
-    the deviation of its result from the direct strategy's.
-    """
-    import statistics  # only here: it imports fractions and decimal
-
-    if repetitions < 1:
-        raise ValueError("repetitions must be at least 1")
-    # Every image and request is built, in loop order, and then every
-    # cell's window is checked, before any is timed, so a bad size or
-    # radius, or a window that cannot be built, is refused before the first
-    # blur; no weight is built until a direct cell runs.
-    cells = [(size, image, r, BlurRequest(radius=r, method=method))
-             for size in sizes for image in [seeded_image(size, size)]
-             for r in radii for method in Method]
-    for size, _, _, req in cells:
-        _divisor(size, size, req, ScalarMode.EXACT)
-    rows = []
-    for size, image, r, req in cells:
-        times = []
-        for _ in range(repetitions):
-            start = time.perf_counter_ns()
-            result = blur(image, req)
-            times.append(time.perf_counter_ns() - start)
-        if req.method is Method.DIRECT:
-            reference = result
-        rows.append(
-            BenchRow(
-                size=size,
-                radius=r,
-                method=req.method.value,
-                median_ns=int(statistics.median(times)),
-                entry_ops=entry_ops(req.method, size, size, r,
-                                    EdgeMode.REPLICATE),
-                max_deviation=deviation(result, reference),
-            )
-        )
-    return BenchReport(tuple(rows))

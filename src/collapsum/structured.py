@@ -1,11 +1,19 @@
-"""Combinatorial matrices behind the collapse calculus.
+"""Combinatorial matrices behind the collapse calculus: the paper's
+closed forms.
 
-Binomial coefficients, the banded pair-sum matrices whose products
-realize the directional collapses, their weighted generalization,
-coefficient matrices that count how often each entry feeds a fully
-summed collapse (every exact filter window is one: binomial, box and
-interpolation), and Toeplitz constructors with the closed-form value of
-their full collapse.
+The banded pair-sum matrices whose products realize the directional
+collapses, their weighted generalization, row and column sums, and
+Toeplitz constructors with the closed-form value of their full collapse,
+down to the collapsed coefficient square.  No command runs any of them,
+so no command imports this module.
+
+The coefficient window, the matrix that counts how often each entry
+feeds a fully summed collapse (every exact filter window is one:
+binomial, box and interpolation), is computed by ``collapsum.kernels``,
+which every blur imports: ``binomial``, ``MAX_COLLAPSES``,
+``coefficient_sides``, ``coefficient_matrix``,
+``coefficient_matrix_entry_sum`` and the checks behind them are
+re-exported here under their old names.
 
 Vectors are represented as n x 1 matrices throughout; there is no
 separate vector type.
@@ -13,26 +21,23 @@ separate vector type.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
-from itertools import accumulate, repeat
 
-from .matrix import (
-    INT128_MAX,
-    DimensionError,
-    ExactOverflowError,
-    Matrix,
-    ScalarMode,
-    _Record,
-    multiply,
+from .algebra import multiply
+
+# The coefficient window, owned by kernels, under its old names here.
+from .kernels import (  # noqa: F401
+    MAX_COLLAPSES,
+    _check_counts,
+    _check_window,
+    _peak,
+    _side,
+    binomial,
+    coefficient_matrix,
+    coefficient_matrix_entry_sum,
+    coefficient_sides,
 )
-
-
-def binomial(n: int, r: int) -> int:
-    """Exact binomial coefficient, 0 whenever r < 0 or r > n."""
-    if n < 0:
-        raise ValueError("binomial requires a nonnegative upper index")
-    return math.comb(n, r) if 0 <= r else 0
+from .matrix import DimensionError, Matrix, ScalarMode, _Record
 
 
 def r_matrix(m: int) -> Matrix:
@@ -113,81 +118,6 @@ def row_sum_vector(a: Matrix) -> Matrix:
     n = a.cols
     sums = [sum(a.data[i * n : (i + 1) * n]) for i in range(a.rows)]
     return Matrix(a.rows, 1, tuple(sums), a.mode)
-
-
-# The most collapses a + b that a coefficient window takes.
-MAX_COLLAPSES = 400
-
-
-def _check_counts(m: int, n: int, a: int, b: int) -> None:
-    if not 0 <= a < m:
-        raise DimensionError(f"need 0 <= a < m, got a={a}, m={m}")
-    if not 0 <= b < n:
-        raise DimensionError(f"need 0 <= b < n, got b={b}, n={n}")
-
-
-def _side(m: int, a: int) -> list[int]:
-    # Column sums of r_falling(m, a): entry j sums the m - a binomials
-    # C(a, k) ending at k = j, a difference of the row's prefix sums.
-    p = [0, *accumulate(map(binomial, repeat(a), range(a + 1)))]
-    return [p[min(j, a) + 1] - p[max(j - m + a + 1, 0)] for j in range(m)]
-
-
-def _peak(m: int, a: int) -> int:
-    # Middle entry of _side(m, a), summed alone; the side is symmetric and
-    # unimodal, so it is the largest.
-    j = (m - 1) // 2
-    return sum(math.comb(a, k) for k in range(max(j - m + a + 1, 0), min(j, a) + 1))
-
-
-def coefficient_sides(m: int, n: int, a: int, b: int) -> tuple[list, list]:
-    """The column sums of ``r_falling(m, a)`` and ``r_falling(n, b)``,
-    whose outer product is :func:`coefficient_matrix`, past the int128
-    range too.  Past :data:`MAX_COLLAPSES` collapses they are refused,
-    before any is computed, as no exact window builds there either."""
-    _check_window(m, n, a, b, ScalarMode.FLOAT)
-    return _side(m, a), _side(n, b)
-
-
-def _check_window(m: int, n: int, a: int, b: int, mode: ScalarMode) -> None:
-    # The one check of whether an m x n window with a x b collapses builds in
-    # ``mode``, made before any entry is computed: it refuses the counts, an
-    # exact window whose largest entry leaves the signed 128-bit range, and a
-    # float one past MAX_COLLAPSES collapses, where no exact one builds
-    # either.  The middle window holds C(a, a//2) >= 2^a / (a+1), so an exact
-    # a + b past MAX_COLLAPSES always overflows; only smaller counts need the
-    # peak computed.
-    _check_counts(m, n, a, b)
-    if mode is ScalarMode.EXACT and (
-            a + b > MAX_COLLAPSES or _peak(m, a) * _peak(n, b) > INT128_MAX):
-        raise ExactOverflowError(
-            f"{m}x{n} binomial window exceeds the signed 128-bit range"
-        )
-    if a + b > MAX_COLLAPSES:
-        raise DimensionError(
-            f"{m}x{n} binomial window needs more than {MAX_COLLAPSES} collapses"
-        )
-
-
-def coefficient_matrix(m: int, n: int, a: int, b: int) -> Matrix:
-    """m x n matrix whose (i, j) entry counts how often input entry
-    (i, j) contributes to the summed total of a vertical^a horizontal^b
-    collapse.
-
-    The outer product of the column sums of ``r_falling(m, a)`` and
-    ``r_falling(n, b)``, each in closed form.  A window whose largest
-    entry leaves the signed 128-bit range is refused before any entry is
-    computed.
-    """
-    _check_window(m, n, a, b, ScalarMode.EXACT)
-    beta = _side(n, b)
-    return Matrix(m, n, tuple(x * y for x in _side(m, a) for y in beta))
-
-
-def coefficient_matrix_entry_sum(m: int, n: int, a: int, b: int) -> int:
-    """Total of all coefficient-matrix entries: 2^(a+b) (m-a)(n-b)."""
-    _check_counts(m, n, a, b)
-    return 2 ** (a + b) * (m - a) * (n - b)
 
 
 class ToeplitzSpec(_Record, namedtuple("ToeplitzSpec", "values rows cols")):

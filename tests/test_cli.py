@@ -128,8 +128,8 @@ class TestWindowResolution:
         def unread(data):
             raise AssertionError("the input was read")
 
-        cli = importlib.import_module("collapsum.cli")
-        monkeypatch.setattr(cli, "read_raster", unread)
+        netpbm = importlib.import_module("collapsum.netpbm")
+        monkeypatch.setattr(netpbm, "read_raster", unread)
         src = write_pgm(tmp_path / "in.pgm", b"P2\n4 4\n255\n" + b"1 " * 16)
         for argv in (["kernel", *window],
                      ["blur", *window, src, str(tmp_path / "out.pgm")],
@@ -343,7 +343,7 @@ class TestBlurCommand:
         def building(n, r):
             raise AssertionError("a weight was built")
 
-        monkeypatch.setattr(importlib.import_module("collapsum.structured"),
+        monkeypatch.setattr(importlib.import_module("collapsum.kernels"),
                             "binomial", building)
         src = write_pgm(tmp_path / "in.pgm", b"P2\n4 4\n255\n" + b"1 " * 16)
         argv = ["blur", *window, "--edge", "crop", src, str(tmp_path / "o.pgm")]
@@ -429,7 +429,8 @@ class TestBlurCommand:
 
         monkeypatch.setattr(collapse, "_pack", packing)
         monkeypatch.setattr(collapse, "_unpack", unpacking)
-        for module in (netpbm, cli):
+        # cli first: it serves these names from netpbm on first use.
+        for module in (cli, netpbm):
             for name in ("split_color", "merge_color", "plane_from_matrix"):
                 monkeypatch.setattr(module, name, refused)
         out = tmp_path / "out.ppm"
@@ -648,7 +649,7 @@ class TestVerifyCommand:
         def building(n, r):
             raise AssertionError("a weight was built")
 
-        monkeypatch.setattr(importlib.import_module("collapsum.structured"),
+        monkeypatch.setattr(importlib.import_module("collapsum.kernels"),
                             "binomial", building)
         start = time.perf_counter()
         assert main(["verify", "--radius", "1000000", "--mode", "float"]) == 2
@@ -729,7 +730,9 @@ class TestUsage:
         argv = {
             "blur": ["-m", "collapsum", "blur", "--radius", "1", str(image),
                      str(tmp_path / "out.ppm")],
-            "import": ["-c", "import collapsum"],
+            # The whole public API: ``import collapsum`` alone loads no
+            # pipeline (tests/test_imports.py).
+            "import": ["-c", "from collapsum import *"],
         }[command]
         out = subprocess.run([sys.executable, "-S", "-X", "importtime", *argv],
                              env=env, check=True, capture_output=True,

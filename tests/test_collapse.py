@@ -1150,6 +1150,81 @@ class TestEvenlySpacedRows:
         assert 0 < Counted.adds <= 2 * math.ceil(math.log2(k)) + 1
 
 
+
+@st.composite
+def equal_row_cases(draw):
+    """A packed plane of 1 to 3 channels and a window of 1 to 5 rows of 3 to
+    64 weights, each row one of a pool of two: b2 equal weights c, with at
+    least one such row, and b2 weights drawn apart.  Samples are drawn up
+    to 2**k, k up to 127, so sublanes go past 16 bytes."""
+    b1, b2 = draw(st.integers(1, 5)), draw(st.integers(3, 64))
+    weight = st.integers(0, 2**draw(st.integers(0, 40)))
+    equal = [draw(weight)] * b2
+    pool = [equal, draw(st.lists(weight, min_size=b2, max_size=b2))]
+    rows = draw(st.lists(st.sampled_from(pool), min_size=b1 - 1, max_size=b1 - 1))
+    rows.insert(draw(st.integers(0, b1 - 1)), equal)
+    w = Matrix.from_rows(rows)
+    c = draw(st.integers(1, 3))
+    m, n = draw(st.integers(b1, b1 + 2)), draw(st.integers(b2, b2 + 2))
+    entry = nonnegative_entries(draw(WIDE_BITS))
+    samples = draw(st.lists(entry, min_size=m * n * c, max_size=m * n * c))
+    plane = collapse_module._packed_lanes(m, n, c, samples, max(samples),
+                                          sum(w.data))
+    return plane, w
+
+
+class TestEqualWeightRows:
+    """A window row of three or more equal weights is added by doubling,
+    with no product of the plane by the packed row."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(equal_row_cases())
+    def test_matches_the_product(self, case):
+        p, w = case
+        b2, size = w.cols, p.bits // 8
+        expected = 0
+        for i, row in enumerate(w.to_rows()):
+            product = p.value * collapse_module._pack(row[::-1], size, w.span[1])
+            expected += product >> p.bits * (p.stride * i + b2 - 1)
+        out = collapse_module._correlate(p, w)
+        assert out.value == expected
+        assert (out.rows, out.cols) == (p.rows - w.rows + 1, p.cols - b2 + 1)
+
+    @pytest.mark.parametrize("b1, b2", [(1, 3), (1, 64), (1, 1201), (5, 5)],
+                             ids=["3", "64", "ones-1201", "box-5"])
+    def test_no_product_by_an_equal_row(self, b1, b2):
+        # The row of ones of a radius-600 box among them: the plane is only
+        # multiplied by the weight, and its shifted copies are added by
+        # doubling, in at most 2 * ceil(log2 k) + 1 additions for each of
+        # the row's k = b2 weights and the window's k = b1 equal rows.
+        class Plane:
+            # Stands in for the packed int; refuses a product by a packed row.
+            adds = 0
+            weights = []
+
+            def __mul__(self, other):
+                raise AssertionError("the plane was multiplied by a packed row")
+
+            def __rmul__(self, weight):
+                Plane.weights.append(weight)
+                return self
+
+            def __add__(self, other):
+                Plane.adds += 1
+                return self
+
+            __radd__ = __add__
+
+            def __rshift__(self, offset):
+                return self
+
+        plane = collapse_module._Packed(b1 + 2, b2 + 2, b2 + 2, 8, Plane())
+        collapse_module._correlate(plane, Matrix(b1, b2, (7,) * (b1 * b2)))
+        assert Plane.weights == [7]
+        bound = sum(2 * math.ceil(math.log2(k)) + 1 for k in (b1, b2))
+        assert 0 < Plane.adds <= bound
+
+
 class TestPacker:
     @pytest.mark.parametrize("size", range(1, 18))
     def test_round_trip_at_every_lane_width(self, size):

@@ -154,7 +154,7 @@ class TestRectKernel:
         def building(n, r):
             raise Built
 
-        monkeypatch.setattr(importlib.import_module("collapsum.structured"),
+        monkeypatch.setattr(importlib.import_module("collapsum.kernels"),
                             "binomial", building)
         refused = set()
         for a, b in itertools.product(peak, repeat=2):
@@ -264,8 +264,8 @@ class TestInterpolationKernel:
         class Built(Exception):
             pass
 
-        structured = importlib.import_module("collapsum.structured")
-        with mock.patch.object(structured, "binomial", side_effect=Built):
+        kernels = importlib.import_module("collapsum.kernels")
+        with mock.patch.object(kernels, "binomial", side_effect=Built):
             with pytest.raises((ExactOverflowError, Built)) as caught:
                 interpolation_kernel(r, s)
         if side * side > INT128_MAX:

@@ -781,13 +781,15 @@ class TestOneProductPerDistinctRow:
         # each distinct window row, separable its one row and then each
         # distinct entry of its column side, and collapse runs its passes on
         # the packed plane and then a row and a column pass of ones, one
-        # product each.  No 2-D window is built but the request's, and
-        # only direct builds that.
+        # product each; but a row of three or more equal weights (the box's,
+        # and a row of ones) is added by doubling and never packed.  No 2-D
+        # window is built but the request's, and only direct builds that.
         r, a = 2, random_matrix(random.Random(281), 8, 9)
         k = 2 * r + 1
         distinct = len(set(coefficient_sides(k, k, s, s)[0]))
-        rows = {Method.DIRECT: [k] * distinct, Method.SEPARABLE: [k] + [1] * distinct,
-                Method.COLLAPSE: [k - s, 1]}[method]
+        row = [] if s == 0 else [k]
+        rows = {Method.DIRECT: row * distinct, Method.SEPARABLE: row + [1] * distinct,
+                Method.COLLAPSE: ([] if k - s >= 3 else [k - s]) + [1]}[method]
         windows = {Method.DIRECT: [(k, k)], Method.SEPARABLE: [(1, k), (k, 1)],
                    Method.COLLAPSE: [(1, k - s), (k - s, 1)]}[method]
         built = []
@@ -823,8 +825,8 @@ def asked_windows():
 
     with pytest.MonkeyPatch.context() as patch:
         for name in ("coefficient_matrix", "coefficient_sides"):
-            stub = recorder(getattr(structured_module, name))
-            # kernels calls the names it imported.
+            stub = recorder(getattr(kernels_module, name))
+            # kernels owns and calls them; structured re-exports them.
             for module in (structured_module, kernels_module):
                 patch.setattr(module, name, stub)
         yield asked

@@ -85,7 +85,7 @@ def test_refusal(name, thunk, error, message):
 
 
 # The module, where the callers of ``_side`` look it up.
-structured_module = importlib.import_module("collapsum.structured")
+kernels_module = importlib.import_module("collapsum.kernels")
 
 # (name, request fields or None, image mode, CLI blur options or None,
 #  exception type, message).  A request of a radius alone, with its edge,
@@ -122,7 +122,7 @@ def test_a_window_is_refused_before_any_side(name, fields, mode, options, error,
             run(*args)
         assert type(err.value) is error and str(err.value) == message
 
-    monkeypatch.setattr(structured_module, "_side", unreached)
+    monkeypatch.setattr(kernels_module, "_side", unreached)
     image = Matrix.filled(4, 4, 1)
     blurs = [(blur, image), (blur_raster, Raster(4, 4, 1, 255, image.data))]
     if mode is ScalarMode.FLOAT:
