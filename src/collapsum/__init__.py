@@ -30,10 +30,10 @@ _EXPORTS = {
                "gaussian_kernel_sampled interpolation_kernel",
     "matrix": "DimensionError ExactOverflowError Matrix ScalarMode scale",
     "algebra": "add approx_equal multiply",
-    "netpbm": "ColorImage ImagePlane NetpbmError merge_color "
-              "plane_from_matrix read_netpbm split_color write_netpbm",
-    "pipeline": "BlurRequest EquivalenceReport Method blur deviation "
-                "equivalence_report rect_blur seeded_image",
+    "netpbm": "NetpbmError Raster merge_color plane_from_matrix "
+              "read_netpbm split_color write_netpbm",
+    "pipeline": "BlurRequest EquivalenceReport Method blur blur_raster "
+                "deviation equivalence_report rect_blur seeded_image",
     "bench": "BenchReport BenchRow benchmark entry_ops",
     "structured": "ToeplitzSpec collapsed_coefficient_square "
                   "column_sum_vector r_falling r_matrix r_phi r_phi_falling "

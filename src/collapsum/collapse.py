@@ -245,11 +245,17 @@ def _packed_lanes(rows: int, cols: int, channels: int, samples, high: int,
                    _pack(samples, size, high), channels)
 
 
+def _wide(p: _Packed) -> bool:
+    # Whether p's sublanes, of 16 bytes or more, can hold an entry past
+    # int128, so that ``_checked`` has a mask to test.
+    return p.bits // 8 // p.channels >= 16
+
+
 def _checked(p: _Packed) -> None:
-    # p's int128 check: in sublanes of 16 bytes or more, one AND over the
-    # kept sublanes of p, whose bits 127 and up must all be clear.
+    # p's int128 check: in wide sublanes, one AND over the kept sublanes of
+    # p, whose bits 127 and up must all be clear.
     size = p.bits // 8 // p.channels
-    if size >= 16:
+    if _wide(p):
         sublane = bytes(15) + b"\x80" + b"\xff" * (size - 16)
         gap = bytes(p.bits // 8 * (p.stride - p.cols))
         mask = (sublane * (p.channels * p.cols) + gap) * p.rows

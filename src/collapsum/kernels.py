@@ -13,11 +13,11 @@ radius-r Gaussian its (2r+1)-square case, the box (2r+1, 2r+1, 0, 0) and
 the interpolation window (2r+1, 2r+1, s, s).  One check,
 ``_check_window``, decides whether a window builds, before any weight
 is: an exact window whose largest weight leaves the signed 128-bit range
-is refused, and a float binomial window only past 400 collapses
-(a + b), where no exact one builds either.  The named builders of the
-Matrix API (``box_kernel``, ``gaussian_kernel`` and the others) live in
-``collapsum.windows``, which no command imports; this module still
-serves them by name.
+is refused, a float binomial window past 400 collapses (a + b), where
+no exact one builds either, and any window of more than 2^22 taps.
+The named builders of the Matrix API (``box_kernel``,
+``gaussian_kernel`` and the others) live in ``collapsum.windows``, which
+no command imports; this module still serves them by name.
 Convolution uses flipped kernel indexing (output (p, q) sums
 weight(i, j) * input(p - i, q - j) over window offsets), which matters
 only for asymmetric kernels; it runs as the
@@ -63,6 +63,10 @@ def binomial(n: int, r: int) -> int:
 
 # The most collapses a + b that a coefficient window takes.
 MAX_COLLAPSES = 400
+# The most taps m * n that a window takes: every method's work, and the
+# memory of an extended plane, grow with its sides.  A box of radius
+# 1023 (2047 x 2047) is within it.
+MAX_TAPS = 2**22
 
 
 def _check_counts(m: int, n: int, a: int, b: int) -> None:
@@ -98,11 +102,11 @@ def coefficient_sides(m: int, n: int, a: int, b: int) -> tuple[list, list]:
 def _check_window(m: int, n: int, a: int, b: int, mode: ScalarMode) -> None:
     # The one check of whether an m x n window with a x b collapses builds in
     # ``mode``, made before any entry is computed: it refuses the counts, an
-    # exact window whose largest entry leaves the signed 128-bit range, and a
+    # exact window whose largest entry leaves the signed 128-bit range, a
     # float one past MAX_COLLAPSES collapses, where no exact one builds
-    # either.  The middle window holds C(a, a//2) >= 2^a / (a+1), so an exact
-    # a + b past MAX_COLLAPSES always overflows; only smaller counts need the
-    # peak computed.
+    # either, and any window of more than MAX_TAPS taps.  The middle window
+    # holds C(a, a//2) >= 2^a / (a+1), so an exact a + b past MAX_COLLAPSES
+    # always overflows; only smaller counts need the peak computed.
     _check_counts(m, n, a, b)
     if mode is ScalarMode.EXACT and (
             a + b > MAX_COLLAPSES or _peak(m, a) * _peak(n, b) > INT128_MAX):
@@ -113,6 +117,8 @@ def _check_window(m: int, n: int, a: int, b: int, mode: ScalarMode) -> None:
         raise DimensionError(
             f"{m}x{n} binomial window needs more than {MAX_COLLAPSES} collapses"
         )
+    if m * n > MAX_TAPS:
+        raise DimensionError(f"{m}x{n} window has more than {MAX_TAPS} taps")
 
 
 def coefficient_matrix(m: int, n: int, a: int, b: int) -> Matrix:

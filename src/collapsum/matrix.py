@@ -5,8 +5,8 @@ lie in [-2**127, 2**127 - 1], and anything outside that range raises
 :class:`ExactOverflowError` instead of wrapping.  Every exact matrix is
 checked the same way, whatever builds it: its constructor measures
 :attr:`Matrix.span`, the exact (min, max) of the entries, which is also
-the one range that later operations read, to size packed lanes or to
-check image samples.  A float matrix measures its span when first asked.
+the one range that later operations read, to size packed lanes.  A
+float matrix measures its span when first asked.
 
 Float mode is plain IEEE-754 binary64.  All operator identities in this
 package are verified in exact mode; image pipelines may use either.

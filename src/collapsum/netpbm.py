@@ -8,15 +8,17 @@ exactly one separator byte after maxval. Every failure is a
 :class:`NetpbmError` carrying the byte offset where parsing stopped.
 Binary samples are 1 byte up to maxval 255 and big-endian 2 bytes above.
 
-An image crosses this boundary as one :class:`Raster`: its samples
-interleaved pixel by pixel, as the file holds them, each in
-[0, maxval].  ASCII samples are checked as they are read.  A binary
-sample holds at most 255 or 65535, so only a binary raster whose maxval
-is below that is scanned: one C-level ``max`` over it is its maxval
-check.  :func:`read_netpbm` and :func:`write_netpbm` are adapters over
-the same parse and :func:`write_raster`: a read plane is one channel's
-slice of the raster, an exact matrix that measures its span when built;
-written planes are interleaved into one raster by slice assignment.
+An image is one record, a :class:`Raster`: its samples interleaved
+pixel by pixel, as the file holds them, each in [0, maxval].
+:func:`read_raster` (also named :func:`read_netpbm`) parses one, and
+:func:`write_raster` serializes one.  ASCII samples are checked as they
+are read.  A binary sample holds at most 255 or 65535, so only a binary
+raster whose maxval is below that is scanned: one C-level ``max`` over
+it is its maxval check.  A raster made by a caller is checked once, when
+:func:`write_netpbm` writes it.  The per-plane functions view a raster
+as exact channel matrices: :func:`split_color` slices them out, and
+:func:`plane_from_matrix` and :func:`merge_color` round, clamp and
+interleave matrices into a raster.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ import re
 import sys
 from array import array
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from operator import attrgetter
 
-from .matrix import DimensionError, Matrix, ScalarMode, _Record, round_half_away
+from .matrix import DimensionError, Matrix, round_half_away
 
 MAX_MAXVAL = 65535
 
@@ -65,59 +67,14 @@ class NetpbmError(ValueError):
         self.offset = offset
 
 
-class ImagePlane(_Record, namedtuple("ImagePlane", "width height maxval samples")):
-    """One grayscale channel: height x width samples in [0, maxval],
-    checked on their span (``Matrix.span``)."""
-
-    __slots__ = ()
-
-    def _check(self):
-        if self.width < 1 or self.height < 1:
-            raise DimensionError("image dimensions must be positive")
-        if not 1 <= self.maxval <= MAX_MAXVAL:
-            raise ValueError(f"maxval must be in 1..{MAX_MAXVAL}")
-        if self.samples.mode is not ScalarMode.EXACT:
-            raise ValueError("image samples must be exact integers")
-        if self.samples.rows != self.height or self.samples.cols != self.width:
-            raise DimensionError("sample matrix shape must match width/height")
-        if not _within(self.samples.span, self.maxval):
-            raise ValueError(f"samples must lie in [0, {self.maxval}]")
-
-
-def _within(span: tuple, maxval: int) -> bool:
-    return 0 <= span[0] and span[1] <= maxval
-
-
-class ColorImage(_Record, namedtuple("ColorImage", "red green blue")):
-    """Red, green and blue planes of equal shape and maxval."""
-
-    __slots__ = ()
-
-    def _check(self):
-        r, g, b = self.red, self.green, self.blue
-        if not (r.width == g.width == b.width and r.height == g.height == b.height):
-            raise DimensionError("color planes must share dimensions")
-        if not r.maxval == g.maxval == b.maxval:
-            raise ValueError("color planes must share maxval")
-
-    @property
-    def width(self) -> int:
-        return self.red.width
-
-    @property
-    def height(self) -> int:
-        return self.red.height
-
-    @property
-    def maxval(self) -> int:
-        return self.red.maxval
-
-
 class Raster(namedtuple("Raster", "width height channels maxval samples")):
     """``height`` rows of ``width`` pixels of ``channels`` samples each (1
     gray, 3 red, green and blue), interleaved pixel by pixel in row-major
     order, as a netpbm raster holds them; every sample lies in
-    [0, ``maxval``].  The samples are ``bytes`` or a list of ints."""
+    [0, ``maxval``].  A raster read holds ``bytes`` (binary, maxval up to
+    255) or a list of ints; :func:`write_netpbm` takes any sequence of
+    ints and checks it.  Rasters of equal samples held in ``bytes`` and
+    in a list are not equal records: compare :func:`split_color`."""
 
     __slots__ = ()
 
@@ -223,10 +180,9 @@ def _big_endian_16(samples) -> bytearray:
     return out
 
 
-def _parse(data: bytes) -> tuple[int, int, int, int, Sequence[int]]:
-    # Width, height, the channel count the magic implies, maxval and the
-    # channel-interleaved samples, each checked against maxval: the fields
-    # of a :class:`Raster`.
+def read_raster(data: bytes) -> Raster:
+    """Parse a P2, P3, P5 or P6 image into its :class:`Raster`, each
+    sample checked against maxval."""
     size = len(data)
     tokens = filter(attrgetter("lastindex"), _TOKEN.finditer(data))  # skip comments
     # The magic starts at byte 0: anything before its token belongs to it.
@@ -244,31 +200,10 @@ def _parse(data: bytes) -> tuple[int, int, int, int, Sequence[int]]:
         flat = _read_ascii_samples(tokens, count, maxval, size)
     else:
         flat = _read_binary_samples(data, end, count, maxval)
-    return width, height, channels, maxval, flat
+    return Raster(width, height, channels, maxval, flat)
 
 
-def read_raster(data: bytes) -> Raster:
-    """Parse a P2, P3, P5 or P6 image into its :class:`Raster`."""
-    return Raster(*_parse(data))
-
-
-def _image(width: int, height: int, channels: int, maxval: int,
-           flat) -> ImagePlane | ColorImage:
-    # The image of the checked samples ``flat`` that :func:`_parse`
-    # returns: each channel's slice as a plane.
-    images = [
-        ImagePlane(width, height, maxval, Matrix(
-            height, width, tuple(flat[k::channels]), ScalarMode.EXACT))
-        for k in range(channels)
-    ]
-    return images[0] if channels == 1 else ColorImage(*images)
-
-
-def read_netpbm(data: bytes) -> ImagePlane | ColorImage:
-    """Parse P2/P5 into an :class:`ImagePlane`, P3/P6 into a
-    :class:`ColorImage`: the channels of the raster :func:`read_raster`
-    reads."""
-    return _image(*_parse(data))
+read_netpbm = read_raster
 
 
 def write_raster(raster: Raster, format: str = "binary") -> bytes:
@@ -292,50 +227,55 @@ def write_raster(raster: Raster, format: str = "binary") -> bytes:
     return header + (_big_endian_16(samples) if maxval > 255 else bytes(samples))
 
 
-def write_netpbm(img: ImagePlane | ColorImage, format: str = "binary") -> bytes:
-    """Serialize to ASCII (P2/P3) or binary (P5/P6) bytes by
-    :func:`write_raster`: a color image's planes are interleaved into one
-    list by slice assignment.  Reading the output back yields
-    bit-identical samples.
+def write_netpbm(raster: Raster, format: str = "binary") -> bytes:
+    """:func:`write_raster` of a caller's raster, once it passes every
+    check of an image: positive dimensions, 1 or 3 channels, maxval in
+    1..65535, width x height x channels samples, each an int in
+    [0, maxval].  Reading the output back yields the same samples.
     """
-    planes = split_color(img) if isinstance(img, ColorImage) else (img.samples,)
-    c = len(planes)
-    samples = [0] * (c * img.width * img.height)
-    for k, plane in enumerate(planes):
-        samples[k::c] = plane.data
-    return write_raster(Raster(img.width, img.height, c, img.maxval, samples),
-                        format)
+    width, height, channels, maxval, samples = raster
+    if width < 1 or height < 1:
+        raise DimensionError("image dimensions must be positive")
+    if channels not in (1, 3):
+        raise ValueError("an image has 1 or 3 channels")
+    if not 1 <= maxval <= MAX_MAXVAL:
+        raise ValueError(f"maxval must be in 1..{MAX_MAXVAL}")
+    if len(samples) != width * height * channels:
+        raise DimensionError("sample count must be width x height x channels")
+    if not set(map(type, samples)) <= {int}:
+        raise ValueError("image samples must be exact integers")
+    if min(samples) < 0 or max(samples) > maxval:
+        raise ValueError(f"samples must lie in [0, {maxval}]")
+    return write_raster(raster, format)
 
 
-def split_color(img: ColorImage) -> tuple[Matrix, Matrix, Matrix]:
-    """The three channel matrices of a color image."""
-    return img.red.samples, img.green.samples, img.blue.samples
+def split_color(raster: Raster) -> tuple[Matrix, ...]:
+    """The exact channel matrices of ``raster``: its one gray plane, or
+    its red, green and blue planes."""
+    width, height, c, _, samples = raster
+    return tuple(Matrix(height, width, tuple(samples[k::c])) for k in range(c))
 
 
-def _quantize(m: Matrix, maxval: int) -> Matrix:
-    # The rounded matrix, clamped only when its span leaves [0, maxval].
-    q = round_half_away(m)
-    if _within(q.span, maxval):
-        return q
-    data = tuple(min(max(v, 0), maxval) for v in q.data)
-    return Matrix(q.rows, q.cols, data, ScalarMode.EXACT)
-
-
-def plane_from_matrix(m: Matrix, maxval: int) -> ImagePlane:
-    """Round half away from zero, clamp into [0, maxval], wrap as a plane."""
-    q = _quantize(m, maxval)
-    return ImagePlane(m.cols, m.rows, maxval, q)
-
-
-def merge_color(red: Matrix, green: Matrix, blue: Matrix, maxval: int) -> ColorImage:
-    """Combine three channel matrices, rounding and clamping as needed."""
-    if not (
-        red.rows == green.rows == blue.rows
-        and red.cols == green.cols == blue.cols
-    ):
+def _merged(planes: tuple[Matrix, ...], maxval: int) -> Raster:
+    # The planes, each rounded half away from zero and clamped into
+    # [0, maxval], interleaved into one raster.
+    rows, cols = planes[0].rows, planes[0].cols
+    if any((p.rows, p.cols) != (rows, cols) for p in planes):
         raise DimensionError("channel matrices must share dimensions")
-    return ColorImage(
-        plane_from_matrix(red, maxval),
-        plane_from_matrix(green, maxval),
-        plane_from_matrix(blue, maxval),
-    )
+    c = len(planes)
+    samples = [0] * (c * rows * cols)
+    for k, plane in enumerate(planes):
+        samples[k::c] = [min(max(v, 0), maxval) for v in round_half_away(plane).data]
+    return Raster(cols, rows, c, maxval, samples)
+
+
+def plane_from_matrix(m: Matrix, maxval: int) -> Raster:
+    """The gray raster of ``m``, rounded half away from zero and clamped
+    into [0, maxval]."""
+    return _merged((m,), maxval)
+
+
+def merge_color(red: Matrix, green: Matrix, blue: Matrix, maxval: int) -> Raster:
+    """The color raster of three channel matrices of one shape, rounded
+    and clamped as :func:`plane_from_matrix` does."""
+    return _merged((red, green, blue), maxval)

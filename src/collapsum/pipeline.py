@@ -57,6 +57,7 @@ from .collapse import (
     _packed_lanes,
     _sublanes,
     _unpacked,
+    _wide,
     collapse_down_power,
     collapse_power,
     collapse_right_power,
@@ -183,6 +184,10 @@ def _numerator(method: Method, req: BlurRequest, divisor: int,
     # collapse the rows of ones in its tail.
     (h, w), (a, b) = req.rect, req.collapses
     if method is Method.DIRECT:
+        if isinstance(plane, _Packed) and _wide(plane):
+            # Every method computes the same numerator, so the cheapest's,
+            # collapse's, is checked for int128 before direct's products run.
+            _checked(_numerator(Method.COLLAPSE, req, divisor, plane).numerator)
         return convolve(_coefficient_kernel(h, w, a, b, plane.mode), plane,
                         EdgeMode.CROP)
     if method is Method.SEPARABLE:
@@ -224,14 +229,16 @@ def blur_raster(image: Raster, req: BlurRequest) -> Raster:
     module docstring).  The window's weights are nonnegative integers that
     sum to its divisor, so every rounded sample lies in [0, maxval].
 
-    The int128 refusal (:class:`ExactOverflowError`) reads only the
-    finished result, so it comes after the method has run: on a seeded
-    256x256 8-bit P6 at radius 30, a whole ``collapsum blur`` process
-    exited 2 after about 12.9 s under direct, 1.2 s under separable and
-    0.6 s under collapse (Python 3.11, a shared 2-CPU Xeon).  No earlier
-    bound refuses it, since the lanes are sized for maxval and samples far
-    below maxval must still pass, as the CI step "Samples far below maxval
-    past the int128 lane bound" checks.
+    The int128 refusal (:class:`ExactOverflowError`) reads only a
+    finished result, so it comes after a method has run: direct, in
+    sublanes of 16 bytes or more, first checks the collapse method's
+    result, the same numerator.  On a seeded 256x256 8-bit P6 at radius
+    30, a whole ``collapsum blur`` process exited 2 after 0.30-0.35 s
+    under direct, whose own products take about 13 s there, 0.56-0.58 s
+    under separable and 0.30-0.32 s under collapse (Python 3.11, a shared
+    2-CPU Xeon).  No earlier bound refuses it, since the lanes are sized
+    for maxval and samples far below maxval must still pass, as the CI
+    step "Samples far below maxval past the int128 lane bound" checks.
     """
     divisor = _divisor(image.height, image.width, req, ScalarMode.EXACT)
     plane = _packed_lanes(image.height, image.width, image.channels,

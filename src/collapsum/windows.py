@@ -12,7 +12,13 @@ from __future__ import annotations
 
 import math
 
-from .kernels import Kernel, _coefficient_kernel, _diameter, check_interpolation
+from .kernels import (
+    Kernel,
+    _check_window,
+    _coefficient_kernel,
+    _diameter,
+    check_interpolation,
+)
 from .matrix import Matrix, ScalarMode
 
 
@@ -57,6 +63,7 @@ def gaussian_kernel_sampled(r: int, s: float) -> Kernel:
     size = _diameter(r)
     if s <= 0:
         raise ValueError("standard deviation must be positive")
+    _check_window(size, size, 0, 0, ScalarMode.FLOAT)
     raw = [
         math.exp(-(x * x + y * y) / (2.0 * s * s))
         for x in range(-r, r + 1)

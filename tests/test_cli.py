@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from test_pipeline import perturbed
 
 import collapsum
-from collapsum.cli import format_kernel, main
+from collapsum.cli import format_kernel, main, run
 from collapsum.kernels import (
     EdgeMode,
     box_kernel,
@@ -159,7 +159,7 @@ class TestBlurCommand:
         out = read_netpbm(open(dst, "rb").read())
         assert (out.width, out.height, out.maxval) == (3, 3, 255)
         # Replicate extension preserves the central weighted mean exactly.
-        assert out.samples.at(2, 2) == 50
+        assert split_color(out)[0].at(2, 2) == 50
 
     def test_deterministic_output(self, tmp_path):
         src = write_pgm(tmp_path / "in.pgm", b"P5\n4 4\n255\n" + bytes(range(16)))
@@ -194,14 +194,14 @@ class TestBlurCommand:
         dst = str(tmp_path / "out.pgm")
         for method in ("direct", "separable", "collapse"):
             assert main(["blur", "-r", "2", "--method", method, src, dst]) == 0
-            assert read_netpbm(open(dst, "rb").read()).samples.data == (77,) * 16
+            assert read_netpbm(open(dst, "rb").read()).samples == [77] * 16
 
     def test_color_blur(self, tmp_path):
         src = write_pgm(tmp_path / "in.ppm", b"P3\n2 2\n255\n" + b"9 " * 12)
         dst = str(tmp_path / "out.ppm")
         assert main(["blur", "-r", "1", src, dst]) == 0
         out = read_netpbm(open(dst, "rb").read())
-        assert out.red.samples.data == (9,) * 4
+        assert split_color(out)[0].data == (9,) * 4
 
     def test_filters(self, tmp_path):
         src = write_pgm(tmp_path / "in.pgm", b"P2\n5 5\n255\n" + b"8 " * 25)
@@ -708,6 +708,25 @@ class TestUsage:
             main(["polish"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("args, code, stream, text", [
+        (["verify", "--radius", "1", "--size", "4"], 0, "out",
+         "deviation 0 (exact)\n"),
+        (["blur", "missing.pgm", "out.pgm"], 2, "err",
+         "error: [Errno 2] No such file or directory: 'missing.pgm'\n"),
+    ], ids=["verify", "missing-input"])
+    def test_run_exits_with_the_code_main_returns(self, args, code, stream,
+                                                  text, tmp_path, capsys,
+                                                  monkeypatch):
+        # The console-script entry point reads sys.argv and raises
+        # SystemExit with main's code.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "argv", ["collapsum", *args])
+        with pytest.raises(SystemExit) as err:
+            run()
+        assert err.value.code == code
+        assert getattr(capsys.readouterr(), stream) == text
+        assert not (tmp_path / "out.pgm").exists()
+
     def test_start_up_imports_no_statistics(self):
         # ``statistics`` pulls in fractions, decimal and numbers, about 3 ms
         # of every CLI process; only the bench command needs it.
@@ -754,4 +773,5 @@ class TestUsage:
         # write_netpbm/read_netpbm are exercised through the CLI above;
         # keep one direct sanity check close to the command tests.
         plane = read_netpbm(b"P2\n1 1\n1\n1")
-        assert read_netpbm(write_netpbm(plane, "binary")) == plane
+        written = read_netpbm(write_netpbm(plane, "binary"))
+        assert split_color(written) == split_color(plane)

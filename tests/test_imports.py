@@ -69,8 +69,9 @@ def test_each_command_loads_only_its_modules(command, tmp_path):
     assert loaded_modules(argv, tmp_path) == expected
 
 
-# Every public name of the package before it loaded lazily, by the module
-# it came from then.
+# Every public name of the package, by the module it came from before the
+# package loaded lazily: ``Raster`` and ``blur_raster`` by the module that
+# defines them.
 PUBLIC = {
     "collapse": "GammaSpec NdArray collapse collapse_all collapse_axis "
                 "collapse_down collapse_down_power collapse_power "
@@ -81,11 +82,11 @@ PUBLIC = {
                "gaussian_kernel_sampled interpolation_kernel separable_convolve",
     "matrix": "DimensionError ExactOverflowError Matrix ScalarMode add "
               "approx_equal multiply scale",
-    "netpbm": "ColorImage ImagePlane NetpbmError merge_color plane_from_matrix "
+    "netpbm": "NetpbmError Raster merge_color plane_from_matrix "
               "read_netpbm split_color write_netpbm",
     "pipeline": "BenchReport BenchRow BlurRequest EquivalenceReport Method "
-                "benchmark blur deviation entry_ops equivalence_report "
-                "rect_blur seeded_image",
+                "benchmark blur blur_raster deviation entry_ops "
+                "equivalence_report rect_blur seeded_image",
     "structured": "ToeplitzSpec binomial coefficient_matrix "
                   "coefficient_matrix_entry_sum collapsed_coefficient_square "
                   "column_sum_vector r_falling r_matrix r_phi r_phi_falling "

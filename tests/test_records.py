@@ -15,7 +15,7 @@ from collapsum.matrix import (
     Matrix,
     ScalarMode,
 )
-from collapsum.netpbm import ColorImage, ImagePlane
+from collapsum.netpbm import Raster
 from collapsum.pipeline import (
     TIMING_CONTRACT,
     BenchReport,
@@ -28,8 +28,6 @@ from collapsum.structured import ToeplitzSpec
 
 ONES = Matrix.from_rows([[1, 1], [1, 1]])
 COLUMN = Matrix.from_rows([[1], [1]])
-SAMPLES = Matrix.from_rows([[0, 1], [2, 255]])
-PLANE = ImagePlane(2, 2, 255, SAMPLES)
 ROW = BenchRow(8, 1, "collapse", 100, 10, 0.0)
 
 # name: (a valid record, made afresh on each call; the field assigned to;
@@ -77,25 +75,9 @@ RECORDS = {
         (lambda: NdArray((2, 3), (0,)), DimensionError,
          "data length must equal the product of extents"),
     ]),
-    "ImagePlane": (lambda: ImagePlane(2, 2, 255, SAMPLES), "maxval", True, [
-        (lambda: ImagePlane(0, 2, 255, SAMPLES), DimensionError,
-         "image dimensions must be positive"),
-        (lambda: ImagePlane(2, 2, 0, SAMPLES), ValueError,
-         "maxval must be in 1..65535"),
-        (lambda: ImagePlane(2, 2, 255, SAMPLES.to_float()), ValueError,
-         "image samples must be exact integers"),
-        (lambda: ImagePlane(1, 4, 255, SAMPLES), DimensionError,
-         "sample matrix shape must match width/height"),
-        (lambda: ImagePlane(2, 2, 254, SAMPLES), ValueError,
-         "samples must lie in [0, 254]"),
-    ]),
-    "ColorImage": (lambda: ColorImage(PLANE, PLANE, PLANE), "red", True, [
-        (lambda: ColorImage(PLANE, PLANE, ImagePlane(
-            1, 1, 255, Matrix.from_rows([[0]]))), DimensionError,
-         "color planes must share dimensions"),
-        (lambda: ColorImage(PLANE, PLANE, PLANE._replace(maxval=300)),
-         ValueError, "color planes must share maxval"),
-    ]),
+    # A raster is checked when it is written (tests/test_netpbm.py).
+    "Raster": (lambda: Raster(2, 2, 1, 255, b"\x00\x01\x02\xff"), "maxval",
+               True, []),
     "ToeplitzSpec": (lambda: ToeplitzSpec((1, 2, 3), 2, 2), "rows", True, [
         (lambda: ToeplitzSpec((1,), 0, 2), DimensionError,
          "Toeplitz dimensions must be positive"),

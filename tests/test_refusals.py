@@ -2,6 +2,7 @@
 type and exact message."""
 
 import importlib
+import time
 
 import pytest
 
@@ -17,6 +18,7 @@ from collapsum.kernels import (
     gaussian_kernel_sampled,
 )
 from collapsum.matrix import (
+    OUT_OF_RANGE,
     DimensionError,
     ExactOverflowError,
     Matrix,
@@ -48,6 +50,9 @@ REFUSALS = [
     ("gaussian_kernel", lambda: gaussian_kernel(-1), ValueError, RADIUS),
     ("gaussian_kernel_sampled", lambda: gaussian_kernel_sampled(-1, 1.0),
      ValueError, RADIUS),
+    # Refused before any weight is sampled.
+    ("gaussian_kernel_sampled taps", lambda: gaussian_kernel_sampled(10**5, 1.0),
+     DimensionError, "200001x200001 window has more than 4194304 taps"),
     ("check_interpolation", lambda: check_interpolation(-1, 0), ValueError,
      RADIUS),
     ("extend", lambda: extend(SQUARE, -1, EdgeMode.ZERO), ValueError,
@@ -104,6 +109,18 @@ WINDOW_REFUSALS = [
     ("bad interp s", None, ScalarMode.EXACT,
      ["--filter", "interp", "--radius", "2", "--s", "5"], ValueError,
      "interpolation step must satisfy 0 <= s <= 2r, got 5"),
+    ("box past the tap budget", {"radius": 1024, "collapses": (0, 0)},
+     ScalarMode.EXACT, ["--filter", "box", "--radius", "1024"], DimensionError,
+     "2049x2049 window has more than 4194304 taps"),
+    ("box far past the tap budget", {"radius": 10**5, "collapses": (0, 0)},
+     ScalarMode.EXACT, ["--filter", "box", "--radius", "100000"],
+     DimensionError, "200001x200001 window has more than 4194304 taps"),
+    ("interp past the tap budget", {"radius": 1024, "collapses": (2, 2)},
+     ScalarMode.EXACT, ["--filter", "interp", "--radius", "1024", "--s", "2"],
+     DimensionError, "2049x2049 window has more than 4194304 taps"),
+    ("float box past the tap budget", {"radius": 1024, "collapses": (0, 0)},
+     ScalarMode.FLOAT, None, DimensionError,
+     "2049x2049 window has more than 4194304 taps"),
 ]
 
 
@@ -145,3 +162,59 @@ def test_a_window_is_refused_before_any_side(name, fields, mode, options, error,
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out.pgm").exists()
+
+
+def test_the_tap_budget_admits_the_largest_box_it_names():
+    # A box of radius 1023 is within MAX_TAPS; one of radius 1024 is not.
+    assert kernels_module.MAX_TAPS == 2**22
+    assert 2047**2 <= kernels_module.MAX_TAPS < 2049**2
+    kernels_module._check_window(2047, 2047, 0, 0, ScalarMode.EXACT)
+    kernels_module._check_window(1, 2**22, 0, 0, ScalarMode.FLOAT)
+    with pytest.raises(DimensionError, match="1x4194305 window has more than"):
+        kernels_module._check_window(1, 2**22 + 1, 0, 0, ScalarMode.EXACT)
+
+
+def test_a_window_past_the_budget_is_refused_before_the_input_is_opened(
+        tmp_path, capsys):
+    # Refused in well under a second, with no input to open, so the
+    # message is the window's, and no output is written.
+    out = tmp_path / "out.pgm"
+    argv = ["blur", "--filter", "box", "--radius", "100000",
+            str(tmp_path / "missing.pgm"), str(out)]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "error: 200001x200001 window has more than 4194304 taps\n")
+    assert not out.exists()
+
+
+# The module where the correlation looks up its one product loop.
+collapse_module = importlib.import_module("collapsum.collapse")
+
+
+def test_direct_checks_the_collapse_result_before_its_products(monkeypatch):
+    # In sublanes of 16 bytes or more a result can pass int128.  Every method
+    # computes the same numerator, so direct first checks the collapse
+    # method's, which runs no correlation: a result past int128 is refused
+    # before any of direct's row products, and an accepted one runs them.
+    products = []
+    correlate = collapse_module._correlate
+
+    def counting(*args):
+        products.append(args)
+        return correlate(*args)
+
+    monkeypatch.setattr(collapse_module, "_correlate", counting)
+    full = Raster(4, 4, 3, 255, bytes([255]) * 48)
+    gray = Matrix.filled(4, 4, 255)
+    for run, image in ((blur_raster, full), (blur, gray)):
+        with pytest.raises(ExactOverflowError) as err:
+            run(image, BlurRequest(radius=30, method=Method.DIRECT))
+        assert str(err.value) == OUT_OF_RANGE
+        assert products == []
+    # At radius 29 the sublanes are 16 bytes wide and every entry fits.
+    direct = blur_raster(full, BlurRequest(radius=29, method=Method.DIRECT))
+    assert products
+    assert direct == blur_raster(full, BlurRequest(radius=29)) == full._replace(
+        samples=[255] * 48)
