@@ -33,7 +33,7 @@ _EXPORTS = {
     "netpbm": "NetpbmError Raster merge_color plane_from_matrix "
               "read_netpbm split_color write_netpbm",
     "pipeline": "BlurRequest EquivalenceReport Method blur blur_raster "
-                "deviation equivalence_report rect_blur seeded_image",
+                "deviation equivalence_report seeded_image",
     "bench": "BenchReport BenchRow benchmark entry_ops",
     "structured": "ToeplitzSpec collapsed_coefficient_square "
                   "column_sum_vector r_falling r_matrix r_phi r_phi_falling "

@@ -2,8 +2,8 @@
 comparison.
 
 Both operands must share a scalar mode.  No command runs these, so this
-module stays off every command's import path; ``collapsum.matrix``
-serves its names on first use.
+module stays off every command's import path; its names are imported
+from here or from the package, which loads it on first use.
 """
 
 from __future__ import annotations

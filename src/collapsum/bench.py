@@ -5,7 +5,8 @@ exact image and reports each cell's median wall time, its count of
 entry operations in the paper's cost model (:func:`entry_ops`) and its
 deviation from the direct method's result, as a :class:`BenchReport`
 whose CSV the bench command prints.  Only that command imports this
-module; ``collapsum.pipeline`` serves its names on first use.
+module.  ``collapsum.pipeline`` serves :func:`entry_ops` on first use,
+only because the benchmark harness looks it up there.
 """
 
 from __future__ import annotations

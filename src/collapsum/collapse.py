@@ -6,9 +6,8 @@ block of the input contributes its total to one output entry).  The
 generalized form slides an arbitrary weight window instead of the
 all-ones 2x2 window.  One pair-sum loop, ``_pair_sum``, serves every
 directional collapse: down, right, and along an axis of an n-dimensional
-array (``collapsum.nd``, which no command imports and this module serves
-by name), each add a slab of the flat data to itself shifted by one
-step.
+array (``collapsum.nd``, which no command imports), each add a slab of
+the flat data to itself shifted by one step.
 
 In exact mode a plane with no negative entry, correlated with a window
 with none, is packed into one Python int; a plane or window with a
@@ -128,12 +127,7 @@ from .matrix import (
     Matrix,
     ScalarMode,
     _Record,
-    _lazy,
 )
-
-# The n-dimensional collapse, in the module no command imports.
-__getattr__ = _lazy(globals(), {
-    "nd": "MAX_AXES NdArray collapse_all collapse_axis"})
 
 # The unsigned ``array`` typecode of each item size in bytes that packing
 # converts through; 2-byte items are left out, since ``array('H')`` builds

@@ -7,17 +7,20 @@ once, at the caller's chosen boundary, which keeps integer pipelines
 bit-exact; rounding the quotient is :func:`matrix.round_half_away`.
 
 Every exact window is the m x n coefficient matrix with a x b collapses
-(:func:`coefficient_matrix`, which this module owns) over its entry sum,
-anchored at (ceil(m/2), ceil(n/2)): the binomial (h, w, h-1, w-1), the
-radius-r Gaussian its (2r+1)-square case, the box (2r+1, 2r+1, 0, 0) and
-the interpolation window (2r+1, 2r+1, s, s).  One check,
+(:func:`coefficient_matrix`, which this module owns) over its entry sum:
+the binomial (h, w, h-1, w-1), the radius-r Gaussian its (2r+1)-square
+case, the box (2r+1, 2r+1, 0, 0) and the interpolation window
+(2r+1, 2r+1, s, s).  One check,
 ``_check_window``, decides whether a window builds, before any weight
 is: an exact window whose largest weight leaves the signed 128-bit range
 is refused, a float binomial window past 400 collapses (a + b), where
 no exact one builds either, and any window of more than 2^22 taps.
+Every window, whatever builds it, sits with its (ceil(m/2), ceil(n/2))
+entry over the output entry: ``_margins`` is that one rule, the margins
+every extension edge pads by, so a :class:`Kernel` carries no anchor.
 The named builders of the Matrix API (``box_kernel``,
 ``gaussian_kernel`` and the others) live in ``collapsum.windows``, which
-no command imports; this module still serves them by name.
+no command imports, and are imported from there or from the package.
 Convolution uses flipped kernel indexing (output (p, q) sums
 weight(i, j) * input(p - i, q - j) over window offsets), which matters
 only for asymmetric kernels; it runs as the
@@ -42,14 +45,8 @@ from .matrix import (
     Matrix,
     ScalarMode,
     _Record,
-    _lazy,
     round_half_away,
 )
-
-# The named window builders, in the module no command imports.
-__getattr__ = _lazy(globals(), {
-    "windows": "box_kernel gaussian_kernel gaussian_kernel_rect "
-               "gaussian_kernel_sampled interpolation_kernel"})
 
 FLOAT_KERNEL_TOL = 1e-12
 
@@ -197,13 +194,14 @@ class FilterResult(_Record, namedtuple("FilterResult", "numerator divisor")):
         return round_half_away(self.numerator, self.divisor)
 
 
-class Kernel(_Record, namedtuple("Kernel", "weights divisor anchor")):
+class Kernel(_Record, namedtuple("Kernel", "weights divisor")):
     """Filter weight window.
 
     ``weights`` is either an exact integer matrix paired with a positive
     ``divisor`` (weights sum exactly to the divisor), or a float matrix
-    with divisor 1 whose entries sum to 1 within 1e-12.  ``anchor`` is
-    the 1-based position aligned over the output pixel.
+    with divisor 1 whose entries sum to 1 within 1e-12.  Every window is
+    aligned over the output pixel at (ceil(h/2), ceil(w/2)), as
+    :func:`convolve` extends it.
     """
 
     __slots__ = ()
@@ -221,9 +219,6 @@ class Kernel(_Record, namedtuple("Kernel", "weights divisor anchor")):
                 raise ValueError("float kernels must carry divisor 1")
             if abs(total - 1.0) > FLOAT_KERNEL_TOL:
                 raise ValueError(f"float weights sum to {total}, expected 1")
-        ar, ac = self.anchor
-        if not (1 <= ar <= self.weights.rows and 1 <= ac <= self.weights.cols):
-            raise ValueError(f"anchor {self.anchor} outside the weight window")
 
     @property
     def height(self) -> int:
@@ -233,22 +228,17 @@ class Kernel(_Record, namedtuple("Kernel", "weights divisor anchor")):
     def width(self) -> int:
         return self.weights.cols
 
-    def margins(self) -> tuple[int, int, int, int]:
-        """(top, bottom, left, right) reach of the window around the anchor."""
-        ar, ac = self.anchor
-        return ar - 1, self.height - ar, ac - 1, self.width - ac
-
     def as_float(self) -> "Kernel":
         if self.weights.mode is ScalarMode.FLOAT:
             return self
         w = self.weights
         data = tuple(x / self.divisor for x in w.data)
-        return Kernel(Matrix(w.rows, w.cols, data, ScalarMode.FLOAT), 1, self.anchor)
+        return Kernel(Matrix(w.rows, w.cols, data, ScalarMode.FLOAT), 1)
 
 
 def _margins(m: int, n: int) -> tuple[int, int, int, int]:
-    # (top, bottom, left, right) reach of an m x n coefficient window around
-    # its anchor, (ceil(m/2), ceil(n/2)): the margins a blur extends by.
+    # (top, bottom, left, right) reach of an m x n window around its anchor,
+    # (ceil(m/2), ceil(n/2)): the margins every convolution extends by.
     return (m - 1) // 2, m // 2, (n - 1) // 2, n // 2
 
 
@@ -256,18 +246,15 @@ def _coefficient_kernel(
     m: int, n: int, a: int, b: int, mode: ScalarMode = ScalarMode.EXACT
 ) -> Kernel:
     # The m x n coefficient matrix with a x b collapses, over its entry
-    # sum, anchored where ``_margins`` puts it.  A float window divides
-    # each exact weight by that sum in one correctly rounded int division,
-    # as ``as_float`` does, so it needs no exact window and passes the
-    # int128 range, up to 400 collapses.
+    # sum.  A float window divides each exact weight by that sum in one
+    # correctly rounded int division, as ``as_float`` does, so it needs no
+    # exact window and passes the int128 range, up to 400 collapses.
     divisor = coefficient_matrix_entry_sum(m, n, a, b)
-    top, _, left, _ = _margins(m, n)
-    anchor = (top + 1, left + 1)
     if mode is ScalarMode.EXACT:
-        return Kernel(coefficient_matrix(m, n, a, b), divisor, anchor)
+        return Kernel(coefficient_matrix(m, n, a, b), divisor)
     alpha, beta = coefficient_sides(m, n, a, b)
     data = tuple(x * y / divisor for x in alpha for y in beta)
-    return Kernel(Matrix(m, n, data, ScalarMode.FLOAT), 1, anchor)
+    return Kernel(Matrix(m, n, data, ScalarMode.FLOAT), 1)
 
 
 def _diameter(r: int) -> int:
@@ -298,7 +285,7 @@ def _sources(n: int, before: int, after: int, mode: EdgeMode) -> list[int]:
 def extend_asym(
     a: Matrix, top: int, bottom: int, left: int, right: int, mode: EdgeMode
 ) -> Matrix:
-    """Extend with per-side margins; used for anchored rectangular windows.
+    """Extend with per-side margins, as a window's ``_margins`` give them.
 
     A packed plane (``collapse._Packed``, as ``pipeline.blur`` passes)
     is extended on its lane bytes by ``collapse._extended_lanes`` and
@@ -363,13 +350,13 @@ def convolve(kernel: Kernel, a: Matrix, mode: EdgeMode) -> FilterResult:
     """Convolve under an edge policy.
 
     Cropping shrinks the output; extension modes pad the input by the
-    window margins first and return an output the size of the input,
-    aligned through the kernel anchor.
+    window's margins first and return an output the size of the input,
+    each entry under the window's (ceil(h/2), ceil(w/2)) position.
     """
     if mode is EdgeMode.CROP:
         return convolve_crop(kernel, a)
-    top, bottom, left, right = kernel.margins()
-    return convolve_crop(kernel, extend_asym(a, top, bottom, left, right, mode))
+    return convolve_crop(
+        kernel, extend_asym(a, *_margins(kernel.height, kernel.width), mode))
 
 
 def separable_convolve(h: int, w: int, a: Matrix, mode: EdgeMode,

@@ -88,11 +88,6 @@ def _lazy(namespace: dict, exports: dict):
     return __getattr__
 
 
-# The matrix algebra of the Matrix API, in the module no command imports.
-__getattr__ = _lazy(globals(), {
-    "algebra": "_require_same_mode add approx_equal multiply"})
-
-
 class Matrix:
     """Immutable matrix stored row-major as a flat tuple.
 

@@ -4,8 +4,8 @@ An :class:`NdArray` is a flat row-major array of up to 8 axes;
 :func:`collapse_axis` adds each pair of neighbours along one axis with
 the pair-sum loop the directional collapses of ``collapsum.collapse``
 run, and :func:`collapse_all` does so along every axis.  No command runs
-them, so this module stays off every command's import path;
-``collapsum.collapse`` serves its names on first use.
+them, so this module stays off every command's import path; its names
+are imported from here or from the package, which loads it on first use.
 """
 
 from __future__ import annotations

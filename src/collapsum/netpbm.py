@@ -14,8 +14,9 @@ pixel by pixel, as the file holds them, each in [0, maxval].
 :func:`write_raster` serializes one.  ASCII samples are checked as they
 are read.  A binary sample holds at most 255 or 65535, so only a binary
 raster whose maxval is below that is scanned: one C-level ``max`` over
-it is its maxval check.  A raster made by a caller is checked once, when
-:func:`write_netpbm` writes it.  The per-plane functions view a raster
+it is its maxval check.  A raster made by a caller is checked once, by
+``_check_raster``, when :func:`write_netpbm` writes it or
+``pipeline.blur_raster`` blurs it.  The per-plane functions view a raster
 as exact channel matrices: :func:`split_color` slices them out, and
 :func:`plane_from_matrix` and :func:`merge_color` round, clamp and
 interleave matrices into a raster.
@@ -227,12 +228,10 @@ def write_raster(raster: Raster, format: str = "binary") -> bytes:
     return header + (_big_endian_16(samples) if maxval > 255 else bytes(samples))
 
 
-def write_netpbm(raster: Raster, format: str = "binary") -> bytes:
-    """:func:`write_raster` of a caller's raster, once it passes every
-    check of an image: positive dimensions, 1 or 3 channels, maxval in
-    1..65535, width x height x channels samples, each an int in
-    [0, maxval].  Reading the output back yields the same samples.
-    """
+def _check_raster(raster: Raster) -> None:
+    # Every check of a caller's raster, made before any sample is used:
+    # positive dimensions, 1 or 3 channels, maxval in 1..65535, width x
+    # height x channels samples, each an int in [0, maxval].
     width, height, channels, maxval, samples = raster
     if width < 1 or height < 1:
         raise DimensionError("image dimensions must be positive")
@@ -246,6 +245,15 @@ def write_netpbm(raster: Raster, format: str = "binary") -> bytes:
         raise ValueError("image samples must be exact integers")
     if min(samples) < 0 or max(samples) > maxval:
         raise ValueError(f"samples must lie in [0, {maxval}]")
+
+
+def write_netpbm(raster: Raster, format: str = "binary") -> bytes:
+    """:func:`write_raster` of a caller's raster, once it passes every
+    check of an image: positive dimensions, 1 or 3 channels, maxval in
+    1..65535, width x height x channels samples, each an int in
+    [0, maxval].  Reading the output back yields the same samples.
+    """
+    _check_raster(raster)
     return write_raster(raster, format)
 
 

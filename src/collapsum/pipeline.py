@@ -85,12 +85,10 @@ from .matrix import (
     scale,
 )
 
-# The benchmark and its cost model, which only the bench command runs, and
-# the kernel builders and extension that tracers wrap here, which no blur
-# calls.
+# Not called here.  Served by name only because the benchmark harness,
+# perfbench/tracing.py and perfbench/workloads.py, looks them up here.
 __getattr__ = _lazy(globals(), {
-    "bench": "BenchReport BenchRow CSV_HEADER TIMING_CONTRACT benchmark "
-             "entry_ops",
+    "bench": "entry_ops",
     "windows": "gaussian_kernel gaussian_kernel_rect",
     "kernels": "extend",
 })
@@ -178,13 +176,14 @@ def _plane(a: Matrix, req: BlurRequest):
 
 
 def _numerator(method: Method, req: BlurRequest, divisor: int,
-               plane) -> FilterResult:
+               plane, checked: bool = False) -> FilterResult:
     # One method's stages on the prepared plane, packed or not.  Only
     # direct builds the h x w window; separable builds its two sides, and
-    # collapse the rows of ones in its tail.
+    # collapse the rows of ones in its tail.  ``checked`` says that the
+    # caller has already checked the collapse numerator of ``plane``.
     (h, w), (a, b) = req.rect, req.collapses
     if method is Method.DIRECT:
-        if isinstance(plane, _Packed) and _wide(plane):
+        if not checked and isinstance(plane, _Packed) and _wide(plane):
             # Every method computes the same numerator, so the cheapest's,
             # collapse's, is checked for int128 before direct's products run.
             _checked(_numerator(Method.COLLAPSE, req, divisor, plane).numerator)
@@ -224,10 +223,15 @@ def blur_raster(image: Raster, req: BlurRequest) -> Raster:
     """``image`` blurred by ``req``, every channel rounded half away from
     zero: raster to raster.
 
-    The raster is packed once, a pixel per lane, extended, run through
-    every stage of the method, unpacked once and rounded once (see the
-    module docstring).  The window's weights are nonnegative integers that
-    sum to its divisor, so every rounded sample lies in [0, maxval].
+    ``image`` is first checked as :func:`netpbm.write_netpbm` checks a
+    raster, with the same errors: positive dimensions, 1 or 3 channels,
+    maxval in 1..65535, width x height x channels samples, each an int in
+    [0, maxval].  Packing relies on each of them, since lanes are sized
+    for maxval.  The raster is then packed once, a pixel per lane,
+    extended, run through every stage of the method, unpacked once and
+    rounded once (see the module docstring).  The window's weights are
+    nonnegative integers that sum to its divisor, so every rounded sample
+    lies in [0, maxval].
 
     The int128 refusal (:class:`ExactOverflowError`) reads only a
     finished result, so it comes after a method has run: direct, in
@@ -240,6 +244,15 @@ def blur_raster(image: Raster, req: BlurRequest) -> Raster:
     for maxval and samples far below maxval must still pass, as the CI
     step "Samples far below maxval past the int128 lane bound" checks.
     """
+    from .netpbm import _check_raster
+
+    _check_raster(image)
+    return _blurred_raster(image, req)
+
+
+def _blurred_raster(image: Raster, req: BlurRequest) -> Raster:
+    # ``blur_raster`` of a raster already checked, as ``read_raster`` leaves
+    # one: no sample is scanned again.
     divisor = _divisor(image.height, image.width, req, ScalarMode.EXACT)
     plane = _packed_lanes(image.height, image.width, image.channels,
                           image.samples, image.maxval, divisor)
@@ -247,11 +260,6 @@ def blur_raster(image: Raster, req: BlurRequest) -> Raster:
     out = num.numerator
     return image._replace(width=out.cols, height=out.rows,
                           samples=_rounded(_sublanes(out), num.divisor))
-
-
-def rect_blur(a: Matrix, h: int, w: int, edge: EdgeMode) -> FilterResult:
-    """Rectangular h x w blur via directional collapses."""
-    return blur(a, BlurRequest(rect=(h, w), edge=edge))
 
 
 def deviation(x: FilterResult, y: FilterResult) -> float:
@@ -289,21 +297,23 @@ def equivalence_report(a: Matrix, r: int, edge: EdgeMode) -> EquivalenceReport:
     nonnegative image is packed and extended once; a pair of equal
     results, packed or not, gives deviation 0.0 without unpacking, and a
     pair that differs is unpacked and measured by :func:`deviation` (see
-    the module docstring).
+    the module docstring).  Collapse runs once and first: its checked
+    result is also the int128 check that a direct blur makes in sublanes
+    of 16 bytes or more before its products.
     """
     req = BlurRequest(radius=r, edge=edge)
     divisor, plane = _plane(a, req)
     results = {}
-    for method in Method:
-        out = _numerator(method, req, divisor, plane)
+    for method in (Method.COLLAPSE, Method.DIRECT, Method.SEPARABLE):
+        out = _numerator(method, req, divisor, plane, checked=True)
         if isinstance(out.numerator, _Packed):
             # Each packed result's one int128 check, as unpacking runs it.
             _checked(out.numerator)
-        results[method.value] = out
+        results[method] = out
     devs = {}
-    for first, second in combinations(results, 2):
+    for first, second in combinations(Method, 2):
         x, y = results[first], results[second]
-        devs[(first, second)] = 0.0 if x == y else deviation(
+        devs[(first.value, second.value)] = 0.0 if x == y else deviation(
             _unpacked_result(x), _unpacked_result(y))
     worst = max(devs.values())
     tol = 0.0 if a.mode is ScalarMode.EXACT else FLOAT_TOLERANCE

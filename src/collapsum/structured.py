@@ -10,10 +10,9 @@ so no command imports this module.
 The coefficient window, the matrix that counts how often each entry
 feeds a fully summed collapse (every exact filter window is one:
 binomial, box and interpolation), is computed by ``collapsum.kernels``,
-which every blur imports: ``binomial``, ``MAX_COLLAPSES``,
-``coefficient_sides``, ``coefficient_matrix``,
-``coefficient_matrix_entry_sum`` and the checks behind them are
-re-exported here under their old names.
+which every blur imports, with ``binomial``, ``coefficient_matrix`` and
+``coefficient_matrix_entry_sum``; they are imported from there or from
+the package.
 
 Vectors are represented as n x 1 matrices throughout; there is no
 separate vector type.
@@ -24,19 +23,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .algebra import multiply
-
-# The coefficient window, owned by kernels, under its old names here.
-from .kernels import (  # noqa: F401
-    MAX_COLLAPSES,
-    _check_counts,
-    _check_window,
-    _peak,
-    _side,
-    binomial,
-    coefficient_matrix,
-    coefficient_matrix_entry_sum,
-    coefficient_sides,
-)
+from .kernels import binomial
 from .matrix import DimensionError, Matrix, ScalarMode, _Record
 
 

@@ -4,8 +4,8 @@ The box, binomial Gaussian (square and rectangular) and interpolation
 windows are coefficient windows (``kernels._coefficient_kernel``); the
 sampled Gaussian is the only float-only window.  No command builds a
 kernel through these names: a blur builds only what its method reads,
-so this module stays off every command's import path, and
-``collapsum.kernels`` serves its names on first use.
+so this module stays off every command's import path; its names are
+imported from here or from the package, which loads it on first use.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def gaussian_kernel_rect(
 
     Weight (i, j), indexed from the top-left corner, is
     binomial(a-1, i-1) * binomial(b-1, j-1).  Even sides have no central
-    entry, so the anchor sits at (ceil(a/2), ceil(b/2)).  An exact window
+    entry; every window aligns at (ceil(a/2), ceil(b/2)).  An exact window
     whose largest weight leaves the signed 128-bit range is refused
     before any weight is built.  In float ``mode`` each weight is that
     quotient correctly rounded, with divisor 1, for sides with
@@ -71,7 +71,7 @@ def gaussian_kernel_sampled(r: int, s: float) -> Kernel:
     ]
     total = math.fsum(raw)
     data = tuple(v / total for v in raw)
-    return Kernel(Matrix(size, size, data, ScalarMode.FLOAT), 1, (r + 1, r + 1))
+    return Kernel(Matrix(size, size, data, ScalarMode.FLOAT), 1)
 
 
 def interpolation_kernel(r: int, s: int) -> Kernel:

@@ -10,32 +10,28 @@ import itertools
 import random
 import time
 
+from collapsum.algebra import multiply
+from collapsum.bench import entry_ops
 from collapsum.cli import main
 from collapsum.collapse import (
     GammaSpec,
-    NdArray,
-    collapse_all,
-    collapse_axis,
     collapse_down_power,
     collapse_power,
     collapse_right_power,
     generalized_collapse_power,
 )
-from collapsum.kernels import EdgeMode
-from collapsum.matrix import Matrix, multiply
-from collapsum.netpbm import Raster, read_netpbm, split_color, write_netpbm
-from collapsum.pipeline import (
-    BlurRequest,
-    Method,
-    blur,
-    entry_ops,
-    seeded_image,
-)
-from collapsum.structured import (
-    ToeplitzSpec,
+from collapsum.kernels import (
+    EdgeMode,
     binomial,
     coefficient_matrix,
     coefficient_matrix_entry_sum,
+)
+from collapsum.matrix import Matrix
+from collapsum.nd import NdArray, collapse_all, collapse_axis
+from collapsum.netpbm import Raster, read_netpbm, split_color, write_netpbm
+from collapsum.pipeline import BlurRequest, Method, blur, seeded_image
+from collapsum.structured import (
+    ToeplitzSpec,
     collapsed_coefficient_square,
     r_falling,
     r_matrix,

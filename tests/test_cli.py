@@ -15,19 +15,17 @@ from hypothesis import strategies as st
 from test_pipeline import perturbed
 
 import collapsum
+from collapsum.bench import CSV_HEADER
 from collapsum.cli import format_kernel, main, run
-from collapsum.kernels import (
-    EdgeMode,
+from collapsum.kernels import EdgeMode, coefficient_matrix, convolve
+from collapsum.matrix import Matrix, ScalarMode
+from collapsum.netpbm import merge_color, read_netpbm, split_color, write_netpbm
+from collapsum.windows import (
     box_kernel,
-    convolve,
     gaussian_kernel,
     gaussian_kernel_rect,
     interpolation_kernel,
 )
-from collapsum.matrix import Matrix, ScalarMode
-from collapsum.netpbm import merge_color, read_netpbm, split_color, write_netpbm
-from collapsum.pipeline import CSV_HEADER
-from collapsum.structured import coefficient_matrix
 
 G5_TABLE = (
     "divisor 256\n"

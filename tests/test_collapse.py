@@ -8,12 +8,10 @@ import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
+from collapsum.algebra import add, multiply
 from collapsum.collapse import (
     GammaSpec,
-    NdArray,
     collapse,
-    collapse_all,
-    collapse_axis,
     collapse_down,
     collapse_down_power,
     collapse_power,
@@ -22,7 +20,13 @@ from collapsum.collapse import (
     generalized_collapse,
     generalized_collapse_power,
 )
-from collapsum.kernels import EdgeMode, Kernel, convolve_crop, extend_asym
+from collapsum.kernels import (
+    EdgeMode,
+    Kernel,
+    coefficient_matrix,
+    convolve_crop,
+    extend_asym,
+)
 from collapsum.matrix import (
     INT128_MAX,
     INT128_MIN,
@@ -30,11 +34,10 @@ from collapsum.matrix import (
     ExactOverflowError,
     Matrix,
     ScalarMode,
-    add,
-    multiply,
     scale,
 )
-from collapsum.structured import coefficient_matrix, r_falling, r_phi_falling
+from collapsum.nd import NdArray, collapse_all, collapse_axis
+from collapsum.structured import r_falling, r_phi_falling
 
 
 def random_matrix(rng, rows, cols, lo=-50, hi=50):
@@ -597,7 +600,7 @@ class TestGeneralized:
             data.draw(st.lists(st.integers(1, 2**27), min_size=b1 * b2,
                                max_size=b1 * b2))
         )
-        kernel = Kernel(Matrix(b1, b2, kw), sum(kw), (1, 1))
+        kernel = Kernel(Matrix(b1, b2, kw), sum(kw))
         if mode is ScalarMode.FLOAT:
             kernel = kernel.as_float()
         flipped = Matrix(b1, b2, kernel.weights.data[::-1], mode)

@@ -3,11 +3,13 @@
 A process compiles every module it imports from source when no bytecode
 is cached, so each command loads only the collapsum modules it runs, and
 ``import collapsum`` only ``collapse`` and the ``matrix`` module it
-needs.  Every public name, and every name that moved to a module no
-command imports, still resolves where it did.
+needs.  Every public name resolves at the package to its home module's
+object, and only the names that the benchmark harness looks up outside
+their homes are served there as well.
 """
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -69,44 +71,36 @@ def test_each_command_loads_only_its_modules(command, tmp_path):
     assert loaded_modules(argv, tmp_path) == expected
 
 
-# Every public name of the package, by the module it came from before the
-# package loaded lazily: ``Raster`` and ``blur_raster`` by the module that
-# defines them.
+# Every public name of the package, by the module that defines it.
 PUBLIC = {
-    "collapse": "GammaSpec NdArray collapse collapse_all collapse_axis "
-                "collapse_down collapse_down_power collapse_power "
-                "collapse_right collapse_right_power generalized_collapse "
-                "generalized_collapse_power",
-    "kernels": "EdgeMode FilterResult Kernel box_kernel convolve convolve_crop "
-               "extend gaussian_kernel gaussian_kernel_rect "
-               "gaussian_kernel_sampled interpolation_kernel separable_convolve",
-    "matrix": "DimensionError ExactOverflowError Matrix ScalarMode add "
-              "approx_equal multiply scale",
+    "collapse": "GammaSpec collapse collapse_down collapse_down_power "
+                "collapse_power collapse_right collapse_right_power "
+                "generalized_collapse generalized_collapse_power",
+    "nd": "NdArray collapse_all collapse_axis",
+    "kernels": "EdgeMode FilterResult Kernel binomial coefficient_matrix "
+               "coefficient_matrix_entry_sum convolve convolve_crop extend "
+               "separable_convolve",
+    "windows": "box_kernel gaussian_kernel gaussian_kernel_rect "
+               "gaussian_kernel_sampled interpolation_kernel",
+    "matrix": "DimensionError ExactOverflowError Matrix ScalarMode scale",
+    "algebra": "add approx_equal multiply",
     "netpbm": "NetpbmError Raster merge_color plane_from_matrix "
               "read_netpbm split_color write_netpbm",
-    "pipeline": "BenchReport BenchRow BlurRequest EquivalenceReport Method "
-                "benchmark blur blur_raster deviation entry_ops "
-                "equivalence_report rect_blur seeded_image",
-    "structured": "ToeplitzSpec binomial coefficient_matrix "
-                  "coefficient_matrix_entry_sum collapsed_coefficient_square "
+    "pipeline": "BlurRequest EquivalenceReport Method blur blur_raster "
+                "deviation equivalence_report seeded_image",
+    "bench": "BenchReport BenchRow benchmark entry_ops",
+    "structured": "ToeplitzSpec collapsed_coefficient_square "
                   "column_sum_vector r_falling r_matrix r_phi r_phi_falling "
                   "row_sum_vector toeplitz toeplitz_full_collapse",
 }
 
-# Each name that moved to a module no command imports, or that a tracer
-# wraps in a module that does not call it, by its old module and its home.
+# The only names a module serves that it does not define, by that module
+# and their home: those that the benchmark harness looks up there
+# (perfbench/tracing.py and perfbench/workloads.py).
 MOVED = {
-    ("pipeline", "bench"): "BenchReport BenchRow CSV_HEADER TIMING_CONTRACT "
-                           "benchmark entry_ops",
+    ("pipeline", "bench"): "entry_ops",
     ("pipeline", "windows"): "gaussian_kernel gaussian_kernel_rect",
     ("pipeline", "kernels"): "extend",
-    ("kernels", "windows"): "box_kernel gaussian_kernel gaussian_kernel_rect "
-                            "gaussian_kernel_sampled interpolation_kernel",
-    ("collapse", "nd"): "MAX_AXES NdArray collapse_all collapse_axis",
-    ("matrix", "algebra"): "_require_same_mode add approx_equal multiply",
-    ("structured", "kernels"): "MAX_COLLAPSES _check_counts _check_window "
-                               "_peak _side binomial coefficient_matrix "
-                               "coefficient_matrix_entry_sum coefficient_sides",
     ("cli", "netpbm"): "merge_color plane_from_matrix read_netpbm "
                        "split_color write_netpbm",
     ("cli", "pipeline"): "blur",
@@ -133,6 +127,39 @@ def test_each_moved_name_resolves_where_it_was(old, home):
     for name in MOVED[old, home].split():
         assert getattr(module(old), name) is getattr(module(home), name), name
         exec(f"from collapsum.{old} import {name}", {})
+
+
+# Run in a fresh process, since a served name, once looked up, is bound in
+# its module like a name of its own.
+SERVED = """
+import importlib, json, pathlib, collapsum
+modules = {p.stem: importlib.import_module(f"collapsum.{p.stem}")
+           for p in sorted(pathlib.Path(collapsum.__file__).parent.glob("*.py"))
+           if p.stem not in ("__init__", "__main__")}
+own = {name: set(vars(m)) for name, m in modules.items()}
+# A lazy table may also serve a whole module under its own name.
+defined = set(modules).union(*own.values())
+print(json.dumps({
+    "lazy": [name for name, m in modules.items() if "__getattr__" in own[name]],
+    "served": {name: sorted(n for n in defined - own[name] if hasattr(m, n))
+               for name, m in modules.items()}}))
+"""
+
+
+def test_no_other_module_serves_a_name_it_does_not_define():
+    # Each name has one home: outside the package root only cli and
+    # pipeline serve names of other modules, and only those in MOVED.
+    out = subprocess.run([sys.executable, "-c", SERVED],
+                         env=dict(os.environ, PYTHONPATH=SRC), check=True,
+                         capture_output=True, text=True, timeout=60)
+    found = json.loads(out.stdout)
+    assert found["lazy"] == ["cli", "pipeline"]
+    expected = {}
+    for (old, _home), names in MOVED.items():
+        expected.setdefault(old, []).extend(names.split())
+    assert {name: served for name, served in found["served"].items()
+            if served} == {name: sorted(names)
+                           for name, names in expected.items()}
 
 
 def test_collapse_stays_the_function_after_every_module_loads():

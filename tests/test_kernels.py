@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collapsum.algebra import approx_equal, multiply
 from collapsum.collapse import (
     GammaSpec,
     _Packed,
@@ -19,15 +20,11 @@ from collapsum.kernels import (
     EdgeMode,
     FilterResult,
     Kernel,
-    box_kernel,
+    binomial,
     convolve,
     convolve_crop,
     extend,
     extend_asym,
-    gaussian_kernel,
-    gaussian_kernel_rect,
-    gaussian_kernel_sampled,
-    interpolation_kernel,
     separable_convolve,
 )
 from collapsum.matrix import (
@@ -36,11 +33,15 @@ from collapsum.matrix import (
     ExactOverflowError,
     Matrix,
     ScalarMode,
-    approx_equal,
-    multiply,
     scale,
 )
-from collapsum.structured import binomial
+from collapsum.windows import (
+    box_kernel,
+    gaussian_kernel,
+    gaussian_kernel_rect,
+    gaussian_kernel_sampled,
+    interpolation_kernel,
+)
 
 
 def random_matrix(rng, rows, cols, lo=0, hi=255):
@@ -127,7 +128,6 @@ class TestRectKernel:
             square = gaussian_kernel(r)
             assert rect.weights == square.weights
             assert rect.divisor == square.divisor
-            assert rect.anchor == square.anchor
 
     def test_1x2(self):
         k = gaussian_kernel_rect(1, 2)
@@ -139,8 +139,15 @@ class TestRectKernel:
         assert k.weights.to_rows() == [[1, 2, 1], [1, 2, 1]]
         assert k.divisor == 8
 
-    def test_even_anchor(self):
-        assert gaussian_kernel_rect(2, 4).anchor == (1, 2)
+    def test_even_sides_extend_by_the_one_margin_rule(self):
+        # Every window sits at (ceil(h/2), ceil(w/2)), a 2x4 one at (1, 2),
+        # so an extension edge pads 0 rows above it, 1 below, 1 column to
+        # its left and 2 to its right.
+        k = gaussian_kernel_rect(2, 4)
+        a = random_matrix(random.Random(139), 5, 6)
+        for edge in (EdgeMode.REPLICATE, EdgeMode.MIRROR, EdgeMode.ZERO):
+            assert convolve(k, a, edge) == convolve_crop(
+                k, extend_asym(a, 0, 1, 1, 2, edge))
 
     def test_refused_exactly_when_a_weight_leaves_int128(self, monkeypatch):
         # Largest materialized weight of each side, before the binomial
@@ -187,7 +194,7 @@ class TestRectKernel:
             exact = gaussian_kernel_rect(a, b)
             assert gaussian_kernel_rect(a, b, ScalarMode.FLOAT) == exact.as_float()
         k = gaussian_kernel_rect(69, 70, ScalarMode.FLOAT)
-        assert (k.divisor, k.anchor) == (1, (35, 35))
+        assert (k.divisor, k.height, k.width) == (1, 69, 70)
         assert k.weights.at(35, 35) == math.comb(68, 34) * math.comb(69, 34) / 2**137
 
     def test_float_windows_stop_at_400_collapses(self):
@@ -281,11 +288,11 @@ class TestInterpolationKernel:
 class TestKernelInvariants:
     def test_sum_must_match_divisor(self):
         with pytest.raises(ValueError):
-            Kernel(Matrix.filled(3, 3, 1), 8, (2, 2))
+            Kernel(Matrix.filled(3, 3, 1), 8)
 
     def test_float_kernels_carry_divisor_one(self):
         with pytest.raises(ValueError):
-            Kernel(Matrix.filled(2, 2, 0.25), 2, (1, 1))
+            Kernel(Matrix.filled(2, 2, 0.25), 2)
 
     def test_as_float_sums_to_one(self):
         k = gaussian_kernel(3).as_float()
@@ -450,7 +457,7 @@ class TestConvolveCrop:
     def test_kernel_is_flipped(self):
         # Weight sitting right of the anchor must read the entry LEFT of
         # the output position; an unflipped scan would read the right one.
-        k = Kernel(Matrix.from_rows([[0, 1]]), 1, (1, 1))
+        k = Kernel(Matrix.from_rows([[0, 1]]), 1)
         a = Matrix.from_rows([[7, 9]])
         assert convolve_crop(k, a).numerator.to_rows() == [[7]]
         assert correlate_unflipped(k, a) == [[9]]
@@ -471,7 +478,7 @@ class TestConvolveCrop:
         for kh in range(1, 6):
             for kw in range(1, 6):
                 weights = Matrix.filled(kh, kw, 1)
-                k = Kernel(weights, kh * kw, ((kh + 1) // 2, (kw + 1) // 2))
+                k = Kernel(weights, kh * kw)
                 for m in range(kh, 10):
                     for n in range(kw, 10):
                         out = convolve_crop(k, random_matrix(rng, m, n, 0, 9))

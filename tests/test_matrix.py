@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from collapsum.algebra import add, approx_equal, multiply
 from collapsum.matrix import (
     INT128_MAX,
     INT128_MIN,
@@ -14,9 +15,6 @@ from collapsum.matrix import (
     ExactOverflowError,
     Matrix,
     ScalarMode,
-    add,
-    approx_equal,
-    multiply,
     round_half_away,
     scale,
 )

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collapsum import pipeline
 from collapsum.kernels import EdgeMode
 from collapsum.matrix import DimensionError, Matrix
 from collapsum.netpbm import (
@@ -24,7 +25,7 @@ from collapsum.netpbm import (
     write_netpbm,
     write_raster,
 )
-from collapsum.pipeline import BlurRequest, blur
+from collapsum.pipeline import BlurRequest, Method, blur, blur_raster
 
 SEPARATORS = b" \t\r\n\x0b\x0c"
 
@@ -554,39 +555,131 @@ class TestWrite:
 GOOD = Raster(2, 2, 1, 255, [0, 1, 2, 255])
 
 
+# Each field change that breaks one invariant of GOOD, with its refusal.
+BAD_FIELDS = pytest.mark.parametrize("changes, error, message", [
+    ({"width": 0, "samples": []}, DimensionError,
+     "image dimensions must be positive"),
+    ({"height": -1, "samples": []}, DimensionError,
+     "image dimensions must be positive"),
+    ({"channels": 2, "samples": [0] * 8}, ValueError,
+     "an image has 1 or 3 channels"),
+    ({"maxval": 0, "samples": [0] * 4}, ValueError,
+     "maxval must be in 1..65535"),
+    ({"maxval": MAX_MAXVAL + 1}, ValueError, "maxval must be in 1..65535"),
+    ({"samples": [0, 1, 2]}, DimensionError,
+     "sample count must be width x height x channels"),
+    ({"channels": 3}, DimensionError,
+     "sample count must be width x height x channels"),
+    ({"samples": [0, 1.0, 2, 3]}, ValueError,
+     "image samples must be exact integers"),
+    ({"samples": [0, 1, 2, 256]}, ValueError, "samples must lie in [0, 255]"),
+    ({"samples": [0, -1, 2, 3]}, ValueError, "samples must lie in [0, 255]"),
+    ({"maxval": 254}, ValueError, "samples must lie in [0, 254]"),
+    ({"maxval": 1}, ValueError, "samples must lie in [0, 1]"),
+], ids=["width", "height", "channels", "maxval-0", "maxval-65536",
+        "count", "count-of-channels", "float", "above", "below",
+        "above-a-lower-maxval", "above-maxval-1"])
+
+
 class TestWriteRefusals:
     """Every check of a caller's image, made when it is written: each one
     the former plane and color records made when built, and the channel
     count, which a raster states instead of a record type."""
 
-    @pytest.mark.parametrize("changes, error, message", [
-        ({"width": 0, "samples": []}, DimensionError,
-         "image dimensions must be positive"),
-        ({"height": -1, "samples": []}, DimensionError,
-         "image dimensions must be positive"),
-        ({"channels": 2, "samples": [0] * 8}, ValueError,
-         "an image has 1 or 3 channels"),
-        ({"maxval": 0, "samples": [0] * 4}, ValueError,
-         "maxval must be in 1..65535"),
-        ({"maxval": MAX_MAXVAL + 1}, ValueError, "maxval must be in 1..65535"),
-        ({"samples": [0, 1, 2]}, DimensionError,
-         "sample count must be width x height x channels"),
-        ({"channels": 3}, DimensionError,
-         "sample count must be width x height x channels"),
-        ({"samples": [0, 1.0, 2, 3]}, ValueError,
-         "image samples must be exact integers"),
-        ({"samples": [0, 1, 2, 256]}, ValueError, "samples must lie in [0, 255]"),
-        ({"samples": [0, -1, 2, 3]}, ValueError, "samples must lie in [0, 255]"),
-        ({"maxval": 254}, ValueError, "samples must lie in [0, 254]"),
-    ], ids=["width", "height", "channels", "maxval-0", "maxval-65536",
-            "count", "count-of-channels", "float", "above", "below",
-            "above-a-lower-maxval"])
+    @BAD_FIELDS
     @pytest.mark.parametrize("fmt", ["ascii", "binary"])
     def test_each_bad_field_is_refused(self, changes, error, message, fmt):
         write_netpbm(GOOD, fmt)
         with pytest.raises(error) as err:
             write_netpbm(GOOD._replace(**changes), fmt)
         assert type(err.value) is error and str(err.value) == message
+
+
+@st.composite
+def rasters(draw):
+    """A valid raster of up to 5x5 pixels, its samples in a list or, up to
+    maxval 255, in ``bytes``."""
+    width, height = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    channels = draw(st.sampled_from([1, 3]))
+    maxval = draw(st.sampled_from([1, 2, 77, 255, 256, 1000, MAX_MAXVAL]))
+    samples = draw(st.lists(st.integers(0, maxval),
+                            min_size=width * height * channels,
+                            max_size=width * height * channels))
+    if maxval < 256 and draw(st.booleans()):
+        samples = bytes(samples)
+    return Raster(width, height, channels, maxval, samples)
+
+
+@st.composite
+def broken_rasters(draw):
+    """A valid raster with one invariant broken."""
+    good = draw(rasters())
+    samples = list(good.samples)
+    k = draw(st.integers(0, len(samples) - 1))
+    broken = draw(st.sampled_from(
+        ["width", "height", "channels", "maxval", "count", "type", "range"]))
+    if broken in ("width", "height"):
+        return good._replace(**{broken: draw(st.integers(-3, 0))})
+    if broken == "channels":
+        return good._replace(channels=draw(st.sampled_from([0, 2, 4])))
+    if broken == "maxval":
+        return good._replace(maxval=draw(st.sampled_from(
+            [0, -1, MAX_MAXVAL + 1])))
+    if broken == "count":
+        extra = draw(st.integers(-len(samples), 3).filter(bool))
+        return good._replace(samples=(samples + [0] * 3)[:len(samples) + extra])
+    if broken == "type":
+        samples[k] = draw(st.sampled_from([float(samples[k]), True, None]))
+    else:
+        samples[k] = draw(st.sampled_from(
+            [good.maxval + 1, MAX_MAXVAL + 1, -1, -(2**70)]))
+    return good._replace(samples=samples)
+
+
+class TestBlurRasterRefusals:
+    """``blur_raster`` sizes its lanes for the raster's maxval, so it
+    refuses each raster that ``write_netpbm`` refuses, with the same error,
+    before any sample is packed."""
+
+    @BAD_FIELDS
+    def test_each_bad_field_is_refused_before_packing(
+            self, changes, error, message, monkeypatch):
+        # Unchecked, samples above maxval carried across lanes (255s at
+        # maxval 1 blurred to 16s), and too few samples were padded.
+        packs = []
+
+        def recorded(*args, original=pipeline._packed_lanes):
+            packs.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(pipeline, "_packed_lanes", recorded)
+        blur_raster(GOOD, BlurRequest(radius=1))
+        assert len(packs) == 1
+        with pytest.raises(error) as err:
+            blur_raster(GOOD._replace(**changes), BlurRequest(radius=1))
+        assert type(err.value) is error and str(err.value) == message
+        assert len(packs) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(broken_rasters(), st.sampled_from(list(Method)))
+    def test_a_broken_raster_is_refused_as_write_netpbm_refuses_it(
+            self, image, method):
+        with pytest.raises(Exception) as written:
+            write_netpbm(image)
+        with pytest.raises(Exception) as blurred:
+            blur_raster(image, BlurRequest(radius=1, method=method))
+        assert type(blurred.value) is type(written.value)
+        assert str(blurred.value) == str(written.value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rasters(), st.integers(0, 2), st.sampled_from(list(Method)),
+           st.sampled_from([EdgeMode.REPLICATE, EdgeMode.ZERO]),
+           st.sampled_from(["ascii", "binary"]))
+    def test_a_valid_raster_blurs_to_one_write_netpbm_takes(
+            self, image, r, method, edge, fmt):
+        out = blur_raster(image, BlurRequest(radius=r, method=method, edge=edge))
+        assert out[:4] == image[:4]
+        assert write_netpbm(out, fmt) == write_raster(out, fmt)
 
 
 class TestPlanes:

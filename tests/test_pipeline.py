@@ -15,6 +15,7 @@ from test_collapse import (
 )
 
 from collapsum import pipeline
+from collapsum.bench import CSV_HEADER, benchmark, entry_ops
 from collapsum.collapse import (
     collapse_down_power,
     collapse_power,
@@ -23,10 +24,11 @@ from collapsum.collapse import (
 from collapsum.kernels import (
     EdgeMode,
     FilterResult,
+    _margins,
+    coefficient_matrix,
+    coefficient_sides,
     convolve,
     extend_asym,
-    gaussian_kernel_rect,
-    interpolation_kernel,
 )
 from collapsum.matrix import (
     INT128_MAX,
@@ -37,19 +39,15 @@ from collapsum.matrix import (
 )
 from collapsum.netpbm import Raster
 from collapsum.pipeline import (
-    CSV_HEADER,
     BlurRequest,
     Method,
-    benchmark,
     blur,
     blur_raster,
     deviation,
-    entry_ops,
     equivalence_report,
-    rect_blur,
     seeded_image,
 )
-from collapsum.structured import coefficient_matrix, coefficient_sides
+from collapsum.windows import gaussian_kernel_rect, interpolation_kernel
 
 ALL_EDGES = (EdgeMode.CROP, EdgeMode.REPLICATE, EdgeMode.MIRROR, EdgeMode.ZERO)
 
@@ -57,7 +55,6 @@ ALL_EDGES = (EdgeMode.CROP, EdgeMode.REPLICATE, EdgeMode.MIRROR, EdgeMode.ZERO)
 # The package's ``collapse`` attribute is the function, not this module.
 collapse_module = importlib.import_module("collapsum.collapse")
 kernels_module = importlib.import_module("collapsum.kernels")
-structured_module = importlib.import_module("collapsum.structured")
 
 
 def random_matrix(rng, rows, cols):
@@ -170,7 +167,7 @@ class TestRectBlur:
     def test_degenerate_window_returns_input(self):
         rng = random.Random(191)
         a = random_matrix(rng, 4, 5)
-        out = rect_blur(a, 1, 1, EdgeMode.CROP)
+        out = blur(a, BlurRequest(rect=(1, 1), edge=EdgeMode.CROP))
         assert out.numerator == a
         assert out.divisor == 1
 
@@ -191,7 +188,7 @@ class TestRectBlur:
     def test_2x3_crop_agrees_with_direct_convolution(self):
         rng = random.Random(197)
         a = random_matrix(rng, 6, 6)
-        out = rect_blur(a, 2, 3, EdgeMode.CROP)
+        out = blur(a, BlurRequest(rect=(2, 3), edge=EdgeMode.CROP))
         assert (out.numerator.rows, out.numerator.cols) == (5, 4)
         direct = convolve(gaussian_kernel_rect(2, 3), a, EdgeMode.CROP)
         assert out == direct
@@ -271,7 +268,7 @@ def extended(a, h, w, edge):
     """The input of every method: ``a`` extended by the window's margins."""
     if edge is EdgeMode.CROP:
         return a
-    return extend_asym(a, *gaussian_kernel_rect(h, w).margins(), edge)
+    return extend_asym(a, *_margins(h, w), edge)
 
 
 def per_pass_blur(work, window, method):
@@ -510,6 +507,28 @@ def perturbed(name, entry, delta):
 
 
 class TestEquivalenceReport:
+    @pytest.mark.parametrize("r", [28, 29])
+    @pytest.mark.parametrize("edge", ALL_EDGES)
+    def test_collapse_runs_once_per_report(self, r, edge, monkeypatch):
+        # At radius 29 an 8-bit plane packs in 16-byte sublanes, where a
+        # result can pass int128: the report's own checked collapse result
+        # is direct's early check, so collapse still runs once, as it does
+        # in narrower sublanes (radius 28).  Crop needs a 59x59 image, and
+        # mirror one wider than the margins.
+        counted = []
+
+        def counting(*args, original=pipeline.collapse_power):
+            counted.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(pipeline, "collapse_power", counting)
+        n = 59 if edge is EdgeMode.CROP else 30
+        a = seeded_image(n, n)
+        plane = pipeline._plane(a, BlurRequest(radius=r, edge=edge))[1]
+        assert collapse_module._wide(plane) is (r == 29)
+        assert equivalence_report(a, r, edge).passed
+        assert len(counted) == 1
+
     @pytest.mark.parametrize("name, entry, delta", [
         ("convolve", 0, 3), ("separable_convolve", 17, 1),
         ("collapse_power", 99, 250), ("convolve", 50, 1000),
@@ -830,10 +849,9 @@ def asked_windows():
 
     with pytest.MonkeyPatch.context() as patch:
         for name in ("coefficient_matrix", "coefficient_sides"):
-            stub = recorder(getattr(kernels_module, name))
-            # kernels owns and calls them; structured re-exports them.
-            for module in (structured_module, kernels_module):
-                patch.setattr(module, name, stub)
+            # kernels owns and calls them.
+            patch.setattr(kernels_module, name,
+                          recorder(getattr(kernels_module, name)))
         yield asked
 
 

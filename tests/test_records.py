@@ -6,7 +6,8 @@ import pickle
 
 import pytest
 
-from collapsum.collapse import GammaSpec, NdArray
+from collapsum.bench import TIMING_CONTRACT, BenchReport, BenchRow
+from collapsum.collapse import GammaSpec
 from collapsum.kernels import EdgeMode, FilterResult, Kernel
 from collapsum.matrix import (
     OUT_OF_RANGE,
@@ -15,15 +16,9 @@ from collapsum.matrix import (
     Matrix,
     ScalarMode,
 )
+from collapsum.nd import NdArray
 from collapsum.netpbm import Raster
-from collapsum.pipeline import (
-    TIMING_CONTRACT,
-    BenchReport,
-    BenchRow,
-    BlurRequest,
-    equivalence_report,
-    seeded_image,
-)
+from collapsum.pipeline import BlurRequest, equivalence_report, seeded_image
 from collapsum.structured import ToeplitzSpec
 
 ONES = Matrix.from_rows([[1, 1], [1, 1]])
@@ -42,16 +37,14 @@ RECORDS = {
         (lambda: ONES._replace(data=(-(2**127) - 1,) * 4), ExactOverflowError,
          OUT_OF_RANGE),
     ]),
-    "Kernel": (lambda: Kernel(ONES, 4, (1, 2)), "divisor", True, [
-        (lambda: Kernel(ONES, 5, (1, 1)), ValueError,
+    "Kernel": (lambda: Kernel(ONES, 4), "divisor", True, [
+        (lambda: Kernel(ONES, 5), ValueError,
          "weights sum to 4, divisor is 5"),
-        (lambda: Kernel(ONES, 0, (1, 1)), ValueError,
+        (lambda: Kernel(ONES, 0), ValueError,
          "divisor must be a positive integer"),
-        (lambda: Kernel(ONES, 4, (3, 1)), ValueError,
-         "anchor (3, 1) outside the weight window"),
-        (lambda: Kernel(ONES.to_float(), 1, (1, 1)), ValueError,
+        (lambda: Kernel(ONES.to_float(), 1), ValueError,
          "float weights sum to 4.0, expected 1"),
-        (lambda: Kernel(ONES, 4, (1, 1))._replace(divisor=5), ValueError,
+        (lambda: Kernel(ONES, 4)._replace(divisor=5), ValueError,
          "weights sum to 4, divisor is 5"),
     ]),
     "FilterResult": (lambda: FilterResult(ONES, 4), "divisor", True, [

@@ -6,24 +6,16 @@ import time
 
 import pytest
 
+from collapsum.algebra import approx_equal
 from collapsum.cli import main
 from collapsum.collapse import GammaSpec, generalized_collapse_power
-from collapsum.kernels import (
-    EdgeMode,
-    box_kernel,
-    check_interpolation,
-    extend,
-    gaussian_kernel,
-    gaussian_kernel_rect,
-    gaussian_kernel_sampled,
-)
+from collapsum.kernels import EdgeMode, check_interpolation, extend
 from collapsum.matrix import (
     OUT_OF_RANGE,
     DimensionError,
     ExactOverflowError,
     Matrix,
     ScalarMode,
-    approx_equal,
 )
 from collapsum.netpbm import Raster
 from collapsum.pipeline import (
@@ -38,6 +30,12 @@ from collapsum.structured import (
     r_falling,
     r_phi,
     r_phi_falling,
+)
+from collapsum.windows import (
+    box_kernel,
+    gaussian_kernel,
+    gaussian_kernel_rect,
+    gaussian_kernel_sampled,
 )
 
 SQUARE = Matrix.from_rows([[1, 2], [3, 4]])
@@ -198,6 +196,8 @@ def test_direct_checks_the_collapse_result_before_its_products(monkeypatch):
     # computes the same numerator, so direct first checks the collapse
     # method's, which runs no correlation: a result past int128 is refused
     # before any of direct's row products, and an accepted one runs them.
+    # The report runs collapse first and checks it, so it refuses the same
+    # way.
     products = []
     correlate = collapse_module._correlate
 
@@ -213,6 +213,9 @@ def test_direct_checks_the_collapse_result_before_its_products(monkeypatch):
             run(image, BlurRequest(radius=30, method=Method.DIRECT))
         assert str(err.value) == OUT_OF_RANGE
         assert products == []
+    with pytest.raises(ExactOverflowError, match=OUT_OF_RANGE):
+        equivalence_report(gray, 30, EdgeMode.REPLICATE)
+    assert products == []
     # At radius 29 the sublanes are 16 bytes wide and every entry fits.
     direct = blur_raster(full, BlurRequest(radius=29, method=Method.DIRECT))
     assert products

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collapsum.algebra import multiply
 from collapsum.collapse import (
     GammaSpec,
     collapse_down_power,
@@ -12,12 +13,14 @@ from collapsum.collapse import (
     collapse_right_power,
     generalized_collapse_power,
 )
-from collapsum.matrix import DimensionError, Matrix, ScalarMode, multiply
-from collapsum.structured import (
-    ToeplitzSpec,
+from collapsum.kernels import (
     binomial,
     coefficient_matrix,
     coefficient_matrix_entry_sum,
+)
+from collapsum.matrix import DimensionError, Matrix, ScalarMode
+from collapsum.structured import (
+    ToeplitzSpec,
     collapsed_coefficient_square,
     column_sum_vector,
     r_falling,
