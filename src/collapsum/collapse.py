@@ -18,16 +18,22 @@ lanes, on every host.  The packed values sit in unsigned lanes of L
 bits, a whole number of bytes: the narrowest L >= 8 with B < 2**L for
 the bound B below, with no upper limit.  So an 8-bit image blurred at
 radius 4 (B = 255 * 4**8 < 2**24) packs in 3-byte lanes, and a 16-bit
-one at radius 12 (B = 65535 * 4**24 < 2**64) in 8-byte lanes.  One
-packer, ``_pack``, and one unpacker, ``_unpack``, serve every width.
-Values of at most 8 bytes, every raster sample among them, move as the
-bytes of native ``array`` items, byte-swapped on a big-endian host,
-scattered into and gathered from their lanes by slice assignment, with
-no Python code per entry.  The packer converts wider values one at a
-time, since only the weights of large windows and matrix entries of
-2**64 or more are that wide.  The unpacker gathers wider sublanes per
-64-bit digit, since every blur of an 8-bit image at radius 15 or more
-(13 or more for 16 bits) unpacks sublanes wider than 8 bytes.
+one at radius 12 (B = 65535 * 4**24 < 2**64) in 8-byte lanes.
+
+The byte codec.  One encoder, ``_encode``, and one decoder, ``_decode``,
+convert every int to and from fixed-width byte items, in either byte
+order: the packer ``_pack`` and unpacker ``_unpack`` run them
+little-endian on the lanes of every width, and ``netpbm`` runs them
+big-endian on its binary samples.  This is the one module that reads the
+host's byte order.  Values of at most 8 bytes, every raster sample among
+them, move as the bytes of native ``array`` items, byte-swapped where
+the host's order is not theirs, scattered into and gathered from their
+items by slice assignment, with no Python code per entry.  The encoder
+converts wider values one at a time, since only the weights of large
+windows and matrix entries of 2**64 or more are that wide.  The decoder
+gathers wider items per 64-bit digit, since every blur of an 8-bit image
+at radius 15 or more (13 or more for 16 bits) unpacks sublanes wider
+than 8 bytes.
 
 An image of several channels packs as one int of pixel lanes: pixel k
 in lane k and its channel c in sublane c, of L bits each, so a lane is
@@ -108,8 +114,8 @@ A packed plane stores no range: its sublane width, sized from B when it
 is packed, is all its one check reads.  An exact ``Matrix`` has one
 range, its ``span``, which its constructor measures.  A matrix packs in
 lanes sized from its span, and a packed result unpacks, after its one
-check, into a matrix that measures its own.  Only this module reads the lane bytes: it packs, extends and
-unpacks them.
+check, into a matrix that measures its own.  Only this module reads the
+lane bytes: it packs, extends and unpacks them.
 """
 
 from __future__ import annotations
@@ -129,11 +135,13 @@ from .matrix import (
     _Record,
 )
 
-# The unsigned ``array`` typecode of each item size in bytes that packing
-# converts through; 2-byte items are left out, since ``array('H')`` builds
-# from ints as slowly as 'B', about three times slower than 'I'.  Packed
-# ints are little-endian, so a big-endian host byte-swaps the items.
-_NATIVE = {array(code).itemsize: code for code in "BIQ"}
+# The unsigned ``array`` typecode of each item size in bytes that the codec
+# converts through, by what the items are built from.  From ints, 2-byte
+# items are left out, since ``array('H')`` builds from ints as slowly as
+# 'B', about three times slower than 'I'; from bytes, every typecode is a
+# plain copy.
+_FROM_INTS = {array(code).itemsize: code for code in "BIQ"}
+_FROM_BYTES = {array(code).itemsize: code for code in "BHIQ"}
 
 
 def _size(bound: int) -> int:
@@ -141,61 +149,81 @@ def _size(bound: int) -> int:
     return max(1, (bound.bit_length() + 7) // 8)
 
 
-def _native(size: int) -> int:
-    # The narrowest native item size of at least ``size`` <= 8 bytes.
-    return next(s for s in _NATIVE if s >= size)
+def _native(size: int, codes: dict) -> int:
+    # The narrowest item size of ``codes`` of at least ``size`` <= 8 bytes.
+    return next(s for s in codes if s >= size)
 
 
-def _pack(values, size: int, top: int) -> int:
-    # One int whose ``size``-byte lane k holds values[k], each in [0, top]
-    # with top < 2**(8 * size).  Values of at most 8 bytes, every raster
-    # sample among them, scatter the bytes of the narrowest native items
-    # that hold them into their lanes.  Wider values, the weights of large
-    # binomial windows (radius 18 and up) and matrix entries of 2**64 or
-    # more, are converted one at a time: no native item holds them, and a
-    # scatter per 64-bit digit timed slower than this on 67 values and on
-    # 65,536.
+def _byte(j: int, size: int, order: str) -> int:
+    # The offset of byte j, of weight 256**j, in a ``size``-byte item.
+    return j if order == "little" else size - 1 - j
+
+
+def _encode(values, size: int, top: int, order: str):
+    # The bytes of values, each in [0, top] with top < 2**(8 * size), as
+    # ``size``-byte items in byte order ``order``, "little" or "big".
+    # Values of at most 8 bytes, every raster sample among them, scatter
+    # the bytes of the narrowest native items that hold them, made
+    # little-endian on every host, into place.  Wider values, the weights
+    # of large binomial windows (radius 18 and up) and matrix entries of
+    # 2**64 or more, are converted one at a time: no native item holds
+    # them, and a scatter per 64-bit digit timed slower than this on 67
+    # values and on 65,536.
     width = _size(top)
     if width > 8:
-        return int.from_bytes(
-            b"".join(v.to_bytes(size, "little") for v in values), "little"
-        )
-    step = _native(width)
+        return b"".join(v.to_bytes(size, order) for v in values)
+    step = _native(width, _FROM_INTS)
     # ``bytes`` builds 1-byte items about four times as fast as
     # ``array('B')`` does.
     if step == 1:
         src = bytes(values)
     else:
-        items = array(_NATIVE[step], values)
+        items = array(_FROM_INTS[step], values)
         if sys.byteorder == "big":
             items.byteswap()
         src = items.tobytes()
     buf = bytearray(size * (len(src) // step))
     for j in range(width):
-        buf[j::size] = src[j::step]
-    return int.from_bytes(buf, "little")
+        buf[_byte(j, size, order) :: size] = src[j::step]
+    return buf
 
 
-def _unpack(x: int, size: int, count: int):
-    # Lanes 0 .. count-1 of x (``size`` bytes each) as a sequence of ints.
-    # The inverse of ``_pack``: the bytes are gathered into the next wider
-    # native array, and beyond 8 bytes the 64-bit digits combine by C-level
-    # ``map``.
-    raw = x.to_bytes(size * count, "little")
+def _decode(raw, size: int, count: int, order: str):
+    # The ``count`` items of ``raw``, ``size`` bytes each in byte order
+    # ``order``, as a sequence of ints: the inverse of ``_encode``.  Items
+    # of 1, 2, 4 or 8 bytes are copied into a native array as they are,
+    # byte-swapped where ``order`` is not the host's; other items of at most
+    # 8 bytes are gathered little-endian into the next wider native array,
+    # and wider ones per 64-bit digit, whose arrays combine by C-level
+    # ``map`` into a list.
     values = None
     for lo in reversed(range(0, size, 8)):
         k = min(8, size - lo)
-        step = _native(k)
-        buf = bytearray(step * count)
-        for j in range(k):
-            buf[j::step] = raw[lo + j :: size]
-        digit = array(_NATIVE[step], buf)
-        if sys.byteorder == "big":
+        step = _native(k, _FROM_BYTES)
+        if step == size:
+            digit, held = array(_FROM_BYTES[step], raw), order
+        else:
+            buf = bytearray(step * count)
+            for j in range(k):
+                buf[j::step] = raw[_byte(lo + j, size, order) :: size]
+            digit, held = array(_FROM_BYTES[step], buf), "little"
+        if sys.byteorder != held:
             digit.byteswap()
         values = digit if values is None else map(
             add, map(lshift, values, repeat(64)), digit
         )
     return values if isinstance(values, array) else list(values)
+
+
+def _pack(values, size: int, top: int) -> int:
+    # One int whose ``size``-byte lane k holds values[k], each in [0, top]:
+    # their little-endian items.
+    return int.from_bytes(_encode(values, size, top, "little"), "little")
+
+
+def _unpack(x: int, size: int, count: int):
+    # Lanes 0 .. count-1 of x (``size`` bytes each) as a sequence of ints.
+    return _decode(x.to_bytes(size * count, "little"), size, count, "little")
 
 
 def _rows(lanes, rows: int, cols: int, stride: int):

@@ -266,14 +266,23 @@ def round_half_away(a: Matrix, divisor: int = 1) -> Matrix:
 
     Exact entries round by integer arithmetic, so the result is
     reproducible bit for bit; with divisor 1 they are returned as is.
+    A float quotient rounds exactly too: it is compared with its floor,
+    never added to 0.5.
     """
     if a.mode is ScalarMode.EXACT:
         if divisor == 1:
             return a
         data = _rounded(a.data, divisor)
     else:
-        data = [
-            math.floor(v + 0.5) if v >= 0 else math.ceil(v - 0.5)
-            for v in (x / divisor for x in a.data)
-        ]
+        data = [_rounded_float(x / divisor) for x in a.data]
     return Matrix(a.rows, a.cols, tuple(data), ScalarMode.EXACT)
+
+
+def _rounded_float(v: float) -> int:
+    # v rounded half away from zero.  The fraction |v| - floor(|v|) of a
+    # float is itself a float, so it is compared with 0.5 exactly, where
+    # floor(v + 0.5) rounds the sum first: 0.49999999999999994 + 0.5 reads
+    # 1.0, and (2**52 + 1) + 0.5 reads 2**52 + 2.
+    n = math.floor(abs(v))
+    n += abs(v) - n >= 0.5
+    return n if v >= 0 else -n

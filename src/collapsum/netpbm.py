@@ -6,7 +6,12 @@ sit between any two tokens, in the header and in an ASCII raster alike.
 Every number is ASCII decimal digits, and a binary raster follows
 exactly one separator byte after maxval. Every failure is a
 :class:`NetpbmError` carrying the byte offset where parsing stopped.
-Binary samples are 1 byte up to maxval 255 and big-endian 2 bytes above.
+A binary sample is ``collapse._size(maxval)`` bytes wide, the lane
+rule's own byte count: 1 byte up to maxval 255 and 2 bytes, high byte
+first, above.  A binary raster is written, and a 2-byte one read,
+through the byte codec of ``collapse``, ``_encode`` and ``_decode`` in
+big-endian order, the same code that packs and unpacks lanes; a 1-byte
+raster is read as its ``bytes``.
 
 An image is one record, a :class:`Raster`: its samples interleaved
 pixel by pixel, as the file holds them, each in [0, maxval].
@@ -25,12 +30,11 @@ interleave matrices into a raster.
 from __future__ import annotations
 
 import re
-import sys
-from array import array
 from collections import namedtuple
 from collections.abc import Iterator
 from operator import attrgetter
 
+from .collapse import _decode, _encode, _size
 from .matrix import DimensionError, Matrix, round_half_away
 
 MAX_MAXVAL = 65535
@@ -141,8 +145,8 @@ def _read_binary_samples(
     if pos >= len(data) or data[pos] not in _WHITESPACE:
         raise NetpbmError("missing raster separator", pos)
     pos += 1
-    width_bytes = 2 if maxval > 255 else 1
-    needed = count * width_bytes
+    width = _size(maxval)
+    needed = count * width
     if len(data) - pos < needed:
         raise NetpbmError(
             f"truncated raster: need {_number(needed)} bytes, "
@@ -150,35 +154,15 @@ def _read_binary_samples(
             len(data),
         )
     samples = data[pos : pos + needed]
-    if width_bytes == 2:
-        # A list, not the array: ``bytes`` of an ``array('H')`` is its
-        # buffer, not its items.
-        items = array("H", samples)
-        if sys.byteorder == "little":
-            items.byteswap()
-        samples = items.tolist()
+    if width == 2:
+        samples = _decode(samples, width, count, "big").tolist()
     # A sample holds at most 255 or 65535, so only a smaller maxval needs
     # a check: one C-level max, and a search for the first sample above.
-    if maxval < 256**width_bytes - 1 and max(samples) > maxval:
+    if maxval < 256**width - 1 and max(samples) > maxval:
         k = next(k for k, value in enumerate(samples) if value > maxval)
         raise NetpbmError(f"sample {samples[k]} exceeds maxval {maxval}",
-                          pos + k * width_bytes)
+                          pos + k * width)
     return samples
-
-
-def _big_endian_16(samples) -> bytearray:
-    # Samples below 2**16 as big-endian 2-byte items.  ``array("I")``
-    # converts ints about three times as fast as ``array("H")``; the two
-    # low bytes of each item, in little-endian order, are interleaved high
-    # byte first.
-    items = array("I", samples)
-    if sys.byteorder == "big":
-        items.byteswap()
-    raw, step = items.tobytes(), items.itemsize
-    out = bytearray(2 * len(items))
-    out[0::2] = raw[1::step]
-    out[1::2] = raw[0::step]
-    return out
 
 
 def read_raster(data: bytes) -> Raster:
@@ -210,10 +194,10 @@ read_netpbm = read_raster
 def write_raster(raster: Raster, format: str = "binary") -> bytes:
     """Serialize to ASCII (P2/P3) or binary (P5/P6) bytes.
 
-    A binary raster is the ``bytes`` of the samples, or their big-endian
-    2-byte items above maxval 255; an ASCII one is one line of decimal
-    samples per image row.  Reading the output back yields the same
-    samples.
+    A binary raster is the samples as big-endian items of
+    ``_size(maxval)`` bytes, from the byte codec; an ASCII one is one
+    line of decimal samples per image row.  Reading the output back
+    yields the same samples.
     """
     if format not in ("ascii", "binary"):
         raise ValueError("format must be 'ascii' or 'binary'")
@@ -225,7 +209,7 @@ def write_raster(raster: Raster, format: str = "binary") -> bytes:
         # One line of decimal samples per image row, formatted in one pass.
         line = b" ".join([b"%d"] * (width * channels)) + b"\n"
         return (header + line * height) % tuple(samples)
-    return header + (_big_endian_16(samples) if maxval > 255 else bytes(samples))
+    return header + _encode(samples, _size(maxval), maxval, "big")
 
 
 def _check_raster(raster: Raster) -> None:

@@ -176,17 +176,12 @@ def _plane(a: Matrix, req: BlurRequest):
 
 
 def _numerator(method: Method, req: BlurRequest, divisor: int,
-               plane, checked: bool = False) -> FilterResult:
+               plane) -> FilterResult:
     # One method's stages on the prepared plane, packed or not.  Only
     # direct builds the h x w window; separable builds its two sides, and
-    # collapse the rows of ones in its tail.  ``checked`` says that the
-    # caller has already checked the collapse numerator of ``plane``.
+    # collapse the rows of ones in its tail.
     (h, w), (a, b) = req.rect, req.collapses
     if method is Method.DIRECT:
-        if not checked and isinstance(plane, _Packed) and _wide(plane):
-            # Every method computes the same numerator, so the cheapest's,
-            # collapse's, is checked for int128 before direct's products run.
-            _checked(_numerator(Method.COLLAPSE, req, divisor, plane).numerator)
         return convolve(_coefficient_kernel(h, w, a, b, plane.mode), plane,
                         EdgeMode.CROP)
     if method is Method.SEPARABLE:
@@ -203,6 +198,17 @@ def _numerator(method: Method, req: BlurRequest, divisor: int,
     return FilterResult(num, divisor)
 
 
+def _blurred(req: BlurRequest, divisor: int, plane) -> FilterResult:
+    # The request's method on the prepared plane, as a blur runs it.  Every
+    # method computes the same numerator, so in sublanes of 16 bytes or
+    # more the cheapest's, collapse's, is checked for int128 before
+    # direct's products run.
+    if (req.method is Method.DIRECT and isinstance(plane, _Packed)
+            and _wide(plane)):
+        _checked(_numerator(Method.COLLAPSE, req, divisor, plane).numerator)
+    return _numerator(req.method, req, divisor, plane)
+
+
 def _unpacked_result(out: FilterResult) -> FilterResult:
     if isinstance(out.numerator, _Packed):
         return FilterResult(_unpacked(out.numerator), out.divisor)
@@ -216,7 +222,7 @@ def blur(a: Matrix, req: BlurRequest) -> FilterResult:
     :func:`blur_raster`: packed once, every stage of the method packed,
     and unpacked once (see the module docstring)."""
     divisor, plane = _plane(a, req)
-    return _unpacked_result(_numerator(req.method, req, divisor, plane))
+    return _unpacked_result(_blurred(req, divisor, plane))
 
 
 def blur_raster(image: Raster, req: BlurRequest) -> Raster:
@@ -256,7 +262,7 @@ def _blurred_raster(image: Raster, req: BlurRequest) -> Raster:
     divisor = _divisor(image.height, image.width, req, ScalarMode.EXACT)
     plane = _packed_lanes(image.height, image.width, image.channels,
                           image.samples, image.maxval, divisor)
-    num = _numerator(req.method, req, divisor, _extended(plane, req))
+    num = _blurred(req, divisor, _extended(plane, req))
     out = num.numerator
     return image._replace(width=out.cols, height=out.rows,
                           samples=_rounded(_sublanes(out), num.divisor))
@@ -265,24 +271,19 @@ def _blurred_raster(image: Raster, req: BlurRequest) -> Raster:
 def deviation(x: FilterResult, y: FilterResult) -> float:
     """Max entrywise difference between two filter results as values.
 
-    Exact pairs compare their numerators when the divisors are equal and
-    by cross-multiplication otherwise, so 0.0 means identical rational
-    values, not merely close floats.
+    An exact pair is measured exactly: the largest |p*dy - q*dx| over
+    entries p/dx and q/dy, divided once by dx*dy, so it is correctly
+    rounded, and 0.0 only for identical rational values (while dx*dy
+    stays below 2**1074).  A pair with a float result subtracts floats.
     """
     nx, ny = x.numerator, y.numerator
     if nx.rows != ny.rows or nx.cols != ny.cols:
         raise DimensionError("results have different shapes")
+    dx, dy = x.divisor, y.divisor
     if nx.mode is ScalarMode.EXACT and ny.mode is ScalarMode.EXACT:
-        if x.divisor == y.divisor:
-            if nx.data == ny.data:
-                return 0.0
-        elif all(
-            p * y.divisor == q * x.divisor for p, q in zip(nx.data, ny.data)
-        ):
-            return 0.0
-    return max(
-        abs(p / x.divisor - q / y.divisor) for p, q in zip(nx.data, ny.data)
-    )
+        return max(abs(p * dy - q * dx) for p, q in zip(nx.data, ny.data)) / (
+            dx * dy)
+    return max(abs(p / dx - q / dy) for p, q in zip(nx.data, ny.data))
 
 
 EquivalenceReport = namedtuple("EquivalenceReport", "radius edge mode deviations "
@@ -305,7 +306,7 @@ def equivalence_report(a: Matrix, r: int, edge: EdgeMode) -> EquivalenceReport:
     divisor, plane = _plane(a, req)
     results = {}
     for method in (Method.COLLAPSE, Method.DIRECT, Method.SEPARABLE):
-        out = _numerator(method, req, divisor, plane, checked=True)
+        out = _numerator(method, req, divisor, plane)
         if isinstance(out.numerator, _Packed):
             # Each packed result's one int128 check, as unpacking runs it.
             _checked(out.numerator)

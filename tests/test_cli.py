@@ -478,19 +478,20 @@ class TestBlurCommand:
     @pytest.mark.parametrize("magic, channels", [(b"P6", 3), (b"P5", 1)])
     def test_a_big_endian_host_reads_and_writes_16_bit_samples(
             self, magic, channels, monkeypatch):
-        # The same emulation inside netpbm: a 16-bit raster reads back its
-        # native samples and writes its own bytes, through the byte swaps
-        # of the binary reader and ``_big_endian_16``; with no swap, the
-        # samples and the bytes differ.
+        # The same emulation inside collapse, whose byte codec converts
+        # 16-bit samples too: a 16-bit raster reads back its native samples
+        # and writes its own bytes, through the codec's byte swaps; with no
+        # swap, the samples and the bytes differ.
+        collapse = importlib.import_module("collapsum.collapse")
         netpbm = importlib.import_module("collapsum.netpbm")
         rng = random.Random(23)
         data = b"%s\n8 5\n65535\n" % magic + bytes(
             rng.randrange(256) for _ in range(2 * channels * 40))
         samples = netpbm.read_raster(data).samples
         for byteorder in ("big", "little"):
-            monkeypatch.setattr(netpbm, "array", BigEndianArray)
+            monkeypatch.setattr(collapse, "array", BigEndianArray)
             monkeypatch.setattr(
-                netpbm, "sys", types.SimpleNamespace(byteorder=byteorder))
+                collapse, "sys", types.SimpleNamespace(byteorder=byteorder))
             raster = netpbm.read_raster(data)
             written = netpbm.write_raster(raster._replace(samples=samples))
             monkeypatch.undo()

@@ -1232,12 +1232,21 @@ class TestPacker:
     @pytest.mark.parametrize("size", range(1, 18))
     def test_round_trip_at_every_lane_width(self, size):
         # Lane k of the packed int holds values[k]; 1-, 4- and 8-byte lanes
-        # scatter and gather like every other width.
+        # scatter and gather like every other width.  The codec under the
+        # packer writes and reads item k in either byte order, for values
+        # as wide as the item and narrower.
         top = 2 ** (8 * size) - 1
         values = [0, 1, top, 1, 0, top]
         x = collapse_module._pack(values, size, top)
         assert x == sum(v << 8 * size * k for k, v in enumerate(values))
         assert list(collapse_module._unpack(x, size, len(values))) == values
+        for top in (2 ** (8 * size) - 1, 2 ** (4 * size)):
+            values = [0, 1, top, 1, 0, top]
+            for order in ("little", "big"):
+                raw = collapse_module._encode(values, size, top, order)
+                assert raw == b"".join(v.to_bytes(size, order) for v in values)
+                assert list(collapse_module._decode(
+                    raw, size, len(values), order)) == values, order
 
 
 class TestPixelLanes:

@@ -1,4 +1,5 @@
-"""What each command imports, and the public names of the lazy package.
+"""What each command imports, the public names of the lazy package, and
+the one module that imports ``array`` or reads the host's byte order.
 
 A process compiles every module it imports from source when no bytecode
 is cached, so each command loads only the collapsum modules it runs, and
@@ -8,6 +9,7 @@ object, and only the names that the benchmark harness looks up outside
 their homes are served there as well.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -174,3 +176,28 @@ def test_unknown_names_are_refused():
     for owner in (collapsum, module("pipeline"), module("cli")):
         with pytest.raises(AttributeError, match="has no attribute 'nothing'"):
             owner.nothing
+
+
+def reads_bytes_natively(tree):
+    """Whether a module's syntax tree imports ``array`` or reads
+    ``sys.byteorder``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(
+                alias.name == "array" for alias in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and (
+                node.module == "array" or node.module == "sys" and any(
+                    alias.name == "byteorder" for alias in node.names)):
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == "byteorder":
+            return True
+    return False
+
+
+def test_only_collapse_converts_ints_to_native_bytes():
+    # One byte codec: every int to byte item conversion, lanes and netpbm
+    # samples alike, runs through collapse, the one module that builds
+    # ``array`` items or asks the host's byte order.
+    found = {path.stem for path in Path(collapsum.__file__).parent.glob("*.py")
+             if reads_bytes_natively(ast.parse(path.read_text()))}
+    assert found == {"collapse"}

@@ -305,3 +305,18 @@ class TestRoundHalfAway:
         out = round_half_away(Matrix(1, 1, (x,)), d)
         assert out.data == (expected,)
         assert out.span == (expected, expected)
+
+    @given(st.floats(-2.0**120, 2.0**120), st.integers(1, 1000))
+    @example(0.49999999999999994, 1)
+    @example(-0.49999999999999994, 1)
+    @example(2.0**52 + 1, 1)
+    @example(-(2.0**52 + 1), 1)
+    def test_a_float_quotient_matches_exact_fraction(self, v, d):
+        # The float quotient v / d, as the matrix holds it, rounded half
+        # away from zero with no error of its own.
+        q = Fraction(v / d)
+        expected = math.floor(abs(q) + Fraction(1, 2))
+        if q < 0:
+            expected = -expected
+        out = round_half_away(Matrix(1, 1, (v,), ScalarMode.FLOAT), d)
+        assert out.data == (expected,)

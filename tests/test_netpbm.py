@@ -15,7 +15,6 @@ from collapsum.netpbm import (
     MAX_MAXVAL,
     NetpbmError,
     Raster,
-    _big_endian_16,
     _read_binary_samples,
     merge_color,
     plane_from_matrix,
@@ -545,7 +544,8 @@ class TestWrite:
             planes, magic = (plane(),), b"P5"
             img = plane_from_matrix(*planes, maxval)
         flat = tuple(chain.from_iterable(zip(*(p.data for p in planes))))
-        raster = _big_endian_16(flat) if maxval > 255 else bytes(flat)
+        item = 2 if maxval > 255 else 1
+        raster = b"".join(v.to_bytes(item, "big") for v in flat)
         out = write_netpbm(img, "binary")
         assert out == b"%s\n%d %d\n%d\n" % (magic, width, height, maxval) + raster
         assert split_color(read_netpbm(out)) == planes

@@ -547,6 +547,16 @@ class TestEquivalenceReport:
         assert report.max_deviation == worst
         assert not report.passed
 
+    def test_one_unit_past_float_precision_fails_the_report(self, monkeypatch):
+        # At radius 29 every numerator is near 2**124 over the divisor
+        # 4**58, so 1 added to one direct entry is lost in a float
+        # subtraction; measured exactly, it is 1 / 4**58.
+        monkeypatch.setattr(pipeline, "convolve", perturbed("convolve", 5, 1))
+        report = equivalence_report(seeded_image(30, 30), 29, EdgeMode.REPLICATE)
+        assert not report.passed
+        assert report.max_deviation == 2.0**-116
+        assert report.deviations[("separable", "collapse")] == 0.0
+
     def test_exact_mode_deviation_zero(self):
         rng = random.Random(211)
         a = random_matrix(rng, 10, 10)
@@ -596,6 +606,13 @@ class TestDeviation:
                        for p, q in zip(x.numerator.data, y.numerator.data))
         assert expected == 1 / dy
         assert deviation(x, y) == expected
+
+    def test_unequal_exact_results_never_read_zero(self):
+        # Two entries a float subtraction cannot tell apart: the exact
+        # difference over the divisor product is 1.
+        x = FilterResult(Matrix(1, 1, (2**100,)), 1)
+        y = FilterResult(Matrix(1, 1, (2**100 + 1,)), 1)
+        assert deviation(x, y) == deviation(y, x) == 1.0
 
     def test_results_of_different_shapes_are_refused(self):
         x = FilterResult(Matrix(1, 3, (3, 10, -1)), 4)
